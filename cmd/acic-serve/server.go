@@ -61,6 +61,7 @@ func newServer(suite *experiments.Suite, breaker *engine.Breaker, faultBudget in
 		}
 		return e.Run(suite)
 	})
+	s.figures.Name = "figure"
 	return s
 }
 

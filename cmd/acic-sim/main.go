@@ -151,6 +151,7 @@ func main() {
 		}
 		return runScheme(w, scheme, opts)
 	})
+	runs.Name = "scheme"
 	runs.Retry = engine.DefaultRetry()
 	if sim.GangEnabled(*n) && sim.GangSize > 1 {
 		runGangs(ctx, w, order, opts, sim.GangSize, runs)
@@ -271,7 +272,7 @@ func runGangs(ctx context.Context, w *experiments.Workload, order []string, opts
 			members = append(members, scheme)
 		}
 		res, err := engine.Guard(fmt.Sprintf("gang[%d]", len(members)), true, func() ([]cpu.Result, error) {
-			faults.PanicPoint("gang")
+			faults.PanicPoint("gang", w.Profile.Name+" "+strings.Join(members, ","))
 			return experiments.RunGangSubsystems(w, subs, opts)
 		})
 		if err != nil {

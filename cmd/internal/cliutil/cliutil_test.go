@@ -46,14 +46,14 @@ func TestInstallFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faults.Install("")
-	if !faults.FailIO() {
+	if !faults.FailIO("test", "k") {
 		t.Error("installed p=1 io-err spec did not fire")
 	}
 	f.FaultSpec = ""
 	if err := f.InstallFaults(); err != nil {
 		t.Fatal(err)
 	}
-	if faults.FailIO() {
+	if faults.FailIO("test", "k") {
 		t.Error("empty spec must uninstall the injector")
 	}
 }

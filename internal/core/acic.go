@@ -283,8 +283,13 @@ func (a *ACIC) Config() Config { return a.cfg }
 // the paper's baseline ACIC ignores the flag, while the prefetch-aware
 // extension (Config.PrefetchAware) discounts such resolutions.
 func (a *ACIC) OnFetch(block uint64, icacheSet, icacheSets int, prefetched bool) {
-	a.resolutions = a.CSHR.Lookup(icacheSet, icacheSets, block, a.resolutions[:0])
-	for _, r := range a.resolutions {
+	res := a.CSHR.Lookup(icacheSet, icacheSets, block, a.resolutions[:0])
+	if cap(res) > cap(a.resolutions) {
+		// Store the scratch slice back only when it grew: a per-fetch
+		// slice-header store costs a GC write barrier during collections.
+		a.resolutions = res
+	}
+	for _, r := range res {
 		outcome := r.Sooner
 		if a.cfg.PrefetchAware && prefetched {
 			if r.Sooner {

@@ -51,9 +51,10 @@ type ptUpdate struct {
 	increment bool
 }
 
+// hrtShift is an HRT shift in flight. It lands on the cycle after its
+// training, so every pending shift is due at the next advancing Tick.
 type hrtShift struct {
-	due     int64
-	idx     int
+	idx     int32
 	outcome bool
 }
 
@@ -66,8 +67,24 @@ type Predictor struct {
 	threshold int64
 	histMask  uint32
 
-	queues    [][]ptUpdate // pending PT updates, one FIFO per PT entry
-	pendHRT   []hrtShift   // HRT shifts in flight
+	// The update pipeline lives in preallocated arrays with separate
+	// lengths, so steady-state updates neither grow a slice nor store a
+	// slice header (which costs a GC write barrier while a collection
+	// runs). PT entry h's pending updates, oldest first, are
+	// queue[h*slots : h*slots+qlen[h]].
+	queue []ptUpdate
+	qlen  []int32
+	slots int
+	// active[:nactive] lists the PT entries whose queue is non-empty, so
+	// Tick drains only live queues instead of walking all 1<<HistoryBits
+	// of them. It holds each entry at most once.
+	active  []uint32
+	nactive int
+	// pend[:npend] are the HRT shifts in flight: at most one per HRT entry
+	// per cycle (the alias rule), so HRTEntries slots suffice.
+	pend  []hrtShift
+	npend int
+
 	now       int64
 	trainedAt []int64 // per-HRT-entry cycle of last training (alias filter)
 
@@ -84,14 +101,20 @@ func NewPredictor(cfg PredictorConfig) *Predictor {
 	if cfg.HRTEntries <= 0 || cfg.HistoryBits <= 0 || cfg.HistoryBits > 20 || cfg.CounterBits <= 0 || cfg.CounterBits > 62 {
 		panic("core: bad predictor configuration")
 	}
+	entries := 1 << cfg.HistoryBits
+	slots := max(cfg.QueueSlots, 0)
 	p := &Predictor{
 		cfg:       cfg,
 		hrt:       make([]uint32, cfg.HRTEntries),
-		pt:        make([]int64, 1<<cfg.HistoryBits),
+		pt:        make([]int64, entries),
 		ctrMax:    int64(1)<<cfg.CounterBits - 1,
 		threshold: cfg.threshold(),
 		histMask:  uint32(1)<<cfg.HistoryBits - 1,
-		queues:    make([][]ptUpdate, 1<<cfg.HistoryBits),
+		queue:     make([]ptUpdate, entries*slots),
+		qlen:      make([]int32, entries),
+		slots:     slots,
+		active:    make([]uint32, entries),
+		pend:      make([]hrtShift, cfg.HRTEntries),
 		trainedAt: make([]int64, cfg.HRTEntries),
 	}
 	for i := range p.trainedAt {
@@ -147,13 +170,18 @@ func (p *Predictor) Train(partialTag uint32, outcome bool) {
 		p.hrt[idx] = ((h << 1) | b2u(outcome)) & p.histMask
 		return
 	}
-	q := p.queues[h]
-	if len(q) >= p.cfg.QueueSlots {
+	if n := int(p.qlen[h]); n >= p.slots {
 		p.QueueOverflow++
 	} else {
-		p.queues[h] = append(q, ptUpdate{due: p.now + p.cfg.UpdateLatency, increment: outcome})
+		if n == 0 {
+			p.active[p.nactive] = h
+			p.nactive++
+		}
+		p.queue[int(h)*p.slots+n] = ptUpdate{due: p.now + p.cfg.UpdateLatency, increment: outcome}
+		p.qlen[h]++
 	}
-	p.pendHRT = append(p.pendHRT, hrtShift{due: p.now + 1, idx: idx, outcome: outcome})
+	p.pend[p.npend] = hrtShift{idx: int32(idx), outcome: outcome}
+	p.npend++
 }
 
 func b2u(b bool) uint32 {
@@ -173,40 +201,39 @@ func (p *Predictor) applyPT(h uint32, increment bool) {
 	}
 }
 
-// Tick advances the predictor to the given cycle, draining due HRT shifts
-// and popping due PT-queue heads (one per elapsed cycle per queue, modeling
-// the single update port per PT entry).
+// Tick advances the predictor to the given cycle, landing the in-flight
+// HRT shifts and popping due PT-queue heads (one per elapsed cycle per
+// queue, modeling the single update port per PT entry). Only the entries on
+// the active list are visited; counters of different entries are
+// independent, so the order in which queues drain does not matter.
 func (p *Predictor) Tick(cycle int64) {
 	if cycle <= p.now {
 		return
 	}
 	elapsed := cycle - p.now
 	p.now = cycle
-	if len(p.pendHRT) > 0 {
-		kept := p.pendHRT[:0]
-		for _, s := range p.pendHRT {
-			if s.due <= cycle {
-				p.hrt[s.idx] = ((p.hrt[s.idx] << 1) | b2u(s.outcome)) & p.histMask
-			} else {
-				kept = append(kept, s)
-			}
-		}
-		p.pendHRT = kept
+	for _, s := range p.pend[:p.npend] {
+		p.hrt[s.idx] = ((p.hrt[s.idx] << 1) | b2u(s.outcome)) & p.histMask
 	}
-	for h := range p.queues {
-		q := p.queues[h]
+	p.npend = 0
+	kept := 0
+	for _, h := range p.active[:p.nactive] {
+		base := int(h) * p.slots
+		q := p.queue[base : base+int(p.qlen[h])]
 		pops := 0
 		for pops < len(q) && q[pops].due <= cycle && int64(pops) < elapsed {
-			p.applyPT(uint32(h), q[pops].increment)
+			p.applyPT(h, q[pops].increment)
 			pops++
 		}
 		if pops > 0 {
-			// Compact to the front instead of re-slicing the head away:
-			// q[1:] bleeds capacity, so the next Train append reallocates —
-			// a steady-state heap allocation the zero-alloc guard forbids.
-			p.queues[h] = q[:copy(q, q[pops:])]
+			p.qlen[h] = int32(copy(q, q[pops:]))
+		}
+		if p.qlen[h] > 0 {
+			p.active[kept] = h
+			kept++
 		}
 	}
+	p.nactive = kept
 }
 
 // Counter exposes the PT counter for a history value (tests, introspection).

@@ -67,6 +67,18 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			c.ACIC = &cc
 			return icache.MustNew(c)
 		},
+		// The largest Fig 15 geometries: 1024 PT update queues behind the
+		// active-queue list and a 32-slot i-Filter. Their preallocated
+		// queue rings, active list and per-field arrays must never grow.
+		"acic-10bit-32slot": func() icache.Subsystem {
+			cc := core.DefaultConfig()
+			cc.Predictor.HistoryBits = 10
+			cc.FilterSlots = 32
+			c := base()
+			c.Policy = policy.NewLRU()
+			c.ACIC = &cc
+			return icache.MustNew(c)
+		},
 		"eaf": func() icache.Subsystem {
 			c := base()
 			c.Policy = policy.NewLRU()

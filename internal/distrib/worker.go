@@ -35,7 +35,7 @@ func newClient(coord string) *client {
 // call performs one JSON round trip; out may be nil for fire-and-forget
 // endpoints.
 func (cl *client) call(method, path string, in, out any) error {
-	if faults.FailNet() {
+	if faults.FailNet(method, path) {
 		return engine.MarkTransient(errors.New("distrib: injected net-err"))
 	}
 	var body io.Reader

@@ -138,6 +138,8 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return prog.DataLat, nil
 	})
 	pl.workloads = engine.NewGroup(cfg.Pool, pl.assemble)
+	pl.traces.Name, pl.programs.Name, pl.nextats.Name, pl.datalats.Name, pl.workloads.Name =
+		"trace", "program", "nextat", "datalat", "workload"
 	pl.traces.Retry = stageRetry()
 	pl.programs.Retry = stageRetry()
 	pl.nextats.Retry = stageRetry()

@@ -197,10 +197,10 @@ func (d *DiskCache[K, V]) Quarantined() int64 { return d.quarantined.Load() }
 // regenerates (and re-stores) transparently.
 func (d *DiskCache[K, V]) Load(k K) (V, bool) {
 	var zero V
-	if faults.FailIO() {
+	name := d.name(k)
+	if faults.FailIO("load", name) {
 		return zero, false
 	}
-	name := d.name(k)
 	data, ok := d.store.get(name)
 	if !ok {
 		return zero, false
@@ -229,6 +229,7 @@ func (d *DiskCache[K, V]) Has(k K) bool {
 // whether a future Load hits.
 type StreamEntry struct {
 	F    *os.File
+	name string // store entry name, the key of the commit fault site
 	done bool
 	// publish finalizes the flushed temp file into the backend: rename
 	// for the filesystem store, PUT for the HTTP store. It owns closing
@@ -239,10 +240,15 @@ type StreamEntry struct {
 // BeginStream starts a streaming Store for k. ok is false when the store
 // cannot create a temp file — callers skip persistence and continue.
 func (d *DiskCache[K, V]) BeginStream(k K) (*StreamEntry, bool) {
-	if faults.FailIO() {
+	name := d.name(k)
+	if faults.FailIO("begin-stream", name) {
 		return nil, false
 	}
-	return d.store.begin(d.name(k))
+	e, ok := d.store.begin(name)
+	if ok {
+		e.name = name
+	}
+	return e, ok
 }
 
 // Commit finalizes the entry: fsync, then atomic publish (rename into the
@@ -254,7 +260,7 @@ func (e *StreamEntry) Commit() {
 		return
 	}
 	e.done = true
-	if faults.FailIO() {
+	if faults.FailIO("commit", e.name) {
 		e.F.Close()
 		os.Remove(e.F.Name())
 		return
@@ -282,15 +288,15 @@ func (e *StreamEntry) Abort() {
 // published atomically, so concurrent readers never observe a partial
 // entry and a crash leaves nothing in the store root.
 func (d *DiskCache[K, V]) Store(k K, v V) {
-	if faults.FailIO() {
+	name := d.name(k)
+	if faults.FailIO("store", name) {
 		return
 	}
 	data, err := d.enc(v)
 	if err != nil {
 		return
 	}
-	data = faults.Corrupt(data)
-	d.store.put(d.name(k), data)
+	d.store.put(name, faults.Corrupt(name, data))
 }
 
 // fsStore is the local-filesystem blob backend: the original DiskCache

@@ -188,6 +188,10 @@ type Group[K comparable, V any] struct {
 	// (fromCache reports a persistent-cache hit). Called from worker
 	// goroutines; it must be safe for concurrent use.
 	OnDone func(key K, fromCache bool, err error)
+	// Name labels the group's keys at the "compute" fault-injection site
+	// (key "Name:k"), so groups sharing key values draw independently.
+	// Set before first use.
+	Name string
 	// Retry bounds re-attempts of transient compute failures (injected
 	// faults, MarkTransient-wrapped errors). The zero value runs compute
 	// once — still panic-guarded, so a panicking compute fails its key
@@ -236,8 +240,9 @@ func (g *Group[K, V]) run(k K, c *cell[V]) {
 		}
 	}
 	var retried int
-	c.val, c.err, retried = Retry(g.Retry, fmt.Sprint(k), false, func() (V, error) {
-		faults.PanicPoint("compute")
+	key := fmt.Sprint(k)
+	c.val, c.err, retried = Retry(g.Retry, key, false, func() (V, error) {
+		faults.PanicPoint("compute", g.Name+":"+key)
 		return g.compute(k)
 	})
 	if retried > 0 {

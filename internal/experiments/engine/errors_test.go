@@ -64,7 +64,7 @@ func TestInjectedPanicIsTransient(t *testing.T) {
 	}
 	defer faults.Install("")
 	_, err := Guard("k", false, func() (int, error) {
-		faults.PanicPoint("test")
+		faults.PanicPoint("test", "k")
 		return 0, nil
 	})
 	if !IsTransient(err) {

@@ -56,7 +56,7 @@ func newHTTPStore(base string) (*httpStore, error) {
 func (s *httpStore) blobURL(name string) string { return s.base + "/blob/" + name }
 
 func (s *httpStore) get(name string) ([]byte, bool) {
-	if faults.FailNet() {
+	if faults.FailNet("get", name) {
 		return nil, false
 	}
 	resp, err := s.client.Get(s.blobURL(name))
@@ -76,7 +76,7 @@ func (s *httpStore) get(name string) ([]byte, bool) {
 }
 
 func (s *httpStore) has(name string) bool {
-	if faults.FailNet() {
+	if faults.FailNet("head", name) {
 		return false
 	}
 	req, err := http.NewRequest(http.MethodHead, s.blobURL(name), nil)
@@ -93,7 +93,7 @@ func (s *httpStore) has(name string) bool {
 }
 
 func (s *httpStore) put(name string, data []byte) {
-	if faults.FailNet() {
+	if faults.FailNet("put", name) {
 		return
 	}
 	req, err := http.NewRequest(http.MethodPut, s.blobURL(name), strings.NewReader(string(data)))
@@ -120,7 +120,7 @@ func (s *httpStore) begin(name string) (*StreamEntry, bool) {
 	return &StreamEntry{F: tmp, publish: func(f *os.File) {
 		defer os.Remove(f.Name())
 		defer f.Close()
-		if faults.FailNet() {
+		if faults.FailNet("put", name) {
 			return
 		}
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
@@ -146,7 +146,7 @@ func (s *httpStore) begin(name string) (*StreamEntry, bool) {
 }
 
 func (s *httpStore) quarantine(name, key string, cause error) {
-	if faults.FailNet() {
+	if faults.FailNet("quarantine", name) {
 		return
 	}
 	req, err := http.NewRequest(http.MethodPost, s.base+"/quarantine/"+name,

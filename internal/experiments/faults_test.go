@@ -240,11 +240,12 @@ func TestStreamFallbackToBatch(t *testing.T) {
 	prof, _ := workload.ByName(app)
 	want := Prepare(prof, n)
 
-	// Draw sequence on the panic-cell counter (single-threaded Workload
-	// call): #0 the workloads group's compute boundary, #1.. one per
-	// stream window. every=3 fires on draw #2 — the second window — so
-	// the stream dies mid-flight and the batch stages (whose compute
-	// boundaries also draw) recover via their transient-retry policy.
+	// Each stream window is its own fault key (sibench/0 .. sibench/4 at
+	// this N and window), and every=3 fires one attempt in three per key
+	// at a key-derived phase. Under the default seed a window fires on its
+	// first attempt, so the stream dies mid-flight and the batch stages
+	// (whose compute boundaries also draw) recover via their
+	// transient-retry policy.
 	if err := faults.Install("panic-cell:every=3"); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"acic/internal/analysis"
 	"acic/internal/cpu"
@@ -66,8 +67,8 @@ func (pl *Pipeline) assembleStreamed(app string, prof workload.Profile) (*Worklo
 		}
 	}
 
-	for chunk := stream.Next(); chunk != nil; chunk = stream.Next() {
-		faults.PanicPoint("stream-window")
+	for i, chunk := 0, stream.Next(); chunk != nil; i, chunk = i+1, stream.Next() {
+		faults.PanicPoint("stream-window", app+"/"+strconv.Itoa(i))
 		if cw != nil {
 			if err := cw.WriteSection(trace.SecInstsZ, trace.EncodeInstsPacked(chunk)); err != nil {
 				entry.Abort()

@@ -197,6 +197,7 @@ func (s *Suite) init() {
 		var plErr error
 		s.pipeline, plErr = NewPipeline(PipelineConfig{N: s.N, Dir: s.ArtifactDir, Pool: s.pool, Window: s.PrepareWindow})
 		s.results = engine.NewGroup(s.pool, s.computeCell)
+		s.results.Name = "cell"
 		s.results.Retry = engine.DefaultRetry()
 		if s.CacheDir != "" {
 			cache, err := engine.NewDiskCache[Cell, cpu.Result](s.CacheDir, s.cacheKey)
@@ -531,8 +532,12 @@ func (s *Suite) gangAttempt(w *Workload, app string, gcells []GangCell, opts Opt
 		window  int
 		errs    []error
 	}
+	key := app
+	for _, c := range gcells {
+		key += " " + c.Scheme + "/" + c.Prefetcher
+	}
 	out, err := engine.Guard(fmt.Sprintf("gang:%s[%d]", app, len(gcells)), true, func() (gangOut, error) {
-		faults.PanicPoint("gang")
+		faults.PanicPoint("gang", key)
 		results, window, errs := RunGangCells(w, gcells, opts)
 		return gangOut{results, window, errs}, nil
 	})

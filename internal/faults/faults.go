@@ -11,20 +11,24 @@
 // paths — though never on the per-access simulation hot path, which stays
 // hook-free (DESIGN.md §13).
 //
-// Decisions are deterministic: each class keeps an atomic draw counter,
-// and draw n of class c fires iff splitmix64(seed, c, n) maps below the
-// class's probability (or n is a multiple of its period for every=N
-// rules). For a fixed sequence of hook calls the injected faults are
-// therefore reproducible; under concurrency the interleaving (and so the
-// site each draw lands on) may vary, which is fine because correctness
-// never depends on fault placement — only recovery does, and recovery is
-// what the injector exists to exercise.
+// Decisions are deterministic under any scheduling. Every hook names its
+// site and the key of the work it guards (a store entry, a cell, a stage
+// and app, a stream window), and the injector counts how often each
+// (class, site, key) has been drawn: that count is the attempt. A draw
+// fires iff splitmix64(seed, class, site, key, attempt) maps below the
+// class's probability; an every=N rule fires on one attempt in N for
+// each key, at a key-derived phase. The decision is thus a pure function
+// of (seed, class, site, key, attempt), never of which goroutine reached
+// a boundary first, so concurrent runs inject the same faults at the same
+// places as serial ones, and every=N with N >= 2 lets a retried key
+// through within N attempts.
 package faults
 
 import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -71,23 +75,26 @@ type rule struct {
 	every int64
 }
 
-// Injector holds a parsed spec plus per-class draw and fire counters.
-// All methods are safe for concurrent use.
+// Injector holds a parsed spec, the per-(class, site, key) attempt
+// counters, and per-class fire counters. All methods are safe for
+// concurrent use.
 type Injector struct {
 	spec  string
 	seed  uint64
 	rules [numClasses]rule
-	draws [numClasses]atomic.Int64
 	fired [numClasses]atomic.Int64
+
+	mu       sync.Mutex
+	attempts map[uint64]int64 // draws so far, by hash of (seed, class, site, key)
 }
 
 // Parse compiles a spec string. Grammar: semicolon-separated fields, each
 // either "seed=N" or "class:param=value[,param=value]" where class is one
 // of io-err, corrupt-artifact, panic-cell and param is p (probability in
-// [0,1]) or every (fire on every Nth draw, N >= 1). An empty spec is
+// [0,1]) or every (fire on one attempt in N per key, N >= 1). An empty spec is
 // valid and injects nothing.
 func Parse(spec string) (*Injector, error) {
-	in := &Injector{spec: spec, seed: 1}
+	in := &Injector{spec: spec, seed: 1, attempts: make(map[uint64]int64)}
 	for _, field := range strings.Split(spec, ";") {
 		field = strings.TrimSpace(field)
 		if field == "" {
@@ -164,26 +171,39 @@ func Mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// fire draws once for class c, returning whether the fault fires and the
-// zero-based draw index (for deriving secondary decisions such as which
-// bit to flip).
-func (in *Injector) fire(c Class) (bool, int64) {
+// hashString is 64-bit FNV-1a.
+func hashString(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * 1099511628211
+	}
+	return h
+}
+
+// fire draws once for class c at (site, key). It returns whether the fault
+// fires, the attempt index of this draw for (c, site, key), and the draw's
+// hash (for secondary decisions such as which bit to flip).
+func (in *Injector) fire(c Class, site, key string) (hit bool, attempt int64, h uint64) {
 	r := in.rules[c]
 	if r.p == 0 && r.every == 0 {
-		return false, 0
+		return false, 0, 0
 	}
-	n := in.draws[c].Add(1) - 1
-	hit := false
+	id := Mix64(Mix64(in.seed^uint64(c)<<32^hashString(site)) ^ hashString(key))
+	in.mu.Lock()
+	attempt = in.attempts[id]
+	in.attempts[id] = attempt + 1
+	in.mu.Unlock()
+	h = Mix64(id ^ uint64(attempt))
 	if r.every > 0 {
-		hit = n%r.every == r.every-1
+		n := uint64(r.every)
+		hit = (id%n+uint64(attempt))%n == n-1
 	} else {
-		u := Mix64(in.seed ^ uint64(c)<<32 ^ uint64(n))
-		hit = float64(u>>11)/(1<<53) < r.p
+		hit = float64(h>>11)/(1<<53) < r.p
 	}
 	if hit {
 		in.fired[c].Add(1)
 	}
-	return hit, n
+	return hit, attempt, h
 }
 
 // Stats is a snapshot of injection activity.
@@ -205,12 +225,13 @@ func (s Stats) Total() int64 {
 // was environmental, not a simulator bug, so re-running the work is both
 // safe and expected to succeed.
 type Injected struct {
-	Site string // hook site, e.g. "compute", "gang", "stream-window"
-	Draw int64  // draw index that fired
+	Site    string // hook site, e.g. "compute", "gang", "stream-window"
+	Key     string // the work the site guards
+	Attempt int64  // attempt index of (site, key) that fired
 }
 
 func (i *Injected) String() string {
-	return fmt.Sprintf("injected fault at %s (draw %d)", i.Site, i.Draw)
+	return fmt.Sprintf("injected fault at %s %s (attempt %d)", i.Site, i.Key, i.Attempt)
 }
 
 // IsInjected reports whether a recovered panic value came from PanicPoint.
@@ -253,63 +274,64 @@ func Snapshot() Stats {
 	}
 }
 
-// FailIO reports whether an injected IO error fires at this call site.
-// Callers treat a true result exactly like a real storage error: loads
-// miss, stores skip.
-func FailIO() bool {
+// FailIO reports whether an injected IO error fires for the store
+// operation site on entry key. Callers treat a true result exactly like a
+// real storage error: loads miss, stores skip.
+func FailIO(site, key string) bool {
 	in := active.Load()
 	if in == nil {
 		return false
 	}
-	hit, _ := in.fire(IOErr)
+	hit, _, _ := in.fire(IOErr, site, key)
 	return hit
 }
 
-// FailNet reports whether an injected network error fires at this call
-// site. Remote-store and coordinator clients treat a true result exactly
-// like a transport failure: the request is never issued, loads miss,
-// stores skip, and protocol calls surface a transient error for the
+// FailNet reports whether an injected network error fires for the request
+// site on key. Remote-store and coordinator clients treat a true result
+// exactly like a transport failure: the request is never issued, loads
+// miss, stores skip, and protocol calls surface a transient error for the
 // retry ladder.
-func FailNet() bool {
+func FailNet(site, key string) bool {
 	in := active.Load()
 	if in == nil {
 		return false
 	}
-	hit, _ := in.fire(NetErr)
+	hit, _, _ := in.fire(NetErr, site, key)
 	return hit
 }
 
-// Corrupt flips one deterministically-chosen bit of data in place when
-// the corrupt-artifact rule fires, and returns data either way. The bit
-// is drawn from the second half of the buffer so that for checksummed
-// container formats it always lands in a CRC-covered region (headers and
-// names are a small prefix); JSON cache entries are whole-file
-// checksummed, so any position is caught there.
-func Corrupt(data []byte) []byte {
+// Corrupt flips one deterministically-chosen bit of data, the encoded
+// entry key, in place when the corrupt-artifact rule fires, and returns
+// data either way. The bit is drawn from the second half of the buffer so
+// that for checksummed container formats it always lands in a CRC-covered
+// region (headers and names are a small prefix); JSON cache entries are
+// whole-file checksummed, so any position is caught there.
+func Corrupt(key string, data []byte) []byte {
 	in := active.Load()
 	if in == nil || len(data) == 0 {
 		return data
 	}
-	hit, n := in.fire(CorruptArtifact)
+	hit, _, h := in.fire(CorruptArtifact, "store", key)
 	if !hit {
 		return data
 	}
 	bits := uint64(len(data)) * 8
 	lo := bits / 2
-	bit := lo + Mix64(in.seed^0xc0ffee^uint64(n))%(bits-lo)
+	bit := lo + Mix64(h^0xc0ffee)%(bits-lo)
 	data[bit/8] ^= 1 << (bit % 8)
 	return data
 }
 
 // PanicPoint panics with an *Injected value when the panic-cell rule
-// fires at this site. Sites are placed at task boundaries (before any
-// state is mutated) so that recovery can always retry cleanly.
-func PanicPoint(site string) {
+// fires at site for the work named key. Sites are placed at task
+// boundaries (before any state is mutated) so that recovery can always
+// retry cleanly.
+func PanicPoint(site, key string) {
 	in := active.Load()
 	if in == nil {
 		return
 	}
-	if hit, n := in.fire(PanicCell); hit {
-		panic(&Injected{Site: site, Draw: n})
+	if hit, attempt, _ := in.fire(PanicCell, site, key); hit {
+		panic(&Injected{Site: site, Key: key, Attempt: attempt})
 	}
 }

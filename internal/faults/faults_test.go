@@ -2,7 +2,9 @@ package faults
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -49,36 +51,52 @@ func TestEveryIsPeriodic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var fires []int64
-	for i := 0; i < 20; i++ {
-		if hit, n := in.fire(PanicCell); hit {
-			fires = append(fires, n)
+	// Per key, every=5 fires on exactly one attempt in five, at a
+	// key-derived phase; across keys the first attempts fire about one
+	// time in five.
+	firstFires := 0
+	for k := 0; k < 200; k++ {
+		key := fmt.Sprint("cell-", k)
+		var fires []int64
+		for i := 0; i < 20; i++ {
+			if hit, attempt, _ := in.fire(PanicCell, "compute", key); hit {
+				if attempt != int64(i) {
+					t.Fatalf("%s: draw %d reported attempt %d", key, i, attempt)
+				}
+				fires = append(fires, attempt)
+			}
+		}
+		if len(fires) != 4 || fires[0] >= 5 {
+			t.Fatalf("%s: fires = %v, want 4 fires starting in the first 5 attempts", key, fires)
+		}
+		for i := 1; i < len(fires); i++ {
+			if fires[i]-fires[i-1] != 5 {
+				t.Fatalf("%s: fires = %v, want a period of 5", key, fires)
+			}
+		}
+		if fires[0] == 0 {
+			firstFires++
 		}
 	}
-	want := []int64{4, 9, 14, 19}
-	if len(fires) != len(want) {
-		t.Fatalf("fires = %v, want %v", fires, want)
-	}
-	for i := range want {
-		if fires[i] != want[i] {
-			t.Fatalf("fires = %v, want %v", fires, want)
-		}
+	if firstFires < 20 || firstFires > 60 {
+		t.Fatalf("%d of 200 keys fired on their first attempt, want about 40", firstFires)
 	}
 }
 
 func TestProbabilityEndpointsAndDeterminism(t *testing.T) {
 	always, _ := Parse("io-err:p=1")
 	for i := 0; i < 100; i++ {
-		if hit, _ := always.fire(IOErr); !hit {
+		if hit, _, _ := always.fire(IOErr, "load", fmt.Sprint(i%7)); !hit {
 			t.Fatalf("p=1 draw %d did not fire", i)
 		}
 	}
-	// Two injectors with the same spec fire on the same draw indices.
+	// Two injectors with the same spec fire on the same (key, attempt)s.
 	a, _ := Parse("io-err:p=0.3;seed=11")
 	b, _ := Parse("io-err:p=0.3;seed=11")
 	for i := 0; i < 1000; i++ {
-		ha, _ := a.fire(IOErr)
-		hb, _ := b.fire(IOErr)
+		key := fmt.Sprint(i % 37)
+		ha, _, _ := a.fire(IOErr, "load", key)
+		hb, _, _ := b.fire(IOErr, "load", key)
 		if ha != hb {
 			t.Fatalf("draw %d diverged between identical injectors", i)
 		}
@@ -88,17 +106,56 @@ func TestProbabilityEndpointsAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestDecisionsIndependentOfScheduling: the decision for each (site, key,
+// attempt) is the same whether the keys are drawn in order on one
+// goroutine or interleaved across many.
+func TestDecisionsIndependentOfScheduling(t *testing.T) {
+	const spec = "panic-cell:every=3;io-err:p=0.4;seed=5"
+	const keys, attempts = 64, 6
+	draw := func(in *Injector, k int) [2][attempts]bool {
+		var out [2][attempts]bool
+		for a := 0; a < attempts; a++ {
+			out[0][a], _, _ = in.fire(PanicCell, "gang", fmt.Sprint(k))
+			out[1][a], _, _ = in.fire(IOErr, "store", fmt.Sprint(k))
+		}
+		return out
+	}
+	serial, _ := Parse(spec)
+	want := make([][2][attempts]bool, keys)
+	for k := range want {
+		want[k] = draw(serial, k)
+	}
+	for run := 0; run < 5; run++ {
+		conc, _ := Parse(spec)
+		got := make([][2][attempts]bool, keys)
+		var wg sync.WaitGroup
+		for k := keys - 1; k >= 0; k-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[k] = draw(conc, k)
+			}()
+		}
+		wg.Wait()
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("run %d key %d: concurrent decisions %v, serial %v", run, k, got[k], want[k])
+			}
+		}
+	}
+}
+
 func TestInstallHooksAndSnapshot(t *testing.T) {
 	defer Install("")
 	if err := Install("io-err:p=1;corrupt-artifact:p=1;panic-cell:every=1;seed=9"); err != nil {
 		t.Fatal(err)
 	}
-	if !FailIO() {
+	if !FailIO("load", "k") {
 		t.Fatal("FailIO did not fire with p=1")
 	}
 	orig := bytes.Repeat([]byte{0xAA}, 64)
 	data := append([]byte(nil), orig...)
-	Corrupt(data)
+	Corrupt("k", data)
 	if bytes.Equal(data, orig) {
 		t.Fatal("Corrupt did not flip a bit with p=1")
 	}
@@ -118,7 +175,7 @@ func TestInstallHooksAndSnapshot(t *testing.T) {
 				t.Fatalf("PanicPoint recovered %v, want *Injected", r)
 			}
 		}()
-		PanicPoint("test")
+		PanicPoint("test", "k")
 	}()
 	s := Snapshot()
 	if s.IOErrs != 1 || s.Corruptions != 1 || s.Panics != 1 {
@@ -131,15 +188,15 @@ func TestInstallHooksAndSnapshot(t *testing.T) {
 
 func TestUninstalledHooksAreInert(t *testing.T) {
 	Install("")
-	if FailIO() {
+	if FailIO("load", "k") {
 		t.Fatal("FailIO fired with no injector")
 	}
 	data := []byte{1, 2, 3}
-	Corrupt(data)
+	Corrupt("k", data)
 	if data[0] != 1 || data[1] != 2 || data[2] != 3 {
 		t.Fatal("Corrupt mutated data with no injector")
 	}
-	PanicPoint("test") // must not panic
+	PanicPoint("test", "k") // must not panic
 	if s := Snapshot(); s != (Stats{}) {
 		t.Fatalf("Snapshot = %+v, want zero", s)
 	}
@@ -160,16 +217,16 @@ func TestNetErrClass(t *testing.T) {
 	}
 	defer Install("")
 	for i := 0; i < 3; i++ {
-		if !FailNet() {
+		if !FailNet("get", "k") {
 			t.Fatalf("FailNet() draw %d = false under p=1", i)
 		}
 	}
 	// The other hooks stay inert: net-err must never bleed into local
 	// store I/O or compute paths.
-	if FailIO() {
+	if FailIO("load", "k") {
 		t.Fatal("FailIO fired under a net-err-only spec")
 	}
-	PanicPoint("compute") // must not panic
+	PanicPoint("compute", "k") // must not panic
 	if got := Snapshot().NetErrs; got != 3 {
 		t.Fatalf("Snapshot().NetErrs = %d, want 3", got)
 	}
@@ -180,7 +237,7 @@ func TestNetErrClass(t *testing.T) {
 
 func TestFailNetUninstalledIsInert(t *testing.T) {
 	Install("")
-	if FailNet() {
+	if FailNet("get", "k") {
 		t.Fatal("FailNet() fired with no injector installed")
 	}
 }
