@@ -30,8 +30,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -46,11 +48,6 @@ import (
 	"acic/internal/stats"
 	"acic/internal/workload"
 )
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "acic-sim: "+format+"\n", args...)
-	os.Exit(1)
-}
 
 // footprint counts distinct blocks in the collapsed access sequence —
 // the same set trace.Trace.Footprint reports, but computable for
@@ -70,23 +67,38 @@ type schemeRun struct {
 	note string
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the report to stdout
+// and diagnostics to stderr, and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acic-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name     = flag.String("workload", "media-streaming", "workload profile name (see acic-trace -list)")
-		schemes  = flag.String("schemes", "lru,acic,opt", "comma-separated scheme names")
-		n        = flag.Int("n", 1_000_000, "trace length in instructions")
-		pf       = flag.String("prefetcher", "fdp", "prefetcher: "+strings.Join(experiments.Prefetchers(), ", "))
-		warmup   = flag.Float64("warmup", 0.1, "warmup fraction")
-		sim      = cliutil.RegisterSim(flag.CommandLine)
-		showDist = flag.Bool("reuse", false, "also print the reuse-distance distribution")
+		name     = fs.String("workload", "media-streaming", "workload profile name (see acic-trace -list)")
+		schemes  = fs.String("schemes", "lru,acic,opt", "comma-separated scheme names")
+		n        = fs.Int("n", 1_000_000, "trace length in instructions")
+		pf       = fs.String("prefetcher", "fdp", "prefetcher: "+strings.Join(experiments.Prefetchers(), ", "))
+		warmup   = fs.Float64("warmup", 0.1, "warmup fraction")
+		sim      = cliutil.RegisterSim(fs)
+		showDist = fs.Bool("reuse", false, "also print the reuse-distance distribution")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "acic-sim: "+format+"\n", args...)
+		return 1
+	}
 
 	if err := sim.Validate(); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if err := sim.InstallFaults(); err != nil {
-		fail("-fault-spec: %v", err)
+		return fail("-fault-spec: %v", err)
 	}
 	// SIGINT/SIGTERM cancel not-yet-started schemes; the one in flight
 	// finishes and the process exits cliutil.ExitInterrupted.
@@ -94,26 +106,26 @@ func main() {
 	defer stopSignals()
 	prof, ok := workload.ByName(*name)
 	if !ok {
-		fail("unknown workload %q", *name)
+		return fail("unknown workload %q", *name)
 	}
 	pool := engine.NewPool(sim.Workers)
 	pipeline, err := experiments.NewPipeline(experiments.PipelineConfig{
 		N: *n, Dir: sim.ArtifactDir, Pool: pool, Window: sim.PrepareWindow,
 	})
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	w, err := pipeline.Workload(*name)
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
-	fmt.Printf("workload %s: %d instructions, %d block accesses, footprint %d blocks\n",
+	fmt.Fprintf(stdout, "workload %s: %d instructions, %d block accesses, footprint %d blocks\n",
 		prof.Name, w.Prog.Len(), len(w.Blocks), footprint(w.Blocks))
 
 	if *showDist {
 		dists := analysis.ReuseDistances(w.Blocks)
 		fr := analysis.Distribution(dists, analysis.Fig1aEdges)
-		fmt.Printf("reuse distances: 0:%.1f%% 1-16:%.2f%% 16-512:%.2f%% 512-1024:%.2f%% 1024-10000:%.2f%% >10000:%.2f%%\n",
+		fmt.Fprintf(stdout, "reuse distances: 0:%.1f%% 1-16:%.2f%% 16-512:%.2f%% 512-1024:%.2f%% 1024-10000:%.2f%% >10000:%.2f%%\n",
 			fr[0]*100, fr[1]*100, fr[2]*100, fr[3]*100, fr[4]*100, fr[5]*100)
 	}
 
@@ -122,16 +134,16 @@ func main() {
 	opts.WarmupFrac = *warmup
 	sampleSets, err := sim.ResolveSampleSets()
 	if err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if opts.Sample, err = experiments.SampleConfigFor(sampleSets, sim.SampleOffset, *name); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if opts.GangWindow, err = sim.ResolveGangWindow(); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if opts.Sample.Enabled() {
-		fmt.Printf("set-sampled fast mode: %d of %d sets (stride %d, constituency %d); misses and stalls extrapolated, see DESIGN.md §10 for error bars\n",
+		fmt.Fprintf(stdout, "set-sampled fast mode: %d of %d sets (stride %d, constituency %d); misses and stalls extrapolated, see DESIGN.md §10 for error bars\n",
 			sampleSets, cliutil.DefaultL1Sets, opts.Sample.Stride, opts.Sample.Offset)
 	}
 
@@ -158,10 +170,10 @@ func main() {
 	}
 	if err := runs.Require(order...); err != nil {
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "acic-sim: interrupted")
-			os.Exit(cliutil.ExitInterrupted)
+			fmt.Fprintln(stderr, "acic-sim: interrupted")
+			return cliutil.ExitInterrupted
 		}
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
 	// Render in the order the schemes were listed: the first is the
@@ -173,7 +185,7 @@ func main() {
 	for _, scheme := range order {
 		run, err := runs.Get(scheme)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		res := run.res
 		if run.note != "" {
@@ -195,10 +207,11 @@ func main() {
 		tbl.AddRow(scheme, res.Cycles, res.IPC(), res.MPKI(),
 			float64(baseCycles)/float64(res.Cycles), fmt.Sprintf("%.1f", filterPct), stats.Percent(mpkiRed))
 	}
-	fmt.Print(tbl.String())
+	fmt.Fprint(stdout, tbl.String())
 	for _, n := range acicNotes {
-		fmt.Println(n)
+		fmt.Fprintln(stdout, n)
 	}
+	return 0
 }
 
 // instrument attaches an ACIC decision recorder when the subsystem carries
