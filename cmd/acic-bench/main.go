@@ -71,6 +71,7 @@ import (
 
 	"acic/cmd/internal/cliutil"
 	"acic/internal/experiments"
+	"acic/internal/icache"
 	"acic/internal/perf"
 	"acic/internal/stats"
 )
@@ -91,10 +92,7 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 		cleanup()
 		os.Exit(1)
 	}
-	sampleSets, err := sim.ResolveSampleSets()
-	if err != nil {
-		fail("%v", err)
-	}
+	sampleSets := sim.SampleSets
 	if sampleSets == 0 {
 		sampleSets = 8
 	}
@@ -116,17 +114,13 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 	}
 
 	newSuite := func(sampled bool) *experiments.Suite {
-		s := experiments.NewSuite(n)
-		s.Context = ctx
-		s.Workers = sim.Workers
-		s.GangSize = sim.SuiteGangSize(s.N)
-		s.GangWindow, _ = sim.ResolveGangWindow() // validated by main
-		s.ArtifactDir = artifactDir
-		s.PrepareWindow = sim.PrepareWindow
-		if sampled {
-			s.SampleSets = sampleSets
-			s.SampleOffset = sim.SampleOffset
+		lane := *sim
+		lane.ArtifactDir = artifactDir
+		lane.SampleSets = sampleSets
+		if !sampled {
+			lane.SampleSets, lane.SampleOffset = 0, 0
 		}
+		s := lane.NewSuite(ctx, n)
 		if apps != "" {
 			s.Apps = strings.Split(apps, ",")
 		}
@@ -189,7 +183,7 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 	}
 
 	fmt.Printf("=== sample-validate: %d of %d L1i sets, %d cells (%s × fdp), n=%d\n",
-		sampleSets, cliutil.DefaultL1Sets, len(cells), "baseline+fig10 schemes", full.N)
+		sampleSets, icache.DefaultSets, len(cells), "baseline+fig10 schemes", full.N)
 	// The gated metrics get the per-cell error-bar tables; MPKI — looser
 	// by design (DESIGN.md §10) — is summarized only.
 	fmt.Print(cyclesErr.Table().String())
@@ -347,14 +341,8 @@ func main() {
 
 	if *benchJSON != "" {
 		cfg := perf.Config{Context: ctx, App: *benchApp, N: *n, Repeats: *benchRepeats,
-			ArtifactDir: sim.ArtifactDir, PrepareWindow: sim.PrepareWindow,
+			ArtifactDir: sim.ArtifactDir, PrepareWindow: sim.PrepareWindow, SampleSets: sim.SampleSets,
 			PrepareSweeps: *benchPrepare, DistributedSweeps: *benchDist}
-		if ss, err := sim.ResolveSampleSets(); err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
-			os.Exit(1)
-		} else {
-			cfg.SampleSets = ss
-		}
 		if *benchSchemes != "" {
 			cfg.Schemes = strings.Split(*benchSchemes, ",")
 		}
@@ -447,24 +435,11 @@ func main() {
 		}
 	}
 
-	sampleSets, err := sim.ResolveSampleSets()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
-		os.Exit(1)
-	}
-	suite := experiments.NewSuite(*n)
-	suite.Context = ctx
-	suite.Workers = sim.Workers
-	suite.GangSize = sim.SuiteGangSize(suite.N)
-	suite.GangWindow, _ = sim.ResolveGangWindow() // validated above
+	suite := sim.NewSuite(ctx, *n)
 	suite.CacheDir = *cacheDir
-	suite.ArtifactDir = sim.ArtifactDir
-	suite.PrepareWindow = sim.PrepareWindow
-	suite.SampleSets = sampleSets
-	suite.SampleOffset = sim.SampleOffset
-	if sampleSets > 0 {
+	if sim.SampleSets > 0 {
 		fmt.Printf("set-sampled fast mode: %d of %d L1i sets; statistics extrapolated (error bars: DESIGN.md §10, acic-bench -sample-validate)\n",
-			sampleSets, cliutil.DefaultL1Sets)
+			sim.SampleSets, icache.DefaultSets)
 	}
 	if *apps != "" {
 		suite.Apps = strings.Split(*apps, ",")

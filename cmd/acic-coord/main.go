@@ -70,10 +70,6 @@ func main() {
 	if err := sim.InstallFaults(); err != nil {
 		fail("-fault-spec: %v", err)
 	}
-	sampleSets, err := sim.ResolveSampleSets()
-	if err != nil {
-		fail("%v", err)
-	}
 	gangWindow, _ := sim.ResolveGangWindow() // validated above
 
 	ctx, stopSignals := cliutil.InterruptContext()
@@ -112,7 +108,7 @@ func main() {
 
 	cfg := distrib.Config{
 		N:             experiments.NewSuite(*n).N, // resolves 0 -> default
-		SampleSets:    sampleSets,
+		SampleSets:    sim.SampleSets,
 		SampleOffset:  sim.SampleOffset,
 		GangWindow:    gangWindow,
 		PrepareWindow: sim.PrepareWindow,

@@ -75,28 +75,14 @@ func main() {
 	if err := sim.InstallFaults(); err != nil {
 		fail("-fault-spec: %v", err)
 	}
-	sampleSets, err := sim.ResolveSampleSets()
-	if err != nil {
-		fail("%v", err)
-	}
-	gangWindow, _ := sim.ResolveGangWindow() // validated above
-
 	ctx, stopSignals := cliutil.InterruptContext()
 	defer stopSignals()
 
-	suite := experiments.NewSuite(*n)
-	suite.Context = ctx
-	suite.Workers = sim.Workers
-	suite.GangSize = sim.SuiteGangSize(suite.N)
-	suite.GangWindow = gangWindow
-	suite.SampleSets = sampleSets
-	suite.SampleOffset = sim.SampleOffset
-	suite.PrepareWindow = sim.PrepareWindow
-	suite.CacheDir = *cacheDir
-	suite.ArtifactDir = sim.ArtifactDir
 	if *storeURL != "" {
-		suite.CacheDir, suite.ArtifactDir = *storeURL, *storeURL
+		*cacheDir, sim.ArtifactDir = *storeURL, *storeURL
 	}
+	suite := sim.NewSuite(ctx, *n)
+	suite.CacheDir = *cacheDir
 	if *apps != "" {
 		suite.Apps = strings.Split(*apps, ",")
 	}

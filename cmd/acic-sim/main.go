@@ -1,17 +1,19 @@
-// Command acic-sim runs a single (workload, scheme) simulation and prints
-// cycles, IPC, MPKI, and subsystem statistics. It is the low-level probe
-// tool; use acic-bench to regenerate the paper's tables and figures.
+// Command acic-sim runs a single workload under one or more schemes and
+// prints cycles, IPC, MPKI, and subsystem statistics, plus a per-decision
+// note for every scheme carrying an ACIC complex: its admission decisions
+// scored against the next-use oracle. It is the low-level probe tool; use
+// acic-bench to regenerate the paper's tables and figures.
 //
+// The schemes run as cells of an experiments.Suite — the same engine,
+// gang scheduler and degrade ladder acic-bench runs on (DESIGN.md §13) —
+// with the ACIC decision recorder attached through Suite.Instrument.
 // When several schemes are given over a long trace (>= 1M instructions,
-// the default -n) they are simulated as a gang — one traversal of the
-// shared trace drives every scheme; shorter runs use independent cells on
-// a worker pool. -gang on|off overrides; results are identical in every
-// mode. Rows are always printed in the order the schemes were listed.
-//
-// A gang whose run panics or errors degrades to independent serial runs
-// with bounded retries (DESIGN.md §13); -fault-spec injects deterministic
-// faults to exercise that ladder. SIGINT/SIGTERM cancel not-yet-started
-// schemes and exit 130.
+// the default -n) they are simulated as a gang: one traversal of the
+// shared trace drives every scheme. -gang on|off overrides; results are
+// identical in every mode. Rows are always printed in the order the
+// schemes were listed. -fault-spec injects deterministic faults into that
+// ladder; the recovery counters are printed on stderr. SIGINT/SIGTERM
+// cancel not-yet-started schemes and exit 130.
 //
 // With -artifact-dir (or ACIC_ARTIFACT_DIR) the prepared workload — trace,
 // annotated program, successor array, data-latency timeline — is loaded
@@ -21,7 +23,7 @@
 //
 // Usage:
 //
-//	acic-sim -workload media-streaming -scheme acic -n 1000000
+//	acic-sim -workload media-streaming -schemes acic -n 1000000
 //	acic-sim -workload web-search -schemes lru,acic,opt -n 500000
 //	acic-sim -workload web-search -schemes lru,acic -gang off
 //	acic-sim -workload tpcc -schemes lru,acic -artifact-dir ~/.cache/acic-artifacts
@@ -29,21 +31,18 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
+	"sync"
 
 	"acic/cmd/internal/cliutil"
 	"acic/internal/analysis"
 	"acic/internal/core"
-	"acic/internal/cpu"
 	"acic/internal/experiments"
-	"acic/internal/experiments/engine"
-	"acic/internal/faults"
 	"acic/internal/icache"
 	"acic/internal/stats"
 	"acic/internal/workload"
@@ -60,11 +59,32 @@ func footprint(blocks []uint64) int {
 	return len(seen)
 }
 
-// schemeRun is one scheme's simulation output: the timing result plus the
-// ACIC diagnostics note, when the scheme carries an ACIC complex.
-type schemeRun struct {
-	res  cpu.Result
-	note string
+// capture is one cell's ACIC decision recording: the subsystem that ran
+// and the decisions its ACIC complex reported.
+type capture struct {
+	sub       icache.Subsystem
+	decisions *[]core.Decision
+}
+
+// recorder collects the ACIC decisions of every simulated cell. It is the
+// suite's Instrument hook: each call attaches a fresh recording and
+// replaces the cell's previous one, so the partial decisions of a gang
+// that died (and whose members the suite re-ran serially) never count.
+type recorder struct {
+	mu    sync.Mutex
+	cells map[experiments.Cell]capture
+}
+
+func (r *recorder) instrument(c experiments.Cell, sub icache.Subsystem) {
+	cx, ok := sub.(*icache.Complex)
+	if !ok || cx.ACIC() == nil {
+		return
+	}
+	decisions := new([]core.Decision)
+	cx.ACIC().OnDecision = func(d core.Decision) { *decisions = append(*decisions, d) }
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.cells[c] = capture{sub, decisions}
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -79,7 +99,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		schemes  = fs.String("schemes", "lru,acic,opt", "comma-separated scheme names")
 		n        = fs.Int("n", 1_000_000, "trace length in instructions")
 		pf       = fs.String("prefetcher", "fdp", "prefetcher: "+strings.Join(experiments.Prefetchers(), ", "))
-		warmup   = fs.Float64("warmup", 0.1, "warmup fraction")
 		sim      = cliutil.RegisterSim(fs)
 		showDist = fs.Bool("reuse", false, "also print the reuse-distance distribution")
 	)
@@ -108,14 +127,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if !ok {
 		return fail("unknown workload %q", *name)
 	}
-	pool := engine.NewPool(sim.Workers)
-	pipeline, err := experiments.NewPipeline(experiments.PipelineConfig{
-		N: *n, Dir: sim.ArtifactDir, Pool: pool, Window: sim.PrepareWindow,
-	})
-	if err != nil {
+	rec := &recorder{cells: make(map[experiments.Cell]capture)}
+	suite := sim.NewSuite(ctx, *n)
+	suite.Apps = []string{prof.Name}
+	suite.Instrument = rec.instrument
+	if err := suite.CacheError(); err != nil {
 		return fail("%v", err)
 	}
-	w, err := pipeline.Workload(*name)
+	// The recovery counters go to stderr whenever faults were injected or
+	// absorbed, on every exit path past this point.
+	defer func() {
+		if fstats := suite.FaultStats(); sim.FaultSpec != "" || fstats.Any() {
+			fmt.Fprintln(stderr, fstats)
+		}
+	}()
+	w, err := suite.Workload(prof.Name)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -129,46 +155,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fr[0]*100, fr[1]*100, fr[2]*100, fr[3]*100, fr[4]*100, fr[5]*100)
 	}
 
-	opts := experiments.DefaultOptions()
-	opts.Prefetcher = *pf
-	opts.WarmupFrac = *warmup
-	sampleSets, err := sim.ResolveSampleSets()
-	if err != nil {
-		return fail("%v", err)
-	}
-	if opts.Sample, err = experiments.SampleConfigFor(sampleSets, sim.SampleOffset, *name); err != nil {
-		return fail("%v", err)
-	}
-	if opts.GangWindow, err = sim.ResolveGangWindow(); err != nil {
-		return fail("%v", err)
-	}
-	if opts.Sample.Enabled() {
+	if sample, _ := experiments.SampleConfigFor(sim.SampleSets, sim.SampleOffset, prof.Name); sample.Enabled() {
 		fmt.Fprintf(stdout, "set-sampled fast mode: %d of %d sets (stride %d, constituency %d); misses and stalls extrapolated, see DESIGN.md §10 for error bars\n",
-			sampleSets, cliutil.DefaultL1Sets, opts.Sample.Stride, opts.Sample.Offset)
+			sim.SampleSets, icache.DefaultSets, sample.Stride, sample.Offset)
 	}
 
 	var order []string
 	for _, s := range strings.Split(*schemes, ",") {
 		order = append(order, strings.TrimSpace(s))
 	}
-
-	// Plan → execute: every scheme is an independent cell over the shared
-	// workload; the group dedupes repeats. With -gang the deduplicated list
-	// runs as gang simulations (one trace traversal per gang of up to
-	// -gang-size schemes); otherwise cells run in parallel on the pool.
-	// Either way each scheme's result is identical.
-	runs := engine.NewGroup(pool, func(scheme string) (schemeRun, error) {
-		if err := ctx.Err(); err != nil {
-			return schemeRun{}, err
-		}
-		return runScheme(w, scheme, opts)
-	})
-	runs.Name = "scheme"
-	runs.Retry = engine.DefaultRetry()
-	if sim.GangEnabled(*n) && sim.GangSize > 1 {
-		runGangs(ctx, w, order, opts, sim.GangSize, runs)
-	}
-	if err := runs.Require(order...); err != nil {
+	// Plan → execute: every scheme is a cell over the shared workload; the
+	// suite dedupes repeats and, with -gang, runs them as gang simulations.
+	if err := suite.Require(experiments.CrossCells(suite.Apps, order, *pf)...); err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(stderr, "acic-sim: interrupted")
 			return cliutil.ExitInterrupted
@@ -183,13 +181,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var baseMPKI float64
 	var acicNotes []string
 	for _, scheme := range order {
-		run, err := runs.Get(scheme)
+		res, err := suite.Result(prof.Name, scheme, *pf)
 		if err != nil {
 			return fail("%v", err)
 		}
-		res := run.res
-		if run.note != "" {
-			acicNotes = append(acicNotes, run.note)
+		if capt, ok := rec.cells[experiments.Cell{App: prof.Name, Scheme: scheme, Prefetcher: *pf}]; ok {
+			acicNotes = append(acicNotes, acicNote(w, scheme, capt.sub, capt.decisions))
 		}
 		if baseCycles == 0 {
 			baseCycles = res.Cycles
@@ -212,95 +209,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stdout, n)
 	}
 	return 0
-}
-
-// instrument attaches an ACIC decision recorder when the subsystem carries
-// an ACIC complex and returns the capture slot (nil otherwise).
-func instrument(sub icache.Subsystem) *[]core.Decision {
-	cx, ok := sub.(*icache.Complex)
-	if !ok || cx.ACIC() == nil {
-		return nil
-	}
-	decisions := new([]core.Decision)
-	cx.ACIC().OnDecision = func(d core.Decision) { *decisions = append(*decisions, d) }
-	return decisions
-}
-
-// runScheme simulates one scheme, collecting ACIC decision diagnostics
-// when the subsystem exposes them.
-func runScheme(w *experiments.Workload, scheme string, opts experiments.Options) (schemeRun, error) {
-	sub, err := experiments.NewSampledScheme(scheme, w, opts.Sample)
-	if err != nil {
-		return schemeRun{}, err
-	}
-	captured := instrument(sub)
-	res, err := experiments.RunSubsystem(w, sub, opts)
-	if err != nil {
-		return schemeRun{}, err
-	}
-	return schemeRun{res: res, note: acicNote(w, scheme, sub, captured)}, nil
-}
-
-// runGangs claims the not-yet-computed schemes of order and produces them
-// through gang simulations of at most gangSize members each, fulfilling
-// the run group's cells so rendering reads them exactly like serial runs.
-// A gang that panics or errors degrades to independent serial runs with
-// bounded retries — one poisoned member must not take its gang-mates'
-// results down. Every claimed scheme is fulfilled on every path.
-func runGangs(ctx context.Context, w *experiments.Workload, order []string, opts experiments.Options,
-	gangSize int, runs *engine.Group[string, schemeRun]) {
-	rerunSerial := func(scheme string) {
-		run, err, _ := engine.Retry(runs.Retry, scheme, false, func() (schemeRun, error) {
-			return runScheme(w, scheme, opts)
-		})
-		runs.Fulfill(scheme, run, err)
-	}
-	var uniq []string
-	for _, s := range order {
-		if runs.TryClaim(s) {
-			uniq = append(uniq, s)
-		}
-	}
-	for at := 0; at < len(uniq); at += gangSize {
-		chunk := uniq[at:min(at+gangSize, len(uniq))]
-		if err := ctx.Err(); err != nil {
-			for _, scheme := range chunk {
-				runs.Fulfill(scheme, schemeRun{}, err)
-			}
-			continue
-		}
-		subs := make([]icache.Subsystem, 0, len(chunk))
-		captures := make([]*[]core.Decision, 0, len(chunk))
-		members := make([]string, 0, len(chunk))
-		for _, scheme := range chunk {
-			sub, err := experiments.NewSampledScheme(scheme, w, opts.Sample)
-			if err != nil {
-				// A bad scheme name is deterministic: fail that cell now
-				// rather than spending a serial rerun on it.
-				runs.Fulfill(scheme, schemeRun{}, err)
-				continue
-			}
-			subs = append(subs, sub)
-			captures = append(captures, instrument(sub))
-			members = append(members, scheme)
-		}
-		res, err := engine.Guard(fmt.Sprintf("gang[%d]", len(members)), true, func() ([]cpu.Result, error) {
-			faults.PanicPoint("gang", w.Profile.Name+" "+strings.Join(members, ","))
-			return experiments.RunGangSubsystems(w, subs, opts)
-		})
-		if err != nil {
-			for _, scheme := range members {
-				rerunSerial(scheme)
-			}
-			continue
-		}
-		for i, scheme := range members {
-			runs.Fulfill(scheme, schemeRun{
-				res:  res[i],
-				note: acicNote(w, scheme, subs[i], captures[i]),
-			}, nil)
-		}
-	}
 }
 
 // acicNote summarizes a run's captured ACIC admission decisions against

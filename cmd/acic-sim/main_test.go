@@ -5,10 +5,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"acic/internal/faults"
 )
+
+// injectedPanics matches a FaultStats line reporting at least one panic.
+var injectedPanics = regexp.MustCompile(`(?m)^faults: injected .* / [1-9][0-9]* panic /`)
 
 var update = flag.Bool("update", false, "rewrite the testdata/*.golden files from the current output")
 
@@ -50,6 +54,11 @@ func TestGolden(t *testing.T) {
 			}
 			if !bytes.Equal(stdout.Bytes(), want) {
 				t.Errorf("stdout differs from %s:\n--- got\n%s--- want\n%s", path, stdout.String(), want)
+			}
+			// The recovery counters reach stderr whenever a fault spec is
+			// set; a silent injector would make the faults case test nothing.
+			if c.name == "faults" && !injectedPanics.MatchString(stderr.String()) {
+				t.Errorf("no injected panics reported on stderr:\n%s", stderr.String())
 			}
 		})
 	}

@@ -1,6 +1,8 @@
 // Package cliutil deduplicates the engine/storage flag plumbing shared by
-// the simulation CLIs (acic-bench, acic-sim, acic-trace warm): the worker
-// pool width, the gang-execution mode, and the two persistent stores.
+// the simulation CLIs (acic-bench, acic-sim, acic-serve, acic-coord,
+// acic-trace warm): the worker pool width, the gang-execution mode, the
+// sampling mode, and the two persistent stores — and builds the one
+// experiments.Suite those flags describe (SimFlags.NewSuite).
 package cliutil
 
 import (
@@ -12,6 +14,7 @@ import (
 	"strconv"
 	"syscall"
 
+	"acic/internal/experiments"
 	"acic/internal/faults"
 )
 
@@ -35,16 +38,6 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 // multi-million-instruction traces).
 const GangAutoThreshold = 1_000_000
 
-// DefaultL1Sets is the evaluated schemes' shared L1i set count, the
-// denominator of the -sample-sets / -sample-stride conversion (it mirrors
-// icache.DefaultSets without pulling the simulator into the flag layer).
-const DefaultL1Sets = 64
-
-// AutoGangWindow is the ResolveGangWindow value selecting the measured
-// adaptive window (mirrors experiments.AutoGangWindow without pulling the
-// simulator into the flag layer).
-const AutoGangWindow = -1
-
 // SimFlags are the shared engine/storage knobs after parsing.
 type SimFlags struct {
 	Workers       int
@@ -54,7 +47,6 @@ type SimFlags struct {
 	ArtifactDir   string
 	PrepareWindow int
 	SampleSets    int
-	SampleStride  int
 	SampleOffset  int
 	FaultSpec     string
 }
@@ -69,8 +61,7 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	fs.IntVar(&f.GangSize, "gang-size", 10, "max schemes per gang task (with -gang)")
 	fs.StringVar(&f.GangWindow, "gang-window", "auto", "gang traversal window in instructions: auto derives it from measured member footprints against the host cache budget (ACIC_LLC_BYTES overrides detection), default runs the fixed heuristic, any positive count pins it; affects only throughput, never results")
 	fs.IntVar(&f.SampleSets, "sample-sets", 0, "set-sampled fast mode: simulate only this many of the 64 L1i sets (SDM-style sampling, statistics extrapolated; power of two; 0 = full simulation, the byte-identical reference)")
-	fs.IntVar(&f.SampleStride, "sample-stride", 0, "set-sampled fast mode by stride: simulate one in this many set constituencies (equivalent to -sample-sets 64/stride; 0 = full simulation)")
-	fs.IntVar(&f.SampleOffset, "sample-offset", 0, "sampled set constituency to simulate, in [1,stride) (with -sample-sets/-sample-stride; 0 = derive per workload from the trace digest — constituency 0 is alignment-biased and never used)")
+	fs.IntVar(&f.SampleOffset, "sample-offset", 0, "sampled set constituency to simulate, in [1,64/sample-sets) (with -sample-sets; 0 = derive per workload from the trace digest — constituency 0 is alignment-biased and never used)")
 	RegisterArtifactDir(fs, &f.ArtifactDir)
 	RegisterPrepareWindow(fs, &f.PrepareWindow)
 	RegisterFaultSpec(fs, &f.FaultSpec)
@@ -113,30 +104,10 @@ func RegisterPrepareWindow(fs *flag.FlagSet, dst *int) {
 		"stream cold workload preparation in windows of this many instructions: generation, branch annotation, successor and latency production advance together, holding O(window) instruction records instead of the whole trace; artifacts and results are byte-identical to batch mode (0 = batch prepare; default from ACIC_PREPARE_WINDOW)")
 }
 
-// ResolveSampleSets reduces the two sampling flags to one sampled-set
-// count over the default 64-set geometry (0 = sampling off). Only one of
-// the two flags may be given.
-func (f *SimFlags) ResolveSampleSets() (int, error) {
-	switch {
-	case f.SampleSets != 0 && f.SampleStride != 0:
-		return 0, fmt.Errorf("-sample-sets and -sample-stride are two spellings of one knob; give only one")
-	case f.SampleStride != 0:
-		if f.SampleStride < 0 || f.SampleStride > DefaultL1Sets || DefaultL1Sets%f.SampleStride != 0 {
-			return 0, fmt.Errorf("-sample-stride must be a power of two in [1,%d], got %d", DefaultL1Sets, f.SampleStride)
-		}
-		if f.SampleStride == 1 {
-			return 0, nil
-		}
-		return DefaultL1Sets / f.SampleStride, nil
-	default:
-		return f.SampleSets, nil
-	}
-}
-
 // RegisterCacheDir declares -cache-dir on fs. It is separate from
 // RegisterSim because only tools whose cells are plain (uninstrumented)
-// results can reuse cached entries — acic-bench can, acic-sim's
-// decision-diagnostic runs cannot.
+// results can reuse cached entries — acic-bench can, acic-sim cannot:
+// Suite.Instrument never sees a cell answered from the cache.
 func RegisterCacheDir(fs *flag.FlagSet) *string {
 	return fs.String("cache-dir", os.Getenv("ACIC_CACHE_DIR"), "persistent result cache directory (empty = disabled)")
 }
@@ -149,12 +120,12 @@ func RegisterArtifactDir(fs *flag.FlagSet, dst *string) {
 }
 
 // ResolveGangWindow reduces the -gang-window spelling to the
-// experiments.Options.GangWindow encoding: AutoGangWindow (-1) for
+// experiments.Options.GangWindow encoding: experiments.AutoGangWindow for
 // "auto", 0 for "default", or the pinned positive instruction count.
 func (f *SimFlags) ResolveGangWindow() (int, error) {
 	switch f.GangWindow {
 	case "auto", "":
-		return AutoGangWindow, nil
+		return experiments.AutoGangWindow, nil
 	case "default":
 		return 0, nil
 	}
@@ -178,6 +149,9 @@ func (f *SimFlags) Validate() error {
 	if f.SampleOffset < 0 {
 		return fmt.Errorf("-sample-offset must be >= 0, got %d", f.SampleOffset)
 	}
+	if _, err := experiments.SampleConfigFor(f.SampleSets, f.SampleOffset, ""); err != nil {
+		return err
+	}
 	if f.PrepareWindow < 0 {
 		return fmt.Errorf("-prepare-window must be >= 0 (0 = batch prepare), got %d", f.PrepareWindow)
 	}
@@ -187,24 +161,32 @@ func (f *SimFlags) Validate() error {
 	return nil
 }
 
-// GangEnabled resolves the three-state -gang flag against the trace
-// length.
-func (f *SimFlags) GangEnabled(n int) bool {
-	switch f.Gang {
-	case "on":
-		return true
-	case "off":
-		return false
-	default:
-		return n >= GangAutoThreshold
-	}
-}
-
-// SuiteGangSize returns the experiments.Suite.GangSize to configure: the
-// flag value when gang execution is enabled for trace length n, else 0.
+// SuiteGangSize returns the experiments.Suite.GangSize to configure for
+// trace length n: the -gang-size value when -gang resolves on ("auto"
+// from GangAutoThreshold instructions), else 0.
 func (f *SimFlags) SuiteGangSize(n int) int {
-	if f.GangEnabled(n) && f.GangSize > 1 {
+	on := f.Gang == "on" || f.Gang == "auto" && n >= GangAutoThreshold
+	if on && f.GangSize > 1 {
 		return f.GangSize
 	}
 	return 0
+}
+
+// NewSuite builds the suite the parsed flags describe over n-instruction
+// workloads (0 = experiments.DefaultTraceLen): the worker pool, gang
+// mode and window, artifact store, prepare window and sampling mode, with
+// ctx as its cancellation context. Callers add what only they configure
+// (Apps, CacheDir, Progress, Instrument) before the first use. Call after
+// Validate.
+func (f *SimFlags) NewSuite(ctx context.Context, n int) *experiments.Suite {
+	s := experiments.NewSuite(n)
+	s.Context = ctx
+	s.Workers = f.Workers
+	s.GangSize = f.SuiteGangSize(s.N)
+	s.GangWindow, _ = f.ResolveGangWindow() // validated by Validate
+	s.ArtifactDir = f.ArtifactDir
+	s.PrepareWindow = f.PrepareWindow
+	s.SampleSets = f.SampleSets
+	s.SampleOffset = f.SampleOffset
+	return s
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"acic/internal/experiments"
 	"acic/internal/faults"
 )
 
@@ -69,5 +70,46 @@ func TestInterruptContext(t *testing.T) {
 	<-ctx.Done()
 	if ctx.Err() != context.Canceled {
 		t.Errorf("ctx.Err() = %v, want context.Canceled", ctx.Err())
+	}
+}
+
+// TestNewSuite: the one flags→Suite constructor carries every shared
+// engine knob, resolving -gang against the trace length and -gang-window
+// to its experiments encoding.
+func TestNewSuite(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	f := RegisterSim(fs)
+	if err := fs.Parse([]string{"-workers", "3", "-gang", "on", "-gang-size", "4",
+		"-artifact-dir", "store", "-prepare-window", "4096", "-sample-sets", "8", "-sample-offset", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	s := f.NewSuite(ctx, 5000)
+	if s.N != 5000 || s.Context != ctx || s.Workers != 3 || s.GangSize != 4 ||
+		s.GangWindow != experiments.AutoGangWindow || s.ArtifactDir != "store" ||
+		s.PrepareWindow != 4096 || s.SampleSets != 8 || s.SampleOffset != 2 {
+		t.Errorf("NewSuite = %+v", s)
+	}
+	f.Gang = "auto"
+	if s := f.NewSuite(ctx, 5000); s.GangSize != 0 {
+		t.Errorf("-gang auto below the threshold: GangSize = %d, want 0", s.GangSize)
+	}
+}
+
+// TestValidateSampling: sampling errors surface from Validate, through
+// experiments.SampleConfigFor, before any suite is built.
+func TestValidateSampling(t *testing.T) {
+	for _, f := range []SimFlags{
+		{Gang: "auto", SampleSets: 3},
+		{Gang: "auto", SampleSets: 128},
+		{Gang: "auto", SampleSets: 8, SampleOffset: 8},
+		{Gang: "auto", SampleOffset: -1},
+	} {
+		if err := f.Validate(); err == nil {
+			t.Errorf("%+v: Validate accepted it", f)
+		}
 	}
 }

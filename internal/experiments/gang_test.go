@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -11,9 +12,19 @@ import (
 	"acic/internal/workload"
 )
 
+// schemeCells lists one gang member per scheme, each under the gang
+// Options' prefetcher.
+func schemeCells(schemes ...string) []GangCell {
+	cells := make([]GangCell, len(schemes))
+	for i, scheme := range schemes {
+		cells[i] = GangCell{Scheme: scheme}
+	}
+	return cells
+}
+
 // TestRunGangMatchesRunEverywhere is the gang differential: for two apps,
 // every registered scheme under every prefetcher platform must produce a
-// bit-identical cpu.Result through RunGang and through the serial Run
+// bit-identical cpu.Result through RunGangCells and through the serial Run
 // path. This is the contract that lets the suite group cells into gangs
 // without auditing downstream renderers.
 func TestRunGangMatchesRunEverywhere(t *testing.T) {
@@ -27,7 +38,7 @@ func TestRunGangMatchesRunEverywhere(t *testing.T) {
 		for _, pf := range Prefetchers() {
 			opts := DefaultOptions()
 			opts.Prefetcher = pf
-			gangRes, gangErrs := RunGang(w, schemes, opts)
+			gangRes, _, gangErrs := RunGangCells(w, schemeCells(schemes...), opts)
 			for i, scheme := range schemes {
 				if gangErrs[i] != nil {
 					t.Fatalf("%s/%s/%s: gang error: %v", app, scheme, pf, gangErrs[i])
@@ -50,7 +61,7 @@ func TestRunGangPartialErrors(t *testing.T) {
 	prof, _ := workload.ByName("media-streaming")
 	w := Prepare(prof, 40_000)
 	opts := DefaultOptions()
-	res, errs := RunGang(w, []string{"lru", "no-such-scheme", "opt"}, opts)
+	res, _, errs := RunGangCells(w, schemeCells("lru", "no-such-scheme", "opt"), opts)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("valid members errored: %v, %v", errs[0], errs[2])
 	}
@@ -67,7 +78,7 @@ func TestRunGangPartialErrors(t *testing.T) {
 
 	badPf := DefaultOptions()
 	badPf.Prefetcher = "warp-drive"
-	_, errs = RunGang(w, []string{"lru"}, badPf)
+	_, _, errs = RunGangCells(w, schemeCells("lru"), badPf)
 	if errs[0] == nil {
 		t.Error("unknown prefetcher must error every member")
 	}
@@ -445,5 +456,86 @@ func TestSuiteGangAccounting(t *testing.T) {
 	}
 	if progress.Load() != computed {
 		t.Errorf("progress reported %d cells, want %d", progress.Load(), computed)
+	}
+}
+
+// TestSuiteInstrumentEveryPath: Suite.Instrument sees the subsystem that
+// produces each cell's result on the serial path, the gang path and the
+// degrade ladder's serial reruns, so the last call for a cell is always
+// the run that counted. The poisoned run's hook panics inside the gang
+// after instrumenting an earlier member: that member's first subsystem
+// never simulates, and the rerun instruments it again.
+func TestSuiteInstrumentEveryPath(t *testing.T) {
+	const app = "media-streaming"
+	cells := CrossCells([]string{app}, []string{"acic", "lru", "opt"}, "fdp")
+	acic := cells[0]
+	decisions := func(sub icache.Subsystem) uint64 { return sub.(*icache.Complex).ACIC().Decisions }
+	var want []cpu.Result
+	var wantDecisions uint64
+	for _, tc := range []struct {
+		name      string
+		gangSize  int
+		poison    bool
+		wantCalls []int // per cell of cells
+	}{
+		{"serial", 0, false, []int{1, 1, 1}},
+		{"gang", 3, false, []int{1, 1, 1}},
+		{"degraded", 3, true, []int{2, 2, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSuite(20_000)
+			s.Apps = []string{app}
+			s.Workers = 1 // one pool slot: the three cells pack into one gang
+			s.GangSize = tc.gangSize
+			var mu sync.Mutex
+			calls := map[Cell]int{}
+			first := map[Cell]icache.Subsystem{}
+			last := map[Cell]icache.Subsystem{}
+			s.Instrument = func(c Cell, sub icache.Subsystem) {
+				mu.Lock()
+				calls[c]++
+				n := calls[c]
+				if n == 1 {
+					first[c] = sub
+				}
+				last[c] = sub
+				mu.Unlock()
+				if tc.poison && n == 1 && c.Scheme == "lru" {
+					panic("poisoned gang member")
+				}
+			}
+			if err := s.Require(cells...); err != nil {
+				t.Fatal(err)
+			}
+			var got []cpu.Result
+			for i, c := range cells {
+				if calls[c] != tc.wantCalls[i] {
+					t.Errorf("%v instrumented %d times, want %d", c, calls[c], tc.wantCalls[i])
+				}
+				got = append(got, s.res(c.App, c.Scheme, c.Prefetcher))
+			}
+			if gs, fs := s.GangStats(), s.FaultStats(); gs.Gangs+fs.GangDegraded != int64(min(tc.gangSize, 1)) || tc.poison != (fs.GangDegraded == 1) {
+				t.Errorf("%d gangs ran and %d degraded, want one gang (poisoned: %v)", gs.Gangs, fs.GangDegraded, tc.poison)
+			}
+			d := decisions(last[acic])
+			if d == 0 {
+				t.Fatal("the last instrumented acic subsystem recorded no decisions")
+			}
+			if tc.poison && decisions(first[acic]) != 0 {
+				t.Error("the dead gang's acic subsystem simulated")
+			}
+			if want == nil {
+				want, wantDecisions = got, d
+				return
+			}
+			if d != wantDecisions {
+				t.Errorf("acic decisions = %d, serial run saw %d", d, wantDecisions)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%v: result diverges from the serial run", cells[i])
+				}
+			}
+		})
 	}
 }

@@ -89,9 +89,9 @@ func DefaultOptions() Options { return Options{WarmupFrac: 0.1, Prefetcher: "fdp
 // icache.DefaultSets sets are simulated, one per stride-sized
 // constituency, pinned to the fixed fallback constituency 1. 0 (or the
 // full set count) disables sampling; the count must otherwise be a power
-// of two below the set count. The default paths (Suite, RunSampled, the
-// CLIs) go through SampleConfigFor instead, which derives the
-// constituency from the workload digest.
+// of two below the set count. The default paths (Suite and the CLIs) go
+// through SampleConfigFor instead, which derives the constituency from
+// the workload digest.
 func SampleConfigForSets(sampleSets int) (cpu.SampleConfig, error) {
 	return SampleConfigFor(sampleSets, 1, "")
 }
@@ -154,22 +154,6 @@ func Run(w *Workload, scheme string, opts Options) (cpu.Result, error) {
 		return cpu.Result{}, err
 	}
 	return RunSubsystem(w, sub, opts)
-}
-
-// RunSampled simulates one scheme under set sampling: sampleSets of the
-// default 64 i-cache sets are simulated (standard SDM methodology, ~one
-// stride-th of the per-access subsystem work) and the result is
-// extrapolated back to the whole cache. The sampled constituency is
-// derived from the workload's digest (SampleConfigFor). It is the fast
-// quick-look lane; Run with zero Options.Sample remains the
-// byte-identical reference.
-func RunSampled(w *Workload, scheme string, sampleSets int, opts Options) (cpu.Result, error) {
-	sample, err := SampleConfigFor(sampleSets, 0, w.Profile.Name)
-	if err != nil {
-		return cpu.Result{}, err
-	}
-	opts.Sample = sample
-	return Run(w, scheme, opts)
 }
 
 // prefetcherPlatforms maps each platform name to its simulator wiring,
@@ -254,41 +238,43 @@ type GangCell struct {
 	Prefetcher string
 }
 
-// RunGang simulates several schemes over one workload in a single gang:
-// one traversal of the shared Program drives every scheme (see cpu.Gang),
-// with the members' instruction-side hierarchies carved out of contiguous
-// backing arrays. Results and errors are indexed like schemes; a scheme
-// that fails to construct (or an unknown prefetcher) reports its error in
-// errs while the remaining members still run. Each member's result is
-// bit-identical to Run(w, scheme, opts).
-func RunGang(w *Workload, schemes []string, opts Options) (results []cpu.Result, errs []error) {
-	cells := make([]GangCell, len(schemes))
-	for i, scheme := range schemes {
-		cells[i] = GangCell{Scheme: scheme}
-	}
-	results, _, errs = RunGangCells(w, cells, opts)
-	return results, errs
-}
-
 // RunGangCells simulates a heterogeneous gang over one workload: members
 // may differ in prefetcher platform as well as scheme, and all advance
-// through one shared Program traversal. Results and errors are indexed
-// like cells; window reports the traversal window the gang ran under
-// (derived from measured footprints when opts.GangWindow is
-// AutoGangWindow). Each member's result is bit-identical to
-// Run(w, cell.Scheme, opts-with-cell.Prefetcher).
+// through one shared Program traversal (see cpu.Gang), with the members'
+// instruction-side hierarchies carved out of contiguous backing arrays.
+// Results and errors are indexed like cells; a member that fails to
+// construct (unknown scheme or prefetcher) reports its error in errs
+// while the remaining members still run. window reports the traversal
+// window the gang ran under (derived from measured footprints when
+// opts.GangWindow is AutoGangWindow). Each member's result is
+// bit-identical to Run(w, cell.Scheme, opts-with-cell.Prefetcher).
 func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []cpu.Result, window int, errs []error) {
+	return runGangCells(w, cells, opts, nil)
+}
+
+// runGangCells is RunGangCells with an instrument hook, called with each
+// member's cell index and built subsystem before the gang simulates.
+// Every member gets its own platform config: stateful Extra prefetchers
+// must not be shared across members.
+func runGangCells(w *Workload, cells []GangCell, opts Options, instrument func(i int, sub icache.Subsystem)) (results []cpu.Result, window int, errs []error) {
 	results = make([]cpu.Result, len(cells))
 	errs = make([]error, len(cells))
+	if err := opts.Sample.Validate(); err != nil {
+		for i := range errs {
+			errs[i] = err
+		}
+		return results, 0, errs
+	}
 	subs := make([]icache.Subsystem, 0, len(cells))
-	pfs := make([]string, 0, len(cells))
+	members := make([]cpu.GangMember, 0, len(cells))
 	slot := make([]int, 0, len(cells))
 	for i, c := range cells {
 		pf := c.Prefetcher
 		if pf == "" {
 			pf = opts.Prefetcher
 		}
-		if _, err := platformConfig(pf); err != nil {
+		cfg, err := platformConfig(pf)
+		if err != nil {
 			errs[i] = err
 			continue
 		}
@@ -297,67 +283,27 @@ func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []cpu.Re
 			errs[i] = err
 			continue
 		}
-		subs = append(subs, sub)
-		pfs = append(pfs, pf)
-		slot = append(slot, i)
-	}
-	gangRes, window, err := runGangMembers(w, subs, pfs, opts)
-	if err != nil {
-		// Per-member configs were validated above; treat a late failure as
-		// affecting every member that made it into the gang.
-		for _, i := range slot {
-			errs[i] = err
-		}
-		return results, window, errs
-	}
-	for j, r := range gangRes {
-		results[slot[j]] = r
-	}
-	return results, window, errs
-}
-
-// RunGangSubsystems gang-simulates pre-built subsystems over the workload
-// (the building block under RunGang; use it to attach instrumentation to
-// members before the run). Results are indexed like subs; every member
-// runs under opts.Prefetcher.
-func RunGangSubsystems(w *Workload, subs []icache.Subsystem, opts Options) ([]cpu.Result, error) {
-	results, _, err := runGangMembers(w, subs, make([]string, len(subs)), opts)
-	return results, err
-}
-
-// runGangMembers assembles and runs the gang: per-member platform configs
-// (stateful Extra prefetchers must not be shared across members),
-// struct-of-gangs hierarchies, and the traversal window — fixed, pinned,
-// or measured per opts.GangWindow. pfs is indexed like subs; "" selects
-// opts.Prefetcher.
-func runGangMembers(w *Workload, subs []icache.Subsystem, pfs []string, opts Options) ([]cpu.Result, int, error) {
-	if err := opts.Sample.Validate(); err != nil {
-		return nil, 0, err
-	}
-	hiers := mem.NewGang(mem.DefaultConfig(), len(subs))
-	members := make([]cpu.GangMember, len(subs))
-	for i, sub := range subs {
-		pf := pfs[i]
-		if pf == "" {
-			pf = opts.Prefetcher
-		}
-		cfg, err := platformConfig(pf)
-		if err != nil {
-			return nil, 0, err
+		if instrument != nil {
+			instrument(i, sub)
 		}
 		cfg.Sample = opts.Sample
-		members[i] = cpu.GangMember{Cfg: cfg, Sub: sub, Hier: hiers[i]}
+		subs = append(subs, sub)
+		members = append(members, cpu.GangMember{Cfg: cfg, Sub: sub})
+		slot = append(slot, i)
 	}
-	window := opts.GangWindow
+	hiers := mem.NewGang(mem.DefaultConfig(), len(members))
+	for i := range members {
+		members[i].Hier = hiers[i]
+	}
+	window = opts.GangWindow
 	if window == AutoGangWindow {
 		window = MeasuredGangWindow(w.Prog, subs)
 	}
 	gang := cpu.NewGang(w.Prog, members, window)
-	results := gang.Run(warmup(w, opts))
-	for i := range results {
-		results[i] = results[i].Extrapolated()
+	for j, r := range gang.Run(warmup(w, opts)) {
+		results[slot[j]] = r.Extrapolated()
 	}
-	return results, gang.Window(), nil
+	return results, gang.Window(), errs
 }
 
 // MeasuredGangWindow derives the traversal window an auto-mode gang of

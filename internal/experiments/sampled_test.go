@@ -42,6 +42,18 @@ var sampledBounds = map[string]struct{ cycles, mpki float64 }{
 	"entangling": {cycles: 18, mpki: 45},
 }
 
+// runSampled simulates one scheme under sampleSets of the default L1i
+// sets, with the workload's digest-derived constituency — the sampled
+// lane the Suite and the CLIs run.
+func runSampled(w *Workload, scheme string, sampleSets int, opts Options) (cpu.Result, error) {
+	sample, err := SampleConfigFor(sampleSets, 0, w.Profile.Name)
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	opts.Sample = sample
+	return Run(w, scheme, opts)
+}
+
 // TestSampledMatchesFullWithinBounds pins the sampled fast mode's error
 // bars: every scheme × prefetcher cell, simulated at -sample-sets 8,
 // must extrapolate to within the documented bound of the full run.
@@ -57,7 +69,7 @@ func TestSampledMatchesFullWithinBounds(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s/%s/%s full: %v", app, scheme, pf, err)
 				}
-				samp, err := RunSampled(w, scheme, 8, opts)
+				samp, err := runSampled(w, scheme, 8, opts)
 				if err != nil {
 					t.Fatalf("%s/%s/%s sampled: %v", app, scheme, pf, err)
 				}
@@ -94,11 +106,11 @@ func TestSampledDeterministic(t *testing.T) {
 	w := sampledTestWorkload(t, "media-streaming", 150_000)
 	for _, scheme := range []string{"lru", "acic", "opt"} {
 		opts := DefaultOptions()
-		a, err := RunSampled(w, scheme, 8, opts)
+		a, err := runSampled(w, scheme, 8, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunSampled(w, scheme, 8, opts)
+		b, err := runSampled(w, scheme, 8, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +136,7 @@ func TestSampledGangMatchesSerial(t *testing.T) {
 		}
 		serial[i] = r
 	}
-	gang, errs := RunGang(w, schemes, opts)
+	gang, _, errs := RunGangCells(w, schemeCells(schemes...), opts)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s: %v", schemes[i], err)
@@ -149,12 +161,12 @@ func TestSampledFullPathUnchanged(t *testing.T) {
 	if full.SampleStride != 0 || full.SampledAccesses != 0 {
 		t.Fatalf("full run carries sampling provenance: %+v", full)
 	}
-	viaSampled, err := RunSampled(w, "lru", 0, DefaultOptions())
+	viaSampled, err := runSampled(w, "lru", 0, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if viaSampled != full {
-		t.Fatalf("RunSampled(0) != Run:\n  %+v\n  %+v", viaSampled, full)
+		t.Fatalf("sampled lane at 0 sets != Run:\n  %+v\n  %+v", viaSampled, full)
 	}
 }
 

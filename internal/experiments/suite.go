@@ -13,6 +13,7 @@ import (
 	"acic/internal/cpu"
 	"acic/internal/experiments/engine"
 	"acic/internal/faults"
+	"acic/internal/icache"
 	"acic/internal/workload"
 )
 
@@ -126,6 +127,17 @@ type Suite struct {
 	// cancellation checks — so cancellation drains within one cell's
 	// latency. CLIs wire SIGINT/SIGTERM here for graceful shutdown.
 	Context context.Context
+	// Instrument, if non-nil, is called with each cell's freshly built
+	// subsystem on the worker goroutine about to simulate it — serial
+	// cells, gang members and the degrade ladder's serial reruns alike —
+	// so a caller can attach observers (acic-sim's ACIC decision
+	// recorder) without a second execution path. A gang that degrades
+	// re-instruments its members for their serial reruns, and a retried
+	// cell is instrumented once per attempt: a handler must replace, not
+	// accumulate, its per-cell state. Cells answered from CacheDir or by
+	// a Remote executor never simulate here and are never instrumented.
+	// Called concurrently from worker goroutines.
+	Instrument func(c Cell, sub icache.Subsystem)
 
 	once     sync.Once
 	pool     *engine.Pool
@@ -298,7 +310,14 @@ func (s *Suite) computeCell(c Cell) (cpu.Result, error) {
 	}
 	opts := s.options(c.App)
 	opts.Prefetcher = c.Prefetcher
-	return Run(w, c.Scheme, opts)
+	sub, err := NewSampledScheme(c.Scheme, w, opts.Sample)
+	if err != nil {
+		return cpu.Result{}, err
+	}
+	if s.Instrument != nil {
+		s.Instrument(c, sub)
+	}
+	return RunSubsystem(w, sub, opts)
 }
 
 // AppNames returns the datacenter application list in paper order.
@@ -450,8 +469,8 @@ func splitBalanced(batch []Cell, parts int) [][]Cell {
 
 // runGangTask produces one gang's cells: disk-cached members are fulfilled
 // directly, the rest — whatever mix of schemes and prefetcher platforms
-// survived the cache — run as a single RunGangCells over the shared
-// workload.
+// survived the cache — run as a single gang simulation over the shared
+// workload. It is the one degrade ladder every CLI runs on.
 //
 // Failures walk a degradation ladder rather than failing the gang. A
 // panic anywhere in the gang run (the members share one Program
@@ -487,14 +506,7 @@ func (s *Suite) runGangTask(gang []Cell) {
 		}
 		return
 	}
-	opts := s.options(pending[0].App)
-	gcells := make([]GangCell, len(pending))
-	pfs := make(map[string]bool, 1)
-	for i, c := range pending {
-		gcells[i] = GangCell{Scheme: c.Scheme, Prefetcher: c.Prefetcher}
-		pfs[c.Prefetcher] = true
-	}
-	results, window, errs, gangErr := s.gangAttempt(w, pending[0].App, gcells, opts)
+	results, window, errs, gangErr := s.gangAttempt(w, pending)
 	if gangErr != nil {
 		s.gangDegraded.Add(1)
 		for _, c := range pending {
@@ -504,6 +516,10 @@ func (s *Suite) runGangTask(gang []Cell) {
 	}
 	s.gangRuns.Add(1)
 	s.gangCells.Add(int64(len(pending)))
+	pfs := make(map[string]bool, 1)
+	for _, c := range pending {
+		pfs[c.Prefetcher] = true
+	}
 	if len(pfs) > 1 {
 		s.gangMixed.Add(1)
 	}
@@ -522,23 +538,32 @@ func (s *Suite) runGangTask(gang []Cell) {
 	}
 }
 
-// gangAttempt runs one gang simulation under panic isolation. A non-nil
-// error means the gang as a whole produced nothing usable (the caller
-// degrades to serial); per-slot construction errors come back in errs
-// with the other slots' results intact.
-func (s *Suite) gangAttempt(w *Workload, app string, gcells []GangCell, opts Options) ([]cpu.Result, int, []error, error) {
+// gangAttempt runs one gang simulation of the pending same-app cells
+// under panic isolation. A non-nil error means the gang as a whole
+// produced nothing usable (the caller degrades to serial); per-slot
+// construction errors come back in errs with the other slots' results
+// intact.
+func (s *Suite) gangAttempt(w *Workload, pending []Cell) ([]cpu.Result, int, []error, error) {
 	type gangOut struct {
 		results []cpu.Result
 		window  int
 		errs    []error
 	}
+	app := pending[0].App
+	gcells := make([]GangCell, len(pending))
 	key := app
-	for _, c := range gcells {
+	for i, c := range pending {
+		gcells[i] = GangCell{Scheme: c.Scheme, Prefetcher: c.Prefetcher}
 		key += " " + c.Scheme + "/" + c.Prefetcher
+	}
+	opts := s.options(app)
+	var instrument func(int, icache.Subsystem)
+	if s.Instrument != nil {
+		instrument = func(i int, sub icache.Subsystem) { s.Instrument(pending[i], sub) }
 	}
 	out, err := engine.Guard(fmt.Sprintf("gang:%s[%d]", app, len(gcells)), true, func() (gangOut, error) {
 		faults.PanicPoint("gang", key)
-		results, window, errs := RunGangCells(w, gcells, opts)
+		results, window, errs := runGangCells(w, gcells, opts, instrument)
 		return gangOut{results, window, errs}, nil
 	})
 	return out.results, out.window, out.errs, err

@@ -64,7 +64,8 @@ type Sweep struct {
 
 // SampledSweep is one set-sampled fast-mode wall-clock measurement: a
 // full scheme row under one prefetcher, timed end to end through the
-// reference path and through the sampled lane (experiments.RunSampled),
+// reference path and through the sampled lane (experiments.SampleConfigFor
+// + Run),
 // with the per-cell cycle-count error of the sampled run recorded
 // alongside — the wall-clock claim and the accuracy claim travel
 // together in the trajectory file.
@@ -629,6 +630,12 @@ func measureCrossSweep(w *experiments.Workload, cfg Config, row CrossSweepRow) (
 func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (SampledSweep, error) {
 	opts := experiments.DefaultOptions()
 	opts.Prefetcher = pf
+	sample, err := experiments.SampleConfigFor(cfg.SampleSets, 0, w.Profile.Name)
+	if err != nil {
+		return SampledSweep{}, err
+	}
+	sampOpts := opts
+	sampOpts.Sample = sample
 
 	var fullRes []cpu.Result
 	var fullBest time.Duration
@@ -637,7 +644,7 @@ func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (Sample
 		start := time.Now()
 		for i, scheme := range cfg.Schemes {
 			var err error
-			if res[i], err = experiments.RunSampled(w, scheme, 0, opts); err != nil {
+			if res[i], err = experiments.Run(w, scheme, opts); err != nil {
 				return SampledSweep{}, err
 			}
 		}
@@ -654,7 +661,7 @@ func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (Sample
 		start := time.Now()
 		for i, scheme := range cfg.Schemes {
 			var err error
-			if res[i], err = experiments.RunSampled(w, scheme, cfg.SampleSets, opts); err != nil {
+			if res[i], err = experiments.Run(w, scheme, sampOpts); err != nil {
 				return SampledSweep{}, err
 			}
 		}
@@ -688,7 +695,7 @@ func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (Sample
 
 // measureSweep times one full scheme row two ways — the per-scheme path
 // (construct + simulate each cell independently, as the PR 2 engine did)
-// and the gang path (experiments.RunGang over GangSize-chunks) — keeping
+// and the gang path (experiments.RunGangCells over GangSize-chunks) — keeping
 // the best wall-clock of Repeats runs for each, and verifies the two paths
 // produced identical results.
 func measureSweep(w *experiments.Workload, cfg Config, pf string) (Sweep, error) {
@@ -725,10 +732,13 @@ func measureSweep(w *experiments.Workload, cfg Config, pf string) (Sweep, error)
 		res := make([]cpu.Result, 0, len(cfg.Schemes))
 		start := time.Now()
 		for at := 0; at < len(cfg.Schemes); at += gangSize {
-			chunk := cfg.Schemes[at:min(at+gangSize, len(cfg.Schemes))]
+			var chunk []experiments.GangCell
+			for _, scheme := range cfg.Schemes[at:min(at+gangSize, len(cfg.Schemes))] {
+				chunk = append(chunk, experiments.GangCell{Scheme: scheme})
+			}
 			gangOpts := opts
 			gangOpts.GangWindow = cfg.GangWindow
-			results, errs := experiments.RunGang(w, chunk, gangOpts)
+			results, _, errs := experiments.RunGangCells(w, chunk, gangOpts)
 			for _, err := range errs {
 				if err != nil {
 					return Sweep{}, err
