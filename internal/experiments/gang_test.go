@@ -517,6 +517,9 @@ func TestSuiteInstrumentEveryPath(t *testing.T) {
 			if gs, fs := s.GangStats(), s.FaultStats(); gs.Gangs+fs.GangDegraded != int64(min(tc.gangSize, 1)) || tc.poison != (fs.GangDegraded == 1) {
 				t.Errorf("%d gangs ran and %d degraded, want one gang (poisoned: %v)", gs.Gangs, fs.GangDegraded, tc.poison)
 			}
+			if last[acic] == nil {
+				t.Fatal("the acic cell was never instrumented")
+			}
 			d := decisions(last[acic])
 			if d == 0 {
 				t.Fatal("the last instrumented acic subsystem recorded no decisions")
