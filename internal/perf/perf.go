@@ -64,11 +64,11 @@ type Sweep struct {
 
 // SampledSweep is one set-sampled fast-mode wall-clock measurement: a
 // full scheme row under one prefetcher, timed end to end through the
-// reference path and through the sampled lane (experiments.SampleConfigFor
-// + Run),
-// with the per-cell cycle-count error of the sampled run recorded
-// alongside — the wall-clock claim and the accuracy claim travel
-// together in the trajectory file.
+// reference path and through the sampled lane (Run under the
+// experiments.SampleConfigFor sampling config), with the per-cell
+// cycle-count error of the sampled run recorded alongside — the
+// wall-clock claim and the accuracy claim travel together in the
+// trajectory file.
 type SampledSweep struct {
 	App               string   `json:"app"`
 	Prefetcher        string   `json:"prefetcher"`
@@ -643,7 +643,6 @@ func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (Sample
 		res := make([]cpu.Result, len(cfg.Schemes))
 		start := time.Now()
 		for i, scheme := range cfg.Schemes {
-			var err error
 			if res[i], err = experiments.Run(w, scheme, opts); err != nil {
 				return SampledSweep{}, err
 			}
@@ -660,7 +659,6 @@ func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (Sample
 		res := make([]cpu.Result, len(cfg.Schemes))
 		start := time.Now()
 		for i, scheme := range cfg.Schemes {
-			var err error
 			if res[i], err = experiments.Run(w, scheme, sampOpts); err != nil {
 				return SampledSweep{}, err
 			}
