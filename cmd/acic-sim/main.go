@@ -252,11 +252,12 @@ func acicNote(w *experiments.Workload, scheme string, sub icache.Subsystem, capt
 			ceiling += c[1]
 		}
 	}
+	denom := float64(max(len(decisions), 1)) // a run without decisions reports 0%
 	return fmt.Sprintf(
 		"%s: decisions=%d admit=%.1f%% ideal-admit=%.1f%% accuracy=%.1f%% ceiling=%.1f%% cshr[v=%d c=%d evict=%d]",
 		scheme, a.Decisions, 100*a.AdmitFraction(),
-		100*float64(shouldAdmit)/float64(len(decisions)+1),
-		100*float64(correct)/float64(len(decisions)+1),
-		100*float64(ceiling)/float64(len(decisions)+1),
+		100*float64(shouldAdmit)/denom,
+		100*float64(correct)/denom,
+		100*float64(ceiling)/denom,
 		a.CSHR.ResolvedVictim, a.CSHR.ResolvedContend, a.CSHR.EvictedUnres)
 }

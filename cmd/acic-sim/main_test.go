@@ -6,8 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
+	"acic/internal/analysis"
+	"acic/internal/core"
+	"acic/internal/experiments"
 	"acic/internal/faults"
 )
 
@@ -78,5 +82,22 @@ func TestUsageErrors(t *testing.T) {
 		if stderr.Len() == 0 {
 			t.Errorf("%v: no diagnostic on stderr", args)
 		}
+	}
+}
+
+// TestACICNoteDenominators: the note's oracle percentages divide by the
+// number of decisions, so one decision the oracle agrees with scores
+// 100% rather than being biased low.
+func TestACICNoteDenominators(t *testing.T) {
+	w := &experiments.Workload{Oracle: analysis.NewNextUseOracle([]uint64{1, 2, 1})}
+	sub, err := experiments.NewScheme("acic", w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// After access 0, block 2 returns first: rejecting victim 1 is ideal.
+	decisions := []core.Decision{{Victim: 1, Contender: 2, AccessIdx: 0, Admitted: false}}
+	note := acicNote(w, "acic", sub, &decisions)
+	if !strings.Contains(note, "ideal-admit=0.0% accuracy=100.0% ceiling=100.0%") {
+		t.Errorf("note = %q", note)
 	}
 }
