@@ -191,22 +191,6 @@ func runWarm(args []string) {
 	}
 	fmt.Printf("warmed %d workloads in %.1fs (store: %s)\n", len(apps), elapsed.Seconds(), artifactDir)
 
-	// The warmed programs are in memory, so the adaptive gang-window
-	// derivation (-gang-window auto) can be previewed for free: measured
-	// shared bytes per instruction and the window a ten-member gang of
-	// default schemes would run under against the detected budget.
-	const previewMembers = 10
-	wt := &stats.Table{Header: []string{"workload", "bytes/instr", "auto window (10 members)"}}
-	for _, app := range apps {
-		w, err := pl.Workload(app)
-		if err != nil {
-			fail("%v", err)
-		}
-		wt.AddRow(app, w.Prog.GangBytesPerInstr(), experiments.GangWindowEstimate(w, previewMembers))
-	}
-	fmt.Print(wt.String())
-	fmt.Printf("gang windows derived against host cache budget %d MiB (override: ACIC_LLC_BYTES)\n",
-		engine.LLCBytes()>>20)
 	if snap := faults.Snapshot(); faultSpec != "" || snap.IOErrs+snap.Corruptions+snap.Panics > 0 {
 		fmt.Printf("faults: injected %d io / %d corrupt / %d panic; recovered %d retries, %d stream-fallbacks, %d quarantined\n",
 			snap.IOErrs, snap.Corruptions, snap.Panics,

@@ -2,8 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
-	"sync"
+	"slices"
 	"sync/atomic"
 
 	"acic/internal/analysis"
@@ -49,6 +50,7 @@ type Pipeline struct {
 	window int
 	memCfg mem.Config
 	lookup func(string) (workload.Profile, bool)
+	pool   *engine.Pool
 
 	traces    *engine.Group[string, *trace.Trace]
 	programs  *engine.Group[string, *cpu.Program]
@@ -106,7 +108,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = workload.ByName
 	}
-	pl := &Pipeline{n: cfg.N, window: cfg.Window, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup}
+	pl := &Pipeline{n: cfg.N, window: cfg.Window, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup, pool: cfg.Pool}
 
 	pl.traces = engine.NewGroup(cfg.Pool, func(app string) (*trace.Trace, error) {
 		prof, ok := pl.lookup(app)
@@ -385,28 +387,51 @@ func (pl *Pipeline) Require(apps ...string) error {
 	return pl.workloads.Require(apps...)
 }
 
-// Warm materializes all four stage artifacts for the named apps without
-// assembling workloads — the `acic-trace warm` path that fills the store
-// for later runs. Every stage is attempted for every app. The two leaf
-// stages are required concurrently (both transitively materialize trace
-// and program, deduplicated by singleflight), so one app's successor
-// array never waits on another app's data-hierarchy replay.
+// Warm materializes all four stage artifacts for the named apps — the
+// `acic-trace warm` path that fills the store for later runs. It runs one
+// pool task per app, and every app is attempted even if some fail; the
+// error of the first failing app in argument order is returned.
+//
+// A batch task gets the app's datalat and nextat stages inline (both
+// materialize trace and program on the way), without assembling a
+// workload. A streamed task (Window > 0) prepares the workload through
+// the fused windowed pass, degrading to the batch stages like Workload.
+//
+// Warm persists, then releases: once the store holds all four of an
+// app's artifacts, the app's memos are dropped from every stage group, so
+// Warm's peak memory is O(workers × one app) rather than O(apps); a later
+// Workload(app) loads from the store, byte-identical by its contract.
+// Without a store, or when a best-effort store write failed, the memos
+// are kept and Warm means "prepare in memory". Like Require, Warm must
+// not be called from inside a pool task.
 func (pl *Pipeline) Warm(apps ...string) error {
-	if pl.window > 0 {
-		// Streamed preparation produces all four artifacts in one fused
-		// pass per workload, so warming is just requiring the workloads.
-		return pl.workloads.Require(apps...)
-	}
-	var wg sync.WaitGroup
-	var dlErr, naErr error
-	wg.Add(2)
-	go func() { defer wg.Done(); dlErr = pl.datalats.Require(apps...) }()
-	go func() { defer wg.Done(); naErr = pl.nextats.Require(apps...) }()
-	wg.Wait()
-	if dlErr != nil {
-		return dlErr
-	}
-	return naErr
+	// A repeated app would be prepared again by its second task once the
+	// first released it, so each app runs once, in first-mention order.
+	seen := make(map[string]bool, len(apps))
+	apps = slices.DeleteFunc(slices.Clone(apps), func(app string) bool {
+		dup := seen[app]
+		seen[app] = true
+		return dup
+	})
+	return pl.pool.Each(len(apps), func(i int) error {
+		app := apps[i]
+		var err error
+		if pl.window > 0 {
+			_, err = pl.workloads.Get(app)
+		} else {
+			_, dlErr := pl.datalats.Get(app)
+			_, naErr := pl.nextats.Get(app)
+			err = cmp.Or(dlErr, naErr)
+		}
+		if err == nil && pl.storeWarm(app) {
+			pl.workloads.Forget(app)
+			pl.datalats.Forget(app)
+			pl.nextats.Forget(app)
+			pl.programs.Forget(app)
+			pl.traces.Forget(app)
+		}
+		return err
+	})
 }
 
 // StageNames lists the pipeline stages in dependency order.

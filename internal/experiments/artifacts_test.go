@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"acic/internal/faults"
 	"acic/internal/stats"
 	"acic/internal/workload"
 )
@@ -210,6 +212,105 @@ func TestPipelineWarm(t *testing.T) {
 	for _, st := range s.PrepareStats() {
 		if st.Computed != 0 || st.FromStore != 2 {
 			t.Errorf("stage %s after warm: computed=%d fromStore=%d, want 0/2", st.Stage, st.Computed, st.FromStore)
+		}
+	}
+}
+
+// stageSizes reports how many keys each of the pipeline's memo groups holds.
+func stageSizes(pl *Pipeline) map[string]int {
+	return map[string]int{
+		"trace":    pl.traces.Size(),
+		"program":  pl.programs.Size(),
+		"nextat":   pl.nextats.Size(),
+		"datalat":  pl.datalats.Size(),
+		"workload": pl.workloads.Size(),
+	}
+}
+
+// TestPipelineWarmReleasesPersistedApps pins Warm's persist-then-release
+// contract in batch and streamed mode: once the store holds an app, Warm
+// drops it from every memo and a later Workload reloads it unchanged;
+// without a store, or when the store write fails, the memo is kept and
+// Workload computes nothing new.
+func TestPipelineWarmReleasesPersistedApps(t *testing.T) {
+	const n = 20_000
+	apps := []string{"media-streaming", "sibench"}
+	want := map[string]*Workload{}
+	for _, app := range apps {
+		prof, _ := workload.ByName(app)
+		want[app] = Prepare(prof, n)
+	}
+
+	for _, window := range []int{0, 4096} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			pl, err := NewPipeline(PipelineConfig{N: n, Dir: t.TempDir(), Window: window})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The repeated app must not be prepared twice.
+			if err := pl.Warm(append(apps, apps[0])...); err != nil {
+				t.Fatal(err)
+			}
+			for stage, size := range stageSizes(pl) {
+				if size != 0 {
+					t.Errorf("after Warm on a store, %s group holds %d keys, want 0", stage, size)
+				}
+			}
+			regenerated := pl.Regenerated()
+			if window == 0 && regenerated != int64(4*len(apps)) {
+				t.Errorf("batch Warm regenerated %d artifacts, want %d", regenerated, 4*len(apps))
+			}
+			for _, app := range apps {
+				got, err := pl.Workload(app)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertWorkloadsEqual(t, want[app], got)
+			}
+			if got := pl.Regenerated(); got != regenerated {
+				t.Errorf("Workload after Warm regenerated %d artifacts, want 0", got-regenerated)
+			}
+		})
+
+		kept := []struct {
+			name, dir, spec string
+		}{
+			{"no-store", "", ""},
+			{"io-err", t.TempDir(), "io-err:p=1;seed=1"},
+		}
+		for _, k := range kept {
+			t.Run(fmt.Sprintf("window=%d/%s", window, k.name), func(t *testing.T) {
+				if err := faults.Install(k.spec); err != nil {
+					t.Fatal(err)
+				}
+				defer faults.Install("")
+				pl, err := NewPipeline(PipelineConfig{N: n, Dir: k.dir, Window: window})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pl.Warm(apps...); err != nil {
+					t.Fatal(err)
+				}
+				memo := pl.traces.Size()
+				if window > 0 {
+					memo = pl.workloads.Size()
+				}
+				if memo != len(apps) {
+					t.Errorf("Warm without a persisted store kept %d apps in memory, want %d", memo, len(apps))
+				}
+				regenerated, streamed := pl.Regenerated(), pl.Streamed()
+				for _, app := range apps {
+					got, err := pl.Workload(app)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertPreparedEqual(t, want[app], got)
+				}
+				if pl.Regenerated() != regenerated || pl.Streamed() != streamed {
+					t.Errorf("Workload after an in-memory Warm recomputed: regenerated %d -> %d, streamed %d -> %d",
+						regenerated, pl.Regenerated(), streamed, pl.Streamed())
+				}
+			})
 		}
 	}
 }

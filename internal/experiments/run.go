@@ -325,9 +325,9 @@ func MeasuredGangWindow(prog *cpu.Program, subs []icache.Subsystem) int {
 }
 
 // GangWindowEstimate reports the traversal window a members-wide gang of
-// default-footprint schemes over w would run under in auto mode —
-// `acic-trace warm` prints it per workload so the measured bytes/instr
-// and the host budget can be inspected without running a simulation.
+// default-footprint schemes over w would run under in auto mode, so the
+// measured bytes/instr and the host budget can be inspected without
+// running a simulation.
 func GangWindowEstimate(w *Workload, members int) int {
 	perMember := mem.New(mem.DefaultConfig()).FootprintBytes() + defaultSubsystemFootprint()
 	return cpu.AutoGangWindow(engine.LLCBytes(), perMember, members, w.Prog.GangBytesPerInstr())

@@ -456,15 +456,15 @@ func Read(r io.Reader) (*Trace, error) {
 	// Sum the per-section counts up front so the concatenation is one
 	// allocation: appending window-sized sections into a growing slice
 	// reallocates ~5x the final bytes in 1.25x growth steps on streamed
-	// containers. The counts sit behind each section's verified CRC, but a
-	// forged count is still only a capped prealloc hint — decoding fails on
-	// a truncated token once the payload runs dry, after bounded growth.
+	// containers. The counts sit behind each section's verified CRC, and a
+	// count its payload is too short to encode is left out (its section
+	// fails to decode below), so a forged count is only a capped hint.
 	var total uint64
 	found := false
 	for _, s := range secs {
 		if s.Tag == SecInstsZ {
 			found = true
-			if c, n := binary.Uvarint(s.Data); n > 0 {
+			if c, _, err := packedCount(s.Data); err == nil {
 				total += c
 			}
 		}

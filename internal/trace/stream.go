@@ -22,7 +22,8 @@ import (
 //	           branches append uvarint(zigzag((Target-PC)/4))
 //	           loads/stores append uvarint(zigzag(MemAddr-prevMem))
 //	op 16:     a run of u sequential not-taken ALU instructions, each
-//	           advancing the PC by 4
+//	           advancing the PC by 4 (u <= maxPackedRun; longer runs
+//	           take several tokens)
 //	op 17:     escape for records the folded forms cannot carry (PC or
 //	           target not 4-aligned): uvarint(zigzag(PC-prevPC)), the
 //	           SecInsts flags byte, then the SecInsts operand encoding
@@ -45,6 +46,17 @@ const (
 	packedOpEscape = 17 // raw SecInsts-style record follows
 )
 
+// maxPackedRun caps one run token's length. Generated traces never come
+// close (their ALU runs are about ten long); the cap is what bounds how
+// far a payload can expand. A run token of length u <= 3 is one byte and
+// any longer one is two, so a payload byte encodes at most
+// maxPackedPerByte records, and a forged count or run cannot make a few
+// bytes decode into gigabytes of records.
+const (
+	maxPackedRun     = 256
+	maxPackedPerByte = maxPackedRun / 2
+)
+
 // EncodeInstsPacked encodes an instruction stream as a SecInstsZ payload.
 func EncodeInstsPacked(insts []Inst) []byte {
 	out := make([]byte, 0, len(insts)+len(insts)/2+binary.MaxVarintLen64)
@@ -52,10 +64,11 @@ func EncodeInstsPacked(insts []Inst) []byte {
 	var prevPC, prevMem uint64
 	for i := 0; i < len(insts); {
 		in := &insts[i]
-		// Maximal run of sequential not-taken ALU instructions.
+		// Maximal run of sequential not-taken ALU instructions, up to
+		// maxPackedRun per token.
 		if in.Class == ClassALU && !in.Taken && in.PC == prevPC+instAlign {
 			j := i + 1
-			for j < len(insts) && insts[j].Class == ClassALU && !insts[j].Taken &&
+			for j < len(insts) && j-i < maxPackedRun && insts[j].Class == ClassALU && !insts[j].Taken &&
 				insts[j].PC == insts[j-1].PC+instAlign {
 				j++
 			}
@@ -114,7 +127,10 @@ func DecodeInstsPacked(data []byte) ([]Inst, error) {
 // reader uses it to concatenate the per-window sections a streamed
 // container carries.
 func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
-	pos := 0
+	count, pos, err := packedCount(data)
+	if err != nil {
+		return nil, err
+	}
 	uvarint := func() (uint64, bool) {
 		v, n := binary.Uvarint(data[pos:])
 		if n <= 0 {
@@ -122,17 +138,6 @@ func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
 		}
 		pos += n
 		return v, true
-	}
-	count, ok := uvarint()
-	if !ok {
-		return nil, fmt.Errorf("%w: packed instruction count: truncated varint", ErrBadFormat)
-	}
-	// A run token covers many records in one payload byte, so the old
-	// ">= 1 byte per record" bound no longer caps count. Bound the upfront
-	// allocation instead: a lying count fails on a truncated token once
-	// the payload runs dry, after only bounded growth.
-	if count > maxSaneLen {
-		return nil, fmt.Errorf("%w: packed instruction count %d too large", ErrBadFormat, count)
 	}
 	if dst == nil {
 		dst = make([]Inst, 0, min(count, 1<<20))
@@ -148,8 +153,8 @@ func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
 		var in Inst
 		switch {
 		case op == packedOpRun:
-			if u < 1 || u > count-n {
-				return nil, fmt.Errorf("%w: packed record %d: run of %d exceeds count %d", ErrBadFormat, n, u, count)
+			if u < 1 || u > maxPackedRun || u > count-n {
+				return nil, fmt.Errorf("%w: packed record %d: run of %d outside [1, min(%d, %d)]", ErrBadFormat, n, u, maxPackedRun, count-n)
 			}
 			for k := uint64(0); k < u; k++ {
 				prevPC += instAlign
@@ -204,6 +209,19 @@ func AppendInstsPacked(dst []Inst, data []byte) ([]Inst, error) {
 		n++
 	}
 	return dst, nil
+}
+
+// packedCount reads a SecInstsZ payload's record count and the count's
+// encoded length, rejecting a count the payload is too short to encode.
+func packedCount(data []byte) (count uint64, n int, err error) {
+	count, n = binary.Uvarint(data)
+	if n <= 0 {
+		return 0, 0, fmt.Errorf("%w: packed instruction count: truncated varint", ErrBadFormat)
+	}
+	if count > maxPackedPerByte*uint64(len(data)-n) {
+		return 0, 0, fmt.Errorf("%w: packed instruction count %d exceeds what %d payload bytes encode", ErrBadFormat, count, len(data)-n)
+	}
+	return count, n, nil
 }
 
 // ContainerWriter writes a v2 container section by section, so a streamed

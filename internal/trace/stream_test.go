@@ -132,6 +132,33 @@ func TestPackedInstsRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestPackedInstsBoundsExpansion: runs longer than maxPackedRun encode as
+// several tokens and round-trip, while a payload claiming more records
+// than its bytes can encode — a forged count, or an over-long run token —
+// fails before decoding instead of expanding into gigabytes of records.
+func TestPackedInstsBoundsExpansion(t *testing.T) {
+	var insts []Inst
+	for i := range 3*maxPackedRun + 5 {
+		insts = append(insts, Inst{PC: 4 * uint64(i+1), Class: ClassALU})
+	}
+	got, err := DecodeInstsPacked(EncodeInstsPacked(insts))
+	if err != nil || len(got) != len(insts) || got[len(got)-1] != insts[len(insts)-1] {
+		t.Fatalf("long ALU run: %d of %d insts round-tripped (%v)", len(got), len(insts), err)
+	}
+
+	bomb := binary.AppendUvarint(nil, 1<<32)
+	bomb = binary.AppendUvarint(bomb, (1<<32)<<packedOpShift|packedOpRun)
+	if _, err := DecodeInstsPacked(bomb); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("count beyond the payload's capacity: got %v, want ErrBadFormat", err)
+	}
+	long := binary.AppendUvarint(nil, maxPackedRun+1)
+	long = binary.AppendUvarint(long, (maxPackedRun+1)<<packedOpShift|packedOpRun)
+	long = append(long, make([]byte, 8)...)
+	if _, err := DecodeInstsPacked(long); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("run of %d: got %v, want ErrBadFormat", maxPackedRun+1, err)
+	}
+}
+
 func TestReadAcceptsOldInstSection(t *testing.T) {
 	// Containers written before SecInstsZ carry a single INST section; the
 	// reader must keep accepting them (warm artifact stores persist).
