@@ -98,6 +98,24 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate reports an error for a configuration the cycle loop cannot run:
+// a ROB, fetch or retire width below 1 never makes progress, a negative
+// pipeline depth completes instructions before they dispatch, and the
+// sampling configuration must be usable.
+func (c Config) Validate() error {
+	switch {
+	case c.ROB < 1:
+		return fmt.Errorf("cpu: ROB %d, want at least 1", c.ROB)
+	case c.FetchWidth < 1:
+		return fmt.Errorf("cpu: FetchWidth %d, want at least 1", c.FetchWidth)
+	case c.RetireWidth < 1:
+		return fmt.Errorf("cpu: RetireWidth %d, want at least 1", c.RetireWidth)
+	case c.PipelineDepth < 0:
+		return fmt.Errorf("cpu: PipelineDepth %d, want at least 0", c.PipelineDepth)
+	}
+	return c.Sample.Validate()
+}
+
 // Result reports the simulation outcome, measured after warmup.
 type Result struct {
 	Cycles        int64
@@ -349,13 +367,20 @@ type Simulator struct {
 	hier *mem.Hierarchy
 	prog *Program
 
-	// Timing state.
+	// Timing state. Retirement is closed-form (see fetch): each
+	// instruction's retire cycle is fixed at dispatch, so rob is a ring of
+	// non-decreasing retire cycles, oldest first, and an entry leaves it
+	// only when fetch needs its slot. lastRet is the youngest dispatched
+	// instruction's retire cycle (-1 before the first dispatch) and
+	// lastRetN how many instructions retire in that cycle.
 	cycle       int64
 	stallUntil  int64
-	stallIsMiss bool    // current stall reason: true = instruction fill
-	rob         []int64 // completion cycles, ring buffer
+	stallIsMiss bool // current stall reason: true = instruction fill
+	rob         []int64
 	robHead     int
 	robLen      int
+	lastRet     int64
+	lastRetN    int
 
 	// Fetch state.
 	fetchIdx  int
@@ -426,7 +451,8 @@ type Simulator struct {
 // given i-cache subsystem and hierarchy. The Program is immutable and
 // shared: build it once per workload (NewProgram) and hand it to every
 // scheme's simulator. The program's data-side latency timeline is
-// precomputed here (a no-op when the workload already did it).
+// precomputed here (a no-op when the workload already did it). It panics
+// on a configuration Config.Validate rejects.
 func NewSimulator(cfg Config, prog *Program, sub icache.Subsystem, hier *mem.Hierarchy) *Simulator {
 	s := new(Simulator)
 	s.init(cfg, prog, sub, hier)
@@ -436,8 +462,11 @@ func NewSimulator(cfg Config, prog *Program, sub icache.Subsystem, hier *mem.Hie
 // init readies a (possibly embedded) simulator value; NewGang uses it to
 // lay its members out contiguously.
 func (s *Simulator) init(cfg Config, prog *Program, sub icache.Subsystem, hier *mem.Hierarchy) {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	prog.EnsureDataLatencies(hier.Config())
-	filter := cfg.Sample.Filter() // panics on an invalid sampling config
+	filter := cfg.Sample.Filter()
 	if filter.Enabled() {
 		// The sampled constituencies keep their private behavior, but the
 		// fetch-path resources shared across all sets serve 1/stride of
@@ -457,6 +486,7 @@ func (s *Simulator) init(cfg Config, prog *Program, sub icache.Subsystem, hier *
 		hier:        hier,
 		prog:        prog,
 		rob:         make([]int64, cfg.ROB),
+		lastRet:     -1,
 		pfInFlight:  make([]inflight, 0, cfg.MaxPrefetches),
 		blockedAt:   -1,
 		sampleMask:  filter.Mask,
@@ -489,8 +519,9 @@ func (s *Simulator) start(warmupInstrs int64) {
 
 // runTo advances the simulation until the next instruction to fetch is at
 // or past bound, or the program has fully retired (then it returns true).
-// The state after runTo(b1); runTo(b2) is identical to the state the
-// single-run loop passes through — bounds only choose where the loop
+// The program has retired once fetch is done and the cycle is past
+// lastRet. The state after runTo(b1); runTo(b2) is identical to the state
+// the single-run loop passes through — bounds only choose where the loop
 // pauses — which is what makes gang scheduling result-preserving. A
 // set-sampled simulation routes through the event-driven sampled loop
 // instead (sampled.go), with the same bound/pause contract.
@@ -499,7 +530,7 @@ func (s *Simulator) runTo(bound int) bool {
 		return s.runSampledTo(bound)
 	}
 	n := s.prog.Len()
-	for s.fetchIdx < n || s.robLen > 0 {
+	for s.fetchIdx < n || s.lastRet >= s.cycle {
 		if s.fetchIdx >= bound && s.fetchIdx < n {
 			return false
 		}
@@ -511,38 +542,37 @@ func (s *Simulator) runTo(bound int) bool {
 			s.wSampled = s.sampledAccesses
 			s.warmupTaken = true
 		}
-		// Quiescent-stall fast-forward: while the front end is stalled, a
-		// cycle can only matter if the ROB head completes, a prefetch fill
-		// lands, or the run-ahead stream advances. When the stream is
-		// gated (blocked on a redirect, FTQ full, or past the trace end —
-		// all conditions only fetch progress can change) and neither
-		// completion is due, every intermediate cycle is a pure idle tick:
-		// jump to the earliest event and account the skipped cycles to the
-		// active stall counter. Observable state is identical to stepping.
-		if s.cycle < s.stallUntil &&
-			(s.robLen == 0 || s.rob[s.robHead] > s.cycle) &&
-			(len(s.pfInFlight) == 0 || s.pfNextReady > s.cycle) {
-			gated := !s.cfg.UseFDP || s.fetchIdx >= n || s.runIdx >= n ||
-				(s.blockedAt >= 0 && s.fetchIdx <= s.blockedAt) ||
-				s.runAccesses-s.accessIdx >= int64(s.cfg.FTQBlocks)
-			if gated {
-				target := s.stallUntil
-				if s.robLen > 0 && s.rob[s.robHead] < target {
-					target = s.rob[s.robHead]
-				}
-				if len(s.pfInFlight) > 0 && s.pfNextReady < target {
-					target = s.pfNextReady
-				}
-				if skipped := target - s.cycle; skipped > 0 {
-					s.cycle = target
-					if s.stallIsMiss {
-						s.imissStall += skipped
-					} else {
-						s.redirectStall += skipped
-					}
-				}
+		// Quiescent fast-forward: jump over cycles in which no prefetch
+		// fill lands and neither fetch nor the run-ahead stream can move.
+		// Retirement is no event, as fetch has fixed every retire cycle.
+		// Once fetch is done, only fills remain before the last retire.
+		// While the front end is stalled and the stream is gated (blocked
+		// on a redirect or FTQ full, which only fetch progress can
+		// change), the stall's end is the next event. Skipped cycles
+		// before stallUntil go to the active stall counter, as fetch
+		// would count them; observable state is identical to stepping.
+		var target int64
+		switch {
+		case s.fetchIdx >= n:
+			target = s.lastRet + 1
+		case s.cycle < s.stallUntil && (!s.cfg.UseFDP || s.runIdx >= n ||
+			(s.blockedAt >= 0 && s.fetchIdx <= s.blockedAt) ||
+			s.runAccesses-s.accessIdx >= int64(s.cfg.FTQBlocks)):
+			target = s.stallUntil
+		default:
+			continue
+		}
+		if len(s.pfInFlight) > 0 && s.pfNextReady < target {
+			target = s.pfNextReady
+		}
+		if stall := min(target, s.stallUntil) - s.cycle; stall > 0 {
+			if s.stallIsMiss {
+				s.imissStall += stall
+			} else {
+				s.redirectStall += stall
 			}
 		}
+		s.cycle = max(s.cycle, target)
 	}
 	return true
 }
@@ -570,9 +600,10 @@ func (s *Simulator) result() Result {
 // step advances the simulation by one core cycle. It is the unit the
 // steady-state allocation guard measures: after warmup, a step must not
 // allocate (testing.AllocsPerRun == 0), which keeps the per-access cost of
-// wide sweeps bounded by arithmetic and cache misses rather than GC.
+// wide sweeps bounded by arithmetic and cache misses rather than GC. There
+// is no retire stage: fetch fixes each instruction's retire cycle when it
+// dispatches.
 func (s *Simulator) step() {
-	s.retire()
 	s.completePrefetches()
 	if s.cfg.UseFDP && s.fetchIdx < s.prog.Len() {
 		s.runAhead()
@@ -582,25 +613,7 @@ func (s *Simulator) step() {
 }
 
 // done reports whether the simulation has retired everything.
-func (s *Simulator) done() bool { return s.fetchIdx >= s.prog.Len() && s.robLen == 0 }
-
-// retire pops completed instructions from the ROB head.
-func (s *Simulator) retire() {
-	rob := s.rob
-	for k := 0; k < s.cfg.RetireWidth && s.robLen > 0; k++ {
-		if rob[s.robHead] > s.cycle {
-			return
-		}
-		// Conditional wrap instead of modulo: ROB size is not a power of
-		// two, and an integer division per retired instruction is
-		// measurable in the cycle loop.
-		s.robHead++
-		if s.robHead == len(rob) {
-			s.robHead = 0
-		}
-		s.robLen--
-	}
-}
+func (s *Simulator) done() bool { return s.fetchIdx >= s.prog.Len() && s.lastRet < s.cycle }
 
 // completePrefetches installs prefetches whose fill latency elapsed. The
 // in-flight list is scanned only when the earliest completion is due — the
@@ -741,7 +754,15 @@ func (s *Simulator) runAhead() {
 	}
 }
 
-// fetch supplies up to FetchWidth instructions into the ROB.
+// fetch supplies up to FetchWidth instructions into the ROB and fixes each
+// one's retire cycle. In-order retirement at RetireWidth per cycle is a
+// pure function of the completion times: an instruction dispatched in
+// cycle d completing at c retires at the first cycle that is at least c,
+// after d, no earlier than its predecessor, and not already holding
+// RetireWidth retirements — max(c, d+1, rt[i-1], rt[i-RetireWidth]+1).
+// The last term is tracked as (lastRet, lastRetN), so no retire stage
+// has to scan the ROB each cycle. The loop works on locals and writes
+// them back once.
 func (s *Simulator) fetch() {
 	if s.cycle < s.stallUntil {
 		if s.stallIsMiss {
@@ -751,12 +772,26 @@ func (s *Simulator) fetch() {
 		}
 		return
 	}
-	desc := s.prog.Desc
-	for f := 0; f < s.cfg.FetchWidth; f++ {
-		if s.fetchIdx >= len(desc) || s.robLen >= len(s.rob) {
-			return
+	cycle := s.cycle
+	rob, head, robLen := s.rob, s.robHead, s.robLen
+	// Entries whose retire cycle has passed free their slots. The ring is
+	// trimmed only when this fetch group could otherwise find it full.
+	if robLen+s.cfg.FetchWidth > len(rob) {
+		for robLen > 0 && rob[head] <= cycle {
+			// Conditional wrap instead of modulo: ROB size is not a power
+			// of two, and a division per instruction is measurable here.
+			if head++; head == len(rob) {
+				head = 0
+			}
+			robLen--
 		}
-		d := desc[s.fetchIdx]
+	}
+	desc, dataLat := s.prog.Desc, s.prog.DataLat
+	idx, lastRet, lastRetN := s.fetchIdx, s.lastRet, s.lastRetN
+	end := min(len(desc), idx+min(s.cfg.FetchWidth, len(rob)-robLen))
+	ready, width := cycle+s.cfg.PipelineDepth, s.cfg.RetireWidth
+	for idx < end {
+		d := desc[idx]
 		if d&descNewBlock != 0 {
 			// The descriptor flags the first instruction of a block access;
 			// the accessIdx counter indexes the collapsed sequence, so the
@@ -767,43 +802,51 @@ func (s *Simulator) fetch() {
 				s.retrying = false
 			} else if !s.demandAccess(s.prog.Blocks[s.accessIdx]) {
 				s.retrying = true
-				return // miss: front end stalls until the fill arrives
+				break // miss: front end stalls until the fill arrives
 			}
 		}
 
-		// Dispatch into the ROB with a class-based completion time. Loads
-		// take their latency from the precomputed data-side timeline (the
-		// data hierarchy was replayed once per workload); stores retire
+		// Class-based completion time. Loads take their latency from the
+		// precomputed data-side timeline (the data hierarchy was replayed
+		// once per workload), masked in without a branch; stores retire
 		// through the store buffer and do not delay completion, so their
 		// hierarchy effect lives entirely in the precompute.
-		completion := s.cycle + s.cfg.PipelineDepth
-		if d&descLoad != 0 {
-			completion += int64(s.prog.DataLat[s.fetchIdx])
+		rt := max(cycle+1, ready+int64(dataLat[idx]&-int16(d&descLoad>>1)))
+		// The in-order and width terms, kept free of data-dependent
+		// branches: the first retire slot left is in cycle lastRet, or in
+		// lastRet+1 once lastRet holds RetireWidth retirements.
+		next := lastRet
+		if lastRetN >= width {
+			next++
 		}
-		tail := s.robHead + s.robLen
-		if tail >= len(s.rob) {
-			tail -= len(s.rob)
+		rt = max(rt, next)
+		n := 1
+		if rt == lastRet {
+			n = lastRetN + 1
 		}
-		s.rob[tail] = completion
-		s.robLen++
-		s.instructions++
-		s.fetchIdx++
+		lastRet, lastRetN = rt, n
+		tail := head + robLen
+		if tail >= len(rob) {
+			tail -= len(rob)
+		}
+		rob[tail] = lastRet
+		robLen++
+		idx++
 
-		// Front-end redirects end the fetch group.
-		if d&(descMispredict|descMisfetch) != 0 {
+		// A taken branch ends the fetch group (new fetch target next
+		// cycle); a front-end redirect also stalls fetch for its penalty.
+		if d&(descGroupEnd|descMispredict|descMisfetch) != 0 {
 			if d&descMispredict != 0 {
-				s.stallUntil = s.cycle + s.cfg.MispredictPenalty
-			} else {
-				s.stallUntil = s.cycle + s.cfg.MisfetchPenalty
+				s.stallUntil, s.stallIsMiss = cycle+s.cfg.MispredictPenalty, false
+			} else if d&descMisfetch != 0 {
+				s.stallUntil, s.stallIsMiss = cycle+s.cfg.MisfetchPenalty, false
 			}
-			s.stallIsMiss = false
-			return
-		}
-		// A taken branch ends the fetch group (new fetch target next cycle).
-		if d&descGroupEnd != 0 {
-			return
+			break
 		}
 	}
+	s.instructions += int64(idx - s.fetchIdx)
+	s.fetchIdx, s.lastRet, s.lastRetN = idx, lastRet, lastRetN
+	s.robHead, s.robLen = head, robLen
 }
 
 // demandAccess performs the block-granular demand fetch; returns true when

@@ -162,3 +162,41 @@ func TestStallBreakdownAccounting(t *testing.T) {
 		t.Error("a much larger cache should cut i-miss stalls")
 	}
 }
+
+// TestConfigValidate covers each core field the cycle loop needs: a zero
+// ROB, fetch width or retire width used to livelock Run, and NewSimulator
+// now refuses them (and a negative pipeline depth) up front.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	tr, ann := tinyWorkload(t, 1000)
+	prog := NewProgram(tr, ann)
+	for name, mutate := range map[string]func(*Config){
+		"ROB":           func(c *Config) { c.ROB = 0 },
+		"FetchWidth":    func(c *Config) { c.FetchWidth = 0 },
+		"RetireWidth":   func(c *Config) { c.RetireWidth = 0 },
+		"PipelineDepth": func(c *Config) { c.PipelineDepth = -1 },
+		"Sample":        func(c *Config) { c.Sample = SampleConfig{Stride: 3} },
+	} {
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			mutate(&cfg)
+			if err := cfg.Validate(); err == nil {
+				t.Fatal("Validate accepted the config")
+			}
+			defer func() {
+				if recover() == nil {
+					t.Error("NewSimulator accepted the config")
+				}
+			}()
+			NewSimulator(cfg, prog, newSub(t), mem.New(mem.DefaultConfig()))
+		})
+	}
+	// The smallest valid core still runs to completion.
+	cfg := DefaultConfig()
+	cfg.ROB, cfg.FetchWidth, cfg.RetireWidth, cfg.PipelineDepth = 1, 1, 1, 0
+	if res := NewSimulator(cfg, prog, newSub(t), mem.New(mem.DefaultConfig())).Run(0); res.Instructions != int64(prog.Len()) {
+		t.Errorf("minimal core retired %d of %d instructions", res.Instructions, prog.Len())
+	}
+}

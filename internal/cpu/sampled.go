@@ -3,10 +3,10 @@
 // The reference simulation advances one core cycle at a time. With set
 // sampling enabled, almost every cycle is uneventful — only 1-in-stride
 // demand accesses touch the i-cache subsystem, the rest are presumed hits
-// — so the per-cycle walk (retire scan, run-ahead tick, fetch-slot loop)
-// is pure overhead. The sampled lane therefore visits only the
-// instructions that can change observable state, over a per-workload
-// index built once and shared by every scheme cell:
+// — so the per-cycle walk (prefetch-fill check, run-ahead tick,
+// fetch-slot loop) is pure overhead. The sampled lane therefore visits
+// only the instructions that can change observable state, over a
+// per-workload index built once and shared by every scheme cell:
 //
 //   - samplePace: the cumulative fetch-slot prefix with fetch-group
 //     roundups and redirect penalties baked in, so "what cycle does

@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"acic/internal/core"
-	"acic/internal/icache"
-	"acic/internal/policy"
 	"acic/internal/stats"
 )
 
@@ -23,10 +21,10 @@ func AblationCSHRDefault(s *Suite) (*stats.Table, error) {
 		{"drop", core.EvictTrainDrop},
 	}
 	apps := s.AppNames()
-	if err := s.Require(CrossCells(apps, []string{Baseline}, "fdp")...); err != nil {
+	if err := s.Require(CrossCells(apps, []string{Baseline, "acic"}, "fdp")...); err != nil {
 		return nil, err
 	}
-	// One instrumented run per mode × app, fanned out on the worker pool.
+	// One run per non-default mode × app, fanned out on the worker pool.
 	speedups := make([][]float64, len(modes))
 	reductions := make([][]float64, len(modes))
 	for i := range modes {
@@ -34,12 +32,10 @@ func AblationCSHRDefault(s *Suite) (*stats.Table, error) {
 		reductions[i] = make([]float64, len(apps))
 	}
 	err := s.eachCell(len(modes), len(apps), func(mi, ai int) error {
-		m, app := modes[mi], apps[ai]
-		w := s.wl(app)
+		app := apps[ai]
 		cc := core.DefaultConfig()
-		cc.EvictTrain = m.mode
-		sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(app)})
-		res, err := RunSubsystem(w, sub, s.options(app))
+		cc.EvictTrain = modes[mi].mode
+		res, err := s.acicVariant(app, cc)
 		if err != nil {
 			return err
 		}

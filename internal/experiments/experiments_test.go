@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"acic/internal/cpu"
 	"acic/internal/workload"
 )
 
@@ -49,6 +50,20 @@ func TestUnknownPrefetcherRejected(t *testing.T) {
 	opts.Prefetcher = "telepathy"
 	if _, err := Run(w, Baseline, opts); err == nil {
 		t.Error("unknown prefetcher must error, not panic")
+	}
+}
+
+func TestRunSubsystemRejectsInvalidConfig(t *testing.T) {
+	prof, _ := workload.ByName("sibench")
+	w := Prepare(prof, 5_000)
+	sub, err := NewScheme(Baseline, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Sample = cpu.SampleConfig{Stride: 3}
+	if _, err := RunSubsystem(w, sub, opts); err == nil {
+		t.Error("an invalid core config must error, not panic")
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"acic/internal/analysis"
 	"acic/internal/core"
+	"acic/internal/cpu"
 	"acic/internal/icache"
 	"acic/internal/policy"
 	"acic/internal/stats"
@@ -395,7 +396,7 @@ var Fig15Variants = []struct {
 // baseline for each variant.
 func (s *Suite) Fig15() (*stats.Table, error) {
 	apps := s.AppNames()
-	if err := s.Require(CrossCells(apps, []string{Baseline}, "fdp")...); err != nil {
+	if err := s.Require(CrossCells(apps, []string{Baseline, "acic"}, "fdp")...); err != nil {
 		return nil, err
 	}
 	speedups := make([][]float64, len(Fig15Variants))
@@ -403,12 +404,10 @@ func (s *Suite) Fig15() (*stats.Table, error) {
 		speedups[i] = make([]float64, len(apps))
 	}
 	err := s.eachCell(len(Fig15Variants), len(apps), func(vi, ai int) error {
-		v, app := Fig15Variants[vi], apps[ai]
-		w := s.wl(app)
+		app := apps[ai]
 		cc := core.DefaultConfig()
-		v.Mutate(&cc)
-		sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(app)})
-		res, err := RunSubsystem(w, sub, s.options(app))
+		Fig15Variants[vi].Mutate(&cc)
+		res, err := s.acicVariant(app, cc)
 		if err != nil {
 			return err
 		}
@@ -423,6 +422,18 @@ func (s *Suite) Fig15() (*stats.Table, error) {
 		t.AddRow(v.Name, stats.Geomean(speedups[vi]))
 	}
 	return t, nil
+}
+
+// acicVariant returns the fdp result of an ACIC complex configured by cc
+// over the LRU i-cache. The default configuration is the memoized acic
+// cell, which the caller must have Required; any other configuration is
+// simulated here.
+func (s *Suite) acicVariant(app string, cc core.Config) (cpu.Result, error) {
+	if cc == core.DefaultConfig() {
+		return s.res(app, "acic", "fdp"), nil
+	}
+	sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(app)})
+	return RunSubsystem(s.wl(app), sub, s.options(app))
 }
 
 // Fig16 reports ACIC's speedup over the FDP baseline *equipped with an

@@ -217,10 +217,10 @@ func RunSubsystem(w *Workload, sub icache.Subsystem, opts Options) (cpu.Result, 
 	if err != nil {
 		return cpu.Result{}, err
 	}
-	if err := opts.Sample.Validate(); err != nil {
+	cfg.Sample = opts.Sample
+	if err := cfg.Validate(); err != nil {
 		return cpu.Result{}, err
 	}
-	cfg.Sample = opts.Sample
 	hier := mem.New(mem.DefaultConfig())
 	sim := cpu.NewSimulator(cfg, w.Prog, sub, hier)
 	return sim.Run(warmup(w, opts)).Extrapolated(), nil
