@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"acic/internal/workload"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/exp-all.golden from the current output")
 
 // newStreamedPipeline builds a windowed pipeline over dir.
 func newStreamedPipeline(t *testing.T, n, window int, dir string) *Pipeline {
@@ -151,7 +156,11 @@ func TestPipelineStreamedNoStore(t *testing.T) {
 
 // TestExpAllStreamedVsBatchByteIdentical is the tentpole acceptance check:
 // the full -exp all experiment output of a cold streamed-prepare suite is
-// byte-identical to a cold batch-prepare suite.
+// byte-identical to a cold batch-prepare suite. The batch render is also
+// pinned against testdata/exp-all.golden, so a change that moves every
+// lane at once cannot pass unnoticed; `go test -run
+// TestExpAllStreamedVsBatchByteIdentical ./internal/experiments -update`
+// rewrites the golden after an intended output change.
 func TestExpAllStreamedVsBatchByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment set in -short mode")
@@ -163,6 +172,19 @@ func TestExpAllStreamedVsBatchByteIdentical(t *testing.T) {
 	batchSuite.Apps = apps
 	batchSuite.ArtifactDir = t.TempDir()
 	batch := renderAll(t, batchSuite)
+	golden := filepath.Join("testdata", "exp-all.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(batch), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch != string(want) {
+		t.Errorf("batch output differs from %s:\n--- got\n%s--- want\n%s", golden, batch, want)
+	}
 
 	for _, window := range []int{512, 65_536} {
 		streamSuite := NewSuite(n)
