@@ -90,8 +90,8 @@ type Injector struct {
 
 // Parse compiles a spec string. Grammar: semicolon-separated fields, each
 // either "seed=N" or "class:param=value[,param=value]" where class is one
-// of io-err, corrupt-artifact, panic-cell and param is p (probability in
-// [0,1]) or every (fire on one attempt in N per key, N >= 1). An empty spec is
+// of io-err, corrupt-artifact, panic-cell and param is p (a finite probability
+// in [0,1]) or every (fire on one attempt in N per key, N >= 1). An empty spec is
 // valid and injects nothing.
 func Parse(spec string) (*Injector, error) {
 	in := &Injector{spec: spec, seed: 1, attempts: make(map[uint64]int64)}
@@ -130,7 +130,9 @@ func Parse(spec string) (*Injector, error) {
 			switch k {
 			case "p":
 				p, err := strconv.ParseFloat(v, 64)
-				if err != nil || p < 0 || p > 1 {
+				// Written as a range test so NaN, which fails every
+				// comparison, is rejected along with the infinities.
+				if err != nil || !(p >= 0 && p <= 1) {
 					return nil, fmt.Errorf("faults: %s: p=%q is not a probability in [0,1]", name, v)
 				}
 				r.p = p

@@ -31,6 +31,9 @@ func TestParseInvalid(t *testing.T) {
 		{"warp-core:p=0.1", "unknown class"},
 		{"io-err:p=2", "probability"},
 		{"io-err:p=-0.5", "probability"},
+		{"panic-cell:p=NaN", "probability"},
+		{"io-err:p=nan;seed=2", "probability"},
+		{"io-err:p=+Inf", "probability"},
 		{"io-err:every=0", "positive integer"},
 		{"io-err:q=0.5", "unknown parameter"},
 		{"io-err:p=0.5,every=3", "mutually exclusive"},
@@ -240,4 +243,30 @@ func TestFailNetUninstalledIsInert(t *testing.T) {
 	if FailNet("get", "k") {
 		t.Fatal("FailNet() fired with no injector installed")
 	}
+}
+
+// FuzzParse checks the one property the injector's draws rely on: every
+// spec Parse accepts leaves each class either unset or with exactly one
+// schedule, a probability in (0,1] or a period of at least 1.
+func FuzzParse(f *testing.F) {
+	for _, seed := range []string{
+		"", "seed=42", "io-err:p=0.01", "corrupt-artifact:p=1", "panic-cell:every=97",
+		"io-err:p=0.01;corrupt-artifact:p=0.005;panic-cell:every=97;seed=7",
+		"net-err:p=1e-3", "panic-cell:p=NaN", "io-err:p=0x1p-3", "io-err:p=0.5,every=3",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		in, err := Parse(spec)
+		if err != nil {
+			return
+		}
+		for c, r := range in.rules {
+			prob := r.p > 0 && r.p <= 1 && r.every == 0
+			periodic := r.every >= 1 && r.p == 0
+			if r != (rule{}) && prob == periodic {
+				t.Errorf("Parse(%q) accepted %s with p=%v every=%d", spec, Class(c), r.p, r.every)
+			}
+		}
+	})
 }
