@@ -110,8 +110,9 @@ func TestSuiteMemoization(t *testing.T) {
 }
 
 func TestOrderingInvariants(t *testing.T) {
-	// The structural results every figure depends on: OPT beats the
-	// baseline, and ACIC lands between baseline and OPT on MPKI.
+	// The structural results every figure depends on, in the paper's
+	// order: OPT beats ACIC and ACIC beats the baseline, on MPKI and on
+	// cycles for OPT.
 	s := smallSuite(t)
 	if err := s.Require(CrossCells(s.AppNames(), []string{Baseline, "acic", "opt"}, "fdp")...); err != nil {
 		t.Fatal(err)
@@ -128,6 +129,12 @@ func TestOrderingInvariants(t *testing.T) {
 		}
 		if opt.Cycles >= base.Cycles {
 			t.Errorf("%s: OPT cycles %d not below baseline %d", app, opt.Cycles, base.Cycles)
+		}
+		if opt.MPKI() > acic.MPKI() {
+			t.Errorf("%s: OPT MPKI %.2f above ACIC %.2f", app, opt.MPKI(), acic.MPKI())
+		}
+		if opt.Cycles > acic.Cycles {
+			t.Errorf("%s: OPT cycles %d above ACIC %d", app, opt.Cycles, acic.Cycles)
 		}
 	}
 }
