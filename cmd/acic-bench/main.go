@@ -4,12 +4,8 @@
 // against the published values.
 //
 // Experiments plan their simulation cells up front and execute them on a
-// worker pool (one worker per core by default); same-app cells — across
-// prefetcher platforms — are additionally grouped into gang simulations,
-// one Program traversal driving a whole scheme × prefetcher row, when the
-// trace is long enough for the shared traversal to pay (-gang on|off|auto,
-// -gang-size, and -gang-window auto|default|N for the traversal window;
-// output is byte-identical in every mode). With -cache-dir (or
+// worker pool (one worker per core by default), one simulation per cell;
+// output is byte-identical at any worker count. With -cache-dir (or
 // ACIC_CACHE_DIR) results persist on disk keyed by workload/trace-length/
 // scheme/prefetcher, making reruns incremental; with -artifact-dir (or
 // ACIC_ARTIFACT_DIR) the prepared workloads themselves — trace, annotated
@@ -18,8 +14,8 @@
 // go straight to simulation (`acic-trace warm` fills the store up front).
 //
 // The -bench-json mode instead times raw simulator throughput (ns per
-// block access) per (scheme x prefetcher) cell, plus gang-vs-serial sweep
-// wall-clocks and the prepare-phase wall-clock — the tracked trajectory
+// block access) per (scheme x prefetcher) cell, plus the prepare-phase
+// wall-clock — the tracked trajectory
 // files under bench/trajectory/ are produced this way (see its
 // index.json). -compare diffs two such files per cell (exiting non-zero
 // past -regress-pct). -cpuprofile/-memprofile write pprof data for any
@@ -50,7 +46,6 @@
 //	acic-bench -exp table3 -n 1000000
 //	acic-bench -exp all -workers 4 -cache-dir ~/.cache/acic -progress
 //	acic-bench -exp all -artifact-dir ~/.cache/acic-artifacts # warm prepare reuse
-//	acic-bench -exp all -n 2000000 -gang on # gang a long-trace sweep
 //	acic-bench -bench-json bench.json -bench-repeats 5
 //	acic-bench -compare bench/trajectory/BENCH_PR3.json -compare-to bench.json
 //	acic-bench -bench-json bench.json -compare bench/trajectory/BENCH_PR4.json
@@ -220,12 +215,11 @@ func main() {
 		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
 		list     = flag.Bool("list", false, "list experiments and exit")
 
-		benchJSON    = flag.String("bench-json", "", "throughput microbenchmark mode: write ns/access per (scheme x prefetcher) plus gang-sweep wall-clocks to this JSON file and exit")
+		benchJSON    = flag.String("bench-json", "", "throughput microbenchmark mode: write ns/access per (scheme x prefetcher) plus the prepare wall-clock to this JSON file and exit")
 		benchApp     = flag.String("bench-app", "media-streaming", "workload for -bench-json")
 		benchSchemes = flag.String("bench-schemes", "", "schemes for -bench-json (comma-separated; empty = tracked default set)")
 		benchPfs     = flag.String("bench-prefetchers", "none,fdp", "prefetcher platforms for -bench-json (comma-separated)")
 		benchRepeats = flag.Int("bench-repeats", 3, "timed repetitions per -bench-json cell (best kept)")
-		benchSweeps  = flag.Bool("bench-sweeps", true, "also measure per-prefetcher gang-vs-serial sweep wall-clocks in -bench-json mode")
 		benchPrepare = flag.Bool("bench-prepare-sweeps", true, "also measure batch-vs-streamed cold-prepare wall-clock and peak heap (at n and 4n, scratch stores) in -bench-json mode")
 		benchDist    = flag.Bool("bench-distributed", false, "also measure the distributed sweep in -bench-json mode: the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store, per-cell results verified identical (adds several cold full-grid lanes — minutes)")
 
@@ -349,11 +343,6 @@ func main() {
 		if *benchPfs != "" {
 			cfg.Prefetchers = strings.Split(*benchPfs, ",")
 		}
-		cfg.GangSize = sim.GangSize
-		if !*benchSweeps {
-			cfg.GangSize = -1
-		}
-		cfg.GangWindow, _ = sim.ResolveGangWindow() // validated above
 		rep, err := perf.Measure(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
@@ -365,14 +354,8 @@ func main() {
 		}
 		fmt.Printf("=== throughput microbenchmark: %s, n=%d (best of %d)\n%s", *benchApp, rep.N, *benchRepeats, rep.Table())
 		fmt.Println(rep.PrepareSummary())
-		if st := rep.SweepTable(); st != nil {
-			fmt.Printf("=== gang sweeps: wall-clock per full scheme row (best of %d)\n%s", *benchRepeats, st)
-		}
 		if st := rep.SampledSweepTable(); st != nil {
 			fmt.Printf("=== sampled sweeps: full vs set-sampled wall-clock per scheme row (best of %d)\n%s", *benchRepeats, st)
-		}
-		if st := rep.CrossSweepTable(); st != nil {
-			fmt.Printf("=== cross-prefetcher sweeps: serial vs gang (fixed / auto window) wall-clock per row (best of %d)\n%s", *benchRepeats, st)
 		}
 		if st := rep.PrepareSweepTable(); st != nil {
 			fmt.Printf("=== prepare sweeps: batch vs streamed cold prepare (scratch stores)\n%s", st)
@@ -488,10 +471,6 @@ func main() {
 		for _, st := range suite.PrepareStats() {
 			fmt.Fprintf(os.Stderr, "prepare %-8s %d regenerated, %d from artifact store\n",
 				st.Stage, st.Computed, st.FromStore)
-		}
-		if gs := suite.GangStats(); gs.Gangs > 0 {
-			fmt.Fprintf(os.Stderr, "gangs: %d runs covering %d cells (%d cross-prefetcher), max width %d, window %d\n",
-				gs.Gangs, gs.Cells, gs.Mixed, gs.MaxWidth, gs.Window)
 		}
 		if fs := suite.FaultStats(); sim.FaultSpec != "" || fs.Any() {
 			fmt.Fprintln(os.Stderr, fs)

@@ -70,7 +70,6 @@ func main() {
 	if err := sim.InstallFaults(); err != nil {
 		fail("-fault-spec: %v", err)
 	}
-	gangWindow, _ := sim.ResolveGangWindow() // validated above
 
 	ctx, stopSignals := cliutil.InterruptContext()
 	defer stopSignals()
@@ -110,14 +109,12 @@ func main() {
 		N:             experiments.NewSuite(*n).N, // resolves 0 -> default
 		SampleSets:    sim.SampleSets,
 		SampleOffset:  sim.SampleOffset,
-		GangWindow:    gangWindow,
 		PrepareWindow: sim.PrepareWindow,
 		StoreURL:      advertised,
 	}
 	if *apps != "" {
 		cfg.Apps = strings.Split(*apps, ",")
 	}
-	cfg.GangSize = sim.SuiteGangSize(cfg.N)
 
 	coord := distrib.NewCoordinator(distrib.CoordinatorOptions{
 		Config:          cfg,
@@ -158,8 +155,6 @@ func main() {
 	suite.Context = ctx
 	suite.Apps = cfg.Apps
 	suite.Workers = sim.Workers
-	suite.GangSize = cfg.GangSize
-	suite.GangWindow = cfg.GangWindow
 	suite.SampleSets = cfg.SampleSets
 	suite.SampleOffset = cfg.SampleOffset
 	suite.PrepareWindow = cfg.PrepareWindow

@@ -14,12 +14,12 @@
 // Endpoints:
 //
 //	GET /v1/cells?app=&scheme=&prefetcher= — grid cell results; comma
-//	    lists cross-product, same-app cells ride one gang batch
+//	    lists cross-product, computed as one batch
 //	GET /v1/figures/{name}  — rendered experiment output, byte-identical
 //	    to acic-bench's figure body for the same configuration
 //	GET /v1/experiments     — the registry (slug + description)
 //	GET /v1/healthz         — liveness
-//	GET /v1/stats           — engine/gang/fault/occupancy counters
+//	GET /v1/stats           — engine/fault/occupancy counters
 //
 // Cell and figure responses carry strong ETags derived from the
 // content-addressed result-cache keys (experiments/keys.go), so

@@ -108,24 +108,20 @@ func (s *server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	computed, fromCache, workloads := s.suite.Stats()
 	running, idle, queued := s.suite.Occupancy()
-	gs := s.suite.GangStats()
 	faultsJSON, _ := json.Marshal(s.suite.FaultStats())
 	api.WriteJSON(w, http.StatusOK, api.Stats{
 		Version:           api.Version,
 		N:                 s.suite.N,
 		Apps:              s.suite.Apps,
 		SampleSets:        s.suite.SampleSets,
-		GangSize:          s.suite.GangSize,
 		Requests:          s.requests.Load(),
 		CellsComputed:     int(computed),
 		CellsFromCache:    int(fromCache),
 		WorkloadsPrepared: int(workloads),
 		Occupancy:         api.Occupancy{Running: running, Idle: idle, Queued: queued},
-		Gangs: api.GangStats{Gangs: gs.Gangs, Cells: gs.Cells, Mixed: gs.Mixed,
-			MaxWidth: int(gs.MaxWidth), Window: int(gs.Window)},
-		Faults:        faultsJSON,
-		BreakersOpen:  s.breaker.OpenCount(),
-		UptimeSeconds: time.Since(s.started).Seconds(),
+		Faults:            faultsJSON,
+		BreakersOpen:      s.breaker.OpenCount(),
+		UptimeSeconds:     time.Since(s.started).Seconds(),
 	})
 }
 
@@ -194,10 +190,8 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 // handleCells answers grid cell queries. app and scheme are required,
 // comma-separated lists ("all" expands app to the suite's app list and
 // scheme to every registered scheme); prefetcher defaults to fdp. The
-// full cross product is computed as ONE Require batch, so same-app
-// cells ride a single gang when gang execution is on — a client asking
-// for twelve schemes of one app pays one Program traversal, exactly
-// like the CLI grid.
+// full cross product is computed as ONE Require batch, so its cells run
+// in parallel on the worker pool, exactly like the CLI grid.
 func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	apps, schemes, pfs := q.Get("app"), q.Get("scheme"), q.Get("prefetcher")

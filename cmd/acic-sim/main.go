@@ -5,15 +5,12 @@
 // acic-bench to regenerate the paper's tables and figures.
 //
 // The schemes run as cells of an experiments.Suite — the same engine,
-// gang scheduler and degrade ladder acic-bench runs on (DESIGN.md §13) —
-// with the ACIC decision recorder attached through Suite.Instrument.
-// When several schemes are given over a long trace (>= 1M instructions,
-// the default -n) they are simulated as a gang: one traversal of the
-// shared trace drives every scheme. -gang on|off overrides; results are
-// identical in every mode. Rows are always printed in the order the
-// schemes were listed. -fault-spec injects deterministic faults into that
-// ladder; the recovery counters are printed on stderr. SIGINT/SIGTERM
-// cancel not-yet-started schemes and exit 130.
+// worker pool and retry path acic-bench runs on (DESIGN.md §13) — with the
+// ACIC decision recorder attached through Suite.Instrument. Rows are
+// always printed in the order the schemes were listed. -fault-spec
+// injects deterministic faults into that path; the recovery counters are
+// printed on stderr. SIGINT/SIGTERM cancel not-yet-started schemes and
+// exit 130.
 //
 // With -artifact-dir (or ACIC_ARTIFACT_DIR) the prepared workload — trace,
 // annotated program, successor array, data-latency timeline — is loaded
@@ -25,7 +22,6 @@
 //
 //	acic-sim -workload media-streaming -schemes acic -n 1000000
 //	acic-sim -workload web-search -schemes lru,acic,opt -n 500000
-//	acic-sim -workload web-search -schemes lru,acic -gang off
 //	acic-sim -workload tpcc -schemes lru,acic -artifact-dir ~/.cache/acic-artifacts
 //	acic-sim -workload tpcc -schemes lru,acic -sample-sets 8   # set-sampled fast mode
 package main
@@ -68,8 +64,8 @@ type capture struct {
 
 // recorder collects the ACIC decisions of every simulated cell. It is the
 // suite's Instrument hook: each call attaches a fresh recording and
-// replaces the cell's previous one, so the partial decisions of a gang
-// that died (and whose members the suite re-ran serially) never count.
+// replaces the cell's previous one, so the partial decisions of an
+// attempt that failed (and that the suite retried) never count.
 type recorder struct {
 	mu    sync.Mutex
 	cells map[experiments.Cell]capture
@@ -165,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		order = append(order, strings.TrimSpace(s))
 	}
 	// Plan → execute: every scheme is a cell over the shared workload; the
-	// suite dedupes repeats and, with -gang, runs them as gang simulations.
+	// suite dedupes repeats and runs the rest on its worker pool.
 	if err := suite.Require(experiments.CrossCells(suite.Apps, order, *pf)...); err != nil {
 		if ctx.Err() != nil {
 			fmt.Fprintln(stderr, "acic-sim: interrupted")

@@ -25,7 +25,7 @@ var update = flag.Bool("update", false, "rewrite the testdata/*.golden files fro
 // notes.
 var goldenArgs = []string{"-workload", "web-search", "-schemes", "lru,acic,opt,acic", "-n", "100000"}
 
-// TestGolden pins acic-sim's stdout byte for byte. Gang, serial and
+// TestGolden pins acic-sim's stdout byte for byte. Clean and
 // fault-injected runs must print the same report (one golden); the
 // set-sampled lane differs only in its banner and its extrapolated rows.
 func TestGolden(t *testing.T) {
@@ -34,10 +34,9 @@ func TestGolden(t *testing.T) {
 		name, golden string
 		args         []string
 	}{
-		{"gang-on", "web-search.golden", []string{"-gang", "on"}},
-		{"gang-off", "web-search.golden", []string{"-gang", "off"}},
+		{"full", "web-search.golden", nil},
 		{"sampled", "web-search-sampled.golden", []string{"-sample-sets", "8"}},
-		{"faults", "web-search.golden", []string{"-gang", "on", "-fault-spec", "panic-cell:every=2;seed=3"}},
+		{"faults", "web-search.golden", []string{"-fault-spec", "panic-cell:every=2;seed=3"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -47,7 +46,7 @@ func TestGolden(t *testing.T) {
 				t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 			}
 			path := filepath.Join("testdata", c.golden)
-			if *update && c.name != "gang-off" && c.name != "faults" {
+			if *update && c.name != "faults" {
 				if err := os.WriteFile(path, stdout.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}

@@ -1,7 +1,6 @@
 // Package cliutil deduplicates the engine/storage flag plumbing shared by
 // the simulation CLIs (acic-bench, acic-sim, acic-serve, acic-coord,
-// acic-trace warm): the worker pool width, the gang-execution mode, the
-// sampling mode, and the two persistent stores — and builds the one
+// acic-trace warm): the worker pool width, the sampling mode, and the two persistent stores — and builds the one
 // experiments.Suite those flags describe (SimFlags.NewSuite).
 package cliutil
 
@@ -32,18 +31,9 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// GangAutoThreshold is the trace length from which the gang's shared
-// traversal measurably beats per-cell execution (bench/trajectory gang
-// sweeps / DESIGN.md §8: neutral at 400k on large-LLC hosts, ~1.15x at
-// multi-million-instruction traces).
-const GangAutoThreshold = 1_000_000
-
 // SimFlags are the shared engine/storage knobs after parsing.
 type SimFlags struct {
 	Workers       int
-	Gang          string
-	GangSize      int
-	GangWindow    string
 	ArtifactDir   string
 	PrepareWindow int
 	SampleSets    int
@@ -57,9 +47,6 @@ type SimFlags struct {
 func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	f := &SimFlags{}
 	fs.IntVar(&f.Workers, "workers", 0, "simulation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
-	fs.StringVar(&f.Gang, "gang", "auto", "group cells that share a workload into gang simulations — one Program traversal per gang: on, off, or auto (gang from 1M instructions, where the shared traversal measurably pays; output is byte-identical either way)")
-	fs.IntVar(&f.GangSize, "gang-size", 10, "max schemes per gang task (with -gang)")
-	fs.StringVar(&f.GangWindow, "gang-window", "auto", "gang traversal window in instructions: auto derives it from measured member footprints against the host cache budget (ACIC_LLC_BYTES overrides detection), default runs the fixed heuristic, any positive count pins it; affects only throughput, never results")
 	fs.IntVar(&f.SampleSets, "sample-sets", 0, "set-sampled fast mode: simulate only this many of the 64 L1i sets (SDM-style sampling, statistics extrapolated; power of two; 0 = full simulation, the byte-identical reference)")
 	fs.IntVar(&f.SampleOffset, "sample-offset", 0, "sampled set constituency to simulate, in [1,64/sample-sets) (with -sample-sets; 0 = derive per workload from the trace digest — constituency 0 is alignment-biased and never used)")
 	RegisterArtifactDir(fs, &f.ArtifactDir)
@@ -119,33 +106,8 @@ func RegisterArtifactDir(fs *flag.FlagSet, dst *string) {
 		"persistent workload artifact store: prepared traces, annotated programs, successor arrays, and data-latency timelines are written once and reused by every later run (empty = disabled)")
 }
 
-// ResolveGangWindow reduces the -gang-window spelling to the
-// experiments.Options.GangWindow encoding: experiments.AutoGangWindow for
-// "auto", 0 for "default", or the pinned positive instruction count.
-func (f *SimFlags) ResolveGangWindow() (int, error) {
-	switch f.GangWindow {
-	case "auto", "":
-		return experiments.AutoGangWindow, nil
-	case "default":
-		return 0, nil
-	}
-	n, err := strconv.Atoi(f.GangWindow)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("-gang-window must be auto, default, or a positive instruction count (got %q)", f.GangWindow)
-	}
-	return n, nil
-}
-
 // Validate checks the parsed flag values.
 func (f *SimFlags) Validate() error {
-	switch f.Gang {
-	case "on", "off", "auto":
-	default:
-		return fmt.Errorf("-gang must be on, off, or auto (got %q)", f.Gang)
-	}
-	if _, err := f.ResolveGangWindow(); err != nil {
-		return err
-	}
 	if f.SampleOffset < 0 {
 		return fmt.Errorf("-sample-offset must be >= 0, got %d", f.SampleOffset)
 	}
@@ -161,20 +123,9 @@ func (f *SimFlags) Validate() error {
 	return nil
 }
 
-// SuiteGangSize returns the experiments.Suite.GangSize to configure for
-// trace length n: the -gang-size value when -gang resolves on ("auto"
-// from GangAutoThreshold instructions), else 0.
-func (f *SimFlags) SuiteGangSize(n int) int {
-	on := f.Gang == "on" || f.Gang == "auto" && n >= GangAutoThreshold
-	if on && f.GangSize > 1 {
-		return f.GangSize
-	}
-	return 0
-}
-
 // NewSuite builds the suite the parsed flags describe over n-instruction
-// workloads (0 = experiments.DefaultTraceLen): the worker pool, gang
-// mode and window, artifact store, prepare window and sampling mode, with
+// workloads (0 = experiments.DefaultTraceLen): the worker pool, artifact
+// store, prepare window and sampling mode, with
 // ctx as its cancellation context. Callers add what only they configure
 // (Apps, CacheDir, Progress, Instrument) before the first use. Call after
 // Validate.
@@ -182,8 +133,6 @@ func (f *SimFlags) NewSuite(ctx context.Context, n int) *experiments.Suite {
 	s := experiments.NewSuite(n)
 	s.Context = ctx
 	s.Workers = f.Workers
-	s.GangSize = f.SuiteGangSize(s.N)
-	s.GangWindow, _ = f.ResolveGangWindow() // validated by Validate
 	s.ArtifactDir = f.ArtifactDir
 	s.PrepareWindow = f.PrepareWindow
 	s.SampleSets = f.SampleSets

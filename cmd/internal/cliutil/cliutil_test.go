@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"acic/internal/experiments"
 	"acic/internal/faults"
 )
 
@@ -14,7 +13,7 @@ import (
 // -fault-spec up front, so every CLI fails fast with the same message
 // instead of installing a half-parsed injector.
 func TestValidateFaultSpec(t *testing.T) {
-	f := &SimFlags{Gang: "auto", FaultSpec: "io-err:p=0.01"}
+	f := &SimFlags{FaultSpec: "io-err:p=0.01"}
 	if err := f.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
@@ -74,12 +73,11 @@ func TestInterruptContext(t *testing.T) {
 }
 
 // TestNewSuite: the one flags→Suite constructor carries every shared
-// engine knob, resolving -gang against the trace length and -gang-window
-// to its experiments encoding.
+// engine knob.
 func TestNewSuite(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := RegisterSim(fs)
-	if err := fs.Parse([]string{"-workers", "3", "-gang", "on", "-gang-size", "4",
+	if err := fs.Parse([]string{"-workers", "3",
 		"-artifact-dir", "store", "-prepare-window", "4096", "-sample-sets", "8", "-sample-offset", "2"}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +86,9 @@ func TestNewSuite(t *testing.T) {
 	}
 	ctx := context.Background()
 	s := f.NewSuite(ctx, 5000)
-	if s.N != 5000 || s.Context != ctx || s.Workers != 3 || s.GangSize != 4 ||
-		s.GangWindow != experiments.AutoGangWindow || s.ArtifactDir != "store" ||
+	if s.N != 5000 || s.Context != ctx || s.Workers != 3 || s.ArtifactDir != "store" ||
 		s.PrepareWindow != 4096 || s.SampleSets != 8 || s.SampleOffset != 2 {
 		t.Errorf("NewSuite = %+v", s)
-	}
-	f.Gang = "auto"
-	if s := f.NewSuite(ctx, 5000); s.GangSize != 0 {
-		t.Errorf("-gang auto below the threshold: GangSize = %d, want 0", s.GangSize)
 	}
 }
 
@@ -103,10 +96,10 @@ func TestNewSuite(t *testing.T) {
 // experiments.SampleConfigFor, before any suite is built.
 func TestValidateSampling(t *testing.T) {
 	for _, f := range []SimFlags{
-		{Gang: "auto", SampleSets: 3},
-		{Gang: "auto", SampleSets: 128},
-		{Gang: "auto", SampleSets: 8, SampleOffset: 8},
-		{Gang: "auto", SampleOffset: -1},
+		{SampleSets: 3},
+		{SampleSets: 128},
+		{SampleSets: 8, SampleOffset: 8},
+		{SampleOffset: -1},
 	} {
 		if err := f.Validate(); err == nil {
 			t.Errorf("%+v: Validate accepted it", f)

@@ -12,16 +12,14 @@ type WorkerConfig struct {
 	Apps          []string `json:"apps,omitempty"`
 	SampleSets    int      `json:"sample_sets,omitempty"`
 	SampleOffset  int      `json:"sample_offset,omitempty"`
-	GangSize      int      `json:"gang_size,omitempty"`
-	GangWindow    int      `json:"gang_window,omitempty"`
 	PrepareWindow int      `json:"prepare_window,omitempty"`
 	// StoreURL is the shared blob store every worker must point its
 	// cache and artifact dirs at.
 	StoreURL string `json:"store_url,omitempty"`
 }
 
-// Batch is one leased unit of remote work: same-app cells sized to run
-// as a single gang.
+// Batch is one leased unit of remote work: same-app cells, so the worker
+// prepares the workload once for all of them.
 type Batch struct {
 	ID    int64  `json:"id"`
 	App   string `json:"app"`
@@ -101,15 +99,6 @@ type Occupancy struct {
 	Queued  int `json:"queued"`
 }
 
-// GangStats summarizes gang packing since startup.
-type GangStats struct {
-	Gangs    int64 `json:"gangs"`
-	Cells    int64 `json:"cells"`
-	Mixed    int64 `json:"mixed"`
-	MaxWidth int   `json:"max_width"`
-	Window   int   `json:"window"`
-}
-
 // Stats answers GET /v1/stats: the serve daemon's configuration echo
 // plus engine counters. Faults is the experiments.FaultStats object
 // (kept raw here so this package stays import-free).
@@ -118,13 +107,11 @@ type Stats struct {
 	N                 int             `json:"n"`
 	Apps              []string        `json:"apps,omitempty"`
 	SampleSets        int             `json:"sample_sets,omitempty"`
-	GangSize          int             `json:"gang_size,omitempty"`
 	Requests          int64           `json:"requests"`
 	CellsComputed     int             `json:"cells_computed"`
 	CellsFromCache    int             `json:"cells_from_cache"`
 	WorkloadsPrepared int             `json:"workloads_prepared"`
 	Occupancy         Occupancy       `json:"occupancy"`
-	Gangs             GangStats       `json:"gangs"`
 	Faults            json.RawMessage `json:"faults,omitempty"`
 	BreakersOpen      int             `json:"breakers_open"`
 	UptimeSeconds     float64         `json:"uptime_seconds"`

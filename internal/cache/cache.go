@@ -159,13 +159,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Policy returns the attached replacement policy.
 func (c *Cache) Policy() Policy { return c.policy }
 
-// FootprintBytes measures the line-state backing the cache holds — the
-// key, next-use, and MRU arrays — in host bytes. Gang window derivation
-// sums it into the per-member working-set estimate.
-func (c *Cache) FootprintBytes() int64 {
-	return int64(len(c.keys))*8 + int64(len(c.next))*8 + int64(len(c.mru))*4
-}
-
 // SetIndex maps a block to its set.
 func (c *Cache) SetIndex(block uint64) int { return int(block & c.mask) }
 

@@ -114,34 +114,4 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		})
 	}
 
-	// The gang path must preserve the property: once its members are warm,
-	// advancing the whole gang through traversal windows stays off the heap.
-	t.Run("gang", func(t *testing.T) {
-		prog := NewProgram(tr, ann)
-		names := []string{"lru", "opt", "harmony", "acic", "eaf"}
-		hiers := mem.NewGang(mem.DefaultConfig(), len(names))
-		members := make([]GangMember, len(names))
-		for i, name := range names {
-			members[i] = GangMember{Cfg: DefaultConfig(), Sub: subsystems[name](), Hier: hiers[i]}
-		}
-		g := NewGang(prog, members, DefaultGangWindow)
-		for i := range g.sims {
-			g.sims[i].start(0)
-		}
-		bound := 0
-		for bound < 3*n/4 {
-			bound += DefaultGangWindow
-			g.advance(bound)
-		}
-		if g.advance(bound) == 0 {
-			t.Fatal("trace too short to measure gang steady state")
-		}
-		allocs := testing.AllocsPerRun(200, func() {
-			bound += 64
-			g.advance(bound)
-		})
-		if allocs != 0 {
-			t.Errorf("gang: steady-state advance allocates %.2f times", allocs)
-		}
-	})
 }

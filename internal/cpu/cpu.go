@@ -406,7 +406,7 @@ type Simulator struct {
 	// Set-sampling state (SDM fast lane; see sampled.go). sampleMask/
 	// sampleMatch are the constituency filter of cfg.Sample, denormalized
 	// so the hot-path test is one compare; mask 0 means full simulation
-	// and routes runTo through the reference cycle loop.
+	// and routes Run through the full cycle loop.
 	sampleMask      uint64
 	sampleMatch     uint64
 	sampledAccesses int64   // demand accesses in the sampled constituencies
@@ -418,7 +418,6 @@ type Simulator struct {
 	vtRetire6       int64   // retire chain anchor: completion in retire slots
 	vtIdx           int     // instruction index of the chain anchor
 	gateIdx         int     // next one-shot ROB-full check (maxInt = none)
-	sampledDone     bool    // final ROB drain already charged
 
 	// Pace-rebase history: the slot offsets in force before each of the
 	// most recent stalls, so the FTQ-window lookback can reconstruct the
@@ -437,8 +436,7 @@ type Simulator struct {
 	imissStall    int64
 	redirectStall int64
 
-	// Warmup accounting (start/result). Kept on the simulator rather than
-	// in Run's frame so a gang can suspend and resume a member mid-run.
+	// Warmup accounting (Run/result).
 	warmupInstrs      int64
 	warmupTaken       bool
 	wCycles, wInstr   int64
@@ -454,14 +452,6 @@ type Simulator struct {
 // precomputed here (a no-op when the workload already did it). It panics
 // on a configuration Config.Validate rejects.
 func NewSimulator(cfg Config, prog *Program, sub icache.Subsystem, hier *mem.Hierarchy) *Simulator {
-	s := new(Simulator)
-	s.init(cfg, prog, sub, hier)
-	return s
-}
-
-// init readies a (possibly embedded) simulator value; NewGang uses it to
-// lay its members out contiguously.
-func (s *Simulator) init(cfg Config, prog *Program, sub icache.Subsystem, hier *mem.Hierarchy) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -480,7 +470,7 @@ func (s *Simulator) init(cfg Config, prog *Program, sub icache.Subsystem, hier *
 		cfg.MaxPrefetches = int(max(1, int64(cfg.MaxPrefetches)/stride))
 		cfg.L2ServiceInterval *= stride
 	}
-	*s = Simulator{
+	s := &Simulator{
 		cfg:         cfg,
 		sub:         sub,
 		hier:        hier,
@@ -498,42 +488,33 @@ func (s *Simulator) init(cfg Config, prog *Program, sub icache.Subsystem, hier *
 		s.gateIdx = maxInt
 		s.mshr = make([]int64, 0, cfg.MaxPrefetches)
 	}
+	return s
 }
 
-// maxInt is an unreachable fetch bound: runTo(maxInt) runs to completion.
+// maxInt is an unreachable instruction index (the sampled lane's "no
+// gate pending").
 const maxInt = int(^uint(0) >> 1)
 
 // Run executes the simulation, treating the first warmupInstrs instructions
-// as warmup (excluded from the reported Result timing/counters).
+// as warmup (excluded from the reported Result timing/counters). A
+// set-sampled simulation routes through the event-driven sampled loop
+// (sampled.go).
 func (s *Simulator) Run(warmupInstrs int64) Result {
-	s.start(warmupInstrs)
-	s.runTo(maxInt)
+	s.warmupInstrs = warmupInstrs
+	s.warmupTaken = warmupInstrs <= 0
+	if s.sampleMask != 0 {
+		s.runSampled()
+	} else {
+		s.run()
+	}
 	return s.result()
 }
 
-// start arms warmup accounting; call once, before the first runTo.
-func (s *Simulator) start(warmupInstrs int64) {
-	s.warmupInstrs = warmupInstrs
-	s.warmupTaken = warmupInstrs <= 0
-}
-
-// runTo advances the simulation until the next instruction to fetch is at
-// or past bound, or the program has fully retired (then it returns true).
-// The program has retired once fetch is done and the cycle is past
-// lastRet. The state after runTo(b1); runTo(b2) is identical to the state
-// the single-run loop passes through — bounds only choose where the loop
-// pauses — which is what makes gang scheduling result-preserving. A
-// set-sampled simulation routes through the event-driven sampled loop
-// instead (sampled.go), with the same bound/pause contract.
-func (s *Simulator) runTo(bound int) bool {
-	if s.sampleMask != 0 {
-		return s.runSampledTo(bound)
-	}
+// run advances the simulation until the program has fully retired: fetch
+// is done and the cycle is past lastRet.
+func (s *Simulator) run() {
 	n := s.prog.Len()
 	for s.fetchIdx < n || s.lastRet >= s.cycle {
-		if s.fetchIdx >= bound && s.fetchIdx < n {
-			return false
-		}
 		s.step()
 		if !s.warmupTaken && s.instructions >= s.warmupInstrs {
 			s.wCycles, s.wInstr, s.wBlocks = s.cycle, s.instructions, s.accessIdx
@@ -574,7 +555,6 @@ func (s *Simulator) runTo(bound int) bool {
 		}
 		s.cycle = max(s.cycle, target)
 	}
-	return true
 }
 
 // result reports the post-warmup counters of a completed run.

@@ -200,3 +200,44 @@ func TestConfigValidate(t *testing.T) {
 		t.Errorf("minimal core retired %d of %d instructions", res.Instructions, prog.Len())
 	}
 }
+
+// TestDataLatenciesMatchReplay pins the timeline precompute against a
+// direct hierarchy replay: the array must equal DataAccess called per
+// memory instruction in order, and be stable across Ensure calls.
+func TestDataLatenciesMatchReplay(t *testing.T) {
+	prof, _ := workload.ByName("wikipedia")
+	tr := workload.Generate(prof, 30_000)
+	prog := NewProgram(tr, branch.NewFrontEnd().Annotate(tr))
+	prog.EnsureDataLatencies(mem.DefaultConfig())
+
+	h := mem.New(mem.DefaultConfig())
+	saved := append([]int16(nil), prog.DataLat...)
+	for i, d := range prog.Desc {
+		want := int16(0)
+		if d&(descLoad|descStore) != 0 {
+			want = int16(h.DataAccess(prog.MemBlk[i]))
+		}
+		if saved[i] != want {
+			t.Fatalf("DataLat[%d] = %d, replay says %d", i, saved[i], want)
+		}
+	}
+
+	// A second same-config Ensure must be a no-op.
+	prog.EnsureDataLatencies(mem.DefaultConfig())
+	for i := range saved {
+		if prog.DataLat[i] != saved[i] {
+			t.Fatalf("EnsureDataLatencies recomputed the timeline at %d", i)
+		}
+	}
+
+	// A different config would silently mis-time every load: it must panic.
+	cfg := mem.DefaultConfig()
+	cfg.L1DSets = 1
+	cfg.L1DWays = 1
+	defer func() {
+		if recover() == nil {
+			t.Error("EnsureDataLatencies with a mismatched config must panic")
+		}
+	}()
+	prog.EnsureDataLatencies(cfg)
+}

@@ -15,8 +15,6 @@ import (
 // TestClosedFormRetireMatchesReference drives the closed-form retire loop
 // and the per-cycle reference (ref_test.go) over seeded random core
 // configurations and requires identical Results, ICache stats included.
-// The production side pauses at random runTo bounds, so the gang resume
-// contract is covered too.
 func TestClosedFormRetireMatchesReference(t *testing.T) {
 	var progs []*Program
 	for _, app := range []string{"media-streaming", "web-search", "tpcc"} {
@@ -66,12 +64,7 @@ func TestClosedFormRetireMatchesReference(t *testing.T) {
 		}
 		want := newRefSim(newSim()).run(warm)
 
-		s := newSim()
-		s.start(warm)
-		for bound := 0; !s.runTo(bound); {
-			bound += 1 + rng.Intn(3000)
-		}
-		got := s.result()
+		got := newSim().Run(warm)
 		if got != want {
 			t.Errorf("trial %d (%s, extra %s, ROB %d, retire %d, fetch %d, depth %d, FDP %v):\n closed-form %+v\n reference   %+v",
 				trial, prog.Trace.Name, extra.name, cfg.ROB, cfg.RetireWidth, cfg.FetchWidth, cfg.PipelineDepth, cfg.UseFDP, got, want)

@@ -24,18 +24,11 @@ func newRefSim(s *Simulator) *refSim {
 
 // run mirrors Simulator.Run.
 func (r *refSim) run(warmupInstrs int64) Result {
-	r.start(warmupInstrs)
-	r.runTo(maxInt)
-	return r.result()
-}
-
-func (r *refSim) runTo(bound int) bool {
 	s := r.Simulator
+	s.warmupInstrs = warmupInstrs
+	s.warmupTaken = warmupInstrs <= 0
 	n := s.prog.Len()
 	for s.fetchIdx < n || r.ringLen > 0 {
-		if s.fetchIdx >= bound && s.fetchIdx < n {
-			return false
-		}
 		r.step()
 		if !s.warmupTaken && s.instructions >= s.warmupInstrs {
 			s.wCycles, s.wInstr, s.wBlocks = s.cycle, s.instructions, s.accessIdx
@@ -69,7 +62,7 @@ func (r *refSim) runTo(bound int) bool {
 			}
 		}
 	}
-	return true
+	return s.result()
 }
 
 func (r *refSim) step() {

@@ -191,15 +191,12 @@ func (s *Simulator) accessCountAt(k int) int64 {
 	return int64(sort.Search(len(ai), func(i int) bool { return ai[i] >= int32(k) }))
 }
 
-// runSampledTo is the sampled-lane runTo: it advances the simulation
-// until the next instruction to fetch reaches bound or the program ends
-// (then true). Pausing is at instruction granularity and touches no lane
-// state, so gang scheduling preserves results exactly.
-func (s *Simulator) runSampledTo(bound int) bool {
+// runSampled is the sampled-lane run: it walks the program to its end,
+// then charges the final ROB drain.
+func (s *Simulator) runSampled() {
 	n := s.prog.Len()
-	limit := min(bound, n)
-	for s.fetchIdx < limit {
-		seg := limit
+	for s.fetchIdx < n {
+		seg := n
 		if !s.warmupTaken && s.warmupInstrs < int64(seg) {
 			seg = max(int(s.warmupInstrs), s.fetchIdx)
 		}
@@ -212,22 +209,15 @@ func (s *Simulator) runSampledTo(bound int) bool {
 			s.warmupTaken = true
 		}
 	}
-	if s.fetchIdx < n {
-		return false
+	// Drain: the run ends one cycle after the last instruction retires —
+	// the later of its own pipeline completion and the retire chain
+	// emptying the ROB behind the last big spike.
+	end := s.fcAt(n-1) + s.cfg.PipelineDepth
+	rw := int64(s.cfg.RetireWidth)
+	if chain := (s.vtRetire6 + int64(n-1-s.vtIdx) + rw - 1) / rw; chain > end {
+		end = chain
 	}
-	if !s.sampledDone {
-		s.sampledDone = true
-		// Drain: the run ends one cycle after the last instruction
-		// retires — the later of its own pipeline completion and the
-		// retire chain emptying the ROB behind the last big spike.
-		end := s.fcAt(n-1) + s.cfg.PipelineDepth
-		rw := int64(s.cfg.RetireWidth)
-		if chain := (s.vtRetire6 + int64(n-1-s.vtIdx) + rw - 1) / rw; chain > end {
-			end = chain
-		}
-		s.cycle = end + 1
-	}
-	return true
+	s.cycle = end + 1
 }
 
 // sampledWalk merges the two event streams — the sampled-access list and

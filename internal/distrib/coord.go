@@ -20,7 +20,7 @@ type CoordinatorOptions struct {
 	Config Config
 	// Lease bounds how long a claimed batch may stay unreported before
 	// the sweeper presumes its worker dead and requeues it (default 30s —
-	// generously above one gang's latency at bench trace lengths).
+	// generously above one batch's latency at bench trace lengths).
 	Lease time.Duration
 	// MaxRequeues bounds how many times one batch's cells are requeued
 	// (lease expiries and transient failures both count) before they fail
@@ -124,9 +124,9 @@ func (c *Coordinator) enqueue(b *batch) {
 }
 
 // failLocal completes every cell of b with a transient error, dropping
-// the work back into the Suite's local serial ladder. Called with mu held
-// for queue surgery; the done callbacks run without the lock (they may
-// simulate).
+// the work back into the Suite, which computes it locally. Called with mu
+// held for queue surgery; the done callbacks run without the lock (they
+// may simulate).
 func (c *Coordinator) failLocal(b *batch, cause string) {
 	cells, done := b.cells, b.done
 	c.localFell.Add(int64(len(cells)))

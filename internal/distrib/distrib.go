@@ -10,8 +10,8 @@
 // protocol shares with acic-serve and the store handler — and are
 // aliased here so coordinator and worker code reads naturally. The
 // protocol is three endpoints. GET /api/config tells a fresh worker
-// everything it needs to build its Suite — trace length, sampling, gang
-// policy, and the store URL — which is what makes workers stateless:
+// everything it needs to build its Suite — trace length, sampling,
+// prepare window, and the store URL — which is what makes workers stateless:
 // point acic-worker at a coordinator and it configures itself. POST
 // /api/claim is the steal: the worker sends its pool occupancy snapshot
 // (running/idle/queued) and how many batches it wants, the coordinator
@@ -32,8 +32,8 @@ type (
 	// own pool width is deliberately absent — that is per-process
 	// capacity, not plan configuration.
 	Config = api.WorkerConfig
-	// Batch is one steal unit: same-app cells a worker runs as a single
-	// gang. IDs are fresh per lease — a requeued batch gets a new one,
+	// Batch is one steal unit: same-app cells a worker runs through one
+	// Require, preparing the workload once. IDs are fresh per lease — a requeued batch gets a new one,
 	// fencing off late completions from its previous owner.
 	Batch = api.Batch
 	// ClaimRequest is a worker's steal: its occupancy snapshot plus how

@@ -22,16 +22,14 @@ var testExperiments = []string{"table3", "fig10", "fig11"}
 
 const (
 	testN     = 30_000
-	testGang  = 4
 	testApps  = "media-streaming,web-search"
 	testWidth = 2 // per-process pool width, workers and coordinator alike
 )
 
 func testSuiteConfig() Config {
 	return Config{
-		N:        testN,
-		Apps:     strings.Split(testApps, ","),
-		GangSize: testGang,
+		N:    testN,
+		Apps: strings.Split(testApps, ","),
 	}
 }
 
@@ -59,7 +57,6 @@ func newTestGrid(t *testing.T, opts CoordinatorOptions) (*experiments.Suite, *Co
 	s := experiments.NewSuite(testN)
 	s.Apps = strings.Split(testApps, ",")
 	s.Workers = testWidth
-	s.GangSize = testGang
 	s.CacheDir = storeDir
 	s.ArtifactDir = storeDir
 	s.Remote = coord
@@ -100,7 +97,6 @@ func localReference(t *testing.T) string {
 	s := experiments.NewSuite(testN)
 	s.Apps = strings.Split(testApps, ",")
 	s.Workers = testWidth
-	s.GangSize = testGang
 	return renderAll(t, s)
 }
 
@@ -202,7 +198,7 @@ func TestWorkerDeathRequeues(t *testing.T) {
 
 // TestNoWorkerFallsBackLocal pins liveness with zero workers: under
 // NoWorkerTimeout the queued batches fail transiently back into the
-// Suite, whose serial ladder computes every cell locally — the run
+// Suite, which computes every cell locally — the run
 // finishes, merely without speedup.
 func TestNoWorkerFallsBackLocal(t *testing.T) {
 	if testing.Short() {

@@ -114,7 +114,7 @@ const workerFailBudget = 5
 // RunWorker runs one stateless worker against a coordinator: fetch the
 // run Config, build a Suite whose cache and artifact store point at the
 // shared StoreURL, then steal batches until the coordinator reports Done
-// (or ctx cancels). Every claimed batch is executed as a local gang via
+// (or ctx cancels). Every claimed batch is executed locally via
 // Suite.Require — the same code path a single-process run takes, which is
 // the determinism argument: results are computed identically and
 // published to the same content-addressed entries.
@@ -130,7 +130,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	}
 	cl := newClient(opts.Coord)
 
-	cfg, err, _ := engine.Retry(engine.DefaultRetry(), "config", false, cl.config)
+	cfg, err, _ := engine.Retry(engine.DefaultRetry(), "config", cl.config)
 	if err != nil {
 		return fmt.Errorf("distrib: worker %s: fetch config from %s: %w", name, opts.Coord, err)
 	}
@@ -145,8 +145,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	s.ArtifactDir = cfg.StoreURL
 	s.SampleSets = cfg.SampleSets
 	s.SampleOffset = cfg.SampleOffset
-	s.GangSize = cfg.GangSize
-	s.GangWindow = cfg.GangWindow
 	s.PrepareWindow = cfg.PrepareWindow
 	s.Context = ctx
 	if err := s.CacheError(); err != nil {
@@ -196,7 +194,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 				defer inflight.Done()
 				results := runBatch(s, b)
 				req := CompleteRequest{Worker: name, BatchID: b.ID, Results: results}
-				if _, err, _ := engine.Retry(engine.DefaultRetry(), fmt.Sprintf("complete:%d", b.ID), false,
+				if _, err, _ := engine.Retry(engine.DefaultRetry(), fmt.Sprintf("complete:%d", b.ID),
 					func() (struct{}, error) { return struct{}{}, cl.complete(req) }); err != nil {
 					// The completion is lost; the lease sweeper will
 					// requeue the batch, and our published results warm

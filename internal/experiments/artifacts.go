@@ -311,7 +311,7 @@ func (pl *Pipeline) assemble(app string) (*Workload, error) {
 	// completed prepare. The aborted stream leaves nothing behind (its
 	// partial store entries are discarded under tmp/).
 	if pl.window > 0 && !pl.storeWarm(app) {
-		w, err := engine.Guard("stream:"+app, false, func() (*Workload, error) {
+		w, err := engine.Guard("stream:"+app, func() (*Workload, error) {
 			return pl.assembleStreamed(app, prof)
 		})
 		if err == nil {

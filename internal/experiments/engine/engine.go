@@ -112,15 +112,14 @@ func (p *Pool) Queued() int { return int(p.queued.Load()) }
 // A panic escaping fn is recovered (reported via OnPanic) rather than
 // killing the process. This is a last-resort backstop: a task that
 // panics between TryClaim and Fulfill still strands its claimed keys, so
-// batch executors must install their own recovery that fulfills — the
-// suite's gang runner does (see its degradation ladder).
+// batch executors must install their own recovery that fulfills.
 func (p *Pool) Go(fn func()) {
 	p.acquire()
 	go func() {
 		defer p.release()
 		defer func() {
 			if r := recover(); r != nil {
-				ce := recoveredError("pool task", false, r, debug.Stack())
+				ce := recoveredError("pool task", r, debug.Stack())
 				if p.OnPanic != nil {
 					p.OnPanic(ce)
 				}
@@ -145,7 +144,7 @@ func (p *Pool) Each(n int, fn func(i int) error) error {
 		go func(i int) {
 			defer wg.Done()
 			defer p.release()
-			_, errs[i] = Guard(fmt.Sprintf("task %d", i), false, func() (struct{}, error) {
+			_, errs[i] = Guard(fmt.Sprintf("task %d", i), func() (struct{}, error) {
 				return struct{}{}, fn(i)
 			})
 		}(i)
@@ -241,7 +240,7 @@ func (g *Group[K, V]) run(k K, c *cell[V]) {
 	}
 	var retried int
 	key := fmt.Sprint(k)
-	c.val, c.err, retried = Retry(g.Retry, key, false, func() (V, error) {
+	c.val, c.err, retried = Retry(g.Retry, key, func() (V, error) {
 		faults.PanicPoint("compute", g.Name+":"+key)
 		return g.compute(k)
 	})
@@ -322,9 +321,10 @@ func (g *Group[K, V]) Require(keys ...K) error {
 // TryClaim claims k for external computation: true means the caller now
 // owns the key and must complete it with exactly one TryCache (that hits)
 // or Fulfill call; false means the key is already computed, in flight, or
-// owned elsewhere. Batch executors (gang simulation) use this to take a
-// set of keys out of the per-key compute path and produce them together —
-// a Get or Require arriving for a claimed key simply waits for the owner.
+// owned elsewhere. Batch executors (the distributed coordinator) use this
+// to take a set of keys out of the per-key compute path and produce them
+// elsewhere — a Get or Require arriving for a claimed key simply waits
+// for the owner.
 func (g *Group[K, V]) TryClaim(k K) bool {
 	c, _ := g.claim(k)
 	return c.started.CompareAndSwap(false, true)
@@ -367,6 +367,11 @@ func (g *Group[K, V]) Fulfill(k K, v V, err error) {
 	}
 	close(c.done)
 }
+
+// Compute completes a key claimed via TryClaim through the group's own
+// path — cache lookup, panic-guarded compute with retries, cache store,
+// OnDone — for a batch executor that could not produce the key itself.
+func (g *Group[K, V]) Compute(k K) { g.run(k, g.cellOf(k)) }
 
 // Forget drops a COMPLETED key from the memo so the next demand
 // recomputes it, returning whether anything was dropped. A key still in

@@ -15,14 +15,12 @@ import (
 )
 
 // CellError is the typed failure of one unit of engine work — a group
-// compute, a gang run, or a pool task. It carries enough attribution to
-// blame a specific cell (or gang) in logs and reports, and, when the
-// failure was a recovered panic, a short stack digest that groups
-// identical crashes across cells without dumping full stacks into every
-// error string.
+// compute or a pool task. It carries enough attribution to blame a
+// specific cell in logs and reports, and, when the failure was a
+// recovered panic, a short stack digest that groups identical crashes
+// across cells without dumping full stacks into every error string.
 type CellError struct {
 	Key         string // cell attribution, e.g. "media-streaming/acic/fdp"
-	Gang        bool   // failed inside a gang run (the whole gang degrades)
 	Panic       any    // recovered panic value; nil for plain errors
 	StackDigest string // first 12 hex chars of SHA-256 over the panic stack
 	Stack       []byte // full stack at recovery, for -v style diagnostics
@@ -32,14 +30,10 @@ type CellError struct {
 }
 
 func (e *CellError) Error() string {
-	unit := "cell"
-	if e.Gang {
-		unit = "gang"
-	}
 	if e.Panic != nil {
-		return fmt.Sprintf("engine: %s %s: panic: %v [stack %s]", unit, e.Key, e.Panic, e.StackDigest)
+		return fmt.Sprintf("engine: cell %s: panic: %v [stack %s]", e.Key, e.Panic, e.StackDigest)
 	}
-	return fmt.Sprintf("engine: %s %s: %v", unit, e.Key, e.Err)
+	return fmt.Sprintf("engine: cell %s: %v", e.Key, e.Err)
 }
 
 func (e *CellError) Unwrap() error { return e.Err }
@@ -54,11 +48,10 @@ func (e *CellError) Transient() bool { return e.transient }
 // panics (from faults.PanicPoint) are environmental by construction and
 // marked transient; anything else is treated as a deterministic bug and
 // fails without retry.
-func recoveredError(key string, gang bool, r any, stack []byte) *CellError {
+func recoveredError(key string, r any, stack []byte) *CellError {
 	sum := sha256.Sum256(stack)
 	return &CellError{
 		Key:         key,
-		Gang:        gang,
 		Panic:       r,
 		StackDigest: hex.EncodeToString(sum[:6]),
 		Stack:       stack,
@@ -90,12 +83,12 @@ func IsTransient(err error) bool {
 }
 
 // Guard runs fn with panic isolation: a panic becomes a *CellError
-// attributed to key (gang tags the error as a gang-level failure) instead
-// of unwinding the worker goroutine and killing the process.
-func Guard[V any](key string, gang bool, fn func() (V, error)) (v V, err error) {
+// attributed to key instead of unwinding the worker goroutine and killing
+// the process.
+func Guard[V any](key string, fn func() (V, error)) (v V, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = recoveredError(key, gang, r, debug.Stack())
+			err = recoveredError(key, r, debug.Stack())
 		}
 	}()
 	return fn()
@@ -160,7 +153,7 @@ func (p RetryPolicy) backoff(base, cap, prev time.Duration) time.Duration {
 // answer. Callers must ensure fn is safe to re-enter (the engine's fault
 // sites fire before any state is mutated, so injected failures always
 // leave fn re-runnable).
-func Retry[V any](p RetryPolicy, key string, gang bool, fn func() (V, error)) (V, error, int) {
+func Retry[V any](p RetryPolicy, key string, fn func() (V, error)) (V, error, int) {
 	attempts := p.Attempts
 	if attempts < 1 {
 		attempts = 1
@@ -180,7 +173,7 @@ func Retry[V any](p RetryPolicy, key string, gang bool, fn func() (V, error)) (V
 	prev := base
 	retries := 0
 	for attempt := 1; ; attempt++ {
-		v, err := Guard(key, gang, fn)
+		v, err := Guard(key, fn)
 		if err == nil || attempt >= attempts || !IsTransient(err) {
 			return v, err, retries
 		}

@@ -14,14 +14,14 @@ import (
 func noSleep(time.Duration) {}
 
 func TestGuardConvertsPanicToCellError(t *testing.T) {
-	_, err := Guard("app/acic/fdp", false, func() (int, error) {
+	_, err := Guard("app/acic/fdp", func() (int, error) {
 		panic("boom")
 	})
 	var ce *CellError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Guard returned %T, want *CellError", err)
 	}
-	if ce.Key != "app/acic/fdp" || ce.Gang || ce.Panic != "boom" {
+	if ce.Key != "app/acic/fdp" || ce.Panic != "boom" {
 		t.Fatalf("CellError = %+v", ce)
 	}
 	if len(ce.StackDigest) != 12 || len(ce.Stack) == 0 {
@@ -35,24 +35,13 @@ func TestGuardConvertsPanicToCellError(t *testing.T) {
 	}
 }
 
-func TestGuardGangAttribution(t *testing.T) {
-	_, err := Guard("gang:app[4]", true, func() (int, error) { panic(1) })
-	var ce *CellError
-	if !errors.As(err, &ce) || !ce.Gang {
-		t.Fatalf("err = %v, want gang CellError", err)
-	}
-	if !strings.Contains(ce.Error(), "gang gang:app[4]") {
-		t.Fatalf("Error() = %q", ce.Error())
-	}
-}
-
 func TestGuardPassesThroughValues(t *testing.T) {
-	v, err := Guard("k", false, func() (int, error) { return 42, nil })
+	v, err := Guard("k", func() (int, error) { return 42, nil })
 	if v != 42 || err != nil {
 		t.Fatalf("Guard = %d, %v", v, err)
 	}
 	wantErr := errors.New("plain")
-	_, err = Guard("k", false, func() (int, error) { return 0, wantErr })
+	_, err = Guard("k", func() (int, error) { return 0, wantErr })
 	if err != wantErr {
 		t.Fatalf("Guard rewrote plain error: %v", err)
 	}
@@ -63,7 +52,7 @@ func TestInjectedPanicIsTransient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer faults.Install("")
-	_, err := Guard("k", false, func() (int, error) {
+	_, err := Guard("k", func() (int, error) {
 		faults.PanicPoint("test", "k")
 		return 0, nil
 	})
@@ -94,7 +83,7 @@ func TestMarkTransient(t *testing.T) {
 
 func TestRetryRecoversTransientFailures(t *testing.T) {
 	calls := 0
-	v, err, retries := Retry(RetryPolicy{Attempts: 3, Sleep: noSleep}, "k", false, func() (int, error) {
+	v, err, retries := Retry(RetryPolicy{Attempts: 3, Sleep: noSleep}, "k", func() (int, error) {
 		calls++
 		if calls < 3 {
 			return 0, MarkTransient(errors.New("flaky"))
@@ -108,7 +97,7 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 
 func TestRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 	calls := 0
-	_, err, retries := Retry(RetryPolicy{Attempts: 5, Sleep: noSleep}, "k", false, func() (int, error) {
+	_, err, retries := Retry(RetryPolicy{Attempts: 5, Sleep: noSleep}, "k", func() (int, error) {
 		calls++
 		return 0, errors.New("deterministic")
 	})
@@ -116,7 +105,7 @@ func TestRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 		t.Fatalf("deterministic error retried: calls=%d retries=%d err=%v", calls, retries, err)
 	}
 	calls = 0
-	_, err, _ = Retry(RetryPolicy{Attempts: 5, Sleep: noSleep}, "k", false, func() (int, error) {
+	_, err, _ = Retry(RetryPolicy{Attempts: 5, Sleep: noSleep}, "k", func() (int, error) {
 		calls++
 		panic("genuine bug")
 	})
@@ -128,7 +117,7 @@ func TestRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 
 func TestRetryExhaustsAttempts(t *testing.T) {
 	calls := 0
-	_, err, retries := Retry(RetryPolicy{Attempts: 3, Sleep: noSleep}, "k", false, func() (int, error) {
+	_, err, retries := Retry(RetryPolicy{Attempts: 3, Sleep: noSleep}, "k", func() (int, error) {
 		calls++
 		return 0, MarkTransient(errors.New("always flaky"))
 	})
@@ -139,7 +128,7 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 
 func TestRetryZeroPolicySingleAttempt(t *testing.T) {
 	calls := 0
-	_, _, retries := Retry(RetryPolicy{}, "k", false, func() (int, error) {
+	_, _, retries := Retry(RetryPolicy{}, "k", func() (int, error) {
 		calls++
 		return 0, MarkTransient(errors.New("flaky"))
 	})

@@ -314,3 +314,144 @@ func TestPrefetchAwareSchemeRuns(t *testing.T) {
 		t.Errorf("pf-aware run broken: %+v name=%q", res, sub.Name())
 	}
 }
+
+// schemeCells lists one RunGangCells cell per scheme, each under the
+// batch Options' prefetcher.
+func schemeCells(schemes ...string) []GangCell {
+	cells := make([]GangCell, len(schemes))
+	for i, scheme := range schemes {
+		cells[i] = GangCell{Scheme: scheme}
+	}
+	return cells
+}
+
+// TestRunGangMatchesRunEverywhere: for two apps, every registered scheme
+// under every prefetcher platform must produce a bit-identical cpu.Result
+// through the RunGangCells batch entry point and through Run — which also
+// pins that no scheme carries state from one simulation into the next.
+func TestRunGangMatchesRunEverywhere(t *testing.T) {
+	schemes := SchemeNames()
+	for _, app := range []string{"media-streaming", "data-caching"} {
+		prof, ok := workload.ByName(app)
+		if !ok {
+			t.Fatalf("unknown workload %q", app)
+		}
+		w := Prepare(prof, 80_000)
+		for _, pf := range Prefetchers() {
+			opts := DefaultOptions()
+			opts.Prefetcher = pf
+			batchRes, _, batchErrs := RunGangCells(w, schemeCells(schemes...), opts)
+			for i, scheme := range schemes {
+				if batchErrs[i] != nil {
+					t.Fatalf("%s/%s/%s: batch error: %v", app, scheme, pf, batchErrs[i])
+				}
+				serial, err := Run(w, scheme, opts)
+				if err != nil {
+					t.Fatalf("%s/%s/%s: Run error: %v", app, scheme, pf, err)
+				}
+				if batchRes[i] != serial {
+					t.Errorf("%s/%s/%s: batch %+v != Run %+v", app, scheme, pf, batchRes[i], serial)
+				}
+			}
+		}
+	}
+}
+
+// TestRunGangPartialErrors: an unknown scheme errors in its own slot while
+// the valid cells still run and match Run.
+func TestRunGangPartialErrors(t *testing.T) {
+	prof, _ := workload.ByName("media-streaming")
+	w := Prepare(prof, 40_000)
+	opts := DefaultOptions()
+	res, _, errs := RunGangCells(w, schemeCells("lru", "no-such-scheme", "opt"), opts)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("valid cells errored: %v, %v", errs[0], errs[2])
+	}
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "no-such-scheme") {
+		t.Fatalf("invalid cell error = %v", errs[1])
+	}
+	want, err := Run(w, "opt", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[2] != want {
+		t.Errorf("cell after failed slot diverges: %+v != %+v", res[2], want)
+	}
+
+	badPf := DefaultOptions()
+	badPf.Prefetcher = "warp-drive"
+	_, _, errs = RunGangCells(w, schemeCells("lru"), badPf)
+	if errs[0] == nil {
+		t.Error("unknown prefetcher must error every cell")
+	}
+}
+
+// TestRunGangCellsCrossPrefetcher: cells mixing every platform (and the
+// "" shorthand for opts.Prefetcher) in one batch must each match a Run
+// under that cell's platform, and the retired window result reads 0.
+func TestRunGangCellsCrossPrefetcher(t *testing.T) {
+	prof, _ := workload.ByName("web-search")
+	w := Prepare(prof, 60_000)
+	cells := []GangCell{
+		{Scheme: "lru", Prefetcher: "fdp"},
+		{Scheme: "lru", Prefetcher: "none"},
+		{Scheme: "acic", Prefetcher: "entangling"},
+		{Scheme: "opt", Prefetcher: "next-line"},
+		{Scheme: "acic", Prefetcher: "stream"},
+		{Scheme: "acic", Prefetcher: ""}, // inherits opts.Prefetcher
+	}
+	opts := DefaultOptions()
+	res, window, errs := RunGangCells(w, cells, opts)
+	if window != 0 {
+		t.Errorf("RunGangCells reported window %d, want 0", window)
+	}
+	for i, c := range cells {
+		if errs[i] != nil {
+			t.Fatalf("cell %d (%s/%s): %v", i, c.Scheme, c.Prefetcher, errs[i])
+		}
+		serialOpts := opts
+		if c.Prefetcher != "" {
+			serialOpts.Prefetcher = c.Prefetcher
+		}
+		want, err := Run(w, c.Scheme, serialOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i] != want {
+			t.Errorf("cell %d (%s/%s): batch %+v != Run %+v", i, c.Scheme, c.Prefetcher, res[i], want)
+		}
+	}
+}
+
+// TestRunGangCellsPartialErrors: a bad scheme and a bad prefetcher each
+// error in their own slot; the surviving cells still run and match Run.
+func TestRunGangCellsPartialErrors(t *testing.T) {
+	prof, _ := workload.ByName("media-streaming")
+	w := Prepare(prof, 40_000)
+	opts := DefaultOptions()
+	cells := []GangCell{
+		{Scheme: "lru", Prefetcher: "none"},
+		{Scheme: "no-such-scheme", Prefetcher: "none"},
+		{Scheme: "opt", Prefetcher: "warp-drive"},
+		{Scheme: "opt", Prefetcher: "entangling"},
+	}
+	res, _, errs := RunGangCells(w, cells, opts)
+	if errs[0] != nil || errs[3] != nil {
+		t.Fatalf("valid cells errored: %v, %v", errs[0], errs[3])
+	}
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "no-such-scheme") {
+		t.Errorf("bad-scheme slot error = %v", errs[1])
+	}
+	if errs[2] == nil || !strings.Contains(errs[2].Error(), "warp-drive") {
+		t.Errorf("bad-prefetcher slot error = %v", errs[2])
+	}
+	serialOpts := opts
+	serialOpts.Prefetcher = "entangling"
+	want, err := Run(w, "opt", serialOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[3] != want {
+		t.Errorf("survivor after failed slots diverges: %+v != %+v", res[3], want)
+	}
+}

@@ -268,64 +268,14 @@ func TestStreamFallbackToBatch(t *testing.T) {
 	}
 }
 
-// TestGangDegradeLadder: injected gang panics must degrade to serial
-// reruns with results identical to a fault-free serial suite, and a cell
-// whose failure is deterministic (unknown scheme) must fail only itself.
-func TestGangDegradeLadder(t *testing.T) {
-	const n = 20_000
-	apps := []string{"media-streaming", "sibench"}
-	cells := CrossCells(apps, []string{"lru", "acic", "opt"}, "none")
-
-	clean := NewSuite(n)
-	clean.Apps = apps
-	if err := clean.Require(cells...); err != nil {
-		t.Fatal(err)
-	}
-
-	// every=1 fires on every panic-cell draw: each gang attempt panics at
-	// its boundary and every member walks the serial-rerun ladder. The
-	// serial reruns run through the results group's retry path whose
-	// compute boundary also draws — so give it enough attempts.
-	t.Setenv("ACIC_RETRY_ATTEMPTS", "4")
-	if err := faults.Install("panic-cell:every=2"); err != nil {
-		t.Fatal(err)
-	}
-	defer faults.Install("")
-	gang := NewSuite(n)
-	gang.Apps = apps
-	gang.GangSize = 3
-	if err := gang.Require(cells...); err != nil {
-		t.Fatal(err)
-	}
-	faults.Install("")
-
-	fs := gang.FaultStats()
-	if fs.GangDegraded == 0 && fs.Retries == 0 {
-		t.Fatalf("fault run absorbed nothing: %+v", fs)
-	}
-	for _, c := range cells {
-		want, err := clean.Result(c.App, c.Scheme, c.Prefetcher)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := gang.Result(c.App, c.Scheme, c.Prefetcher)
-		if err != nil {
-			t.Fatalf("%v: %v", c, err)
-		}
-		if want != got {
-			t.Fatalf("%v diverged under injected gang faults", c)
-		}
-	}
-}
-
-// TestGangBadMemberFailsOnlyItself: a deterministic per-member failure
-// re-runs serially, fails again, and is fulfilled with its own error —
-// the healthy members of the same gang still produce results.
+// TestGangBadMemberFailsOnlyItself: a deterministic per-cell failure is
+// not retried and fails only its own cell — the healthy cells of the same
+// batch still produce results. (The name is kept from when the bad cell
+// shared a gang with the healthy ones.)
 func TestGangBadMemberFailsOnlyItself(t *testing.T) {
 	const n = 20_000
 	s := NewSuite(n)
 	s.Apps = []string{"media-streaming"}
-	s.GangSize = 3
 	cells := []Cell{
 		{"media-streaming", "lru", "none"},
 		{"media-streaming", "no-such-scheme", "none"},
@@ -333,32 +283,29 @@ func TestGangBadMemberFailsOnlyItself(t *testing.T) {
 	}
 	err := s.Require(cells...)
 	if err == nil || !strings.Contains(err.Error(), "no-such-scheme") {
-		t.Fatalf("Require = %v, want the bad member's error", err)
+		t.Fatalf("Require = %v, want the bad cell's error", err)
 	}
 	for _, c := range []Cell{cells[0], cells[2]} {
 		if _, err := s.Result(c.App, c.Scheme, c.Prefetcher); err != nil {
-			t.Fatalf("healthy gang member %v poisoned: %v", c, err)
+			t.Fatalf("healthy cell %v poisoned: %v", c, err)
 		}
 	}
-	if fs := s.FaultStats(); fs.SerialReruns == 0 {
-		t.Fatalf("bad member never walked the ladder: %+v", fs)
+	if fs := s.FaultStats(); fs.Retries != 0 {
+		t.Fatalf("a deterministic failure was retried: %+v", fs)
 	}
 }
 
 // TestSuiteContextCancel: a cancelled suite context fails not-yet-started
-// cells with the context error, on both the per-cell and gang paths.
+// cells with the context error.
 func TestSuiteContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, gangSize := range []int{0, 2} {
-		s := NewSuite(20_000)
-		s.Apps = []string{"media-streaming"}
-		s.GangSize = gangSize
-		s.Context = ctx
-		err := s.Require(CrossCells(s.Apps, []string{"lru", "acic"}, "none")...)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("GangSize=%d: Require = %v, want context.Canceled", gangSize, err)
-		}
+	s := NewSuite(20_000)
+	s.Apps = []string{"media-streaming"}
+	s.Context = ctx
+	err := s.Require(CrossCells(s.Apps, []string{"lru", "acic"}, "none")...)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Require = %v, want context.Canceled", err)
 	}
 }
 
@@ -390,7 +337,6 @@ func TestFaultInjectedExpAllByteIdentical(t *testing.T) {
 	coldSuite := NewSuite(n)
 	coldSuite.Apps = apps
 	coldSuite.ArtifactDir = dir
-	coldSuite.GangSize = 3
 	cold := renderAll(t, coldSuite)
 	if cold != clean {
 		t.Fatalf("fault-injected cold output diverges from fault-free run")

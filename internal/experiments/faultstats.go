@@ -8,8 +8,7 @@ import (
 
 // FaultStats aggregates the suite's fault handling: what the injector
 // fired (zero without -fault-spec) and what the engine absorbed —
-// retries, gang degradations, serial reruns, stream fallbacks, and
-// quarantined store entries. Every field counts recovery work; results
+// retries, stream fallbacks, and quarantined store entries. Every field counts recovery work; results
 // themselves stay byte-identical to a fault-free run, which is the
 // invariant CI's fault smoke pins.
 type FaultStats struct {
@@ -22,14 +21,8 @@ type FaultStats struct {
 	InjectedPanics      int64 `json:"injected_panics"`
 	InjectedNetErrs     int64 `json:"injected_net_errs"`
 	// Retries counts extra compute attempts spent recovering transient
-	// failures across the result group, the pipeline stages, and the
-	// serial-rerun ladder.
+	// failures across the result group and the pipeline stages.
 	Retries int64 `json:"retries"`
-	// GangDegraded counts gang runs that died whole and degraded to
-	// serial; SerialReruns counts the individual cells the ladder re-ran
-	// (members of degraded gangs plus per-slot failures).
-	GangDegraded int64 `json:"gang_degraded"`
-	SerialReruns int64 `json:"serial_reruns"`
 	// StreamFallbacks counts streamed prepares that failed mid-window and
 	// fell back to batch.
 	StreamFallbacks int64 `json:"stream_fallbacks"`
@@ -41,28 +34,26 @@ type FaultStats struct {
 // recorded.
 func (f FaultStats) Any() bool {
 	return f.InjectedIOErrs != 0 || f.InjectedCorruptions != 0 || f.InjectedPanics != 0 ||
-		f.InjectedNetErrs != 0 || f.Retries != 0 || f.GangDegraded != 0 ||
-		f.SerialReruns != 0 || f.StreamFallbacks != 0 || f.Quarantined != 0
+		f.InjectedNetErrs != 0 || f.Retries != 0 || f.StreamFallbacks != 0 || f.Quarantined != 0
 }
 
 // Recovered totals the recovery work the engine spent absorbing faults
-// — retries, degraded gangs, serial reruns, stream fallbacks, and
-// quarantines. acic-serve charges this total against per-request fault
+// — retries, stream fallbacks, and quarantines. acic-serve charges this total against per-request fault
 // budgets: a request whose service consumed excessive recovery work is
 // refused (CodeFaultBudget) rather than allowed to mask a degrading
 // store or injector behind ever-slower answers.
 func (f FaultStats) Recovered() int64 {
-	return f.Retries + f.GangDegraded + f.SerialReruns + f.StreamFallbacks + f.Quarantined
+	return f.Retries + f.StreamFallbacks + f.Quarantined
 }
 
 // String renders the single-line summary -progress and the bench tier
 // print, e.g.
 //
-//	faults: injected 12 io / 3 corrupt / 5 panic / 4 net; recovered 5 retries, 2 gang-degraded, 9 serial-reruns, 1 stream-fallback, 3 quarantined
+//	faults: injected 12 io / 3 corrupt / 5 panic / 4 net; recovered 5 retries, 1 stream-fallbacks, 3 quarantined
 func (f FaultStats) String() string {
-	return fmt.Sprintf("faults: injected %d io / %d corrupt / %d panic / %d net; recovered %d retries, %d gang-degraded, %d serial-reruns, %d stream-fallbacks, %d quarantined",
+	return fmt.Sprintf("faults: injected %d io / %d corrupt / %d panic / %d net; recovered %d retries, %d stream-fallbacks, %d quarantined",
 		f.InjectedIOErrs, f.InjectedCorruptions, f.InjectedPanics, f.InjectedNetErrs,
-		f.Retries, f.GangDegraded, f.SerialReruns, f.StreamFallbacks, f.Quarantined)
+		f.Retries, f.StreamFallbacks, f.Quarantined)
 }
 
 // FaultStats reports the suite's fault handling so far. Injector counts
@@ -77,9 +68,7 @@ func (s *Suite) FaultStats() FaultStats {
 		InjectedCorruptions: snap.Corruptions,
 		InjectedPanics:      snap.Panics,
 		InjectedNetErrs:     snap.NetErrs,
-		Retries:             s.results.Retries() + s.pipeline.Retries() + s.ladderRetries.Load(),
-		GangDegraded:        s.gangDegraded.Load(),
-		SerialReruns:        s.serialReruns.Load(),
+		Retries:             s.results.Retries() + s.pipeline.Retries(),
 		StreamFallbacks:     s.pipeline.StreamFallbacks(),
 		Quarantined:         s.pipeline.Quarantined(),
 	}

@@ -32,7 +32,7 @@ import (
 //
 // v2: the data-side memory hierarchy was decoupled from the
 // instruction-miss stream into a per-workload precomputed latency
-// timeline (DESIGN.md §8), shifting absolute cycle counts.
+// timeline (DESIGN.md §3), shifting absolute cycle counts.
 //
 // v3: result-cache keys grew a sampling component (sampleKey) so
 // set-sampled quick-look results and full-grid reference results can

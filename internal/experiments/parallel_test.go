@@ -1,9 +1,15 @@
 package experiments
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"acic/internal/cpu"
+	"acic/internal/faults"
+	"acic/internal/icache"
 )
 
 // fig10Slice renders a small Fig10/Fig11 slice with the given worker
@@ -155,5 +161,126 @@ func TestCacheKeySeparatesCells(t *testing.T) {
 	c := Cell{"media-streaming", "lru", "fdp"}
 	if s.cacheKey(c) == s2.cacheKey(c) {
 		t.Error("different trace lengths must not share cache keys")
+	}
+}
+
+// TestSplitBalanced pins the chunker: contiguous, order-preserving, sizes
+// within one of each other, degenerate part counts clamped.
+func TestSplitBalanced(t *testing.T) {
+	batch := make([]Cell, 5)
+	for i := range batch {
+		batch[i] = Cell{App: "a", Scheme: fmt.Sprintf("s%d", i)}
+	}
+	for _, parts := range []int{0, 1, 2, 3, 5, 9} {
+		out := splitBalanced(batch, parts)
+		wantParts := parts
+		if wantParts < 1 {
+			wantParts = 1
+		}
+		if wantParts > len(batch) {
+			wantParts = len(batch)
+		}
+		if len(out) != wantParts {
+			t.Errorf("parts=%d: got %d chunks, want %d", parts, len(out), wantParts)
+		}
+		var flat []Cell
+		min, max := len(batch), 0
+		for _, chunk := range out {
+			flat = append(flat, chunk...)
+			if len(chunk) < min {
+				min = len(chunk)
+			}
+			if len(chunk) > max {
+				max = len(chunk)
+			}
+		}
+		if max-min > 1 {
+			t.Errorf("parts=%d: chunk sizes spread %d..%d", parts, min, max)
+		}
+		for i := range flat {
+			if flat[i] != batch[i] {
+				t.Fatalf("parts=%d: order not preserved at %d", parts, i)
+			}
+		}
+	}
+}
+
+// TestSuiteInstrumentEveryPath: Suite.Instrument sees the subsystem that
+// produces each cell's result on a first attempt and on a retry, so the
+// last call for a cell is always the run that counted. The poisoned run's
+// hook raises an injected (transient) panic on the acic cell's first
+// attempt: that subsystem never simulates, and the retry instruments the
+// cell again.
+func TestSuiteInstrumentEveryPath(t *testing.T) {
+	const app = "media-streaming"
+	cells := CrossCells([]string{app}, []string{"acic", "lru", "opt"}, "fdp")
+	acic := cells[0]
+	decisions := func(sub icache.Subsystem) uint64 { return sub.(*icache.Complex).ACIC().Decisions }
+	var want []cpu.Result
+	var wantDecisions uint64
+	for _, tc := range []struct {
+		name      string
+		poison    bool
+		wantCalls []int // per cell of cells
+	}{
+		{"serial", false, []int{1, 1, 1}},
+		{"degraded", true, []int{2, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSuite(20_000)
+			s.Apps = []string{app}
+			var mu sync.Mutex
+			calls := map[Cell]int{}
+			first := map[Cell]icache.Subsystem{}
+			last := map[Cell]icache.Subsystem{}
+			s.Instrument = func(c Cell, sub icache.Subsystem) {
+				mu.Lock()
+				calls[c]++
+				n := calls[c]
+				if n == 1 {
+					first[c] = sub
+				}
+				last[c] = sub
+				mu.Unlock()
+				if tc.poison && n == 1 && c == acic {
+					panic(&faults.Injected{Site: "instrument", Key: c.String()})
+				}
+			}
+			if err := s.Require(cells...); err != nil {
+				t.Fatal(err)
+			}
+			var got []cpu.Result
+			for i, c := range cells {
+				if calls[c] != tc.wantCalls[i] {
+					t.Errorf("%v instrumented %d times, want %d", c, calls[c], tc.wantCalls[i])
+				}
+				got = append(got, s.res(c.App, c.Scheme, c.Prefetcher))
+			}
+			if fs := s.FaultStats(); tc.poison != (fs.Retries == 1) {
+				t.Errorf("%d retries, want one only when poisoned (%v)", fs.Retries, tc.poison)
+			}
+			if last[acic] == nil {
+				t.Fatal("the acic cell was never instrumented")
+			}
+			d := decisions(last[acic])
+			if d == 0 {
+				t.Fatal("the last instrumented acic subsystem recorded no decisions")
+			}
+			if tc.poison && decisions(first[acic]) != 0 {
+				t.Error("the failed attempt's acic subsystem simulated")
+			}
+			if want == nil {
+				want, wantDecisions = got, d
+				return
+			}
+			if d != wantDecisions {
+				t.Errorf("acic decisions = %d, serial run saw %d", d, wantDecisions)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%v: result diverges from the serial run", cells[i])
+				}
+			}
+		})
 	}
 }

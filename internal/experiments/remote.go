@@ -7,25 +7,24 @@ import (
 
 // Remote is the seam between a Suite and a distributed executor (the
 // coordinator in acic-coord). When set, Require routes each batch's
-// not-yet-planned cells here instead of the local gang scheduler: Submit
-// receives one same-app group at a time — the steal unit, sized so a
-// worker can run it as a single gang and keep the one-traversal-many-
-// schemes win — and must arrange for done to be called exactly once per
-// cell, from any goroutine, without blocking inside Submit itself.
+// not-yet-planned cells here instead of the local worker pool: Submit
+// receives one same-app chunk at a time — the steal unit, so a worker
+// prepares the workload once for the whole chunk — and must arrange for
+// done to be called exactly once per cell, from any goroutine, without
+// blocking inside Submit itself.
 //
-// The error passed to done drives the suite's ladder exactly like PR 8's
-// local split: nil means the cell's result was published to the shared
-// store (the suite loads it from there); a transient error (worker death,
-// injected fault, requeue budget exhausted) falls back to computing the
-// cell locally; a deterministic error fails just the figures needing the
-// cell.
+// The error passed to done decides the cell's fate: nil means the cell's
+// result was published to the shared store (the suite loads it from
+// there); a transient error (worker death, injected fault, requeue budget
+// exhausted) falls back to computing the cell locally; a deterministic
+// error fails just the figures needing the cell.
 type Remote interface {
 	Submit(app string, cells []Cell, done func(c Cell, err error))
 }
 
-// remoteChunk bounds the steal unit when GangSize does not: same-app
-// groups are split into chunks of at most this many cells, so a wide
-// grid still spreads across workers.
+// remoteChunk bounds the steal unit: same-app groups are split into
+// chunks of at most this many cells, so a wide grid still spreads across
+// workers.
 const remoteChunk = 10
 
 // submitRemote claims the batch's not-yet-planned cells and hands them to
@@ -49,17 +48,31 @@ func (s *Suite) submitRemote(cells []Cell) {
 		}
 		claimed[c.App] = append(claimed[c.App], c)
 	}
-	chunk := s.GangSize
-	if chunk < 1 {
-		chunk = remoteChunk
-	}
 	for _, app := range order {
 		group := claimed[app]
-		parts := (len(group) + chunk - 1) / chunk
+		parts := (len(group) + remoteChunk - 1) / remoteChunk
 		for _, unit := range splitBalanced(group, parts) {
 			s.Remote.Submit(app, unit, s.remoteDone)
 		}
 	}
+}
+
+// splitBalanced cuts batch into parts contiguous chunks whose sizes differ
+// by at most one, preserving order.
+func splitBalanced(batch []Cell, parts int) [][]Cell {
+	if parts < 1 {
+		parts = 1
+	}
+	if parts > len(batch) {
+		parts = len(batch)
+	}
+	out := make([][]Cell, 0, parts)
+	for start, i := 0, 0; i < parts; i++ {
+		end := start + (len(batch)-start)/(parts-i)
+		out = append(out, batch[start:end])
+		start = end
+	}
+	return out
 }
 
 // remoteDone completes one remotely executed cell. Success means the
@@ -68,18 +81,19 @@ func (s *Suite) submitRemote(cells []Cell) {
 // the renderer sees round-tripped the same content-addressed entry a
 // warm local run would read. A success whose entry cannot be loaded
 // (store lost the write, injected net-err on our side) and any transient
-// failure fall back to the local serial ladder, which keeps the run live
-// even with zero healthy workers; a deterministic failure is recorded
-// as the cell's typed error without wasting a local rerun.
+// failure compute the cell locally through the group's guarded, retried
+// path, which keeps the run live even with zero healthy workers; a
+// deterministic failure is recorded as the cell's typed error without
+// wasting a local rerun.
 func (s *Suite) remoteDone(c Cell, err error) {
 	switch {
 	case err == nil:
 		if s.results.TryCache(c) {
 			return
 		}
-		s.rerunSerial(c)
+		s.results.Compute(c)
 	case engine.IsTransient(err):
-		s.rerunSerial(c)
+		s.results.Compute(c)
 	default:
 		s.results.Fulfill(c, cpu.Result{}, err)
 	}

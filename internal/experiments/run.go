@@ -12,7 +12,6 @@ import (
 	"acic/internal/analysis"
 	"acic/internal/branch"
 	"acic/internal/cpu"
-	"acic/internal/experiments/engine"
 	"acic/internal/icache"
 	"acic/internal/mem"
 	"acic/internal/prefetch"
@@ -57,14 +56,6 @@ func Prepare(p workload.Profile, n int) *Workload {
 	return w
 }
 
-// AutoGangWindow, as Options.GangWindow (or Suite.GangWindow), selects the
-// measured adaptive traversal window: derived at gang startup from the
-// members' probed footprints against the host cache budget
-// (MeasuredGangWindow) instead of the fixed cpu.DefaultGangWindow
-// heuristic. Like every window choice it affects only host-cache
-// behavior, never results.
-const AutoGangWindow = -1
-
 // Options configure a simulation run.
 type Options struct {
 	WarmupFrac float64 // fraction of instructions treated as warmup (0.1)
@@ -74,11 +65,6 @@ type Options struct {
 	// the returned results are extrapolated back to the whole cache
 	// (cpu.Result.Extrapolated; DESIGN.md §10 documents the error bounds).
 	Sample cpu.SampleConfig
-	// GangWindow is the traversal window gang runs use: 0 selects the
-	// fixed cpu.DefaultGangWindow, AutoGangWindow derives it from measured
-	// footprints (MeasuredGangWindow), any positive value pins it. Results
-	// are byte-identical at every setting.
-	GangWindow int
 }
 
 // DefaultOptions mirrors the paper's setup: FDP platform, 10% warmup.
@@ -226,125 +212,29 @@ func RunSubsystem(w *Workload, sub icache.Subsystem, opts Options) (cpu.Result, 
 	return sim.Run(warmup(w, opts)).Extrapolated(), nil
 }
 
-// GangCell names one gang member: a scheme run under a prefetcher
-// platform ("" = the gang Options' Prefetcher). Cross-prefetcher gangs
-// are sound because the only state members share is read-only — the
-// Program and its data-latency timeline, which is prefetcher-independent
-// (the data-access sequence is fixed by instruction order) — while every
-// prefetcher-touched structure (FTQ, FDP stream, Extra prefetcher tables)
-// is private per-member simulator state.
+// GangCell names one cell of a RunGangCells batch: a scheme run under a
+// prefetcher platform ("" = the batch Options' Prefetcher).
 type GangCell struct {
 	Scheme     string
 	Prefetcher string
 }
 
-// RunGangCells simulates a heterogeneous gang over one workload: members
-// may differ in prefetcher platform as well as scheme, and all advance
-// through one shared Program traversal (see cpu.Gang), with the members'
-// instruction-side hierarchies carved out of contiguous backing arrays.
-// Results and errors are indexed like cells; a member that fails to
-// construct (unknown scheme or prefetcher) reports its error in errs
-// while the remaining members still run. window reports the traversal
-// window the gang ran under (derived from measured footprints when
-// opts.GangWindow is AutoGangWindow). Each member's result is
-// bit-identical to Run(w, cell.Scheme, opts-with-cell.Prefetcher).
+// RunGangCells runs each cell over one workload through RunSubsystem, in
+// order. Results and errors are indexed like cells; a cell that fails to
+// construct (unknown scheme or prefetcher) reports its error in errs while
+// the others still run. The window result is always 0: it is kept, with
+// the signature, for callers written against the retired gang lane.
 func RunGangCells(w *Workload, cells []GangCell, opts Options) (results []cpu.Result, window int, errs []error) {
-	return runGangCells(w, cells, opts, nil)
-}
-
-// runGangCells is RunGangCells with an instrument hook, called with each
-// member's cell index and built subsystem before the gang simulates.
-// Every member gets its own platform config: stateful Extra prefetchers
-// must not be shared across members.
-func runGangCells(w *Workload, cells []GangCell, opts Options, instrument func(i int, sub icache.Subsystem)) (results []cpu.Result, window int, errs []error) {
 	results = make([]cpu.Result, len(cells))
 	errs = make([]error, len(cells))
-	if err := opts.Sample.Validate(); err != nil {
-		for i := range errs {
-			errs[i] = err
-		}
-		return results, 0, errs
-	}
-	subs := make([]icache.Subsystem, 0, len(cells))
-	members := make([]cpu.GangMember, 0, len(cells))
-	slot := make([]int, 0, len(cells))
 	for i, c := range cells {
-		pf := c.Prefetcher
-		if pf == "" {
-			pf = opts.Prefetcher
+		o := opts
+		if c.Prefetcher != "" {
+			o.Prefetcher = c.Prefetcher
 		}
-		cfg, err := platformConfig(pf)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		sub, err := NewSampledScheme(c.Scheme, w, opts.Sample)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		if instrument != nil {
-			instrument(i, sub)
-		}
-		cfg.Sample = opts.Sample
-		subs = append(subs, sub)
-		members = append(members, cpu.GangMember{Cfg: cfg, Sub: sub})
-		slot = append(slot, i)
+		results[i], errs[i] = Run(w, c.Scheme, o)
 	}
-	hiers := mem.NewGang(mem.DefaultConfig(), len(members))
-	for i := range members {
-		members[i].Hier = hiers[i]
-	}
-	window = opts.GangWindow
-	if window == AutoGangWindow {
-		window = MeasuredGangWindow(w.Prog, subs)
-	}
-	gang := cpu.NewGang(w.Prog, members, window)
-	for j, r := range gang.Run(warmup(w, opts)) {
-		results[slot[j]] = r.Extrapolated()
-	}
-	return results, gang.Window(), errs
-}
-
-// MeasuredGangWindow derives the traversal window an auto-mode gang of
-// the given subsystems runs under: the widest member footprint — the
-// default hierarchy's struct-of-gangs share plus the subsystem's own
-// estimate — is probed against the detected (or ACIC_LLC_BYTES-
-// overridden) host cache budget, with the program's measured bytes per
-// instruction sizing the shared window slice (cpu.AutoGangWindow
-// documents the rule).
-func MeasuredGangWindow(prog *cpu.Program, subs []icache.Subsystem) int {
-	hier := mem.New(mem.DefaultConfig()).FootprintBytes()
-	perMember := hier
-	for _, sub := range subs {
-		if fp := hier + subsystemFootprint(sub); fp > perMember {
-			perMember = fp
-		}
-	}
-	return cpu.AutoGangWindow(engine.LLCBytes(), perMember, len(subs), prog.GangBytesPerInstr())
-}
-
-// GangWindowEstimate reports the traversal window a members-wide gang of
-// default-footprint schemes over w would run under in auto mode, so the
-// measured bytes/instr and the host budget can be inspected without
-// running a simulation.
-func GangWindowEstimate(w *Workload, members int) int {
-	perMember := mem.New(mem.DefaultConfig()).FootprintBytes() + defaultSubsystemFootprint()
-	return cpu.AutoGangWindow(engine.LLCBytes(), perMember, members, w.Prog.GangBytesPerInstr())
-}
-
-// subsystemFootprint reads a subsystem's working-set estimate, falling
-// back to the default-geometry L1 arrays for subsystems that do not
-// report one.
-func subsystemFootprint(sub icache.Subsystem) int64 {
-	if f, ok := sub.(interface{ FootprintBytes() int64 }); ok {
-		return f.FootprintBytes()
-	}
-	return defaultSubsystemFootprint()
-}
-
-func defaultSubsystemFootprint() int64 {
-	return int64(icache.DefaultSets * icache.DefaultWays * 24)
+	return results, 0, errs
 }
 
 // Speedup returns base cycles over result cycles.

@@ -120,9 +120,8 @@ func TestSampledDeterministic(t *testing.T) {
 	}
 }
 
-// TestSampledGangMatchesSerial pins that gang execution of sampled cells
-// produces results identical to serial sampled runs — the sampled lane's
-// pause/resume contract under cpu.Gang.
+// TestSampledGangMatchesSerial pins the RunGangCells batch entry point to
+// per-cell Run results on the sampled lane.
 func TestSampledGangMatchesSerial(t *testing.T) {
 	w := sampledTestWorkload(t, "web-search", 150_000)
 	schemes := []string{"lru", "srrip", "acic", "opt"}
@@ -136,16 +135,16 @@ func TestSampledGangMatchesSerial(t *testing.T) {
 		}
 		serial[i] = r
 	}
-	gang, _, errs := RunGangCells(w, schemeCells(schemes...), opts)
+	batch, _, errs := RunGangCells(w, schemeCells(schemes...), opts)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("%s: %v", schemes[i], err)
 		}
 	}
 	for i := range schemes {
-		if gang[i] != serial[i] {
-			t.Errorf("%s: gang sampled result diverges from serial:\n  gang   %+v\n  serial %+v",
-				schemes[i], gang[i], serial[i])
+		if batch[i] != serial[i] {
+			t.Errorf("%s: batch sampled result diverges from Run:\n  batch %+v\n  Run   %+v",
+				schemes[i], batch[i], serial[i])
 		}
 	}
 }

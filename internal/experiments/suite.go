@@ -12,7 +12,6 @@ import (
 	"acic/internal/cache"
 	"acic/internal/cpu"
 	"acic/internal/experiments/engine"
-	"acic/internal/faults"
 	"acic/internal/icache"
 	"acic/internal/workload"
 )
@@ -86,23 +85,6 @@ type Suite struct {
 	// safely serves both lanes. 0 (or 64) keeps the byte-identical full
 	// reference path. Must be a power of two.
 	SampleSets int
-	// GangSize, when > 1, turns on gang execution: each Require batch
-	// groups its same-app cells — across prefetcher platforms, since the
-	// shared Program and its data-latency timeline are prefetcher-
-	// independent — and runs every group as a single cpu.Gang simulation,
-	// one Program traversal driving all of the group's (scheme,
-	// prefetcher) members, instead of one task per cell. Groups are split
-	// into chunks of at most GangSize, widened to fill idle pool slots
-	// (see submitGangs), so a wide grid still fans out across the worker
-	// pool. Results, the per-cell memo, the disk cache, and rendered
-	// output are byte-identical to per-cell execution at any GangSize.
-	GangSize int
-	// GangWindow selects the gang traversal window: 0 runs the fixed
-	// cpu.DefaultGangWindow heuristic, AutoGangWindow derives the window
-	// from measured member footprints against the host cache budget
-	// (MeasuredGangWindow), and any positive value pins it. Windows only
-	// affect host-cache behavior, never results or cache keys.
-	GangWindow int
 	// SampleOffset pins the sampled constituency when SampleSets is
 	// active: 0 (the default) derives a per-workload offset from the
 	// trace digest — constituency 0 is alignment-biased, see DESIGN.md
@@ -114,29 +96,26 @@ type Suite struct {
 	// human-readable label. Called from worker goroutines.
 	Progress func(done, total int, label string)
 	// Remote, when non-nil, routes each Require batch's new cells to a
-	// distributed executor instead of the local gang scheduler (see the
+	// distributed executor instead of the local worker pool (see the
 	// Remote interface in remote.go). Results come back through the
 	// shared store, so rendered output stays byte-identical to local
-	// execution; transiently failed cells fall back to the local serial
-	// ladder.
+	// execution; transiently failed cells are computed locally.
 	Remote Remote
 	// Context, when non-nil, cancels work that has not started yet: cells
-	// (and gang tasks) check it before simulating and fail with the
+	// check it before simulating and fail with the
 	// context's error once it is done. Cells already inside a simulation
 	// run to completion — the per-access hot path stays free of
 	// cancellation checks — so cancellation drains within one cell's
 	// latency. CLIs wire SIGINT/SIGTERM here for graceful shutdown.
 	Context context.Context
 	// Instrument, if non-nil, is called with each cell's freshly built
-	// subsystem on the worker goroutine about to simulate it — serial
-	// cells, gang members and the degrade ladder's serial reruns alike —
-	// so a caller can attach observers (acic-sim's ACIC decision
-	// recorder) without a second execution path. A gang that degrades
-	// re-instruments its members for their serial reruns, and a retried
-	// cell is instrumented once per attempt: a handler must replace, not
-	// accumulate, its per-cell state. Cells answered from CacheDir or by
-	// a Remote executor never simulate here and are never instrumented.
-	// Called concurrently from worker goroutines.
+	// subsystem on the worker goroutine about to simulate it, so a caller
+	// can attach observers (acic-sim's ACIC decision recorder) without a
+	// second execution path. A retried cell is instrumented once per
+	// attempt: a handler must replace, not accumulate, its per-cell
+	// state. Cells answered from CacheDir or by a Remote executor never
+	// simulate here and are never instrumented. Called concurrently from
+	// worker goroutines.
 	Instrument func(c Cell, sub icache.Subsystem)
 
 	once     sync.Once
@@ -151,29 +130,13 @@ type Suite struct {
 
 	sampleMu sync.Mutex
 	samples  map[string]cpu.SampleConfig // per-app sampling config (digest-derived offsets)
-
-	gangRuns     atomic.Int64 // gang tasks that reached simulation
-	gangCells    atomic.Int64 // cells produced by gang simulations
-	gangMixed    atomic.Int64 // gang runs spanning >1 prefetcher platform
-	gangMaxWidth atomic.Int64 // widest gang simulated
-	gangWindow   atomic.Int64 // traversal window of the most recent gang run
-
-	gangDegraded  atomic.Int64 // gangs that died whole and degraded to serial
-	serialReruns  atomic.Int64 // cells re-run serially by the degradation ladder
-	ladderRetries atomic.Int64 // retries spent inside serial reruns
 }
 
-// GangStats summarizes the suite's gang scheduling so far: how many gang
-// simulations ran, how many cells they produced, how many spanned more
-// than one prefetcher platform, the widest gang, and the traversal window
-// of the most recent run (uniform across runs unless workloads differ in
-// measured footprint under -gang-window auto).
+// GangStats is the counter shape of the retired gang lane. Both fields
+// read 0: every cell runs as its own simulation.
 type GangStats struct {
-	Gangs    int64
-	Cells    int64
-	Mixed    int64
-	MaxWidth int64
-	Window   int64
+	Gangs int64
+	Cells int64
 }
 
 // DefaultTraceLen is the default per-workload instruction count, overridable
@@ -273,12 +236,10 @@ func (s *Suite) sampleFor(app string) cpu.SampleConfig {
 // options returns the run options a suite cell of the given app — and
 // every instrumented per-app sweep the renderers fan out — executes
 // under: the paper defaults plus the suite's sampling mode (per-app, as
-// the sampled constituency is derived from the workload digest) and gang
-// window policy.
+// the sampled constituency is derived from the workload digest).
 func (s *Suite) options(app string) Options {
 	opts := DefaultOptions()
 	opts.Sample = s.sampleFor(app)
-	opts.GangWindow = s.GangWindow
 	return opts
 }
 
@@ -368,232 +329,20 @@ func (s *Suite) wl(app string) *Workload {
 
 // Require plans and executes the given cells: duplicates (within the batch
 // and against earlier work) are executed once, the rest run in parallel on
-// the worker pool. With GangSize > 1 the batch's new cells are first
-// grouped into gang tasks (same app, any prefetcher — one Program
-// traversal per gang). All cells are attempted; the first error in
-// argument order is returned. Renderers call Require before reading
-// results so their output does not depend on execution order.
+// the worker pool, or on the Remote executor when one is set. All cells
+// are attempted; the first error in argument order is returned. Renderers
+// call Require before reading results so their output does not depend on
+// execution order.
 func (s *Suite) Require(cells ...Cell) error {
 	s.init()
-	switch {
-	case s.Remote != nil:
+	if s.Remote != nil {
 		s.submitRemote(cells)
-	case s.GangSize > 1:
-		s.submitGangs(cells)
 	}
 	return s.results.Require(cells...)
 }
 
-// submitGangs claims the batch's not-yet-planned cells, groups them by app
-// in first-appearance order — prefetcher platforms mix freely within a
-// gang, since members share only the read-only Program — and submits one
-// pool task per chunk of the packing plan. The packer starts from the
-// minimum chunk count each group needs under GangSize and then splits the
-// widest chunks while idle pool slots remain (packChunks): with spare
-// workers, narrower-but-more gangs fill the pool; with the pool
-// saturated, GangSize-wide gangs amortize traversals best. Cells claimed
-// here are completed by their gang task; the results.Require that follows
-// only waits on them.
-func (s *Suite) submitGangs(cells []Cell) {
-	claimed := make(map[string][]Cell)
-	var order []string
-	for _, c := range cells {
-		if !s.results.TryClaim(c) {
-			continue // computed, in flight, or a duplicate within the batch
-		}
-		if _, ok := claimed[c.App]; !ok {
-			order = append(order, c.App)
-		}
-		claimed[c.App] = append(claimed[c.App], c)
-	}
-	sizes := make([]int, len(order))
-	for i, app := range order {
-		sizes[i] = len(claimed[app])
-	}
-	// The occupancy snapshot is taken once, before any task launches, so
-	// the plan does not react to its own submissions.
-	chunks := packChunks(sizes, s.GangSize, s.pool.Idle())
-	for i, app := range order {
-		for _, gang := range splitBalanced(claimed[app], chunks[i]) {
-			s.pool.Go(func() { s.runGangTask(gang) })
-		}
-	}
-}
-
-// packChunks decides how many gang tasks each group's cells split into.
-// Every group starts at its minimum — ceil(size/gangSize), the fewest
-// chunks that respect the width cap — and while the plan leaves pool
-// slots idle, the group whose chunks are currently widest is split once
-// more. Deterministic for a given occupancy snapshot; like the window,
-// the packing affects only scheduling, never results.
-func packChunks(sizes []int, gangSize, idle int) []int {
-	chunks := make([]int, len(sizes))
-	total := 0
-	for i, n := range sizes {
-		chunks[i] = (n + gangSize - 1) / gangSize
-		total += chunks[i]
-	}
-	for total < idle {
-		widest, width := -1, 1
-		for i, n := range sizes {
-			if w := (n + chunks[i] - 1) / chunks[i]; w > width {
-				widest, width = i, w
-			}
-		}
-		if widest < 0 {
-			break // every chunk is a single cell; nothing left to split
-		}
-		chunks[widest]++
-		total++
-	}
-	return chunks
-}
-
-// splitBalanced cuts batch into parts contiguous chunks whose sizes differ
-// by at most one, preserving order.
-func splitBalanced(batch []Cell, parts int) [][]Cell {
-	if parts < 1 {
-		parts = 1
-	}
-	if parts > len(batch) {
-		parts = len(batch)
-	}
-	out := make([][]Cell, 0, parts)
-	for start, i := 0, 0; i < parts; i++ {
-		end := start + (len(batch)-start)/(parts-i)
-		out = append(out, batch[start:end])
-		start = end
-	}
-	return out
-}
-
-// runGangTask produces one gang's cells: disk-cached members are fulfilled
-// directly, the rest — whatever mix of schemes and prefetcher platforms
-// survived the cache — run as a single gang simulation over the shared
-// workload. It is the one degrade ladder every CLI runs on.
-//
-// Failures walk a degradation ladder rather than failing the gang. A
-// panic anywhere in the gang run (the members share one Program
-// traversal, so no per-slot result can be trusted) degrades the whole
-// gang: every pending cell re-runs serially. A per-slot error with the
-// rest of the gang healthy re-runs just that cell serially while the
-// survivors' results stand. Serial reruns go through the guarded,
-// bounded-retry path (rerunSerial) and deliberately sit at the bottom of
-// the ladder — a cell that still fails there fails its figure with a
-// typed CellError, never the run. Every cell claimed by this task is
-// fulfilled on every path; an unfulfilled claim would deadlock the
-// Require waiting on it.
-func (s *Suite) runGangTask(gang []Cell) {
-	pending := gang[:0:0]
-	for _, c := range gang {
-		if !s.results.TryCache(c) {
-			pending = append(pending, c)
-		}
-	}
-	if len(pending) == 0 {
-		return
-	}
-	if err := s.ctxErr(); err != nil {
-		for _, c := range pending {
-			s.results.Fulfill(c, cpu.Result{}, err)
-		}
-		return
-	}
-	w, err := s.pipeline.Workload(pending[0].App)
-	if err != nil {
-		for _, c := range pending {
-			s.results.Fulfill(c, cpu.Result{}, err)
-		}
-		return
-	}
-	results, window, errs, gangErr := s.gangAttempt(w, pending)
-	if gangErr != nil {
-		s.gangDegraded.Add(1)
-		for _, c := range pending {
-			s.rerunSerial(c)
-		}
-		return
-	}
-	s.gangRuns.Add(1)
-	s.gangCells.Add(int64(len(pending)))
-	pfs := make(map[string]bool, 1)
-	for _, c := range pending {
-		pfs[c.Prefetcher] = true
-	}
-	if len(pfs) > 1 {
-		s.gangMixed.Add(1)
-	}
-	for old := s.gangMaxWidth.Load(); int64(len(pending)) > old; old = s.gangMaxWidth.Load() {
-		if s.gangMaxWidth.CompareAndSwap(old, int64(len(pending))) {
-			break
-		}
-	}
-	s.gangWindow.Store(int64(window))
-	for i, c := range pending {
-		if errs[i] != nil {
-			s.rerunSerial(c)
-			continue
-		}
-		s.results.Fulfill(c, results[i], nil)
-	}
-}
-
-// gangAttempt runs one gang simulation of the pending same-app cells
-// under panic isolation. A non-nil error means the gang as a whole
-// produced nothing usable (the caller degrades to serial); per-slot
-// construction errors come back in errs with the other slots' results
-// intact.
-func (s *Suite) gangAttempt(w *Workload, pending []Cell) ([]cpu.Result, int, []error, error) {
-	type gangOut struct {
-		results []cpu.Result
-		window  int
-		errs    []error
-	}
-	app := pending[0].App
-	gcells := make([]GangCell, len(pending))
-	key := app
-	for i, c := range pending {
-		gcells[i] = GangCell{Scheme: c.Scheme, Prefetcher: c.Prefetcher}
-		key += " " + c.Scheme + "/" + c.Prefetcher
-	}
-	opts := s.options(app)
-	var instrument func(int, icache.Subsystem)
-	if s.Instrument != nil {
-		instrument = func(i int, sub icache.Subsystem) { s.Instrument(pending[i], sub) }
-	}
-	out, err := engine.Guard(fmt.Sprintf("gang:%s[%d]", app, len(gcells)), true, func() (gangOut, error) {
-		faults.PanicPoint("gang", key)
-		results, window, errs := runGangCells(w, gcells, opts, instrument)
-		return gangOut{results, window, errs}, nil
-	})
-	return out.results, out.window, out.errs, err
-}
-
-// rerunSerial is the bottom rung of the degradation ladder: one cell,
-// re-run on its own through the guarded bounded-retry path, then
-// fulfilled with whatever came out — a result, or a typed error that
-// fails only the figures needing this cell.
-func (s *Suite) rerunSerial(c Cell) {
-	s.serialReruns.Add(1)
-	res, err, retried := engine.Retry(s.results.Retry, c.String(), false, func() (cpu.Result, error) {
-		return s.computeCell(c)
-	})
-	if retried > 0 {
-		s.ladderRetries.Add(int64(retried))
-	}
-	s.results.Fulfill(c, res, err)
-}
-
-// GangStats reports the suite's gang scheduling counters so far.
-func (s *Suite) GangStats() GangStats {
-	return GangStats{
-		Gangs:    s.gangRuns.Load(),
-		Cells:    s.gangCells.Load(),
-		Mixed:    s.gangMixed.Load(),
-		MaxWidth: s.gangMaxWidth.Load(),
-		Window:   s.gangWindow.Load(),
-	}
-}
+// GangStats reports the zero-valued counters of the retired gang lane.
+func (s *Suite) GangStats() GangStats { return GangStats{} }
 
 // Result returns the simulation result for (app, scheme) under the given
 // prefetcher (any name from Prefetchers()), computing it if needed.

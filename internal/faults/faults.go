@@ -45,9 +45,9 @@ const (
 	// caught by the container/entry checksums on the next load, which
 	// quarantines the file and regenerates.
 	CorruptArtifact
-	// PanicCell panics at a worker task boundary (group compute, gang
-	// start, stream window) with an Injected value, exercising panic
-	// isolation, retry, and the degradation ladder.
+	// PanicCell panics at a worker task boundary (group compute, stream
+	// window) with an Injected value, exercising panic isolation, retry,
+	// and the stream-to-batch fallback.
 	PanicCell
 	// NetErr makes an HTTP round trip fail as if the network dropped it:
 	// remote store loads become misses, stores are skipped, and the
@@ -227,7 +227,7 @@ func (s Stats) Total() int64 {
 // was environmental, not a simulator bug, so re-running the work is both
 // safe and expected to succeed.
 type Injected struct {
-	Site    string // hook site, e.g. "compute", "gang", "stream-window"
+	Site    string // hook site, e.g. "compute", "stream-window"
 	Key     string // the work the site guards
 	Attempt int64  // attempt index of (site, key) that fired
 }

@@ -118,7 +118,7 @@ func TestDecisionsIndependentOfScheduling(t *testing.T) {
 	draw := func(in *Injector, k int) [2][attempts]bool {
 		var out [2][attempts]bool
 		for a := 0; a < attempts; a++ {
-			out[0][a], _, _ = in.fire(PanicCell, "gang", fmt.Sprint(k))
+			out[0][a], _, _ = in.fire(PanicCell, "compute", fmt.Sprint(k))
 			out[1][a], _, _ = in.fire(IOErr, "store", fmt.Sprint(k))
 		}
 		return out

@@ -131,10 +131,6 @@ type Complex struct {
 	sample cache.SampleFilter
 	stats  Stats
 
-	// footprint is the host working-set estimate captured at construction
-	// (see FootprintBytes).
-	footprint int64
-
 	// actx is the reusable per-access context. One access may repopulate
 	// it several times (demand lookup, then the fill candidate), but it
 	// never escapes an access, so steady-state fetching performs zero heap
@@ -178,35 +174,12 @@ func New(cfg Config) (*Complex, error) {
 	if cfg.VictimBlocks > 0 {
 		c.vc = victim.NewVC(cfg.Sample.ScaleShared(cfg.VictimBlocks))
 	}
-	// Working-set estimate for gang window derivation: the L1 arrays are
-	// measured exactly; the block-granular side structures (i-Filter slots,
-	// victim-cache entries, the prefetch-covered table) are estimated at
-	// trackedBlockBytes each. They are a rounding error next to a member's
-	// memory-hierarchy arrays, so coarseness here is fine.
-	c.footprint = l1.FootprintBytes() + 64*trackedBlockBytes
-	if c.filter != nil {
-		c.footprint += int64(c.filter.Size()) * trackedBlockBytes
-	}
-	if cfg.VictimBlocks > 0 {
-		c.footprint += int64(cfg.Sample.ScaleShared(cfg.VictimBlocks)) * trackedBlockBytes
-	}
 	c.name = cfg.Name
 	if c.name == "" {
 		c.name = deriveName(cfg)
 	}
 	return c, nil
 }
-
-// trackedBlockBytes is the per-tracked-block host-byte estimate used for
-// the fully-associative side structures in FootprintBytes: a block number,
-// a carried next-use time, and bookkeeping.
-const trackedBlockBytes = 24
-
-// FootprintBytes estimates the host bytes of state this complex adds to a
-// gang member's working set (exact for the L1 arrays, per-block estimates
-// for the side structures). Adaptive gang-window derivation sums it with
-// the member's memory-hierarchy footprint.
-func (c *Complex) FootprintBytes() int64 { return c.footprint }
 
 // MustNew is New but panics on configuration errors.
 func MustNew(cfg Config) *Complex {
@@ -431,10 +404,9 @@ func (c *Complex) Stats() Stats { return c.stats }
 
 // VVCAdapter adapts victim.VVC to the Subsystem interface.
 type VVCAdapter struct {
-	V         *victim.VVC
-	sample    cache.SampleFilter
-	stats     Stats
-	footprint int64
+	V      *victim.VVC
+	sample cache.SampleFilter
+	stats  Stats
 }
 
 // NewVVC builds a VVC subsystem with the given geometry.
@@ -449,17 +421,11 @@ func NewSampledVVC(cfg victim.VVCConfig, sample cache.SampleFilter) *VVCAdapter 
 	return &VVCAdapter{
 		V:      victim.NewVVC(cfg),
 		sample: sample,
-		// Per-block estimate over the cache proper plus the tag table.
-		footprint: int64(cfg.Sets*cfg.Ways+1<<cfg.TableBits) * trackedBlockBytes,
 	}
 }
 
 // Name implements Subsystem.
 func (a *VVCAdapter) Name() string { return "vvc" }
-
-// FootprintBytes estimates the adapter's host working set for gang window
-// derivation, like Complex.FootprintBytes.
-func (a *VVCAdapter) FootprintBytes() int64 { return a.footprint }
 
 // Fetch implements Subsystem.
 func (a *VVCAdapter) Fetch(block uint64, _, _ int64) bool {

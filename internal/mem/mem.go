@@ -7,7 +7,7 @@
 //
 // The data and instruction streams run through separate L2/L3 state. That
 // is the one deliberate departure from Table II's unified L2/L3 (DESIGN.md
-// §8 quantifies it): the data-access sequence of a trace is fixed by
+// §3 quantifies it): the data-access sequence of a trace is fixed by
 // instruction order and therefore identical for every i-cache scheme, so
 // decoupling it from the scheme-dependent instruction-miss stream makes
 // every load/store latency a pure function of the workload. The cpu layer
@@ -81,27 +81,18 @@ type level struct {
 }
 
 func newLevel(sets, ways int) *level {
-	return newLevelInto(sets, ways, make([]memLine, sets*ways), make([]int32, sets))
-}
-
-// newLevelInto builds a level over caller-provided backing arrays (of
-// exactly sets*ways and sets entries), letting NewGang carve many members'
-// levels out of one contiguous allocation.
-func newLevelInto(sets, ways int, lines []memLine, mru []int32) *level {
 	if sets <= 0 || sets&(sets-1) != 0 || ways <= 0 {
 		panic("mem: bad level geometry")
 	}
+	lines := make([]memLine, sets*ways)
 	for i := range lines {
 		lines[i] = memLine{block: invalidKey}
-	}
-	for i := range mru {
-		mru[i] = 0
 	}
 	return &level{
 		mask:  uint64(sets - 1),
 		ways:  ways,
 		lines: lines,
-		mru:   mru,
+		mru:   make([]int32, sets),
 	}
 }
 
@@ -187,58 +178,8 @@ func New(cfg Config) *Hierarchy {
 	}
 }
 
-// NewGang builds n identically configured hierarchies whose level arrays
-// are carved out of per-level contiguous backing allocations
-// (struct-of-gangs layout): member i's L2 lines sit directly after member
-// i-1's, and likewise for L1d, L3, and the MRU hint arrays. A gang
-// simulation rotating through its members then walks adjacent memory
-// instead of n scattered heap objects, which keeps the combined
-// instruction-side state dense in the host cache. Each returned Hierarchy
-// is behaviorally identical to New(cfg).
-func NewGang(cfg Config, n int) []*Hierarchy {
-	if n < 0 {
-		panic("mem: negative gang size")
-	}
-	var (
-		l1dLines = make([]memLine, n*cfg.L1DSets*cfg.L1DWays)
-		l2Lines  = make([]memLine, n*cfg.L2Sets*cfg.L2Ways)
-		l3Lines  = make([]memLine, n*cfg.L3Sets*cfg.L3Ways)
-		l1dMRU   = make([]int32, n*cfg.L1DSets)
-		l2MRU    = make([]int32, n*cfg.L2Sets)
-		l3MRU    = make([]int32, n*cfg.L3Sets)
-	)
-	carve := func(lines []memLine, mru []int32, i, sets, ways int) *level {
-		return newLevelInto(sets, ways,
-			lines[i*sets*ways:(i+1)*sets*ways:(i+1)*sets*ways],
-			mru[i*sets:(i+1)*sets:(i+1)*sets])
-	}
-	hiers := make([]*Hierarchy, n)
-	for i := range hiers {
-		hiers[i] = &Hierarchy{
-			cfg: cfg,
-			l1d: carve(l1dLines, l1dMRU, i, cfg.L1DSets, cfg.L1DWays),
-			l2:  carve(l2Lines, l2MRU, i, cfg.L2Sets, cfg.L2Ways),
-			l3:  carve(l3Lines, l3MRU, i, cfg.L3Sets, cfg.L3Ways),
-			lat: cfg.Lat,
-		}
-	}
-	return hiers
-}
-
 // Config returns the configuration the hierarchy was built with.
 func (h *Hierarchy) Config() Config { return h.cfg }
-
-// FootprintBytes measures the backing bytes one hierarchy contributes to a
-// gang's per-member working set: the line arrays (16-byte memLine entries)
-// and MRU hint arrays of all three levels. For NewGang members this is
-// exactly the member's share of the contiguous struct-of-gangs backing,
-// which is what adaptive gang-window derivation probes.
-func (h *Hierarchy) FootprintBytes() int64 {
-	f := func(l *level) int64 {
-		return int64(len(l.lines))*16 + int64(len(l.mru))*4
-	}
-	return f(h.l1d) + f(h.l2) + f(h.l3)
-}
 
 // Latencies returns the configured level latencies.
 func (h *Hierarchy) Latencies() Latencies { return h.lat }

@@ -66,3 +66,13 @@ func TestDefaultConfigGeometry(t *testing.T) {
 		t.Errorf("L1D capacity = %d bytes, want 48KB", cfg.L1DSets*cfg.L1DWays*64)
 	}
 }
+
+// TestHierarchyConfig pins the Config accessor the cpu layer uses to key
+// the data-latency precompute.
+func TestHierarchyConfig(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.L2Sets = 256
+	if got := New(cfg).Config(); got != cfg {
+		t.Errorf("Config() = %+v, want %+v", got, cfg)
+	}
+}

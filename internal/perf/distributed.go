@@ -48,7 +48,6 @@ type DistributedSweep struct {
 	Apps         []string          `json:"apps"`
 	Schemes      []string          `json:"schemes"`
 	Prefetcher   string            `json:"prefetcher"`
-	GangSize     int               `json:"gang_size"`
 	PoolWidth    int               `json:"pool_width"` // per-process worker pool
 	HostCPUs     int               `json:"host_cpus"`  // runtime.NumCPU ceiling on lane parallelism
 	Cells        int               `json:"cells"`
@@ -57,9 +56,8 @@ type DistributedSweep struct {
 }
 
 // DistributedSchemes is the scheme row the distributed sweep shards: the
-// three classic baselines plus the paper's policy and the oracle — wide
-// enough that one app's row is a full gang, small enough that the sweep's
-// four cold lanes stay minutes, not hours.
+// three classic baselines plus the paper's policy and the oracle — small
+// enough that the sweep's four cold lanes stay minutes, not hours.
 func DistributedSchemes() []string {
 	return []string{"lru", "srrip", "ship", "acic", "opt"}
 }
@@ -83,12 +81,10 @@ func distPoolWidth() int {
 func measureDistributedSweep(cfg Config) (DistributedSweep, error) {
 	schemes := DistributedSchemes()
 	width := distPoolWidth()
-	gang := len(schemes)
 
 	single := experiments.NewSuite(cfg.N)
 	single.Context = cfg.Context
 	single.Workers = width
-	single.GangSize = gang
 	apps := single.AppNames()
 	cells := experiments.CrossCells(apps, schemes, "fdp")
 	start := time.Now()
@@ -109,7 +105,6 @@ func measureDistributedSweep(cfg Config) (DistributedSweep, error) {
 		Apps:         apps,
 		Schemes:      schemes,
 		Prefetcher:   "fdp",
-		GangSize:     gang,
 		PoolWidth:    width,
 		HostCPUs:     runtime.NumCPU(),
 		Cells:        len(cells),
@@ -119,7 +114,7 @@ func measureDistributedSweep(cfg Config) (DistributedSweep, error) {
 		if cfg.Context != nil && cfg.Context.Err() != nil {
 			return sweep, nil
 		}
-		lane, err := runDistributedLane(cfg, cells, ref, nw, width, gang)
+		lane, err := runDistributedLane(cfg, cells, ref, nw, width)
 		if err != nil {
 			return sweep, fmt.Errorf("lane workers=%d: %w", nw, err)
 		}
@@ -132,7 +127,7 @@ func measureDistributedSweep(cfg Config) (DistributedSweep, error) {
 // runDistributedLane executes the grid through a real coordinator — HTTP
 // listener, shared store, work-stealing claims — with nw in-process
 // workers, the same wiring acic-coord uses minus the process boundary.
-func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, nw, width, gang int) (DistributedLane, error) {
+func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, nw, width int) (DistributedLane, error) {
 	dir, err := os.MkdirTemp("", "acic-dist-sweep-*")
 	if err != nil {
 		return DistributedLane{}, err
@@ -149,7 +144,7 @@ func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, 
 	url := "http://" + ln.Addr().String()
 
 	coord := distrib.NewCoordinator(distrib.CoordinatorOptions{
-		Config: distrib.Config{N: cfg.N, GangSize: gang, StoreURL: url},
+		Config: distrib.Config{N: cfg.N, StoreURL: url},
 		Lease:  time.Minute,
 	})
 	defer coord.Close()
@@ -181,7 +176,6 @@ func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, 
 	s := experiments.NewSuite(cfg.N)
 	s.Context = cfg.Context
 	s.Workers = width
-	s.GangSize = gang
 	s.CacheDir, s.ArtifactDir = dir, dir
 	s.Remote = coord
 	if err := s.CacheError(); err != nil {

@@ -1,9 +1,8 @@
 // Package perf measures raw simulator throughput — nanoseconds per block
 // access and accesses per second — for a grid of (scheme × prefetcher)
-// cells over one workload, plus suite-level sweep wall-clocks that compare
-// the per-scheme path against gang execution (one Program traversal
-// driving a whole scheme row, experiments.RunGang) and the prepare-phase
-// wall-clock over the staged workload artifact pipeline. The measurements
+// cells over one workload, plus the prepare-phase wall-clock over the
+// staged workload artifact pipeline and optional sampled, prepare and
+// distributed sweeps. The measurements
 // serialize to JSON (the files under bench/trajectory/ are the tracked
 // trajectory, one per hot-path PR — see its index.json) so that future
 // PRs can regress hot-path changes against a committed baseline instead
@@ -43,25 +42,6 @@ type Cell struct {
 	AccessesPerSec float64 `json:"accesses_per_sec"` // 1e9 / NsPerAccess
 }
 
-// Sweep is one suite-level wall-clock measurement: a full scheme row under
-// one prefetcher, timed end to end (subsystem construction included, as a
-// suite pays it) through the per-scheme path and through gangs. The
-// per-member results of both paths are verified identical before the
-// timing is reported.
-type Sweep struct {
-	App               string   `json:"app"`
-	Prefetcher        string   `json:"prefetcher"`
-	Schemes           []string `json:"schemes"`
-	GangSize          int      `json:"gang_size"`
-	Runs              int      `json:"runs"` // repetitions per path; best kept
-	Accesses          int64    `json:"accesses_per_scheme"`
-	SerialWallNs      int64    `json:"serial_wall_ns"`
-	GangWallNs        int64    `json:"gang_wall_ns"`
-	GangSpeedup       float64  `json:"gang_speedup"`         // serial wall / gang wall
-	SerialNsPerAccess float64  `json:"serial_ns_per_access"` // aggregate over all members
-	GangNsPerAccess   float64  `json:"gang_ns_per_access"`
-}
-
 // SampledSweep is one set-sampled fast-mode wall-clock measurement: a
 // full scheme row under one prefetcher, timed end to end through the
 // reference path and through the sampled lane (Run under the
@@ -80,28 +60,6 @@ type SampledSweep struct {
 	Speedup           float64  `json:"sampled_speedup"`
 	MeanCyclesErrPct  float64  `json:"mean_cycles_err_pct"`
 	WorstCyclesErrPct float64  `json:"worst_cycles_err_pct"`
-}
-
-// CrossSweep is one cross-prefetcher row wall-clock measurement: a grid
-// of (scheme × prefetcher) cells over one workload, timed end to end
-// through the per-cell serial path and through gang execution twice —
-// once under the fixed default traversal window and once under the
-// measured adaptive window (experiments.AutoGangWindow). All three paths
-// are verified to produce identical results before the timings are
-// reported, so the speedups travel with the determinism claim.
-type CrossSweep struct {
-	Name         string   `json:"name"` // row composition id (CrossSweepRows)
-	App          string   `json:"app"`
-	Schemes      []string `json:"schemes"`
-	Prefetchers  []string `json:"prefetchers"`
-	GangSize     int      `json:"gang_size"`
-	Runs         int      `json:"runs"`        // repetitions per path; best kept
-	AutoWindow   int      `json:"auto_window"` // derived traversal window (instructions)
-	SerialWallNs int64    `json:"serial_wall_ns"`
-	FixedWallNs  int64    `json:"fixed_wall_ns"` // gang, default window
-	AutoWallNs   int64    `json:"auto_wall_ns"`  // gang, measured window
-	FixedSpeedup float64  `json:"fixed_speedup"` // serial wall / fixed-window gang wall
-	AutoSpeedup  float64  `json:"auto_speedup"`  // serial wall / auto-window gang wall
 }
 
 // PrepareSweep is one cold-prepare measurement: the same workload prepared
@@ -124,31 +82,6 @@ type PrepareSweep struct {
 	ArtifactsLoadClean bool    `json:"artifacts_load_clean"` // batch pipeline warm-loads the streamed store
 }
 
-// CrossSweepRow names a tracked cross-prefetcher row composition.
-type CrossSweepRow struct {
-	Name        string
-	Schemes     []string
-	Prefetchers []string
-}
-
-// CrossSweepRows returns the tracked row compositions: the Fig 20/21
-// scheme row on the entangling platform, the prefetcher-baseline row
-// (one scheme fanned across every platform — gangable only since rows
-// may span prefetchers), and the prefetch-aware comparison grid.
-func CrossSweepRows() []CrossSweepRow {
-	return []CrossSweepRow{
-		{Name: "fig20-21",
-			Schemes:     append([]string{experiments.Baseline}, experiments.SPECSchemes...),
-			Prefetchers: []string{"entangling"}},
-		{Name: "ext-prefetchers",
-			Schemes:     []string{experiments.Baseline},
-			Prefetchers: experiments.Prefetchers()},
-		{Name: "ext-pfaware",
-			Schemes:     []string{experiments.Baseline, "acic", "acic-pfaware"},
-			Prefetchers: []string{"fdp", "entangling"}},
-	}
-}
-
 // Report is the serialized benchmark trajectory for one tree state.
 type Report struct {
 	GoVersion string `json:"go_version"`
@@ -169,9 +102,7 @@ type Report struct {
 	PrepareWindow    int                      `json:"prepare_window,omitempty"`
 	PrepareStages    []experiments.StageStats `json:"prepare_stages,omitempty"`
 	Cells            []Cell                   `json:"cells"`
-	Sweeps           []Sweep                  `json:"gang_sweeps,omitempty"`
 	SampledSweeps    []SampledSweep           `json:"sampled_sweeps,omitempty"`
-	CrossSweeps      []CrossSweep             `json:"cross_sweeps,omitempty"`
 	PrepareSweeps    []PrepareSweep           `json:"prepare_sweeps,omitempty"`
 	// DistributedSweeps records the coordinator/worker lane measurements
 	// (distributed.go) when Config.DistributedSweeps asked for them.
@@ -200,8 +131,6 @@ type Config struct {
 	Schemes     []string // scheme names (default DefaultSchemes)
 	Prefetchers []string // prefetcher platforms (default {"none", "fdp"})
 	Repeats     int      // timed repetitions per cell, best kept (default 3)
-	GangSize    int      // schemes per gang in the sweep (0 = all; < 0 skips sweeps)
-	GangWindow  int      // gang traversal window for the plain gang sweeps (experiments.Options.GangWindow encoding)
 	SampleSets  int      // also measure set-sampled sweeps at this -sample-sets (0 = skip)
 	ArtifactDir string   // persistent workload artifact store ("" = prepare in memory)
 	// PrepareWindow streams the report's own prepare phase in windows of
@@ -319,18 +248,6 @@ func Measure(cfg Config) (*Report, error) {
 			rep.Cells = append(rep.Cells, cell)
 		}
 	}
-	if cfg.GangSize >= 0 {
-		for _, pf := range cfg.Prefetchers {
-			if canceled() {
-				return finish()
-			}
-			sweep, err := measureSweep(w, cfg, pf)
-			if err != nil {
-				return nil, fmt.Errorf("perf: sweep %s: %w", pf, err)
-			}
-			rep.Sweeps = append(rep.Sweeps, sweep)
-		}
-	}
 	if cfg.SampleSets > 0 {
 		for _, pf := range cfg.Prefetchers {
 			if canceled() {
@@ -341,18 +258,6 @@ func Measure(cfg Config) (*Report, error) {
 				return nil, fmt.Errorf("perf: sampled sweep %s: %w", pf, err)
 			}
 			rep.SampledSweeps = append(rep.SampledSweeps, sweep)
-		}
-	}
-	if cfg.GangSize >= 0 {
-		for _, row := range CrossSweepRows() {
-			if canceled() {
-				return finish()
-			}
-			sweep, err := measureCrossSweep(w, cfg, row)
-			if err != nil {
-				return nil, fmt.Errorf("perf: cross sweep %s: %w", row.Name, err)
-			}
-			rep.CrossSweeps = append(rep.CrossSweeps, sweep)
 		}
 	}
 	if cfg.PrepareSweeps {
@@ -525,104 +430,6 @@ func equalSlices[T comparable](a, b []T) bool {
 	return true
 }
 
-// measureCrossSweep times one cross-prefetcher row three ways — the
-// per-cell serial path, gang execution under the fixed default window,
-// and gang execution under the measured adaptive window — keeping the
-// best wall-clock of Repeats runs for each, and verifies all three paths
-// produced identical results. One gang covers the whole row (capped at
-// GangSize members per chunk, like the suite scheduler).
-func measureCrossSweep(w *experiments.Workload, cfg Config, row CrossSweepRow) (CrossSweep, error) {
-	cells := make([]experiments.GangCell, 0, len(row.Schemes)*len(row.Prefetchers))
-	for _, pf := range row.Prefetchers {
-		for _, scheme := range row.Schemes {
-			cells = append(cells, experiments.GangCell{Scheme: scheme, Prefetcher: pf})
-		}
-	}
-	gangSize := cfg.GangSize
-	if gangSize == 0 || gangSize > len(cells) {
-		gangSize = len(cells)
-	}
-
-	var serialRes []cpu.Result
-	var serialBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
-		res := make([]cpu.Result, len(cells))
-		start := time.Now()
-		for i, c := range cells {
-			opts := experiments.DefaultOptions()
-			opts.Prefetcher = c.Prefetcher
-			sub, err := experiments.NewScheme(c.Scheme, w)
-			if err != nil {
-				return CrossSweep{}, err
-			}
-			if res[i], err = experiments.RunSubsystem(w, sub, opts); err != nil {
-				return CrossSweep{}, err
-			}
-		}
-		if elapsed := time.Since(start); serialBest == 0 || elapsed < serialBest {
-			serialBest = elapsed
-			serialRes = res
-		}
-	}
-
-	gangPath := func(window int) ([]cpu.Result, time.Duration, int, error) {
-		var best time.Duration
-		var bestRes []cpu.Result
-		var usedWindow int
-		for r := 0; r < cfg.Repeats; r++ {
-			res := make([]cpu.Result, 0, len(cells))
-			start := time.Now()
-			for at := 0; at < len(cells); at += gangSize {
-				chunk := cells[at:min(at+gangSize, len(cells))]
-				opts := experiments.DefaultOptions()
-				opts.GangWindow = window
-				results, ran, errs := experiments.RunGangCells(w, chunk, opts)
-				for _, err := range errs {
-					if err != nil {
-						return nil, 0, 0, err
-					}
-				}
-				usedWindow = ran
-				res = append(res, results...)
-			}
-			if elapsed := time.Since(start); best == 0 || elapsed < best {
-				best = elapsed
-				bestRes = res
-			}
-		}
-		return bestRes, best, usedWindow, nil
-	}
-	fixedRes, fixedBest, _, err := gangPath(0)
-	if err != nil {
-		return CrossSweep{}, err
-	}
-	autoRes, autoBest, autoWindow, err := gangPath(experiments.AutoGangWindow)
-	if err != nil {
-		return CrossSweep{}, err
-	}
-
-	for i := range serialRes {
-		if serialRes[i] != fixedRes[i] || serialRes[i] != autoRes[i] {
-			return CrossSweep{}, fmt.Errorf("gang result diverges from serial for %s/%s",
-				cells[i].Scheme, cells[i].Prefetcher)
-		}
-	}
-	return CrossSweep{
-		Name:         row.Name,
-		App:          cfg.App,
-		Schemes:      row.Schemes,
-		Prefetchers:  row.Prefetchers,
-		GangSize:     gangSize,
-		Runs:         cfg.Repeats,
-		AutoWindow:   autoWindow,
-		SerialWallNs: serialBest.Nanoseconds(),
-		FixedWallNs:  fixedBest.Nanoseconds(),
-		AutoWallNs:   autoBest.Nanoseconds(),
-		FixedSpeedup: float64(serialBest.Nanoseconds()) / float64(fixedBest.Nanoseconds()),
-		AutoSpeedup:  float64(serialBest.Nanoseconds()) / float64(autoBest.Nanoseconds()),
-	}, nil
-}
-
 // measureSampledSweep times one full scheme row through the reference
 // path and through the set-sampled fast lane (best of Repeats each) and
 // records the sampled run's per-cell cycle errors against the reference
@@ -688,88 +495,6 @@ func measureSampledSweep(w *experiments.Workload, cfg Config, pf string) (Sample
 		Speedup:           float64(fullBest.Nanoseconds()) / float64(sampBest.Nanoseconds()),
 		MeanCyclesErrPct:  sum / float64(len(fullRes)),
 		WorstCyclesErrPct: worst,
-	}, nil
-}
-
-// measureSweep times one full scheme row two ways — the per-scheme path
-// (construct + simulate each cell independently, as the PR 2 engine did)
-// and the gang path (experiments.RunGangCells over GangSize-chunks) — keeping
-// the best wall-clock of Repeats runs for each, and verifies the two paths
-// produced identical results.
-func measureSweep(w *experiments.Workload, cfg Config, pf string) (Sweep, error) {
-	opts := experiments.DefaultOptions()
-	opts.Prefetcher = pf
-	gangSize := cfg.GangSize
-	if gangSize == 0 || gangSize > len(cfg.Schemes) {
-		gangSize = len(cfg.Schemes)
-	}
-
-	var serialRes []cpu.Result
-	var serialBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
-		res := make([]cpu.Result, len(cfg.Schemes))
-		start := time.Now()
-		for i, scheme := range cfg.Schemes {
-			sub, err := experiments.NewScheme(scheme, w)
-			if err != nil {
-				return Sweep{}, err
-			}
-			if res[i], err = experiments.RunSubsystem(w, sub, opts); err != nil {
-				return Sweep{}, err
-			}
-		}
-		if elapsed := time.Since(start); serialBest == 0 || elapsed < serialBest {
-			serialBest = elapsed
-			serialRes = res
-		}
-	}
-
-	var gangRes []cpu.Result
-	var gangBest time.Duration
-	for r := 0; r < cfg.Repeats; r++ {
-		res := make([]cpu.Result, 0, len(cfg.Schemes))
-		start := time.Now()
-		for at := 0; at < len(cfg.Schemes); at += gangSize {
-			var chunk []experiments.GangCell
-			for _, scheme := range cfg.Schemes[at:min(at+gangSize, len(cfg.Schemes))] {
-				chunk = append(chunk, experiments.GangCell{Scheme: scheme})
-			}
-			gangOpts := opts
-			gangOpts.GangWindow = cfg.GangWindow
-			results, _, errs := experiments.RunGangCells(w, chunk, gangOpts)
-			for _, err := range errs {
-				if err != nil {
-					return Sweep{}, err
-				}
-			}
-			res = append(res, results...)
-		}
-		if elapsed := time.Since(start); gangBest == 0 || elapsed < gangBest {
-			gangBest = elapsed
-			gangRes = res
-		}
-	}
-
-	for i := range serialRes {
-		if serialRes[i] != gangRes[i] {
-			return Sweep{}, fmt.Errorf("gang result diverges from serial for %s: %+v != %+v",
-				cfg.Schemes[i], gangRes[i], serialRes[i])
-		}
-	}
-	accesses := int64(serialRes[0].ICache.Accesses)
-	total := float64(accesses) * float64(len(cfg.Schemes))
-	return Sweep{
-		App:               cfg.App,
-		Prefetcher:        pf,
-		Schemes:           cfg.Schemes,
-		GangSize:          gangSize,
-		Runs:              cfg.Repeats,
-		Accesses:          accesses,
-		SerialWallNs:      serialBest.Nanoseconds(),
-		GangWallNs:        gangBest.Nanoseconds(),
-		GangSpeedup:       float64(serialBest.Nanoseconds()) / float64(gangBest.Nanoseconds()),
-		SerialNsPerAccess: float64(serialBest.Nanoseconds()) / total,
-		GangNsPerAccess:   float64(gangBest.Nanoseconds()) / total,
 	}, nil
 }
 
@@ -900,41 +625,6 @@ func (r *Report) SampledSweepTable() *stats.Table {
 			fmt.Sprintf("%.1f", float64(s.SampledWallNs)/1e6),
 			fmt.Sprintf("%.2fx", s.Speedup),
 			fmt.Sprintf("%.2f%% / %.2f%%", s.MeanCyclesErrPct, s.WorstCyclesErrPct))
-	}
-	return t
-}
-
-// SweepTable renders the gang-sweep measurements (nil when none were run).
-func (r *Report) SweepTable() *stats.Table {
-	if len(r.Sweeps) == 0 {
-		return nil
-	}
-	t := &stats.Table{Header: []string{
-		"prefetcher", "schemes", "gang-size", "serial-ms", "gang-ms", "gang-speedup"}}
-	for _, s := range r.Sweeps {
-		t.AddRow(s.Prefetcher, len(s.Schemes), s.GangSize,
-			fmt.Sprintf("%.1f", float64(s.SerialWallNs)/1e6),
-			fmt.Sprintf("%.1f", float64(s.GangWallNs)/1e6),
-			fmt.Sprintf("%.2fx", s.GangSpeedup))
-	}
-	return t
-}
-
-// CrossSweepTable renders the cross-prefetcher sweep measurements (nil
-// when none were run).
-func (r *Report) CrossSweepTable() *stats.Table {
-	if len(r.CrossSweeps) == 0 {
-		return nil
-	}
-	t := &stats.Table{Header: []string{
-		"row", "cells", "auto-window", "serial-ms", "fixed-ms", "auto-ms", "fixed-speedup", "auto-speedup"}}
-	for _, s := range r.CrossSweeps {
-		t.AddRow(s.Name, len(s.Schemes)*len(s.Prefetchers), s.AutoWindow,
-			fmt.Sprintf("%.1f", float64(s.SerialWallNs)/1e6),
-			fmt.Sprintf("%.1f", float64(s.FixedWallNs)/1e6),
-			fmt.Sprintf("%.1f", float64(s.AutoWallNs)/1e6),
-			fmt.Sprintf("%.2fx", s.FixedSpeedup),
-			fmt.Sprintf("%.2fx", s.AutoSpeedup))
 	}
 	return t
 }

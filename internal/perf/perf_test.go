@@ -28,14 +28,9 @@ func sampleReport() *Report {
 			{App: "a", Scheme: "opt", Prefetcher: "fdp", Accesses: 1000, Instructions: 400000,
 				Runs: 3, NsPerAccess: 250, AccessesPerSec: 4e6},
 		},
-		Sweeps: []Sweep{{
-			App: "a", Prefetcher: "fdp", Schemes: []string{"lru", "opt"}, GangSize: 2,
-			Runs: 3, Accesses: 1000, SerialWallNs: 2_000_000, GangWallNs: 1_000_000,
-			GangSpeedup: 2, SerialNsPerAccess: 1000, GangNsPerAccess: 500,
-		}},
 		DistributedSweeps: []DistributedSweep{{
 			Apps: []string{"a"}, Schemes: []string{"lru", "opt"}, Prefetcher: "fdp",
-			GangSize: 2, PoolWidth: 1, HostCPUs: 2, Cells: 2, SingleWallNs: 2_000_000,
+			PoolWidth: 1, HostCPUs: 2, Cells: 2, SingleWallNs: 2_000_000,
 			Lanes: []DistributedLane{
 				{Workers: 2, WallNs: 1_000_000, Speedup: 2, RemoteCells: 2, Identical: true},
 			},
@@ -84,12 +79,6 @@ func TestCellLookupAndTables(t *testing.T) {
 	}
 	if tbl := r.Table().String(); !strings.Contains(tbl, "lru") {
 		t.Errorf("table missing rows:\n%s", tbl)
-	}
-	if st := r.SweepTable(); st == nil || !strings.Contains(st.String(), "2.00x") {
-		t.Errorf("sweep table = %v", st)
-	}
-	if st := (&Report{}).SweepTable(); st != nil {
-		t.Error("empty report must have no sweep table")
 	}
 	if st := r.DistributedSweepTable(); st == nil || !strings.Contains(st.String(), "2 workers") {
 		t.Errorf("distributed sweep table = %v", st)
@@ -189,9 +178,8 @@ func TestCompareMissingCells(t *testing.T) {
 	}
 }
 
-// TestMeasureTiny runs a minimal grid end to end: one scheme, one
-// prefetcher, and a two-member gang sweep whose identical-results check is
-// live. Small n keeps this fast; it exercises the real simulator.
+// TestMeasureTiny runs a minimal grid end to end: two schemes under one
+// prefetcher. Small n keeps this fast; it exercises the real simulator.
 func TestMeasureTiny(t *testing.T) {
 	rep, err := Measure(Config{
 		App:         "media-streaming",
@@ -199,7 +187,6 @@ func TestMeasureTiny(t *testing.T) {
 		Schemes:     []string{"lru", "opt"},
 		Prefetchers: []string{"none"},
 		Repeats:     1,
-		GangSize:    2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,13 +199,6 @@ func TestMeasureTiny(t *testing.T) {
 			t.Errorf("implausible cell: %+v", c)
 		}
 	}
-	if len(rep.Sweeps) != 1 {
-		t.Fatalf("measured %d sweeps, want 1", len(rep.Sweeps))
-	}
-	s := rep.Sweeps[0]
-	if s.SerialWallNs <= 0 || s.GangWallNs <= 0 || s.GangSpeedup <= 0 || s.Accesses <= 0 {
-		t.Errorf("implausible sweep: %+v", s)
-	}
 }
 
 // TestMeasurePrepareStats: the report carries the prepare phase — cold it
@@ -229,7 +209,7 @@ func TestMeasurePrepareStats(t *testing.T) {
 	cfg := Config{
 		App: "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: -1, ArtifactDir: dir,
+		Repeats: 1, ArtifactDir: dir,
 	}
 	cold, err := Measure(cfg)
 	if err != nil {
@@ -269,7 +249,7 @@ func TestMeasurePrepareSweep(t *testing.T) {
 	rep, err := Measure(Config{
 		App: "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: -1,
+		Repeats:       1,
 		PrepareSweeps: true, PrepareWindow: 2048,
 	})
 	if err != nil {
@@ -359,7 +339,7 @@ func TestMeasureInterrupted(t *testing.T) {
 		Context: ctx,
 		App:     "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: 2,
+		Repeats: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -367,8 +347,8 @@ func TestMeasureInterrupted(t *testing.T) {
 	if !rep.Interrupted {
 		t.Error("report not marked interrupted")
 	}
-	if len(rep.Cells) != 0 || len(rep.Sweeps) != 0 {
-		t.Errorf("cancelled run still measured %d cells, %d sweeps", len(rep.Cells), len(rep.Sweeps))
+	if len(rep.Cells) != 0 {
+		t.Errorf("cancelled run still measured %d cells", len(rep.Cells))
 	}
 	if rep.Faults == nil {
 		t.Error("interrupted report must still carry the faults block")
@@ -381,7 +361,7 @@ func TestMeasureFaultsBlock(t *testing.T) {
 	rep, err := Measure(Config{
 		App: "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: -1,
+		Repeats: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -394,18 +374,19 @@ func TestMeasureFaultsBlock(t *testing.T) {
 	}
 }
 
-// TestMeasureSkipsSweeps: a negative GangSize disables the sweep section.
+// TestMeasureSkipsSweeps: a Config that asks for no sweep family
+// measures the cells and nothing else.
 func TestMeasureSkipsSweeps(t *testing.T) {
 	rep, err := Measure(Config{
 		App: "media-streaming", N: 20_000,
 		Schemes: []string{"lru"}, Prefetchers: []string{"none"},
-		Repeats: 1, GangSize: -1,
+		Repeats: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Sweeps) != 0 {
-		t.Errorf("sweeps measured despite GangSize=-1: %+v", rep.Sweeps)
+	if len(rep.SampledSweeps)+len(rep.PrepareSweeps)+len(rep.DistributedSweeps) != 0 {
+		t.Errorf("sweeps measured unasked: %+v", rep)
 	}
 }
 
