@@ -28,13 +28,15 @@ var goldenArgs = []string{"-workload", "web-search", "-schemes", "lru,acic,opt,a
 // TestGolden pins acic-sim's stdout byte for byte. Clean and
 // fault-injected runs must print the same report (one golden); the
 // set-sampled lane differs only in its banner and its extrapolated rows.
+// The clean case keeps the name "gang-off" from when a gang lane existed:
+// it pins the per-cell path, which is now the only one.
 func TestGolden(t *testing.T) {
 	t.Cleanup(func() { faults.Install("") })
 	cases := []struct {
 		name, golden string
 		args         []string
 	}{
-		{"full", "web-search.golden", nil},
+		{"gang-off", "web-search.golden", nil},
 		{"sampled", "web-search-sampled.golden", []string{"-sample-sets", "8"}},
 		{"faults", "web-search.golden", []string{"-fault-spec", "panic-cell:every=2;seed=3"}},
 	}
