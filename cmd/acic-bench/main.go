@@ -220,7 +220,6 @@ func main() {
 		benchSchemes = flag.String("bench-schemes", "", "schemes for -bench-json (comma-separated; empty = tracked default set)")
 		benchPfs     = flag.String("bench-prefetchers", "none,fdp", "prefetcher platforms for -bench-json (comma-separated)")
 		benchRepeats = flag.Int("bench-repeats", 3, "timed repetitions per -bench-json cell (best kept)")
-		benchPrepare = flag.Bool("bench-prepare-sweeps", true, "also measure batch-vs-streamed cold-prepare wall-clock and peak heap (at n and 4n, scratch stores) in -bench-json mode")
 		benchDist    = flag.Bool("bench-distributed", false, "also measure the distributed sweep in -bench-json mode: the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store, per-cell results verified identical (adds several cold full-grid lanes — minutes)")
 
 		compare    = flag.String("compare", "", "baseline bench JSON: compare per-cell ns/access against it and exit (new side: -compare-to, or the report just measured by -bench-json)")
@@ -335,8 +334,7 @@ func main() {
 
 	if *benchJSON != "" {
 		cfg := perf.Config{Context: ctx, App: *benchApp, N: *n, Repeats: *benchRepeats,
-			ArtifactDir: sim.ArtifactDir, PrepareWindow: sim.PrepareWindow, SampleSets: sim.SampleSets,
-			PrepareSweeps: *benchPrepare, DistributedSweeps: *benchDist}
+			ArtifactDir: sim.ArtifactDir, SampleSets: sim.SampleSets, DistributedSweeps: *benchDist}
 		if *benchSchemes != "" {
 			cfg.Schemes = strings.Split(*benchSchemes, ",")
 		}
@@ -356,9 +354,6 @@ func main() {
 		fmt.Println(rep.PrepareSummary())
 		if st := rep.SampledSweepTable(); st != nil {
 			fmt.Printf("=== sampled sweeps: full vs set-sampled wall-clock per scheme row (best of %d)\n%s", *benchRepeats, st)
-		}
-		if st := rep.PrepareSweepTable(); st != nil {
-			fmt.Printf("=== prepare sweeps: batch vs streamed cold prepare (scratch stores)\n%s", st)
 		}
 		if st := rep.DistributedSweepTable(); st != nil {
 			fmt.Printf("=== distributed sweeps: single-process vs coordinator + workers, cold shared store per lane\n%s", st)

@@ -106,11 +106,10 @@ func main() {
 	}
 
 	cfg := distrib.Config{
-		N:             experiments.NewSuite(*n).N, // resolves 0 -> default
-		SampleSets:    sim.SampleSets,
-		SampleOffset:  sim.SampleOffset,
-		PrepareWindow: sim.PrepareWindow,
-		StoreURL:      advertised,
+		N:            experiments.NewSuite(*n).N, // resolves 0 -> default
+		SampleSets:   sim.SampleSets,
+		SampleOffset: sim.SampleOffset,
+		StoreURL:     advertised,
 	}
 	if *apps != "" {
 		cfg.Apps = strings.Split(*apps, ",")
@@ -157,7 +156,6 @@ func main() {
 	suite.Workers = sim.Workers
 	suite.SampleSets = cfg.SampleSets
 	suite.SampleOffset = cfg.SampleOffset
-	suite.PrepareWindow = cfg.PrepareWindow
 	suite.Remote = coord
 	if *storeURL != "" {
 		suite.CacheDir, suite.ArtifactDir = *storeURL, *storeURL

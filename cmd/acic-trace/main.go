@@ -136,14 +136,9 @@ func runWarm(args []string) {
 	n := fs.Int("n", 0, "trace length in instructions (0 = ACIC_BENCH_N or 400000; must match the simulation runs to be reused)")
 	names := fs.String("workloads", "", "comma-separated profile names (empty = all datacenter + SPEC profiles)")
 	workers := fs.Int("workers", 0, "preparation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
-	var prepareWindow int
-	cliutil.RegisterPrepareWindow(fs, &prepareWindow)
 	var faultSpec string
 	cliutil.RegisterFaultSpec(fs, &faultSpec)
 	fs.Parse(args)
-	if prepareWindow < 0 {
-		fail("-prepare-window must be >= 0, got %d", prepareWindow)
-	}
 	if err := faults.Validate(faultSpec); err != nil {
 		fail("-fault-spec: %v", err)
 	}
@@ -167,7 +162,7 @@ func runWarm(args []string) {
 	}
 
 	pl, err := experiments.NewPipeline(experiments.PipelineConfig{
-		N: *n, Dir: artifactDir, Pool: engine.NewPool(*workers), Window: prepareWindow,
+		N: *n, Dir: artifactDir, Pool: engine.NewPool(*workers),
 	})
 	if err != nil {
 		// Warming exists only to fill the store; a store that cannot be
@@ -185,16 +180,11 @@ func runWarm(args []string) {
 		t.AddRow(st.Stage, st.Computed, st.FromStore)
 	}
 	fmt.Print(t.String())
-	if streamed := pl.Streamed(); streamed > 0 {
-		fmt.Printf("streamed prepare: %d workloads in windows of %d instructions (peak memory O(window))\n",
-			streamed, prepareWindow)
-	}
 	fmt.Printf("warmed %d workloads in %.1fs (store: %s)\n", len(apps), elapsed.Seconds(), artifactDir)
 
 	if snap := faults.Snapshot(); faultSpec != "" || snap.IOErrs+snap.Corruptions+snap.Panics > 0 {
-		fmt.Printf("faults: injected %d io / %d corrupt / %d panic; recovered %d retries, %d stream-fallbacks, %d quarantined\n",
-			snap.IOErrs, snap.Corruptions, snap.Panics,
-			pl.Retries(), pl.StreamFallbacks(), pl.Quarantined())
+		fmt.Printf("faults: injected %d io / %d corrupt / %d panic; recovered %d retries, %d quarantined\n",
+			snap.IOErrs, snap.Corruptions, snap.Panics, pl.Retries(), pl.Quarantined())
 	}
 }
 

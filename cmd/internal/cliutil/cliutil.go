@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 
 	"acic/internal/experiments"
@@ -33,12 +32,11 @@ func InterruptContext() (context.Context, context.CancelFunc) {
 
 // SimFlags are the shared engine/storage knobs after parsing.
 type SimFlags struct {
-	Workers       int
-	ArtifactDir   string
-	PrepareWindow int
-	SampleSets    int
-	SampleOffset  int
-	FaultSpec     string
+	Workers      int
+	ArtifactDir  string
+	SampleSets   int
+	SampleOffset int
+	FaultSpec    string
 }
 
 // RegisterSim declares the shared simulation flags on fs (usually
@@ -50,7 +48,6 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	fs.IntVar(&f.SampleSets, "sample-sets", 0, "set-sampled fast mode: simulate only this many of the 64 L1i sets (SDM-style sampling, statistics extrapolated; power of two; 0 = full simulation, the byte-identical reference)")
 	fs.IntVar(&f.SampleOffset, "sample-offset", 0, "sampled set constituency to simulate, in [1,64/sample-sets) (with -sample-sets; 0 = derive per workload from the trace digest — constituency 0 is alignment-biased and never used)")
 	RegisterArtifactDir(fs, &f.ArtifactDir)
-	RegisterPrepareWindow(fs, &f.PrepareWindow)
 	RegisterFaultSpec(fs, &f.FaultSpec)
 	return f
 }
@@ -77,20 +74,6 @@ func InstallFaultSpec(spec string) error {
 	return faults.Install(spec)
 }
 
-// RegisterPrepareWindow declares -prepare-window on fs (shared with the
-// acic-trace subcommands). The default comes from ACIC_PREPARE_WINDOW so
-// CI tiers can switch the prepare mode without editing every invocation.
-func RegisterPrepareWindow(fs *flag.FlagSet, dst *int) {
-	def := 0
-	if s := os.Getenv("ACIC_PREPARE_WINDOW"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil {
-			def = n
-		}
-	}
-	fs.IntVar(dst, "prepare-window", def,
-		"stream cold workload preparation in windows of this many instructions: generation, branch annotation, successor and latency production advance together, holding O(window) instruction records instead of the whole trace; artifacts and results are byte-identical to batch mode (0 = batch prepare; default from ACIC_PREPARE_WINDOW)")
-}
-
 // RegisterCacheDir declares -cache-dir on fs. It is separate from
 // RegisterSim because only tools whose cells are plain (uninstrumented)
 // results can reuse cached entries — acic-bench can, acic-sim cannot:
@@ -114,9 +97,6 @@ func (f *SimFlags) Validate() error {
 	if _, err := experiments.SampleConfigFor(f.SampleSets, f.SampleOffset, ""); err != nil {
 		return err
 	}
-	if f.PrepareWindow < 0 {
-		return fmt.Errorf("-prepare-window must be >= 0 (0 = batch prepare), got %d", f.PrepareWindow)
-	}
 	if err := faults.Validate(f.FaultSpec); err != nil {
 		return fmt.Errorf("-fault-spec: %w", err)
 	}
@@ -125,7 +105,7 @@ func (f *SimFlags) Validate() error {
 
 // NewSuite builds the suite the parsed flags describe over n-instruction
 // workloads (0 = experiments.DefaultTraceLen): the worker pool, artifact
-// store, prepare window and sampling mode, with
+// store and sampling mode, with
 // ctx as its cancellation context. Callers add what only they configure
 // (Apps, CacheDir, Progress, Instrument) before the first use. Call after
 // Validate.
@@ -134,7 +114,6 @@ func (f *SimFlags) NewSuite(ctx context.Context, n int) *experiments.Suite {
 	s.Context = ctx
 	s.Workers = f.Workers
 	s.ArtifactDir = f.ArtifactDir
-	s.PrepareWindow = f.PrepareWindow
 	s.SampleSets = f.SampleSets
 	s.SampleOffset = f.SampleOffset
 	return s

@@ -78,7 +78,7 @@ func TestNewSuite(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	f := RegisterSim(fs)
 	if err := fs.Parse([]string{"-workers", "3",
-		"-artifact-dir", "store", "-prepare-window", "4096", "-sample-sets", "8", "-sample-offset", "2"}); err != nil {
+		"-artifact-dir", "store", "-sample-sets", "8", "-sample-offset", "2"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Validate(); err != nil {
@@ -87,7 +87,7 @@ func TestNewSuite(t *testing.T) {
 	ctx := context.Background()
 	s := f.NewSuite(ctx, 5000)
 	if s.N != 5000 || s.Context != ctx || s.Workers != 3 || s.ArtifactDir != "store" ||
-		s.PrepareWindow != 4096 || s.SampleSets != 8 || s.SampleOffset != 2 {
+		s.SampleSets != 8 || s.SampleOffset != 2 {
 		t.Errorf("NewSuite = %+v", s)
 	}
 }

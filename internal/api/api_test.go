@@ -1,7 +1,9 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -109,4 +111,26 @@ func TestCellString(t *testing.T) {
 	if got := c.String(); got != "web-search|acic|fdp" {
 		t.Errorf("String() = %q", got)
 	}
+}
+
+// FuzzReadError feeds ReadError arbitrary bodies under arbitrary status
+// codes: callers rely on it returning a non-nil *Error with a code for
+// anything a server or proxy might send.
+func FuzzReadError(f *testing.F) {
+	f.Add(500, []byte(`{"error":{"code":"not_found","message":"x"}}`))
+	f.Add(404, []byte(`<html>not found</html>`))
+	f.Add(400, []byte(`{"error":{"code":""}}`))
+	f.Add(503, []byte(`{"error":null}`))
+	f.Add(200, []byte{})
+	f.Fuzz(func(t *testing.T, status int, body []byte) {
+		resp := &http.Response{
+			StatusCode: status,
+			Status:     http.StatusText(status),
+			Body:       io.NopCloser(bytes.NewReader(body)),
+		}
+		e := ReadError(resp)
+		if e == nil || e.Code == "" {
+			t.Fatalf("ReadError(%d, %q) = %+v, want an error with a code", status, body, e)
+		}
+	})
 }

@@ -8,11 +8,10 @@ import "encoding/json"
 // GET /api/config: everything a stateless worker needs to build a Suite
 // whose results are byte-identical to the coordinator's own.
 type WorkerConfig struct {
-	N             int      `json:"n"`
-	Apps          []string `json:"apps,omitempty"`
-	SampleSets    int      `json:"sample_sets,omitempty"`
-	SampleOffset  int      `json:"sample_offset,omitempty"`
-	PrepareWindow int      `json:"prepare_window,omitempty"`
+	N            int      `json:"n"`
+	Apps         []string `json:"apps,omitempty"`
+	SampleSets   int      `json:"sample_sets,omitempty"`
+	SampleOffset int      `json:"sample_offset,omitempty"`
 	// StoreURL is the shared blob store every worker must point its
 	// cache and artifact dirs at.
 	StoreURL string `json:"store_url,omitempty"`

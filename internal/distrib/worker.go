@@ -145,7 +145,6 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	s.ArtifactDir = cfg.StoreURL
 	s.SampleSets = cfg.SampleSets
 	s.SampleOffset = cfg.SampleOffset
-	s.PrepareWindow = cfg.PrepareWindow
 	s.Context = ctx
 	if err := s.CacheError(); err != nil {
 		return fmt.Errorf("distrib: worker %s: shared store: %w", name, err)

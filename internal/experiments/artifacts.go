@@ -2,13 +2,11 @@ package experiments
 
 import (
 	"bytes"
-	"cmp"
 	"fmt"
 	"slices"
 	"sync/atomic"
 
 	"acic/internal/analysis"
-	"acic/internal/branch"
 	"acic/internal/cpu"
 	"acic/internal/experiments/engine"
 	"acic/internal/mem"
@@ -16,60 +14,64 @@ import (
 	"acic/internal/workload"
 )
 
-// stageRetry is the retry policy every pipeline stage group runs under:
-// transient failures (injected faults, MarkTransient-wrapped errors) are
-// re-attempted with jittered backoff; deterministic failures — a bad
-// profile, a genuine panic in derivation — fail the stage immediately.
-// Stage computes are idempotent (every fault site fires before state is
-// mutated), so re-entry is always safe.
-func stageRetry() engine.RetryPolicy { return engine.DefaultRetry() }
+// prepareWindow is how many instructions the cold prepare (stream.go)
+// advances per window. Warming the 15 profiles at 1.6M instructions on 2
+// CPUs, a 65,536-instruction window took 2.25 s median against 2.61 s for
+// the whole-trace pass it replaced, at 132–140 MB instead of 359–453 MB
+// peak RSS; windows of 16,384 and 262,144 both ran in about 2.1 s, so the
+// size is a constant rather than a setting.
+const prepareWindow = 1 << 16
 
-// Pipeline is the staged workload-preparation pipeline: the monolithic
-// Prepare split into four content-addressed stages,
+// Pipeline prepares workloads: each app's four artifacts,
 //
 //	trace   — synthetic trace generation (workload.Generate)
 //	program — branch-predictor replay + descriptor derivation (cpu.Program)
 //	nextat  — next-use successor array (analysis.NextUseArray)
 //	datalat — data-side latency timeline (Program.EnsureDataLatencies)
 //
-// each memoized with per-key singleflight and, when a store directory is
+// are memoized per app with singleflight and, when a store directory is
 // configured, persisted through the trace codec's v2 container format
-// (sections INST / ANNO+DESC+BLKS / NXTA / DLAT). Stage keys share the
+// (sections INSZ / ANNO+DESC+BLKS / NXTA / DLAT). Artifact keys share the
 // result cache's derivation (keys.go: schema version, simulator-config
 // digest, profile digest, trace length), so a config edit invalidates
-// prepared artifacts and cached results together. Artifacts are
-// best-effort: an unreadable, truncated, corrupt, or version-mismatched
-// entry is a miss and the stage regenerates (and rewrites) it — the store
-// can only make preparation faster, never wrong.
+// prepared artifacts and cached results together.
 //
-// Concurrent workers in one process share a single materialization per
-// stage through the groups' singleflight; concurrent processes share
-// through the store's atomic temp-file-and-rename writes.
+// A workload is loaded from the store when all four artifacts decode;
+// otherwise it is prepared cold by the fused windowed pass (stream.go),
+// which rewrites all four. Artifacts are best-effort: an unreadable,
+// truncated, corrupt, or version-mismatched entry is a miss (quarantined
+// when it reads but fails to decode), so the store can only make
+// preparation faster, never wrong.
+//
+// Concurrent workers in one process share a single preparation per app
+// through the group's singleflight; concurrent processes share through the
+// store's atomic temp-file-and-rename writes.
 type Pipeline struct {
 	n      int
-	window int
+	window int // instructions per cold-prepare window (prepareWindow)
 	memCfg mem.Config
 	lookup func(string) (workload.Profile, bool)
 	pool   *engine.Pool
 
-	traces    *engine.Group[string, *trace.Trace]
-	programs  *engine.Group[string, *cpu.Program]
-	nextats   *engine.Group[string, []int64]
-	datalats  *engine.Group[string, []int16]
 	workloads *engine.Group[string, *Workload]
 
-	// Typed store handles, retained alongside the groups' Cache fields so
-	// the streamed prepare (stream.go) can probe warmth (Has) and write
-	// artifacts directly — it bypasses the stage groups entirely, fusing
-	// all four passes into one windowed walk. All nil when no store is
-	// configured.
+	// Typed artifact stores, all nil when no store is configured. They
+	// are read through Load and written only by the cold pass's streamed
+	// entries (BeginStream), so they carry no encoders.
 	traceStore   *engine.DiskCache[string, *trace.Trace]
-	programStore *engine.DiskCache[string, *cpu.Program]
+	programStore *engine.DiskCache[programKey, *cpu.Program]
 	nextatStore  *engine.DiskCache[string, []int64]
 	datalatStore *engine.DiskCache[string, []int16]
 
-	streamed        atomic.Int64
-	streamFallbacks atomic.Int64 // streamed prepares that degraded to batch
+	cold atomic.Int64 // apps prepared by the windowed pass
+	warm atomic.Int64 // apps loaded from the store
+}
+
+// programKey names an app's program artifact and carries the trace the
+// program decodes against; only app enters the store key.
+type programKey struct {
+	app string
+	tr  *trace.Trace
 }
 
 // PipelineConfig configures NewPipeline.
@@ -80,24 +82,17 @@ type PipelineConfig struct {
 	// in-memory memoization only).
 	Dir string
 	// Pool executes batch work (Warm, Require); nil creates a default
-	// pool. Demand-driven stage computation (Workload) runs inline on the
+	// pool. Demand-driven preparation (Workload) runs inline on the
 	// calling goroutine either way.
 	Pool *engine.Pool
 	// Lookup resolves app names to profiles (nil = workload.ByName).
 	Lookup func(string) (workload.Profile, bool)
-	// Window, when > 0, turns cold preparation into the windowed streaming
-	// pipeline: generation, branch annotation, descriptor derivation, the
-	// successor array, and the data-latency replay advance together Window
-	// instructions at a time, so peak memory is O(Window) instruction
-	// records instead of O(N). Artifacts land in the store byte-identical
-	// to the batch path's; warm loads are unaffected. 0 = batch prepare.
-	Window int
 }
 
-// NewPipeline builds the staged pipeline. When the artifact store cannot
-// be opened the returned pipeline still works (stages regenerate in
-// memory) and the error reports why persistence is off — callers that
-// want the store to be load-bearing should fail on it.
+// NewPipeline builds the pipeline. When the artifact store cannot be
+// opened the returned pipeline still works (apps are prepared in memory)
+// and the error reports why persistence is off — callers that want the
+// store to be load-bearing should fail on it.
 func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.N <= 0 {
 		cfg.N = DefaultTraceLen()
@@ -108,45 +103,14 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = workload.ByName
 	}
-	pl := &Pipeline{n: cfg.N, window: cfg.Window, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup, pool: cfg.Pool}
-
-	pl.traces = engine.NewGroup(cfg.Pool, func(app string) (*trace.Trace, error) {
-		prof, ok := pl.lookup(app)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown workload %q", app)
-		}
-		return workload.Generate(prof, pl.n), nil
-	})
-	pl.programs = engine.NewGroup(cfg.Pool, func(app string) (*cpu.Program, error) {
-		tr, err := pl.traces.Get(app)
-		if err != nil {
-			return nil, err
-		}
-		return cpu.NewProgram(tr, branch.NewFrontEnd().Annotate(tr)), nil
-	})
-	pl.nextats = engine.NewGroup(cfg.Pool, func(app string) ([]int64, error) {
-		prog, err := pl.programs.Get(app)
-		if err != nil {
-			return nil, err
-		}
-		return analysis.NextUseArray(prog.Blocks), nil
-	})
-	pl.datalats = engine.NewGroup(cfg.Pool, func(app string) ([]int16, error) {
-		prog, err := pl.programs.Get(app)
-		if err != nil {
-			return nil, err
-		}
-		prog.EnsureDataLatencies(pl.memCfg)
-		return prog.DataLat, nil
-	})
-	pl.workloads = engine.NewGroup(cfg.Pool, pl.assemble)
-	pl.traces.Name, pl.programs.Name, pl.nextats.Name, pl.datalats.Name, pl.workloads.Name =
-		"trace", "program", "nextat", "datalat", "workload"
-	pl.traces.Retry = stageRetry()
-	pl.programs.Retry = stageRetry()
-	pl.nextats.Retry = stageRetry()
-	pl.datalats.Retry = stageRetry()
-	pl.workloads.Retry = stageRetry()
+	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup, pool: cfg.Pool}
+	pl.workloads = engine.NewGroup(cfg.Pool, pl.prepare)
+	pl.workloads.Name = "workload"
+	// Transient failures (injected faults, MarkTransient-wrapped errors)
+	// are re-attempted with jittered backoff; deterministic ones — a bad
+	// profile, a genuine panic in derivation — fail the app at once. A
+	// failed attempt leaves no artifact behind, so re-entry is safe.
+	pl.workloads.Retry = engine.DefaultRetry()
 
 	var err error
 	if cfg.Dir != "" {
@@ -163,31 +127,24 @@ func (pl *Pipeline) stageKey(stage string) func(string) string {
 	}
 }
 
-// openStore attaches the four stage caches to dir. All artifacts use the
-// trace codec's container format with the ".actr" extension, so
+// openStore attaches the four artifact stores to dir. All artifacts use
+// the trace codec's container format with the ".actr" extension, so
 // `acic-trace inspect` can describe any file in the store.
 func (pl *Pipeline) openStore(dir string) error {
-	traces, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("trace"),
-		func(t *trace.Trace) ([]byte, error) {
-			var b bytes.Buffer
-			err := trace.Write(&b, t)
-			return b.Bytes(), err
-		},
+	traces, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("trace"), nil,
 		func(_ string, data []byte) (*trace.Trace, error) {
 			return trace.Read(bytes.NewReader(data))
 		})
 	if err != nil {
 		return err
 	}
-	programs, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("program"),
-		encodeProgram, pl.decodeProgram)
+	progKey := pl.stageKey("program")
+	programs, err := engine.NewCodecDiskCache(dir, ".actr",
+		func(k programKey) string { return progKey(k.app) }, nil, decodeProgram)
 	if err != nil {
 		return err
 	}
-	nextats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("nextat"),
-		func(v []int64) ([]byte, error) {
-			return encodeSection("nextat", trace.SecNextAt, trace.EncodeInt64sDelta(v))
-		},
+	nextats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("nextat"), nil,
 		func(_ string, data []byte) ([]int64, error) {
 			payload, err := decodeSection(data, trace.SecNextAt)
 			if err != nil {
@@ -198,10 +155,7 @@ func (pl *Pipeline) openStore(dir string) error {
 	if err != nil {
 		return err
 	}
-	datalats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("datalat"),
-		func(v []int16) ([]byte, error) {
-			return encodeSection("datalat", trace.SecDataLat, trace.EncodeInt16s(v))
-		},
+	datalats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("datalat"), nil,
 		func(_ string, data []byte) ([]int16, error) {
 			payload, err := decodeSection(data, trace.SecDataLat)
 			if err != nil {
@@ -212,38 +166,14 @@ func (pl *Pipeline) openStore(dir string) error {
 	if err != nil {
 		return err
 	}
-	pl.traces.Cache = traces
-	pl.programs.Cache = programs
-	pl.nextats.Cache = nextats
-	pl.datalats.Cache = datalats
-	pl.traceStore = traces
-	pl.programStore = programs
-	pl.nextatStore = nextats
-	pl.datalatStore = datalats
+	pl.traceStore, pl.programStore, pl.nextatStore, pl.datalatStore = traces, programs, nextats, datalats
 	return nil
 }
 
-// encodeProgram persists the expensive derived arrays of a Program — the
-// branch annotations, descriptor bytes, and collapsed block sequence — as
-// codec v2 sections. The trace itself lives in the trace-stage artifact;
-// MemBlk and the run-ahead bitmap are cheap local recomputes.
-func encodeProgram(p *cpu.Program) ([]byte, error) {
-	var b bytes.Buffer
-	err := trace.WriteContainer(&b, p.Trace.Name, []trace.Section{
-		{Tag: trace.SecAnnot, Data: p.AnnotationBytes()},
-		{Tag: trace.SecDesc, Data: p.Desc},
-		{Tag: trace.SecBlocks, Data: trace.EncodeUint64sDelta(p.Blocks)},
-	})
-	return b.Bytes(), err
-}
-
-// decodeProgram rebuilds a Program from its persisted sections against the
-// trace-stage artifact (loaded or regenerated through the trace group).
-func (pl *Pipeline) decodeProgram(app string, data []byte) (*cpu.Program, error) {
-	tr, err := pl.traces.Get(app)
-	if err != nil {
-		return nil, err
-	}
+// decodeProgram rebuilds a Program from its persisted sections — branch
+// annotations, descriptor bytes, collapsed block sequence — against the
+// key's trace. MemBlk and the run-ahead bitmap are cheap local recomputes.
+func decodeProgram(k programKey, data []byte) (*cpu.Program, error) {
 	_, secs, err := trace.ReadContainer(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
@@ -268,14 +198,7 @@ func (pl *Pipeline) decodeProgram(app string, data []byte) (*cpu.Program, error)
 	if err != nil {
 		return nil, err
 	}
-	return cpu.NewProgramFromParts(tr, ann, descData, blocks)
-}
-
-// encodeSection wraps one typed payload in a single-section container.
-func encodeSection(name, tag string, payload []byte) ([]byte, error) {
-	var b bytes.Buffer
-	err := trace.WriteContainer(&b, name, []trace.Section{{Tag: tag, Data: payload}})
-	return b.Bytes(), err
+	return cpu.NewProgramFromParts(k.tr, ann, descData, blocks)
 }
 
 // decodeSection unwraps a single-section container.
@@ -291,52 +214,10 @@ func decodeSection(data []byte, tag string) ([]byte, error) {
 	return payload, nil
 }
 
-// assemble builds the Workload view over the staged artifacts: the shared
-// Program with its adopted latency timeline, the successor array, and the
-// in-memory next-use oracle (an index over the block sequence, always
-// rebuilt — it is not an artifact).
-func (pl *Pipeline) assemble(app string) (*Workload, error) {
-	prof, ok := pl.lookup(app)
-	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", app)
-	}
-	// Windowed mode streams cold preparation; a fully warm store still
-	// takes the batch load path below (loading is already cheap and keeps
-	// the zero-regeneration warm semantics byte-for-byte identical).
-	//
-	// A streamed prepare that fails mid-window — panic or error, injected
-	// or genuine — degrades to the batch path instead of failing the
-	// workload: the two paths produce byte-identical workloads (DESIGN.md
-	// §12), so falling back trades the O(window) memory bound for a
-	// completed prepare. The aborted stream leaves nothing behind (its
-	// partial store entries are discarded under tmp/).
-	if pl.window > 0 && !pl.storeWarm(app) {
-		w, err := engine.Guard("stream:"+app, func() (*Workload, error) {
-			return pl.assembleStreamed(app, prof)
-		})
-		if err == nil {
-			return w, nil
-		}
-		pl.streamFallbacks.Add(1)
-	}
-	prog, err := pl.programs.Get(app)
-	if err != nil {
-		return nil, err
-	}
-	nextAt, err := pl.nextats.Get(app)
-	if err != nil {
-		return nil, err
-	}
-	lat, err := pl.datalats.Get(app)
-	if err != nil {
-		return nil, err
-	}
-	if err := prog.AdoptDataLatencies(lat, pl.memCfg); err != nil {
-		return nil, err
-	}
-	if len(nextAt) != len(prog.Blocks) {
-		return nil, fmt.Errorf("experiments: successor array length %d != %d block accesses", len(nextAt), len(prog.Blocks))
-	}
+// newWorkload builds the Workload view over a finished Program and its
+// successor array, adding the in-memory next-use oracle (an index over
+// the block sequence, always rebuilt — it is not an artifact).
+func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Workload {
 	return &Workload{
 		Profile: prof,
 		Prog:    prog,
@@ -345,39 +226,84 @@ func (pl *Pipeline) assemble(app string) (*Workload, error) {
 		Blocks:  prog.Blocks,
 		Oracle:  analysis.NewNextUseOracle(prog.Blocks),
 		NextAt:  nextAt,
-	}, nil
+	}
 }
 
-// Workload returns the fully prepared workload for an app, materializing
-// (or loading) every stage on demand.
+// prepare is the workload group's compute: load app from the store, or
+// prepare it cold through the windowed pass.
+func (pl *Pipeline) prepare(app string) (*Workload, error) {
+	prof, ok := pl.lookup(app)
+	if !ok {
+		return nil, fmt.Errorf("experiments: unknown workload %q", app)
+	}
+	if w := pl.load(app, prof); w != nil {
+		pl.warm.Add(1)
+		return w, nil
+	}
+	w, err := pl.stream(app, prof)
+	if err == nil {
+		pl.cold.Add(1)
+	}
+	return w, err
+}
+
+// load reads app's four artifacts in dependency order — the trace, the
+// program sections against it, the successor array, the latency timeline
+// — and returns nil when there is no store or any of them is missing,
+// undecodable (DiskCache.Load quarantines it), or inconsistent with the
+// others. The cold pass then rewrites all four.
+func (pl *Pipeline) load(app string, prof workload.Profile) *Workload {
+	if pl.traceStore == nil {
+		return nil
+	}
+	tr, ok := pl.traceStore.Load(app)
+	if !ok {
+		return nil
+	}
+	prog, ok := pl.programStore.Load(programKey{app, tr})
+	if !ok {
+		return nil
+	}
+	nextAt, ok := pl.nextatStore.Load(app)
+	if !ok || len(nextAt) != len(prog.Blocks) {
+		return nil
+	}
+	lat, ok := pl.datalatStore.Load(app)
+	if !ok || prog.AdoptDataLatencies(lat, pl.memCfg) != nil {
+		return nil
+	}
+	return newWorkload(prof, prog, nextAt)
+}
+
+// stored reports whether every artifact for app exists in the store. It
+// is an existence check only: Warm uses it to decide whether an app can
+// be dropped from memory and reloaded later.
+func (pl *Pipeline) stored(app string) bool {
+	return pl.traceStore != nil &&
+		pl.traceStore.Has(app) && pl.programStore.Has(programKey{app: app}) &&
+		pl.nextatStore.Has(app) && pl.datalatStore.Has(app)
+}
+
+// Workload returns the fully prepared workload for an app, loading or
+// preparing it on demand.
 func (pl *Pipeline) Workload(app string) (*Workload, error) {
 	return pl.workloads.Get(app)
 }
 
-// ForgetTransient drops any stage memo for app whose outcome is a
-// transient error, so the next demand re-prepares instead of replaying
-// the failure. Successful stages and deterministic errors stand. Long-
-// lived processes call this when a cell fails transiently: the failure
-// may live in the prepare pipeline rather than the cell compute, and
-// forgetting only the cell would replay the poisoned stage forever.
+// ForgetTransient drops app's memo when its outcome is a transient error,
+// so the next demand re-prepares instead of replaying the failure.
+// Successes and deterministic errors stand. Long-lived processes call
+// this when a cell fails transiently: the failure may live in the prepare
+// rather than the cell compute, and forgetting only the cell would replay
+// the poisoned prepare forever.
 func (pl *Pipeline) ForgetTransient(app string) bool {
-	dropped := pl.workloads.ForgetTransient(app)
-	dropped = pl.traces.ForgetTransient(app) || dropped
-	dropped = pl.programs.ForgetTransient(app) || dropped
-	dropped = pl.nextats.ForgetTransient(app) || dropped
-	dropped = pl.datalats.ForgetTransient(app) || dropped
-	return dropped
+	return pl.workloads.ForgetTransient(app)
 }
 
-// ForgetAllTransient sweeps transiently failed memos from every stage
-// for every app, returning how many entries were dropped.
+// ForgetAllTransient sweeps transiently failed memos for every app,
+// returning how many were dropped.
 func (pl *Pipeline) ForgetAllTransient() int {
-	n := pl.workloads.ForgetAllTransient()
-	n += pl.traces.ForgetAllTransient()
-	n += pl.programs.ForgetAllTransient()
-	n += pl.nextats.ForgetAllTransient()
-	n += pl.datalats.ForgetAllTransient()
-	return n
+	return pl.workloads.ForgetAllTransient()
 }
 
 // Require prepares the named workloads in parallel on the pool,
@@ -387,23 +313,18 @@ func (pl *Pipeline) Require(apps ...string) error {
 	return pl.workloads.Require(apps...)
 }
 
-// Warm materializes all four stage artifacts for the named apps — the
-// `acic-trace warm` path that fills the store for later runs. It runs one
-// pool task per app, and every app is attempted even if some fail; the
-// error of the first failing app in argument order is returned.
-//
-// A batch task gets the app's datalat and nextat stages inline (both
-// materialize trace and program on the way), without assembling a
-// workload. A streamed task (Window > 0) prepares the workload through
-// the fused windowed pass, degrading to the batch stages like Workload.
+// Warm fills the store with all four artifacts of the named apps — the
+// `acic-trace warm` path that prepares the store for later runs. It runs
+// one pool task per app, and every app is attempted even if some fail;
+// the error of the first failing app in argument order is returned.
 //
 // Warm persists, then releases: once the store holds all four of an
-// app's artifacts, the app's memos are dropped from every stage group, so
-// Warm's peak memory is O(workers × one app) rather than O(apps); a later
-// Workload(app) loads from the store, byte-identical by its contract.
-// Without a store, or when a best-effort store write failed, the memos
-// are kept and Warm means "prepare in memory". Like Require, Warm must
-// not be called from inside a pool task.
+// app's artifacts, the app's memo is dropped, so Warm's peak memory is
+// O(workers × one app) rather than O(apps); a later Workload(app) loads
+// from the store, byte-identical by its contract. Without a store, or
+// when a best-effort store write failed, the memo is kept and Warm means
+// "prepare in memory". Like Require, Warm must not be called from inside
+// a pool task.
 func (pl *Pipeline) Warm(apps ...string) error {
 	// A repeated app would be prepared again by its second task once the
 	// first released it, so each app runs once, in first-mention order.
@@ -414,21 +335,9 @@ func (pl *Pipeline) Warm(apps ...string) error {
 		return dup
 	})
 	return pl.pool.Each(len(apps), func(i int) error {
-		app := apps[i]
-		var err error
-		if pl.window > 0 {
-			_, err = pl.workloads.Get(app)
-		} else {
-			_, dlErr := pl.datalats.Get(app)
-			_, naErr := pl.nextats.Get(app)
-			err = cmp.Or(dlErr, naErr)
-		}
-		if err == nil && pl.storeWarm(app) {
-			pl.workloads.Forget(app)
-			pl.datalats.Forget(app)
-			pl.nextats.Forget(app)
-			pl.programs.Forget(app)
-			pl.traces.Forget(app)
+		_, err := pl.workloads.Get(apps[i])
+		if err == nil && pl.stored(apps[i]) {
+			pl.workloads.Forget(apps[i])
 		}
 		return err
 	})
@@ -437,47 +346,34 @@ func (pl *Pipeline) Warm(apps ...string) error {
 // StageNames lists the pipeline stages in dependency order.
 func StageNames() []string { return []string{"trace", "program", "nextat", "datalat"} }
 
-// StageStats reports one stage's engine counters: artifacts regenerated by
-// its compute function vs. served from the persistent store.
+// StageStats reports one stage's counters: artifacts regenerated vs.
+// served from the persistent store.
 type StageStats struct {
 	Stage     string `json:"stage"`
 	Computed  int64  `json:"computed"`
 	FromStore int64  `json:"from_store"`
 }
 
-// Stats returns per-stage counters in dependency order. A warm store shows
-// Computed == 0 on every stage; that is what "skipping the prepare phase"
-// means and what the regression tests assert.
+// Stats returns per-stage counters in dependency order. An app is either
+// prepared cold, which writes all four artifacts, or loaded with all four
+// from the store, so every row reads the same two counts. A warm store
+// shows Computed == 0 on every stage; that is what "skipping the prepare
+// phase" means and what the regression tests assert.
 func (pl *Pipeline) Stats() []StageStats {
-	stats := []StageStats{
-		{"trace", pl.traces.Computed(), pl.traces.CacheHits()},
-		{"program", pl.programs.Computed(), pl.programs.CacheHits()},
-		{"nextat", pl.nextats.Computed(), pl.nextats.CacheHits()},
-		{"datalat", pl.datalats.Computed(), pl.datalats.CacheHits()},
-	}
-	if pl.window > 0 {
-		stats = append(stats, StageStats{Stage: "streamed", Computed: pl.streamed.Load()})
+	cold, warm := pl.cold.Load(), pl.warm.Load()
+	var stats []StageStats
+	for _, stage := range StageNames() {
+		stats = append(stats, StageStats{stage, cold, warm})
 	}
 	return stats
 }
 
-// Streamed returns how many workloads were prepared through the fused
-// windowed pipeline (always 0 in batch mode or on a warm store).
-func (pl *Pipeline) Streamed() int64 { return pl.streamed.Load() }
+// Retries returns the extra prepare attempts spent recovering transient
+// failures.
+func (pl *Pipeline) Retries() int64 { return pl.workloads.Retries() }
 
-// StreamFallbacks returns how many streamed prepares failed mid-window
-// and degraded to the batch path.
-func (pl *Pipeline) StreamFallbacks() int64 { return pl.streamFallbacks.Load() }
-
-// Retries returns the total extra compute attempts the stage and workload
-// groups spent recovering transient failures.
-func (pl *Pipeline) Retries() int64 {
-	return pl.traces.Retries() + pl.programs.Retries() + pl.nextats.Retries() +
-		pl.datalats.Retries() + pl.workloads.Retries()
-}
-
-// Quarantined returns how many undecodable artifacts the stage stores
-// moved to quarantine/ (0 when no store is configured).
+// Quarantined returns how many undecodable artifacts the stores moved to
+// quarantine/ (0 when no store is configured).
 func (pl *Pipeline) Quarantined() int64 {
 	if pl.traceStore == nil {
 		return 0
@@ -486,15 +382,12 @@ func (pl *Pipeline) Quarantined() int64 {
 		pl.nextatStore.Quarantined() + pl.datalatStore.Quarantined()
 }
 
-// Regenerated returns the total number of stage artifacts produced by
-// compute functions (0 on a fully warm store).
+// Regenerated returns the total number of artifacts produced by cold
+// prepares (0 on a fully warm store).
 func (pl *Pipeline) Regenerated() int64 {
-	var total int64
-	for _, st := range pl.Stats() {
-		total += st.Computed
-	}
-	return total
+	return int64(len(StageNames())) * pl.cold.Load()
 }
 
-// WorkloadsPrepared returns how many workloads this pipeline assembled.
+// WorkloadsPrepared returns how many workloads this pipeline prepared or
+// loaded.
 func (pl *Pipeline) WorkloadsPrepared() int64 { return pl.workloads.Computed() }

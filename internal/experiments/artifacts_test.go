@@ -63,7 +63,7 @@ func assertStageCounts(t *testing.T, pl *Pipeline, computed, fromStore int64) {
 	}
 }
 
-// TestPipelineWarmStoreRoundTrip is the tentpole's core promise: a second
+// TestPipelineWarmStoreRoundTrip is the store's core promise: a second
 // pipeline over the same store loads every stage (zero regenerations) and
 // reconstructs a workload equal, array for array, to the cold one — and
 // simulations over both produce bit-identical results.
@@ -87,7 +87,7 @@ func TestPipelineWarmStoreRoundTrip(t *testing.T) {
 	if got := warm.Regenerated(); got != 0 {
 		t.Errorf("warm store regenerated %d artifacts, want 0", got)
 	}
-	assertWorkloadsEqual(t, w1, w2)
+	assertPreparedEqual(t, w1, w2)
 
 	opts := DefaultOptions()
 	for _, scheme := range []string{"lru", "acic", "opt"} {
@@ -102,9 +102,10 @@ func TestPipelineWarmStoreRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPipelineMatchesPrepare pins the staged pipeline to the reference
-// monolithic path: Prepare and a store-backed pipeline must produce the
-// same arrays.
+// TestPipelineMatchesPrepare pins the pipeline to the reference
+// whole-trace path: Prepare and a store-backed pipeline must produce the
+// same arrays, cold and when reloaded from the store (which also restores
+// the instruction records the cold pass does not keep).
 func TestPipelineMatchesPrepare(t *testing.T) {
 	const app, n = "sibench", 20_000
 	prof, ok := workload.ByName(app)
@@ -113,15 +114,16 @@ func TestPipelineMatchesPrepare(t *testing.T) {
 	}
 	want := Prepare(prof, n)
 
-	pl := newTestPipeline(t, n, t.TempDir())
+	dir := t.TempDir()
+	pl := newTestPipeline(t, n, dir)
 	got, err := pl.Workload(app)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertWorkloadsEqual(t, want, got)
+	assertPreparedEqual(t, want, got)
 
 	// And again through the store.
-	warm := newTestPipeline(t, n, t.TempDir())
+	warm := newTestPipeline(t, n, dir)
 	got2, err := warm.Workload(app)
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +177,7 @@ func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			assertWorkloadsEqual(t, want, got)
+			assertPreparedEqual(t, want, got)
 			assertStageCounts(t, pl, 1, 0) // every stage regenerated
 
 			// The regeneration rewrote the store: next run is warm again.
@@ -188,8 +190,8 @@ func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 	}
 }
 
-// TestPipelineWarm exercises the `acic-trace warm` path: Warm materializes
-// all four stages without assembling workloads, and a suite over the same
+// TestPipelineWarm exercises the `acic-trace warm` path: Warm writes all
+// four stages and keeps no workload in memory, and a suite over the same
 // store then prepares with zero regenerations.
 func TestPipelineWarm(t *testing.T) {
 	dir := t.TempDir()
@@ -199,8 +201,8 @@ func TestPipelineWarm(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertStageCounts(t, pl, 2, 0)
-	if n := pl.WorkloadsPrepared(); n != 0 {
-		t.Errorf("Warm assembled %d workloads, want 0", n)
+	if n := pl.workloads.Size(); n != 0 {
+		t.Errorf("Warm kept %d workloads in memory, want 0", n)
 	}
 
 	s := NewSuite(20_000)
@@ -216,22 +218,11 @@ func TestPipelineWarm(t *testing.T) {
 	}
 }
 
-// stageSizes reports how many keys each of the pipeline's memo groups holds.
-func stageSizes(pl *Pipeline) map[string]int {
-	return map[string]int{
-		"trace":    pl.traces.Size(),
-		"program":  pl.programs.Size(),
-		"nextat":   pl.nextats.Size(),
-		"datalat":  pl.datalats.Size(),
-		"workload": pl.workloads.Size(),
-	}
-}
-
 // TestPipelineWarmReleasesPersistedApps pins Warm's persist-then-release
-// contract in batch and streamed mode: once the store holds an app, Warm
-// drops it from every memo and a later Workload reloads it unchanged;
-// without a store, or when the store write fails, the memo is kept and
-// Workload computes nothing new.
+// contract at the default window (0) and at one that splits the trace into
+// several windows: once the store holds an app, Warm drops it from memory
+// and a later Workload reloads it unchanged; without a store, or when the
+// store write fails, the memo is kept and Workload computes nothing new.
 func TestPipelineWarmReleasesPersistedApps(t *testing.T) {
 	const n = 20_000
 	apps := []string{"media-streaming", "sibench"}
@@ -240,25 +231,27 @@ func TestPipelineWarmReleasesPersistedApps(t *testing.T) {
 		prof, _ := workload.ByName(app)
 		want[app] = Prepare(prof, n)
 	}
+	newPipeline := func(t *testing.T, window int, dir string) *Pipeline {
+		pl := newTestPipeline(t, n, dir)
+		if window > 0 {
+			pl.window = window
+		}
+		return pl
+	}
 
 	for _, window := range []int{0, 4096} {
 		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
-			pl, err := NewPipeline(PipelineConfig{N: n, Dir: t.TempDir(), Window: window})
-			if err != nil {
-				t.Fatal(err)
-			}
+			pl := newPipeline(t, window, t.TempDir())
 			// The repeated app must not be prepared twice.
 			if err := pl.Warm(append(apps, apps[0])...); err != nil {
 				t.Fatal(err)
 			}
-			for stage, size := range stageSizes(pl) {
-				if size != 0 {
-					t.Errorf("after Warm on a store, %s group holds %d keys, want 0", stage, size)
-				}
+			if size := pl.workloads.Size(); size != 0 {
+				t.Errorf("after Warm on a store, the workload group holds %d keys, want 0", size)
 			}
 			regenerated := pl.Regenerated()
-			if window == 0 && regenerated != int64(4*len(apps)) {
-				t.Errorf("batch Warm regenerated %d artifacts, want %d", regenerated, 4*len(apps))
+			if regenerated != int64(4*len(apps)) {
+				t.Errorf("Warm regenerated %d artifacts, want %d", regenerated, 4*len(apps))
 			}
 			for _, app := range apps {
 				got, err := pl.Workload(app)
@@ -284,21 +277,14 @@ func TestPipelineWarmReleasesPersistedApps(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer faults.Install("")
-				pl, err := NewPipeline(PipelineConfig{N: n, Dir: k.dir, Window: window})
-				if err != nil {
-					t.Fatal(err)
-				}
+				pl := newPipeline(t, window, k.dir)
 				if err := pl.Warm(apps...); err != nil {
 					t.Fatal(err)
 				}
-				memo := pl.traces.Size()
-				if window > 0 {
-					memo = pl.workloads.Size()
-				}
-				if memo != len(apps) {
+				if memo := pl.workloads.Size(); memo != len(apps) {
 					t.Errorf("Warm without a persisted store kept %d apps in memory, want %d", memo, len(apps))
 				}
-				regenerated, streamed := pl.Regenerated(), pl.Streamed()
+				regenerated := pl.Regenerated()
 				for _, app := range apps {
 					got, err := pl.Workload(app)
 					if err != nil {
@@ -306,9 +292,9 @@ func TestPipelineWarmReleasesPersistedApps(t *testing.T) {
 					}
 					assertPreparedEqual(t, want[app], got)
 				}
-				if pl.Regenerated() != regenerated || pl.Streamed() != streamed {
-					t.Errorf("Workload after an in-memory Warm recomputed: regenerated %d -> %d, streamed %d -> %d",
-						regenerated, pl.Regenerated(), streamed, pl.Streamed())
+				if pl.Regenerated() != regenerated {
+					t.Errorf("Workload after an in-memory Warm recomputed: regenerated %d -> %d",
+						regenerated, pl.Regenerated())
 				}
 			})
 		}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestTryClaimOwnership: a claimed key is owned exactly once, per-key
@@ -126,33 +125,5 @@ func TestTryClaimAfterCompute(t *testing.T) {
 	}
 	if g.TryClaim("xyz") {
 		t.Error("TryClaim must lose against a computed key")
-	}
-}
-
-// TestPoolGo: Go applies the pool's concurrency bound to submitted tasks.
-func TestPoolGo(t *testing.T) {
-	p := NewPool(2)
-	var mu sync.Mutex
-	running, peak := 0, 0
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		p.Go(func() {
-			defer wg.Done()
-			mu.Lock()
-			running++
-			if running > peak {
-				peak = running
-			}
-			mu.Unlock()
-			time.Sleep(2 * time.Millisecond)
-			mu.Lock()
-			running--
-			mu.Unlock()
-		})
-	}
-	wg.Wait()
-	if peak > 2 {
-		t.Errorf("pool ran %d tasks at once, bound is 2", peak)
 	}
 }

@@ -121,24 +121,39 @@ func NewDiskCache[K comparable, V any](dir string, key func(K) string) (*DiskCac
 			if err != nil {
 				return nil, err
 			}
-			buf := make([]byte, len(jsonMagic)+4+len(payload))
-			copy(buf, jsonMagic)
-			binary.LittleEndian.PutUint32(buf[len(jsonMagic):], crc32.ChecksumIEEE(payload))
-			copy(buf[len(jsonMagic)+4:], payload)
-			return buf, nil
+			return encodeJSONFrame(payload), nil
 		},
 		func(_ K, data []byte) (V, error) {
 			var v V
-			if len(data) < len(jsonMagic)+4 || string(data[:len(jsonMagic)]) != jsonMagic {
-				return v, fmt.Errorf("engine: cache entry is not a %s frame", jsonMagic)
+			payload, err := decodeJSONFrame(data)
+			if err != nil {
+				return v, err
 			}
-			payload := data[len(jsonMagic)+4:]
-			if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[len(jsonMagic):]) {
-				return v, errors.New("engine: cache entry CRC mismatch")
-			}
-			err := json.Unmarshal(payload, &v)
+			err = json.Unmarshal(payload, &v)
 			return v, err
 		})
+}
+
+// encodeJSONFrame wraps a JSON payload in the jsonMagic frame.
+func encodeJSONFrame(payload []byte) []byte {
+	buf := make([]byte, len(jsonMagic)+4+len(payload))
+	copy(buf, jsonMagic)
+	binary.LittleEndian.PutUint32(buf[len(jsonMagic):], crc32.ChecksumIEEE(payload))
+	copy(buf[len(jsonMagic)+4:], payload)
+	return buf
+}
+
+// decodeJSONFrame checks a jsonMagic frame — magic and payload CRC — and
+// returns the payload it carries.
+func decodeJSONFrame(data []byte) ([]byte, error) {
+	if len(data) < len(jsonMagic)+4 || string(data[:len(jsonMagic)]) != jsonMagic {
+		return nil, fmt.Errorf("engine: cache entry is not a %s frame", jsonMagic)
+	}
+	payload := data[len(jsonMagic)+4:]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[len(jsonMagic):]) {
+		return nil, errors.New("engine: cache entry CRC mismatch")
+	}
+	return payload, nil
 }
 
 // NewCodecDiskCache creates a cache over dir — a local directory (created
@@ -147,7 +162,8 @@ func NewDiskCache[K comparable, V any](dir string, key func(K) string) (*DiskCac
 // receives the key alongside the bytes so decoders can rebuild derived
 // state from sibling artifacts (a persisted Program is reconstructed
 // against its trace); any dec error quarantines the entry and reads as a
-// miss.
+// miss. A nil enc makes a cache written only through BeginStream; its
+// Store is a no-op.
 //
 // The backend is probed up front: Store is deliberately best-effort (a
 // failed write only costs a future recompute), so without the probe an
@@ -265,12 +281,31 @@ func (e *StreamEntry) Commit() {
 		os.Remove(e.F.Name())
 		return
 	}
+	corruptEntry(e.F, e.name)
 	if err := e.F.Sync(); err != nil {
 		e.F.Close()
 		os.Remove(e.F.Name())
 		return
 	}
 	e.publish(e.F)
+}
+
+// corruptEntry applies the corrupt-artifact fault to a streamed entry
+// before it is published, as Store applies it to encoded bytes.
+func corruptEntry(f *os.File, name string) {
+	info, err := f.Stat()
+	if err != nil {
+		return
+	}
+	off, mask, hit := faults.CorruptBit(name, info.Size())
+	if !hit {
+		return
+	}
+	var b [1]byte
+	if _, err := f.ReadAt(b[:], off); err == nil {
+		b[0] ^= mask
+		f.WriteAt(b[:], off)
+	}
 }
 
 // Abort discards the in-progress entry. Safe on nil and after Commit, so
@@ -289,7 +324,7 @@ func (e *StreamEntry) Abort() {
 // entry and a crash leaves nothing in the store root.
 func (d *DiskCache[K, V]) Store(k K, v V) {
 	name := d.name(k)
-	if faults.FailIO("store", name) {
+	if d.enc == nil || faults.FailIO("store", name) {
 		return
 	}
 	data, err := d.enc(v)

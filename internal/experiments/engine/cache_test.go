@@ -271,3 +271,33 @@ func TestDiskCacheInjectedCorruptionQuarantines(t *testing.T) {
 		t.Fatalf("Quarantined = %d, want 1", c.Quarantined())
 	}
 }
+
+// Injected corruption reaches streamed entries too: Commit flips the bit
+// Store would have flipped in the same bytes, so the next Load
+// quarantines the entry.
+func TestDiskCacheInjectedCorruptionStreamed(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewDiskCache[string, int](dir, func(k string) string { return k })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := faults.Install("corrupt-artifact:p=1;seed=5"); err != nil {
+		t.Fatal(err)
+	}
+	defer faults.Install("")
+	e, ok := c.BeginStream("k")
+	if !ok {
+		t.Fatal("BeginStream failed")
+	}
+	if _, err := e.F.Write(encodeJSONFrame([]byte("123456789"))); err != nil {
+		t.Fatal(err)
+	}
+	e.Commit()
+	faults.Install("")
+	if _, ok := c.Load("k"); ok {
+		t.Fatal("Load served an injected-corrupt streamed entry")
+	}
+	if c.Quarantined() != 1 {
+		t.Fatalf("Quarantined = %d, want 1", c.Quarantined())
+	}
+}

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"runtime/debug"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -43,11 +42,6 @@ type Pool struct {
 	slots   chan struct{}
 	running atomic.Int64
 	queued  atomic.Int64
-
-	// OnPanic, if non-nil, observes panics recovered in Go tasks (Each
-	// reports them through its error return instead). Called from worker
-	// goroutines; it must be safe for concurrent use.
-	OnPanic func(*CellError)
 }
 
 // NewPool creates a pool running at most workers tasks at once
@@ -101,33 +95,6 @@ func (p *Pool) Idle() int {
 // asking for more work instead of hoarding batches other workers could
 // run.
 func (p *Pool) Queued() int { return int(p.queued.Load()) }
-
-// Go starts fn as one pool task, blocking the caller until a slot frees
-// (the same submitter backpressure as Each and Require) and returning as
-// soon as the task is launched. Completion is observed through whatever fn
-// fulfills — batch executors pair Go with Group.TryClaim/Fulfill, whose
-// done channels the eventual Require waits on. Like Each, Go must not be
-// called from inside a pool task.
-//
-// A panic escaping fn is recovered (reported via OnPanic) rather than
-// killing the process. This is a last-resort backstop: a task that
-// panics between TryClaim and Fulfill still strands its claimed keys, so
-// batch executors must install their own recovery that fulfills.
-func (p *Pool) Go(fn func()) {
-	p.acquire()
-	go func() {
-		defer p.release()
-		defer func() {
-			if r := recover(); r != nil {
-				ce := recoveredError("pool task", r, debug.Stack())
-				if p.OnPanic != nil {
-					p.OnPanic(ce)
-				}
-			}
-		}()
-		fn()
-	}()
-}
 
 // Each runs fn(0..n-1) with bounded parallelism and waits for all calls,
 // returning the lowest-index error. A panicking call is recovered into a

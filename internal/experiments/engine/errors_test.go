@@ -209,20 +209,3 @@ func TestPoolEachRecoversPanics(t *testing.T) {
 		t.Fatalf("pool leaked slots: running=%d", pool.Running())
 	}
 }
-
-func TestPoolGoRecoversPanics(t *testing.T) {
-	pool := NewPool(1)
-	got := make(chan *CellError, 1)
-	pool.OnPanic = func(ce *CellError) { got <- ce }
-	pool.Go(func() { panic("stray") })
-	select {
-	case ce := <-got:
-		if ce.Panic != "stray" {
-			t.Fatalf("OnPanic got %+v", ce)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnPanic never called")
-	}
-	// The slot must have been released despite the panic.
-	pool.Go(func() {})
-}

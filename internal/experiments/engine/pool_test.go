@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// holdTasks runs Each(n) in the background with every task blocking until
+// hold closes, and returns once all n tasks hold their slots. The returned
+// channel yields Each's error after hold closes.
+func holdTasks(p *Pool, n int, hold <-chan struct{}) <-chan error {
+	started := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		done <- p.Each(n, func(int) error {
+			started <- struct{}{}
+			<-hold
+			return nil
+		})
+	}()
+	for i := 0; i < n; i++ {
+		<-started
+	}
+	return done
+}
+
 // TestPoolOccupancy pins the Running/Idle counters batch packers plan
 // against: an empty pool is fully idle, every held slot moves one unit
 // from Idle to Running, and drained tasks return it.
@@ -16,24 +35,14 @@ func TestPoolOccupancy(t *testing.T) {
 	}
 
 	hold := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		p.Go(func() {
-			defer wg.Done()
-			started <- struct{}{}
-			<-hold
-		})
-	}
-	for i := 0; i < 3; i++ {
-		<-started
-	}
+	done := holdTasks(p, 3, hold)
 	if p.Running() != 3 || p.Idle() != 1 {
 		t.Errorf("3 held tasks: running %d idle %d, want 3 and 1", p.Running(), p.Idle())
 	}
 	close(hold)
-	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	if p.Running() != 0 || p.Idle() != 4 {
 		t.Errorf("drained pool: running %d idle %d, want 0 and 4", p.Running(), p.Idle())
 	}
@@ -51,37 +60,21 @@ func TestPoolQueued(t *testing.T) {
 	}
 
 	hold := make(chan struct{})
-	started := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		p.Go(func() {
-			defer wg.Done()
-			started <- struct{}{}
-			<-hold
-		})
-	}
-	<-started
-	<-started
+	done := holdTasks(p, 2, hold)
 
-	// The pool is full; three more submissions must block in acquire and
+	// The pool is full; three more submitters must block in acquire and
 	// show up as queued.
-	queued := make(chan struct{})
+	var wg sync.WaitGroup
 	for i := 0; i < 3; i++ {
 		wg.Add(1)
 		go func() {
-			queued <- struct{}{}
-			p.Go(func() {
-				defer wg.Done()
+			defer wg.Done()
+			p.Each(1, func(int) error {
 				<-hold
+				return nil
 			})
 		}()
 	}
-	for i := 0; i < 3; i++ {
-		<-queued
-	}
-	// The three submitters are between the channel send above and slot
-	// acquisition; poll until all have registered.
 	for p.Queued() != 3 {
 		runtime.Gosched()
 	}
@@ -90,14 +83,17 @@ func TestPoolQueued(t *testing.T) {
 	}
 	close(hold)
 	wg.Wait()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	if p.Queued() != 0 || p.Running() != 0 {
 		t.Errorf("drained pool: queued %d running %d, want 0 and 0", p.Queued(), p.Running())
 	}
 }
 
-// TestPoolEachCountsOccupancy: Each goes through the same acquire/release
-// pair as Go, so occupancy observed from inside a task is at least 1 and
-// never exceeds the width.
+// TestPoolEachCountsOccupancy: every Each task goes through the
+// acquire/release pair, so occupancy observed from inside a task is at
+// least 1 and never exceeds the width.
 func TestPoolEachCountsOccupancy(t *testing.T) {
 	p := NewPool(2)
 	if err := p.Each(8, func(i int) error {

@@ -8,9 +8,9 @@ import (
 
 // FaultStats aggregates the suite's fault handling: what the injector
 // fired (zero without -fault-spec) and what the engine absorbed —
-// retries, stream fallbacks, and quarantined store entries. Every field counts recovery work; results
-// themselves stay byte-identical to a fault-free run, which is the
-// invariant CI's fault smoke pins.
+// retries and quarantined store entries. Results themselves stay
+// byte-identical to a fault-free run, which is the invariant CI's fault
+// smoke pins.
 type FaultStats struct {
 	// Spec is the installed fault spec ("" = no injection).
 	Spec string `json:"spec,omitempty"`
@@ -21,11 +21,8 @@ type FaultStats struct {
 	InjectedPanics      int64 `json:"injected_panics"`
 	InjectedNetErrs     int64 `json:"injected_net_errs"`
 	// Retries counts extra compute attempts spent recovering transient
-	// failures across the result group and the pipeline stages.
+	// failures across the result group and the pipeline.
 	Retries int64 `json:"retries"`
-	// StreamFallbacks counts streamed prepares that failed mid-window and
-	// fell back to batch.
-	StreamFallbacks int64 `json:"stream_fallbacks"`
 	// Quarantined counts undecodable store entries moved to quarantine/.
 	Quarantined int64 `json:"quarantined"`
 }
@@ -34,26 +31,26 @@ type FaultStats struct {
 // recorded.
 func (f FaultStats) Any() bool {
 	return f.InjectedIOErrs != 0 || f.InjectedCorruptions != 0 || f.InjectedPanics != 0 ||
-		f.InjectedNetErrs != 0 || f.Retries != 0 || f.StreamFallbacks != 0 || f.Quarantined != 0
+		f.InjectedNetErrs != 0 || f.Retries != 0 || f.Quarantined != 0
 }
 
 // Recovered totals the recovery work the engine spent absorbing faults
-// — retries, stream fallbacks, and quarantines. acic-serve charges this total against per-request fault
+// — retries and quarantines. acic-serve charges this total against per-request fault
 // budgets: a request whose service consumed excessive recovery work is
 // refused (CodeFaultBudget) rather than allowed to mask a degrading
 // store or injector behind ever-slower answers.
 func (f FaultStats) Recovered() int64 {
-	return f.Retries + f.StreamFallbacks + f.Quarantined
+	return f.Retries + f.Quarantined
 }
 
 // String renders the single-line summary -progress and the bench tier
 // print, e.g.
 //
-//	faults: injected 12 io / 3 corrupt / 5 panic / 4 net; recovered 5 retries, 1 stream-fallbacks, 3 quarantined
+//	faults: injected 12 io / 3 corrupt / 5 panic / 4 net; recovered 5 retries, 3 quarantined
 func (f FaultStats) String() string {
-	return fmt.Sprintf("faults: injected %d io / %d corrupt / %d panic / %d net; recovered %d retries, %d stream-fallbacks, %d quarantined",
+	return fmt.Sprintf("faults: injected %d io / %d corrupt / %d panic / %d net; recovered %d retries, %d quarantined",
 		f.InjectedIOErrs, f.InjectedCorruptions, f.InjectedPanics, f.InjectedNetErrs,
-		f.Retries, f.StreamFallbacks, f.Quarantined)
+		f.Retries, f.Quarantined)
 }
 
 // FaultStats reports the suite's fault handling so far. Injector counts
@@ -69,7 +66,6 @@ func (s *Suite) FaultStats() FaultStats {
 		InjectedPanics:      snap.Panics,
 		InjectedNetErrs:     snap.NetErrs,
 		Retries:             s.results.Retries() + s.pipeline.Retries(),
-		StreamFallbacks:     s.pipeline.StreamFallbacks(),
 		Quarantined:         s.pipeline.Quarantined(),
 	}
 	if s.resultStore != nil {

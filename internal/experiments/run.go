@@ -35,25 +35,20 @@ type Workload struct {
 	NextAt  []int64
 }
 
-// Prepare generates a workload of n instructions and builds the shared
-// artifacts, including the data-side latency timeline every scheme run
-// reads instead of re-simulating the data hierarchy. It runs the staged
-// pipeline (trace → program → successor array → latency timeline) without
-// a persistent store; hand PipelineConfig a Dir to make these stages
-// reusable artifacts across processes.
+// Prepare generates a workload of n instructions (0 = DefaultTraceLen)
+// and builds the shared artifacts, including the data-side latency
+// timeline every scheme run reads instead of re-simulating the data
+// hierarchy, in one whole-trace pass per stage. It is the reference the
+// windowed Pipeline is pinned against, and unlike a cold Pipeline it keeps
+// the trace's Inst records.
 func Prepare(p workload.Profile, n int) *Workload {
-	pl, err := NewPipeline(PipelineConfig{
-		N:      n,
-		Lookup: func(name string) (workload.Profile, bool) { return p, name == p.Name },
-	})
-	if err != nil {
-		panic(err) // unreachable: no store directory was configured
+	if n <= 0 {
+		n = DefaultTraceLen()
 	}
-	w, err := pl.Workload(p.Name)
-	if err != nil {
-		panic(err) // unreachable: the profile is registered in the lookup
-	}
-	return w
+	tr := workload.Generate(p, n)
+	prog := cpu.NewProgram(tr, branch.NewFrontEnd().Annotate(tr))
+	prog.EnsureDataLatencies(mem.DefaultConfig())
+	return newWorkload(p, prog, analysis.NextUseArray(prog.Blocks))
 }
 
 // Options configure a simulation run.

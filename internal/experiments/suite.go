@@ -69,12 +69,6 @@ type Suite struct {
 	// ArtifactDir may point at the same directory — result entries are
 	// .json, artifacts .actr.
 	ArtifactDir string
-	// PrepareWindow, when > 0, streams cold workload preparation in
-	// windows of that many instructions (see PipelineConfig.Window): peak
-	// prepare memory drops from O(N) instruction records to O(window),
-	// artifacts and results stay byte-identical, and a warm artifact store
-	// is loaded exactly as in batch mode. 0 keeps the batch prepare.
-	PrepareWindow int
 	// SampleSets, when > 0, switches every simulation the suite runs into
 	// the set-sampled fast mode: only SampleSets of the 64 i-cache sets
 	// are simulated (one per stride-sized constituency, SDM methodology)
@@ -170,7 +164,7 @@ func (s *Suite) init() {
 		_, sampleErr := SampleConfigFor(s.SampleSets, s.SampleOffset, "")
 		s.pool = engine.NewPool(s.Workers)
 		var plErr error
-		s.pipeline, plErr = NewPipeline(PipelineConfig{N: s.N, Dir: s.ArtifactDir, Pool: s.pool, Window: s.PrepareWindow})
+		s.pipeline, plErr = NewPipeline(PipelineConfig{N: s.N, Dir: s.ArtifactDir, Pool: s.pool})
 		s.results = engine.NewGroup(s.pool, s.computeCell)
 		s.results.Name = "cell"
 		s.results.Retry = engine.DefaultRetry()
@@ -302,9 +296,9 @@ func (s *Suite) SPECNames() []string {
 	return names
 }
 
-// PrepareAll prepares the named workloads in parallel through the staged
+// PrepareAll prepares the named workloads in parallel through the
 // artifact pipeline (trace generation, branch annotation, successor
-// array, data-latency timeline), memoizing each and loading any stage the
+// array, data-latency timeline), memoizing each and loading any app the
 // artifact store already holds.
 func (s *Suite) PrepareAll(apps ...string) error {
 	s.init()

@@ -12,8 +12,8 @@
 // hook-free (DESIGN.md §13).
 //
 // Decisions are deterministic under any scheduling. Every hook names its
-// site and the key of the work it guards (a store entry, a cell, a stage
-// and app, a stream window), and the injector counts how often each
+// site and the key of the work it guards (a store entry, a cell, a
+// prepared app), and the injector counts how often each
 // (class, site, key) has been drawn: that count is the attempt. A draw
 // fires iff splitmix64(seed, class, site, key, attempt) maps below the
 // class's probability; an every=N rule fires on one attempt in N for
@@ -227,7 +227,7 @@ func (s Stats) Total() int64 {
 // was environmental, not a simulator bug, so re-running the work is both
 // safe and expected to succeed.
 type Injected struct {
-	Site    string // hook site, e.g. "compute", "stream-window"
+	Site    string // hook site, e.g. "compute"
 	Key     string // the work the site guards
 	Attempt int64  // attempt index of (site, key) that fired
 }
@@ -309,19 +309,28 @@ func FailNet(site, key string) bool {
 // region (headers and names are a small prefix); JSON cache entries are
 // whole-file checksummed, so any position is caught there.
 func Corrupt(key string, data []byte) []byte {
+	if off, mask, hit := CorruptBit(key, int64(len(data))); hit {
+		data[off] ^= mask
+	}
+	return data
+}
+
+// CorruptBit is Corrupt for an entry written elsewhere (a streamed store
+// entry): it draws the same rule for an entry of size bytes and, when it
+// fires, returns the byte offset and the mask of the bit to flip.
+func CorruptBit(key string, size int64) (off int64, mask byte, hit bool) {
 	in := active.Load()
-	if in == nil || len(data) == 0 {
-		return data
+	if in == nil || size <= 0 {
+		return 0, 0, false
 	}
 	hit, _, h := in.fire(CorruptArtifact, "store", key)
 	if !hit {
-		return data
+		return 0, 0, false
 	}
-	bits := uint64(len(data)) * 8
+	bits := uint64(size) * 8
 	lo := bits / 2
 	bit := lo + Mix64(h^0xc0ffee)%(bits-lo)
-	data[bit/8] ^= 1 << (bit % 8)
-	return data
+	return int64(bit / 8), 1 << (bit % 8), true
 }
 
 // PanicPoint panics with an *Injected value when the panic-cell rule

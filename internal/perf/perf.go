@@ -62,48 +62,24 @@ type SampledSweep struct {
 	WorstCyclesErrPct float64  `json:"worst_cycles_err_pct"`
 }
 
-// PrepareSweep is one cold-prepare measurement: the same workload prepared
-// from an empty artifact store through the batch path and through the
-// windowed streaming pipeline, recording wall-clock and peak live-heap
-// growth for each, with the two lanes' prepared arrays verified identical
-// before the numbers are reported. The peak-reduction column is the
-// memory claim the streaming prepare makes (cold peak O(window) instead
-// of O(trace)); committing it to bench/trajectory keeps it regressable.
-type PrepareSweep struct {
-	App                string  `json:"app"`
-	N                  int     `json:"trace_instructions"`
-	Window             int     `json:"window"`
-	BatchWallNs        int64   `json:"batch_wall_ns"`
-	BatchPeakBytes     int64   `json:"batch_peak_bytes"`
-	StreamedWallNs     int64   `json:"streamed_wall_ns"`
-	StreamedPeakBytes  int64   `json:"streamed_peak_bytes"`
-	PeakReduction      float64 `json:"peak_reduction"` // batch peak / streamed peak
-	ArraysIdentical    bool    `json:"arrays_identical"`
-	ArtifactsLoadClean bool    `json:"artifacts_load_clean"` // batch pipeline warm-loads the streamed store
-}
-
 // Report is the serialized benchmark trajectory for one tree state.
 type Report struct {
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
 	N         int    `json:"trace_instructions"`
-	// PrepareWallNs is the wall-clock of the workload prepare phase (all
-	// four pipeline stages plus assembly) before the first simulation.
-	// With a warm artifact store it collapses to the time needed to load
-	// and reassemble the artifacts — the "prepare ~0" the staged pipeline
-	// targets; PrepareStages records where the time went.
+	// PrepareWallNs is the wall-clock of the workload prepare phase before
+	// the first simulation. With a warm artifact store it collapses to the
+	// time needed to load and reassemble the artifacts — the "prepare ~0"
+	// the pipeline targets; PrepareStages records whether it did.
 	PrepareWallNs int64 `json:"prepare_wall_ns"`
 	// PreparePeakBytes is the high-water mark of the live heap
 	// (runtime.MemStats HeapAlloc, sampled every millisecond) over the
-	// prepare phase, relative to the GC-settled baseline before it — the
-	// number the streaming prepare (-prepare-window) shrinks.
+	// prepare phase, relative to the GC-settled baseline before it.
 	PreparePeakBytes int64                    `json:"prepare_peak_bytes"`
-	PrepareWindow    int                      `json:"prepare_window,omitempty"`
 	PrepareStages    []experiments.StageStats `json:"prepare_stages,omitempty"`
 	Cells            []Cell                   `json:"cells"`
 	SampledSweeps    []SampledSweep           `json:"sampled_sweeps,omitempty"`
-	PrepareSweeps    []PrepareSweep           `json:"prepare_sweeps,omitempty"`
 	// DistributedSweeps records the coordinator/worker lane measurements
 	// (distributed.go) when Config.DistributedSweeps asked for them.
 	DistributedSweeps []DistributedSweep `json:"distributed_sweeps,omitempty"`
@@ -133,12 +109,6 @@ type Config struct {
 	Repeats     int      // timed repetitions per cell, best kept (default 3)
 	SampleSets  int      // also measure set-sampled sweeps at this -sample-sets (0 = skip)
 	ArtifactDir string   // persistent workload artifact store ("" = prepare in memory)
-	// PrepareWindow streams the report's own prepare phase in windows of
-	// this many instructions (0 = batch), mirroring -prepare-window.
-	PrepareWindow int
-	// PrepareSweeps adds the batch-vs-streamed cold-prepare measurements
-	// (wall + peak heap, over scratch stores) at N and 4N instructions.
-	PrepareSweeps bool
 	// DistributedSweeps adds the distributed-execution measurements: the
 	// full DistributedSchemes × datacenter-apps grid under FDP, run
 	// single-process and through a coordinator at each worker count in
@@ -146,11 +116,6 @@ type Config struct {
 	// per-cell results verified identical (DESIGN.md §14).
 	DistributedSweeps bool
 }
-
-// DefaultPrepareWindow is the streaming window the prepare sweeps (and CI)
-// use when none is pinned: 64k instructions keeps the resident window
-// around 2 MB while staying far above the per-window fixed costs.
-const DefaultPrepareWindow = 1 << 16
 
 // DefaultSchemes is the tracked scheme set: the baseline, the learned and
 // oracle policies whose inner loops this repo optimizes, and the bypass
@@ -191,7 +156,6 @@ func Measure(cfg Config) (*Report, error) {
 	cfg.defaults()
 	s := experiments.NewSuite(cfg.N)
 	s.ArtifactDir = cfg.ArtifactDir
-	s.PrepareWindow = cfg.PrepareWindow
 	s.Context = cfg.Context
 	// An unusable artifact store would silently measure a cold prepare
 	// phase; fail like the -exp path does instead of benchmarking a lie.
@@ -216,7 +180,6 @@ func Measure(cfg Config) (*Report, error) {
 		N:                cfg.N,
 		PrepareWallNs:    prepare.Nanoseconds(),
 		PreparePeakBytes: peak,
-		PrepareWindow:    cfg.PrepareWindow,
 		PrepareStages:    s.PrepareStats(),
 	}
 	// canceled gates each measurement: the first true marks the report
@@ -258,18 +221,6 @@ func Measure(cfg Config) (*Report, error) {
 				return nil, fmt.Errorf("perf: sampled sweep %s: %w", pf, err)
 			}
 			rep.SampledSweeps = append(rep.SampledSweeps, sweep)
-		}
-	}
-	if cfg.PrepareSweeps {
-		for _, n := range []int{cfg.N, 4 * cfg.N} {
-			if canceled() {
-				return finish()
-			}
-			sweep, err := measurePrepareSweep(cfg.App, n, cfg.PrepareWindow)
-			if err != nil {
-				return nil, fmt.Errorf("perf: prepare sweep n=%d: %w", n, err)
-			}
-			rep.PrepareSweeps = append(rep.PrepareSweeps, sweep)
 		}
 	}
 	if cfg.DistributedSweeps {
@@ -333,101 +284,6 @@ func heapWatermark(fn func() error) (int64, error) {
 		return 0, err
 	}
 	return int64(high - base), err
-}
-
-// measurePrepareSweep cold-prepares one workload of n instructions twice —
-// batch and streamed, each over its own scratch artifact store — and
-// verifies (a) the two lanes produced identical prepared arrays and (b) a
-// batch pipeline over the streamed store warm-loads it with zero
-// regenerations, before reporting the wall/peak-heap numbers.
-func measurePrepareSweep(app string, n, window int) (PrepareSweep, error) {
-	if window <= 0 {
-		window = DefaultPrepareWindow
-	}
-	lane := func(win int) (*experiments.Workload, string, int64, int64, error) {
-		dir, err := os.MkdirTemp("", "acic-prepare-sweep-*")
-		if err != nil {
-			return nil, "", 0, 0, err
-		}
-		pl, err := experiments.NewPipeline(experiments.PipelineConfig{N: n, Dir: dir, Window: win})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, "", 0, 0, err
-		}
-		var w *experiments.Workload
-		start := time.Now()
-		peak, err := heapWatermark(func() error {
-			var err error
-			w, err = pl.Workload(app)
-			return err
-		})
-		wall := time.Since(start).Nanoseconds()
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, "", 0, 0, err
-		}
-		return w, dir, wall, peak, nil
-	}
-
-	batchW, batchDir, batchWall, batchPeak, err := lane(0)
-	if err != nil {
-		return PrepareSweep{}, err
-	}
-	defer os.RemoveAll(batchDir)
-	// The identity check below reads only the prepared arrays, so drop the
-	// batch lane's instruction records before timing the streamed lane: GC
-	// pacing budgets heap growth proportional to *total* live bytes, and 32
-	// bytes/inst of dead batch state would hand the streamed lane extra
-	// slack its watermark would charge as its own.
-	batchW.Prog.Trace.Insts = nil
-	streamW, streamDir, streamWall, streamPeak, err := lane(window)
-	if err != nil {
-		return PrepareSweep{}, err
-	}
-	defer os.RemoveAll(streamDir)
-
-	identical := equalSlices(batchW.Prog.Desc, streamW.Prog.Desc) &&
-		equalSlices(batchW.Prog.Blocks, streamW.Prog.Blocks) &&
-		equalSlices(batchW.Prog.MemBlk, streamW.Prog.MemBlk) &&
-		equalSlices(batchW.Prog.DataLat, streamW.Prog.DataLat) &&
-		equalSlices(batchW.Ann, streamW.Ann) &&
-		equalSlices(batchW.NextAt, streamW.NextAt)
-
-	loadClean := false
-	if warm, err := experiments.NewPipeline(experiments.PipelineConfig{N: n, Dir: streamDir}); err == nil {
-		if _, err := warm.Workload(app); err == nil {
-			loadClean = warm.Regenerated() == 0
-		}
-	}
-
-	reduction := 0.0
-	if streamPeak > 0 {
-		reduction = float64(batchPeak) / float64(streamPeak)
-	}
-	return PrepareSweep{
-		App:                app,
-		N:                  n,
-		Window:             window,
-		BatchWallNs:        batchWall,
-		BatchPeakBytes:     batchPeak,
-		StreamedWallNs:     streamWall,
-		StreamedPeakBytes:  streamPeak,
-		PeakReduction:      reduction,
-		ArraysIdentical:    identical,
-		ArtifactsLoadClean: loadClean,
-	}, nil
-}
-
-func equalSlices[T comparable](a, b []T) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // measureSampledSweep times one full scheme row through the reference
@@ -579,36 +435,8 @@ func (r *Report) PrepareSummary() string {
 		computed += st.Computed
 		loaded += st.FromStore
 	}
-	mode := ""
-	if r.PrepareWindow > 0 {
-		mode = fmt.Sprintf(", streamed window %d", r.PrepareWindow)
-	}
-	return fmt.Sprintf("prepare phase: %.1fms, peak heap +%.1fMB (%d stage artifacts regenerated, %d from store%s)",
-		float64(r.PrepareWallNs)/1e6, float64(r.PreparePeakBytes)/(1<<20), computed, loaded, mode)
-}
-
-// PrepareSweepTable renders the batch-vs-streamed cold-prepare
-// measurements (nil when none were run).
-func (r *Report) PrepareSweepTable() *stats.Table {
-	if len(r.PrepareSweeps) == 0 {
-		return nil
-	}
-	t := &stats.Table{Header: []string{
-		"n", "window", "batch-ms", "streamed-ms", "batch-peak-MB", "streamed-peak-MB", "peak-reduction", "identical"}}
-	for _, s := range r.PrepareSweeps {
-		ident := "yes"
-		if !s.ArraysIdentical || !s.ArtifactsLoadClean {
-			ident = "NO"
-		}
-		t.AddRow(s.N, s.Window,
-			fmt.Sprintf("%.1f", float64(s.BatchWallNs)/1e6),
-			fmt.Sprintf("%.1f", float64(s.StreamedWallNs)/1e6),
-			fmt.Sprintf("%.1f", float64(s.BatchPeakBytes)/(1<<20)),
-			fmt.Sprintf("%.1f", float64(s.StreamedPeakBytes)/(1<<20)),
-			fmt.Sprintf("%.2fx", s.PeakReduction),
-			ident)
-	}
-	return t
+	return fmt.Sprintf("prepare phase: %.1fms, peak heap +%.1fMB (%d stage artifacts regenerated, %d from store)",
+		float64(r.PrepareWallNs)/1e6, float64(r.PreparePeakBytes)/(1<<20), computed, loaded)
 }
 
 // SampledSweepTable renders the set-sampled fast-mode sweep measurements

@@ -77,8 +77,8 @@ func WriteContainer(w io.Writer, name string, secs []Section) error {
 	if len(name) > 1<<16 {
 		return fmt.Errorf("trace: container name %d bytes exceeds the reader's %d limit", len(name), 1<<16)
 	}
-	if len(secs) > 1<<10 {
-		return fmt.Errorf("trace: %d sections exceed the reader's %d limit", len(secs), 1<<10)
+	if len(secs) > MaxSections {
+		return fmt.Errorf("trace: %d sections exceed the reader's %d limit", len(secs), MaxSections)
 	}
 	for _, s := range secs {
 		if len(s.Tag) != 4 {
@@ -117,6 +117,10 @@ func WriteContainer(w io.Writer, name string, secs []Section) error {
 	return bw.Flush()
 }
 
+// MaxSections is the most sections a container may hold; the reader
+// rejects a header claiming more, so the writers refuse to exceed it.
+const MaxSections = 1 << 10
+
 // maxSaneLen bounds single-allocation sizes while decoding, so a corrupt
 // length field fails cleanly instead of attempting a huge allocation.
 const maxSaneLen = 1 << 32
@@ -145,7 +149,7 @@ func ReadContainer(r io.Reader) (name string, secs []Section, err error) {
 	}
 	nameLen := binary.LittleEndian.Uint32(hdr[4:8])
 	nsec := binary.LittleEndian.Uint32(hdr[8:12])
-	if nameLen > 1<<16 || nsec > 1<<10 {
+	if nameLen > 1<<16 || nsec > MaxSections {
 		return "", nil, fmt.Errorf("%w: implausible header (name %d, sections %d)", ErrBadFormat, nameLen, nsec)
 	}
 	nameBuf := make([]byte, nameLen)
@@ -225,7 +229,7 @@ func SectionSpans(data []byte) ([]SectionSpan, error) {
 	}
 	nameLen := binary.LittleEndian.Uint32(data[8:12])
 	nsec := binary.LittleEndian.Uint32(data[12:16])
-	if nameLen > 1<<16 || nsec > 1<<10 {
+	if nameLen > 1<<16 || nsec > MaxSections {
 		return nil, fmt.Errorf("%w: implausible header (name %d, sections %d)", ErrBadFormat, nameLen, nsec)
 	}
 	off := 16 + int(nameLen)

@@ -275,8 +275,8 @@ func (cw *ContainerWriter) WriteSection(tag string, data []byte) error {
 	if uint64(len(data)) > maxSaneLen {
 		return fmt.Errorf("trace: section %q payload %d bytes exceeds the reader's limit", tag, len(data))
 	}
-	if cw.nsec >= 1<<10 {
-		cw.err = fmt.Errorf("trace: section count exceeds the reader's %d limit", 1<<10)
+	if cw.nsec >= MaxSections {
+		cw.err = fmt.Errorf("trace: section count exceeds the reader's %d limit", MaxSections)
 		return cw.err
 	}
 	var sh [16]byte
