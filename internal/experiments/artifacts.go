@@ -64,7 +64,7 @@ type Pipeline struct {
 	datalatStore *engine.DiskCache[string, []int16]
 
 	cold atomic.Int64 // apps prepared by the windowed pass
-	warm atomic.Int64 // apps loaded from the store
+	warm atomic.Int64 // apps the store served (loaded, or found complete by Warm)
 }
 
 // programKey names an app's program artifact and carries the trace the
@@ -321,10 +321,13 @@ func (pl *Pipeline) Require(apps ...string) error {
 // Warm persists, then releases: once the store holds all four of an
 // app's artifacts, the app's memo is dropped, so Warm's peak memory is
 // O(workers × one app) rather than O(apps); a later Workload(app) loads
-// from the store, byte-identical by its contract. Without a store, or
-// when a best-effort store write failed, the memo is kept and Warm means
-// "prepare in memory". Like Require, Warm must not be called from inside
-// a pool task.
+// from the store, byte-identical by its contract. An app whose four
+// artifacts the store already holds is counted as served by the store
+// and not loaded: decoding it whole only to drop it would make a warm
+// over a warm store cost most of a load of every app. Without a store,
+// or when a best-effort store write failed, the memo is kept and Warm
+// means "prepare in memory". Like Require, Warm must not be called from
+// inside a pool task.
 func (pl *Pipeline) Warm(apps ...string) error {
 	// A repeated app would be prepared again by its second task once the
 	// first released it, so each app runs once, in first-mention order.
@@ -335,6 +338,10 @@ func (pl *Pipeline) Warm(apps ...string) error {
 		return dup
 	})
 	return pl.pool.Each(len(apps), func(i int) error {
+		if pl.stored(apps[i]) {
+			pl.warm.Add(1)
+			return nil
+		}
 		_, err := pl.workloads.Get(apps[i])
 		if err == nil && pl.stored(apps[i]) {
 			pl.workloads.Forget(apps[i])
@@ -355,8 +362,9 @@ type StageStats struct {
 }
 
 // Stats returns per-stage counters in dependency order. An app is either
-// prepared cold, which writes all four artifacts, or loaded with all four
-// from the store, so every row reads the same two counts. A warm store
+// prepared cold, which writes all four artifacts, or served with all four
+// by the store (loaded, or found complete by Warm), so every row reads the
+// same two counts. A warm store
 // shows Computed == 0 on every stage; that is what "skipping the prepare
 // phase" means and what the regression tests assert.
 func (pl *Pipeline) Stats() []StageStats {

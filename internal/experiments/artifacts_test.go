@@ -191,8 +191,10 @@ func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 }
 
 // TestPipelineWarm exercises the `acic-trace warm` path: Warm writes all
-// four stages and keeps no workload in memory, and a suite over the same
-// store then prepares with zero regenerations.
+// four stages and keeps no workload in memory, a second Warm over the
+// filled store counts every app as served by the store without loading
+// any, and a suite over the same store then prepares with zero
+// regenerations.
 func TestPipelineWarm(t *testing.T) {
 	dir := t.TempDir()
 	apps := []string{"media-streaming", "sibench"}
@@ -203,6 +205,14 @@ func TestPipelineWarm(t *testing.T) {
 	assertStageCounts(t, pl, 2, 0)
 	if n := pl.workloads.Size(); n != 0 {
 		t.Errorf("Warm kept %d workloads in memory, want 0", n)
+	}
+	rewarm := newTestPipeline(t, 20_000, dir)
+	if err := rewarm.Warm(apps...); err != nil {
+		t.Fatal(err)
+	}
+	assertStageCounts(t, rewarm, 0, 2)
+	if n := rewarm.WorkloadsPrepared(); n != 0 {
+		t.Errorf("Warm over a filled store loaded %d workloads, want 0", n)
 	}
 
 	s := NewSuite(20_000)

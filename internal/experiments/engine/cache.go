@@ -291,7 +291,9 @@ func (e *StreamEntry) Commit() {
 }
 
 // corruptEntry applies the corrupt-artifact fault to a streamed entry
-// before it is published, as Store applies it to encoded bytes.
+// before it is published, as Store applies it to encoded bytes. Like the
+// rest of the injector it is best-effort: a flip that cannot be read or
+// written back is simply not injected.
 func corruptEntry(f *os.File, name string) {
 	info, err := f.Stat()
 	if err != nil {
