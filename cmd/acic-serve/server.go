@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -15,6 +16,7 @@ import (
 	"acic/internal/api"
 	"acic/internal/experiments"
 	"acic/internal/experiments/engine"
+	"acic/internal/workload"
 )
 
 // server answers the /v1/ query API from one warm Suite: the artifact
@@ -187,34 +189,14 @@ func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte(out))
 }
 
-// handleCells answers grid cell queries. app and scheme are required,
-// comma-separated lists ("all" expands app to the suite's app list and
-// scheme to every registered scheme); prefetcher defaults to fdp. The
-// full cross product is computed as ONE Require batch, so its cells run
-// in parallel on the worker pool, exactly like the CLI grid.
+// handleCells answers grid cell queries (see cellsQuery). The full cross
+// product is computed as ONE Require batch, so its cells run in parallel
+// on the worker pool, exactly like the CLI grid.
 func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	apps, schemes, pfs := q.Get("app"), q.Get("scheme"), q.Get("prefetcher")
-	if apps == "" || schemes == "" {
-		api.WriteError(w, http.StatusBadRequest, &api.Error{
-			Code: api.CodeBadRequest, Message: "app and scheme query parameters are required (comma-separated; 'all' expands)"})
+	cells, qerr := cellsQuery(r.URL.Query(), s.suite.AppNames())
+	if qerr != nil {
+		api.WriteError(w, http.StatusBadRequest, qerr)
 		return
-	}
-	appList := splitParam(apps)
-	if apps == "all" {
-		appList = s.suite.AppNames()
-	}
-	schemeList := splitParam(schemes)
-	if schemes == "all" {
-		schemeList = experiments.SchemeNames()
-	}
-	pfList := splitParam(pfs)
-	if pfs == "" {
-		pfList = []string{"fdp"}
-	}
-	var cells []experiments.Cell
-	for _, pf := range pfList {
-		cells = append(cells, experiments.CrossCells(appList, schemeList, pf)...)
 	}
 
 	// ETag over the sorted cell key set: the keys are content addresses,
@@ -296,6 +278,55 @@ func (s *server) withinFaultBudget(w http.ResponseWriter, recoveredBefore int64)
 		Code: api.CodeFaultBudget, Transient: true,
 		Message: fmt.Sprintf("request consumed %d fault recoveries (budget %d)", spent, s.faultBudget)})
 	return false
+}
+
+// maxCells bounds one /v1/cells query: every registered workload under
+// every scheme and every prefetcher platform. A longer query can only
+// repeat cells, so the bound comes from the registries, not a setting.
+func maxCells() int {
+	return len(workload.All()) * len(experiments.SchemeNames()) * len(experiments.Prefetchers())
+}
+
+// cellsQuery expands a /v1/cells query into its cells, prefetcher-major.
+// app and scheme are required, comma-separated lists ("all" expands app
+// to suiteApps and scheme to every registered scheme); prefetcher
+// defaults to fdp. A query naming more than maxCells cells is refused
+// before any cell is built, so a long URL cannot make the daemon allocate
+// without bound. Names are not checked here: an unknown one yields cells
+// that fail on their own.
+func cellsQuery(q url.Values, suiteApps []string) ([]experiments.Cell, *api.Error) {
+	apps, schemes, pfs := q.Get("app"), q.Get("scheme"), q.Get("prefetcher")
+	if apps == "" || schemes == "" {
+		return nil, &api.Error{Code: api.CodeBadRequest,
+			Message: "app and scheme query parameters are required (comma-separated; 'all' expands)"}
+	}
+	appList := splitParam(apps)
+	if apps == "all" {
+		appList = suiteApps
+	}
+	schemeList := splitParam(schemes)
+	if schemes == "all" {
+		schemeList = experiments.SchemeNames()
+	}
+	pfList := splitParam(pfs)
+	if pfs == "" {
+		pfList = []string{"fdp"}
+	}
+	// The running product stays within limit between multiplies and a
+	// factor is at most the query's length, so it cannot overflow.
+	limit, n := maxCells(), 1
+	for _, k := range []int{len(appList), len(schemeList), len(pfList)} {
+		if n *= k; n > limit {
+			return nil, &api.Error{Code: api.CodeBadRequest, Message: fmt.Sprintf(
+				"query names %d apps x %d schemes x %d prefetchers, more than the %d cells the registries hold",
+				len(appList), len(schemeList), len(pfList), limit)}
+		}
+	}
+	cells := make([]experiments.Cell, 0, n)
+	for _, pf := range pfList {
+		cells = append(cells, experiments.CrossCells(appList, schemeList, pf)...)
+	}
+	return cells, nil
 }
 
 func splitParam(s string) []string {

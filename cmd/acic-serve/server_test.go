@@ -5,6 +5,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -330,8 +333,8 @@ func TestServeExperimentsMatchesRegistry(t *testing.T) {
 }
 
 // TestServeErrorEnvelopes pins the error contract across the endpoints:
-// unknown figures 404, missing cell params 400, wrong verbs 405,
-// unversioned paths 404 — all api.Envelope with the right code.
+// unknown figures 404, missing or oversized cell queries 400, wrong verbs
+// 405, unversioned paths 404 — all api.Envelope with the right code.
 func TestServeErrorEnvelopes(t *testing.T) {
 	_, url := newTestServer(t, nil, 0)
 	cases := []struct {
@@ -342,6 +345,7 @@ func TestServeErrorEnvelopes(t *testing.T) {
 		{http.MethodGet, "/v1/figures/no-such-figure", http.StatusNotFound, api.CodeNotFound},
 		{http.MethodGet, "/v1/cells", http.StatusBadRequest, api.CodeBadRequest},
 		{http.MethodGet, "/v1/cells?scheme=lru", http.StatusBadRequest, api.CodeBadRequest},
+		{http.MethodGet, "/v1/cells?app=" + testApp + "&scheme=" + strings.Repeat("lru,", maxCells()+1), http.StatusBadRequest, api.CodeBadRequest},
 		{http.MethodPost, "/v1/experiments", http.StatusMethodNotAllowed, api.CodeMethodNotAllowed},
 		{http.MethodGet, "/api/config", http.StatusNotFound, api.CodeNotFound},
 		{http.MethodGet, "/", http.StatusNotFound, api.CodeNotFound},
@@ -399,4 +403,59 @@ func TestPreloadUnknownSlugFails(t *testing.T) {
 	if err := runPreload(srv, ""); err != nil {
 		t.Errorf("empty preload: %v", err)
 	}
+}
+
+// TestCellsQueryBound: a query may name up to maxCells cells, in
+// prefetcher-major order with "all" expanded, and one more is refused
+// before any cell is built.
+func TestCellsQueryBound(t *testing.T) {
+	suiteApps := []string{testApp, testApp2}
+	cells, qerr := cellsQuery(url.Values{"app": {"all"}, "scheme": {"lru,acic"}, "prefetcher": {"none,fdp"}}, suiteApps)
+	if qerr != nil {
+		t.Fatal(qerr)
+	}
+	want := append(experiments.CrossCells(suiteApps, []string{"lru", "acic"}, "none"),
+		experiments.CrossCells(suiteApps, []string{"lru", "acic"}, "fdp")...)
+	if !slices.Equal(cells, want) {
+		t.Errorf("cells = %v, want %v", cells, want)
+	}
+
+	limit := maxCells()
+	schemes := strings.TrimSuffix(strings.Repeat("no-such-scheme,", limit), ",")
+	if cells, qerr := cellsQuery(url.Values{"app": {testApp}, "scheme": {schemes}}, suiteApps); qerr != nil || len(cells) != limit {
+		t.Errorf("query of exactly %d cells: %d cells, %v", limit, len(cells), qerr)
+	}
+	if cells, qerr := cellsQuery(url.Values{"app": {testApp + ",x"}, "scheme": {schemes}}, suiteApps); qerr == nil || qerr.Code != api.CodeBadRequest || cells != nil {
+		t.Errorf("query of %d cells: %d cells, %v; want bad_request", 2*limit, len(cells), qerr)
+	}
+}
+
+// FuzzCellsQuery feeds arbitrary query strings through the /v1/cells
+// expansion: it never panics, refuses only with bad_request, and never
+// returns more than maxCells cells.
+func FuzzCellsQuery(f *testing.F) {
+	for _, seed := range []string{
+		"app=media-streaming&scheme=lru,acic",
+		"app=all&scheme=all&prefetcher=fdp,none",
+		"app=all&scheme=all&prefetcher=" + strings.Repeat("fdp,", 40),
+		"app=a,,b&scheme=%20lru%20,&prefetcher=",
+		"scheme=lru",
+		"app=%zz&scheme=lru;app=x",
+	} {
+		f.Add(seed)
+	}
+	suiteApps := []string{testApp, testApp2}
+	f.Fuzz(func(t *testing.T, raw string) {
+		q, _ := url.ParseQuery(raw) // as r.URL.Query(): malformed pairs are dropped
+		cells, qerr := cellsQuery(q, suiteApps)
+		if qerr != nil {
+			if qerr.Code != api.CodeBadRequest || cells != nil {
+				t.Fatalf("refused with %q and %d cells", qerr.Code, len(cells))
+			}
+			return
+		}
+		if len(cells) > maxCells() {
+			t.Fatalf("%d cells, above the bound %d", len(cells), maxCells())
+		}
+	})
 }

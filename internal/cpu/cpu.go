@@ -223,7 +223,12 @@ type Program struct {
 	Ann    []branch.Annotation
 	Desc   []uint8  // descriptor byte per instruction
 	Blocks []uint64 // collapsed block-access sequence (== Trace.BlockAccesses())
-	MemBlk []uint64 // data block per instruction (loads/stores; 0 otherwise)
+	// MemBlk is the data block per instruction (loads/stores; 0
+	// otherwise). Only EnsureDataLatencies reads it, so an owner may set
+	// it to nil once the latency timeline is installed (built,
+	// EnsureDataLatencies, or AdoptDataLatencies); EnsureDataLatencies is
+	// then a no-op.
+	MemBlk []uint64
 
 	// DataLat is the data-side latency timeline: the load-to-use latency,
 	// in cycles, of the memory operation at each instruction index (0 for

@@ -63,6 +63,10 @@ type Pipeline struct {
 	nextatStore  *engine.DiskCache[string, []int64]
 	datalatStore *engine.DiskCache[string, []int16]
 
+	// simOnly drops what the simulator does not read from every workload
+	// handed out (see simOnly's PipelineConfig field).
+	simOnly bool
+
 	cold atomic.Int64 // apps prepared by the windowed pass
 	warm atomic.Int64 // apps the store served (loaded, or found complete by Warm)
 }
@@ -87,6 +91,15 @@ type PipelineConfig struct {
 	Pool *engine.Pool
 	// Lookup resolves app names to profiles (nil = workload.ByName).
 	Lookup func(string) (workload.Profile, bool)
+
+	// simOnly makes every workload carry only simulator state: no
+	// Trace.Insts and no Prog.MemBlk. A Suite sets it: none of its cells
+	// or renderers reads either, and a warm load would otherwise keep each
+	// app's decoded Inst records (32 B/inst) and MemBlk (8 B/inst)
+	// resident for the whole run. NewPipeline callers that digest or
+	// compare those arrays (store tooling, the pipeline tests) leave it
+	// off.
+	simOnly bool
 }
 
 // NewPipeline builds the pipeline. When the artifact store cannot be
@@ -103,7 +116,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Lookup == nil {
 		cfg.Lookup = workload.ByName
 	}
-	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup, pool: cfg.Pool}
+	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup, pool: cfg.Pool, simOnly: cfg.simOnly}
 	pl.workloads = engine.NewGroup(cfg.Pool, pl.prepare)
 	pl.workloads.Name = "workload"
 	// Transient failures (injected faults, MarkTransient-wrapped errors)
@@ -230,21 +243,30 @@ func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Work
 }
 
 // prepare is the workload group's compute: load app from the store, or
-// prepare it cold through the windowed pass.
+// prepare it cold through the windowed pass. A simOnly pipeline then
+// drops the Inst records and the data-block array: the latency timeline
+// is installed by then, so EnsureDataLatencies never reads MemBlk again.
 func (pl *Pipeline) prepare(app string) (*Workload, error) {
 	prof, ok := pl.lookup(app)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q", app)
 	}
-	if w := pl.load(app, prof); w != nil {
+	w := pl.load(app, prof)
+	if w != nil {
 		pl.warm.Add(1)
-		return w, nil
-	}
-	w, err := pl.stream(app, prof)
-	if err == nil {
+	} else {
+		var err error
+		if w, err = pl.stream(app, prof); err != nil {
+			return nil, err
+		}
 		pl.cold.Add(1)
 	}
-	return w, err
+	if pl.simOnly {
+		w.Prog.Trace = &trace.Trace{Name: w.Prog.Trace.Name}
+		w.Trace = w.Prog.Trace
+		w.Prog.MemBlk = nil
+	}
+	return w, nil
 }
 
 // load reads app's four artifacts in dependency order — the trace, the
@@ -285,7 +307,9 @@ func (pl *Pipeline) stored(app string) bool {
 }
 
 // Workload returns the fully prepared workload for an app, loading or
-// preparing it on demand.
+// preparing it on demand. Outside a Suite, a workload loaded from the
+// store carries its Inst records and data-block array, and one prepared
+// cold carries the data-block array but no Inst records.
 func (pl *Pipeline) Workload(app string) (*Workload, error) {
 	return pl.workloads.Get(app)
 }

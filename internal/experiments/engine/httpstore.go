@@ -196,9 +196,9 @@ func NewStoreHandler(root string) (http.Handler, error) {
 
 // validName reports whether name is a plausible store entry name: one
 // path element of hash hex plus a dotted extension, nothing that could
-// escape the store root.
+// escape the store root or name the root itself (".").
 func validName(name string) bool {
-	if name == "" || len(name) > 128 {
+	if name == "" || name == "." || len(name) > 128 {
 		return false
 	}
 	for _, r := range name {

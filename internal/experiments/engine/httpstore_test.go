@@ -181,7 +181,7 @@ func decodeEnvelope(t *testing.T, resp *http.Response) *api.Error {
 // bad_request code, never conflated with a missing entry's 404.
 func TestHTTPStoreRejectsBadNames(t *testing.T) {
 	url, _ := newStoreServer(t)
-	for _, name := range []string{"..%2F..%2Fetc%2Fpasswd", "a%2Fb.json", "UPPER.json", "has space.json"} {
+	for _, name := range []string{"..%2F..%2Fetc%2Fpasswd", "a%2Fb.json", "UPPER.json", "has space.json", "%2E"} {
 		resp, err := http.Get(url + "/blob/" + name)
 		if err != nil {
 			t.Fatal(err)

@@ -28,11 +28,14 @@ import (
 type Workload struct {
 	Profile workload.Profile
 	Prog    *cpu.Program
-	Trace   *trace.Trace
-	Ann     []branch.Annotation
-	Blocks  []uint64
-	Oracle  *analysis.NextUseOracle
-	NextAt  []int64
+	// Trace is Prog.Trace. Its Inst records are present only on workloads
+	// from Prepare or from a store load through Pipeline.Workload; a cold
+	// prepare and every Suite workload leave just the name.
+	Trace  *trace.Trace
+	Ann    []branch.Annotation
+	Blocks []uint64
+	Oracle *analysis.NextUseOracle
+	NextAt []int64
 }
 
 // Prepare generates a workload of n instructions (0 = DefaultTraceLen)

@@ -164,7 +164,7 @@ func (s *Suite) init() {
 		_, sampleErr := SampleConfigFor(s.SampleSets, s.SampleOffset, "")
 		s.pool = engine.NewPool(s.Workers)
 		var plErr error
-		s.pipeline, plErr = NewPipeline(PipelineConfig{N: s.N, Dir: s.ArtifactDir, Pool: s.pool})
+		s.pipeline, plErr = NewPipeline(PipelineConfig{N: s.N, Dir: s.ArtifactDir, Pool: s.pool, simOnly: true})
 		s.results = engine.NewGroup(s.pool, s.computeCell)
 		s.results.Name = "cell"
 		s.results.Retry = engine.DefaultRetry()
@@ -306,6 +306,10 @@ func (s *Suite) PrepareAll(apps ...string) error {
 }
 
 // Workload returns the prepared workload for an app, generating on demand.
+// It carries what simulation reads — the Program's descriptor, block and
+// latency arrays, the annotations, the successor array and the oracle —
+// but no Inst records (Trace holds only the name) and no Prog.MemBlk;
+// Pipeline.Workload returns those.
 func (s *Suite) Workload(app string) (*Workload, error) {
 	s.init()
 	return s.pipeline.Workload(app)
