@@ -175,17 +175,16 @@ func TestExpAllStreamedVsBatchByteIdentical(t *testing.T) {
 		// Every prepare was cold: the render touched at least the suite's
 		// apps (plus SPEC and histogram workloads), and none came from the
 		// fresh store.
-		prepared := int64(0)
 		for _, st := range s.PrepareStats() {
 			if st.Computed < int64(len(apps)) || st.FromStore != 0 {
 				t.Errorf("window=%d: stage %s computed %d, from store %d", window, st.Stage, st.Computed, st.FromStore)
 			}
-			prepared = st.Computed
 		}
 		if window != 0 {
 			continue
 		}
 
+		prepared := s.PrepareStats()[0].Computed
 		warm := NewSuite(n)
 		warm.Apps = apps
 		warm.ArtifactDir = s.ArtifactDir

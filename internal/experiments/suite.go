@@ -309,7 +309,7 @@ func (s *Suite) PrepareAll(apps ...string) error {
 // It carries what simulation reads — the Program's descriptor, block and
 // latency arrays, the annotations, the successor array and the oracle —
 // but no Inst records (Trace holds only the name) and no Prog.MemBlk;
-// Pipeline.Workload returns those.
+// the Workload of a pipeline from NewPipeline returns those.
 func (s *Suite) Workload(app string) (*Workload, error) {
 	s.init()
 	return s.pipeline.Workload(app)
