@@ -372,6 +372,51 @@ func renderAll(t *testing.T, s *Suite) string {
 	return out.String()
 }
 
+// TestExpAllColdVsWarmStoreByteIdentical is the acceptance check: a warm
+// artifact store must leave the full experiment output byte-identical to a
+// cold run, and to testdata/exp-all.golden, while every prepare stage loads
+// from the store what the cold run computed and regenerates nothing.
+func TestExpAllColdVsWarmStoreByteIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full experiment set in -short mode")
+	}
+	const n = 12_000
+	apps := []string{"media-streaming", "sibench"}
+	golden := filepath.Join("testdata", "exp-all.golden")
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+
+	coldSuite := NewSuite(n)
+	coldSuite.Apps = apps
+	coldSuite.ArtifactDir = dir
+	cold := renderAll(t, coldSuite)
+	if cold != string(want) {
+		t.Errorf("cold store: output differs from %s:\n--- got\n%s--- want\n%s", golden, cold, want)
+	}
+	prepared := coldSuite.PrepareStats()[0].Computed
+	for _, st := range coldSuite.PrepareStats() {
+		if st.FromStore != 0 || st.Computed < int64(len(apps)) {
+			t.Errorf("cold store: stage %s computed %d, from store %d", st.Stage, st.Computed, st.FromStore)
+		}
+	}
+
+	warmSuite := NewSuite(n)
+	warmSuite.Apps = apps
+	warmSuite.ArtifactDir = dir
+	warm := renderAll(t, warmSuite)
+	if warm != cold {
+		t.Errorf("warm-store output diverges from cold run:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
+	}
+	for _, st := range warmSuite.PrepareStats() {
+		if st.Computed != 0 || st.FromStore != prepared {
+			t.Errorf("warm store: stage %s computed %d, from store %d, want 0, %d", st.Stage, st.Computed, st.FromStore, prepared)
+		}
+	}
+}
+
 // TestSuiteWorkloadsCarryOnlySimulatorState pins what a Suite keeps
 // resident: a workload it prepares cold and one it loads from the store
 // both carry no Inst records and no data-block array, keep their name and
