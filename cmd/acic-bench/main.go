@@ -1,7 +1,8 @@
 // Command acic-bench regenerates the paper's tables and figures (see
 // DESIGN.md §5 for the experiment index). Each experiment prints the same
-// rows/series the paper reports; EXPERIMENTS.md records the comparison
-// against the published values.
+// rows/series the paper reports; Table III's published MPKIs are
+// workload.PaperMPKI, and perfbench's sim.table3_mpki_err_pct tracks how
+// far the simulated MPKIs sit from them.
 //
 // Experiments plan their simulation cells up front and execute them on a
 // worker pool (one worker per core by default), one simulation per cell;
@@ -13,13 +14,12 @@
 // content-addressed artifacts, so warm reruns skip the prepare phase and
 // go straight to simulation (`acic-trace warm` fills the store up front).
 //
-// The -bench-json mode instead times raw simulator throughput (ns per
-// block access) per (scheme x prefetcher) cell, plus the prepare-phase
-// wall-clock — the tracked trajectory
-// files under bench/trajectory/ are produced this way (see its
-// index.json). -compare diffs two such files per cell (exiting non-zero
-// past -regress-pct). -cpuprofile/-memprofile write pprof data for any
-// mode.
+// The -bench-json mode instead measures the distributed sweep (DESIGN.md
+// §14): grid wall-clock single-process against a coordinator with 1/2/4
+// workers, each lane cold and verified cell for cell, written as a JSON
+// report that records its host. Simulator throughput and prepare cost are
+// measured by perfbench/, not here. -cpuprofile/-memprofile write pprof
+// data for any mode.
 //
 // The run is fault-hardened (DESIGN.md §13): a panicking or failing
 // experiment is reported and the rest still run (exit 1 at the end);
@@ -46,9 +46,7 @@
 //	acic-bench -exp table3 -n 1000000
 //	acic-bench -exp all -workers 4 -cache-dir ~/.cache/acic -progress
 //	acic-bench -exp all -artifact-dir ~/.cache/acic-artifacts # warm prepare reuse
-//	acic-bench -bench-json bench.json -bench-repeats 5
-//	acic-bench -compare bench/trajectory/BENCH_PR3.json -compare-to bench.json
-//	acic-bench -bench-json bench.json -compare bench/trajectory/BENCH_PR4.json
+//	acic-bench -bench-json bench.json  # distributed sweep, every lane cold
 //	acic-bench -exp fig10 -cpuprofile cpu.prof
 //	acic-bench -list
 package main
@@ -85,6 +83,9 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "acic-bench: -sample-validate: "+format+"\n", args...)
 		cleanup()
+		if ctx.Err() != nil {
+			os.Exit(cliutil.ExitInterrupted)
+		}
 		os.Exit(1)
 	}
 	sampleSets := sim.SampleSets
@@ -215,16 +216,7 @@ func main() {
 		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
 		list     = flag.Bool("list", false, "list experiments and exit")
 
-		benchJSON    = flag.String("bench-json", "", "throughput microbenchmark mode: write ns/access per (scheme x prefetcher) plus the prepare wall-clock to this JSON file and exit")
-		benchApp     = flag.String("bench-app", "media-streaming", "workload for -bench-json")
-		benchSchemes = flag.String("bench-schemes", "", "schemes for -bench-json (comma-separated; empty = tracked default set)")
-		benchPfs     = flag.String("bench-prefetchers", "none,fdp", "prefetcher platforms for -bench-json (comma-separated)")
-		benchRepeats = flag.Int("bench-repeats", 3, "timed repetitions per -bench-json cell (best kept)")
-		benchDist    = flag.Bool("bench-distributed", false, "also measure the distributed sweep in -bench-json mode: the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store, per-cell results verified identical (adds several cold full-grid lanes — minutes)")
-
-		compare    = flag.String("compare", "", "baseline bench JSON: compare per-cell ns/access against it and exit (new side: -compare-to, or the report just measured by -bench-json)")
-		compareTo  = flag.String("compare-to", "", "new-side bench JSON for -compare (empty = the -bench-json report measured in this run)")
-		regressPct = flag.Float64("regress-pct", 25, "exit non-zero when any compared cell regresses by more than this percentage (negative = never fail)")
+		benchJSON = flag.String("bench-json", "", "distributed-sweep mode: run the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store (per-cell results verified identical), write the report to this JSON file and exit")
 
 		sampleValidate = flag.Bool("sample-validate", false, "validate the set-sampled fast mode: run the headline grid full and sampled, print the per-cell error-bar table and wall-clock speedup, and exit non-zero past -sample-err-pct")
 		sampleErrPct   = flag.Float64("sample-err-pct", 10, "-sample-validate failure threshold: worst per-cell |cycles error| and |speedup error| must stay within this percentage (negative = never fail)")
@@ -279,51 +271,6 @@ func main() {
 		}
 	}
 
-	// runCompare diffs a baseline bench JSON against newRep (read from
-	// -compare-to when newRep is nil) and exits non-zero on a regression
-	// beyond -regress-pct.
-	runCompare := func(newRep *perf.Report) {
-		oldRep, err := perf.ReadJSON(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: -compare: %v\n", err)
-			os.Exit(1)
-		}
-		if newRep == nil {
-			if *compareTo == "" {
-				fmt.Fprintln(os.Stderr, "acic-bench: -compare needs -compare-to FILE (or -bench-json to measure the new side)")
-				os.Exit(1)
-			}
-			if newRep, err = perf.ReadJSON(*compareTo); err != nil {
-				fmt.Fprintf(os.Stderr, "acic-bench: -compare-to: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		c := perf.Compare(oldRep, newRep)
-		fmt.Printf("=== bench comparison: %s -> new\n%s%s\n", *compare, c.Table(), c.Summary())
-		// A cell present on only one side is a broken comparison, not a
-		// zero-delta row: under an enforcing -regress-pct it is an error
-		// (a renamed or dropped cell would otherwise dodge the gate).
-		// Negative -regress-pct keeps the informational mode used when
-		// diffing against historical baselines with different cell sets.
-		for _, only := range c.OnlyOld {
-			fmt.Printf("only in baseline: %s\n", only)
-		}
-		for _, only := range c.OnlyNew {
-			fmt.Printf("only in new: %s\n", only)
-		}
-		if *regressPct >= 0 {
-			if err := c.MissingCells(); err != nil {
-				fmt.Fprintf(os.Stderr, "acic-bench: -compare: %v\n", err)
-				os.Exit(1)
-			}
-			if c.WorstPct() > *regressPct {
-				fmt.Fprintf(os.Stderr, "acic-bench: throughput regression: worst cell %+.1f%% exceeds -regress-pct %.1f\n",
-					c.WorstPct(), *regressPct)
-				os.Exit(1)
-			}
-		}
-	}
-
 	if *sampleValidate {
 		runSampleValidate(ctx, sim, *n, *apps, *sampleErrPct)
 		if ctx.Err() != nil {
@@ -333,15 +280,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		cfg := perf.Config{Context: ctx, App: *benchApp, N: *n, Repeats: *benchRepeats,
-			ArtifactDir: sim.ArtifactDir, SampleSets: sim.SampleSets, DistributedSweeps: *benchDist}
-		if *benchSchemes != "" {
-			cfg.Schemes = strings.Split(*benchSchemes, ",")
-		}
-		if *benchPfs != "" {
-			cfg.Prefetchers = strings.Split(*benchPfs, ",")
-		}
-		rep, err := perf.Measure(cfg)
+		rep, err := perf.Measure(perf.Config{Context: ctx, N: *n})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
 			os.Exit(1)
@@ -350,37 +289,19 @@ func main() {
 			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("=== throughput microbenchmark: %s, n=%d (best of %d)\n%s", *benchApp, rep.N, *benchRepeats, rep.Table())
-		fmt.Println(rep.PrepareSummary())
-		if st := rep.SampledSweepTable(); st != nil {
-			fmt.Printf("=== sampled sweeps: full vs set-sampled wall-clock per scheme row (best of %d)\n%s", *benchRepeats, st)
-		}
+		fmt.Printf("=== distributed sweep: single-process vs coordinator + workers, cold shared store per lane, n=%d\n", rep.N)
+		fmt.Println(rep.Host())
 		if st := rep.DistributedSweepTable(); st != nil {
-			fmt.Printf("=== distributed sweeps: single-process vs coordinator + workers, cold shared store per lane\n%s", st)
+			fmt.Print(st)
 		}
-		if rep.Faults != nil {
-			fmt.Println(rep.Faults)
-		}
+		fmt.Println(rep.Faults)
 		fmt.Printf("wrote %s\n", *benchJSON)
-		// Finish the profiles before the comparison: its regression gate
-		// may os.Exit, and the profile of a regressed tree is exactly the
-		// one worth keeping intact.
 		stopCPUProfile()
 		writeMemProfile()
 		if rep.Interrupted {
-			// The partial report was flushed above with "interrupted":
-			// true; a comparison against it would be a lie, so skip it.
 			fmt.Fprintf(os.Stderr, "acic-bench: interrupted — %s holds a partial report\n", *benchJSON)
 			os.Exit(cliutil.ExitInterrupted)
 		}
-		if *compare != "" {
-			runCompare(rep)
-		}
-		return
-	}
-
-	if *compare != "" {
-		runCompare(nil)
 		return
 	}
 

@@ -105,11 +105,17 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 }
 
 // Submit implements experiments.Remote: one same-app cell group becomes
-// one batch on the ready queue. Never blocks on completion.
+// one batch on the ready queue. Never blocks on completion. After Close
+// no worker will claim it, so the batch fails back to local execution.
 func (c *Coordinator) Submit(app string, cells []experiments.Cell, done func(experiments.Cell, error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.enqueue(&batch{app: app, cells: cells, done: done})
+	b := &batch{app: app, cells: cells, done: done}
+	if c.closed {
+		c.failLocal(b, "coordinator closed")
+		return
+	}
+	c.enqueue(b)
 }
 
 // enqueue assigns a fresh ID and appends to the ready queue (FIFO).
@@ -274,9 +280,9 @@ func (c *Coordinator) sweep() {
 }
 
 // Close ends the run: subsequent claims answer Done, the sweeper stops,
-// and anything still queued fails back to local execution (it should be
-// nothing — the Suite's Require returns only once every submitted cell
-// completed).
+// and anything still queued — or submitted later — fails back to local
+// execution (normally nothing: the Suite's Require returns only once
+// every submitted cell completed; an interrupted run is the exception).
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	c.closed = true

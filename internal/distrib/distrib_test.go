@@ -218,6 +218,30 @@ func TestNoWorkerFallsBackLocal(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterCloseFailsLocal: a batch submitted to a closed
+// coordinator can never be claimed, so each of its cells must fail back
+// to the suite at once, transiently, instead of waiting forever.
+func TestSubmitAfterCloseFailsLocal(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{Config: testSuiteConfig()})
+	coord.Close()
+	cells := experiments.CrossCells([]string{"media-streaming"}, []string{"lru", "acic"}, "fdp")
+	errs := make(chan error, len(cells))
+	coord.Submit("media-streaming", cells, func(_ experiments.Cell, err error) { errs <- err })
+	for range cells {
+		select {
+		case err := <-errs:
+			if !engine.IsTransient(err) {
+				t.Errorf("cell failed back with %v, want a transient error", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("batch submitted after Close never settled")
+		}
+	}
+	if st := coord.Stats(); st.LocalFell != int64(len(cells)) || st.Batches != 0 {
+		t.Errorf("stats %+v, want %d cells fallen back and no batch queued", st, len(cells))
+	}
+}
+
 // TestNetErrFaultedRunStaysIdentical wires the net-err satellite end to
 // end: with injected network faults hitting both the store client and the
 // protocol client, the distributed run must still complete with output

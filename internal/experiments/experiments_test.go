@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"acic/internal/cpu"
+	"acic/internal/stats"
 	"acic/internal/workload"
 )
 
@@ -112,12 +113,17 @@ func TestSuiteMemoization(t *testing.T) {
 func TestOrderingInvariants(t *testing.T) {
 	// The structural results every figure depends on, in the paper's
 	// order: OPT beats ACIC and ACIC beats the baseline, on MPKI and on
-	// cycles for OPT.
+	// cycles for OPT; and the paper's headline, Fig 10's geomean cycles
+	// speedup of ACIC over the baseline under FDP, is above 1 and at most
+	// OPT's.
 	s := smallSuite(t)
 	if err := s.Require(CrossCells(s.AppNames(), []string{Baseline, "acic", "opt"}, "fdp")...); err != nil {
 		t.Fatal(err)
 	}
+	var acicSpeedups, optSpeedups []float64
 	for _, app := range s.AppNames() {
+		acicSpeedups = append(acicSpeedups, s.speedupOver(app, Baseline, "acic", "fdp"))
+		optSpeedups = append(optSpeedups, s.speedupOver(app, Baseline, "opt", "fdp"))
 		base := s.res(app, Baseline, "fdp")
 		acic := s.res(app, "acic", "fdp")
 		opt := s.res(app, "opt", "fdp")
@@ -136,6 +142,13 @@ func TestOrderingInvariants(t *testing.T) {
 		if opt.Cycles > acic.Cycles {
 			t.Errorf("%s: OPT cycles %d above ACIC %d", app, opt.Cycles, acic.Cycles)
 		}
+	}
+	acicGmean, optGmean := stats.Geomean(acicSpeedups), stats.Geomean(optSpeedups)
+	if acicGmean <= 1 {
+		t.Errorf("ACIC geomean speedup over %s %.4f not above 1", Baseline, acicGmean)
+	}
+	if acicGmean > optGmean {
+		t.Errorf("ACIC geomean speedup %.4f above OPT's %.4f", acicGmean, optGmean)
 	}
 }
 

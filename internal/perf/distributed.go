@@ -77,44 +77,47 @@ func distPoolWidth() int {
 
 // measureDistributedSweep runs the single-process reference lane and one
 // distributed lane per worker count, each over the full DistributedSchemes
-// × datacenter-apps grid under the FDP platform, cold.
-func measureDistributedSweep(cfg Config) (DistributedSweep, error) {
+// × datacenter-apps grid under the FDP platform, cold. Every lane's fault
+// handling is folded into fs. On an error the lanes measured so far are
+// returned with it.
+func measureDistributedSweep(cfg Config, fs *experiments.FaultStats) (DistributedSweep, error) {
 	schemes := DistributedSchemes()
 	width := distPoolWidth()
 
 	single := experiments.NewSuite(cfg.N)
 	single.Context = cfg.Context
 	single.Workers = width
+	defer addFaults(fs, single)
 	apps := single.AppNames()
 	cells := experiments.CrossCells(apps, schemes, "fdp")
+	sweep := DistributedSweep{
+		Apps:       apps,
+		Schemes:    schemes,
+		Prefetcher: "fdp",
+		PoolWidth:  width,
+		HostCPUs:   runtime.NumCPU(),
+		Cells:      len(cells),
+	}
 	start := time.Now()
 	if err := single.Require(cells...); err != nil {
-		return DistributedSweep{}, err
+		return sweep, err
 	}
 	singleWall := time.Since(start)
 	ref := make([]cpu.Result, len(cells))
 	for i, c := range cells {
 		r, err := single.Result(c.App, c.Scheme, c.Prefetcher)
 		if err != nil {
-			return DistributedSweep{}, err
+			return sweep, err
 		}
 		ref[i] = r
 	}
+	sweep.SingleWallNs = singleWall.Nanoseconds()
 
-	sweep := DistributedSweep{
-		Apps:         apps,
-		Schemes:      schemes,
-		Prefetcher:   "fdp",
-		PoolWidth:    width,
-		HostCPUs:     runtime.NumCPU(),
-		Cells:        len(cells),
-		SingleWallNs: singleWall.Nanoseconds(),
-	}
 	for _, nw := range DistributedWorkerCounts() {
-		if cfg.Context != nil && cfg.Context.Err() != nil {
-			return sweep, nil
+		if cfg.Context.Err() != nil {
+			return sweep, cfg.Context.Err()
 		}
-		lane, err := runDistributedLane(cfg, cells, ref, nw, width)
+		lane, err := runDistributedLane(cfg, fs, cells, ref, nw, width)
 		if err != nil {
 			return sweep, fmt.Errorf("lane workers=%d: %w", nw, err)
 		}
@@ -124,10 +127,19 @@ func measureDistributedSweep(cfg Config) (DistributedSweep, error) {
 	return sweep, nil
 }
 
+// addFaults folds s's engine recovery counts into fs and refreshes the
+// process-wide injector counts.
+func addFaults(fs *experiments.FaultStats, s *experiments.Suite) {
+	st := s.FaultStats()
+	st.Retries += fs.Retries
+	st.Quarantined += fs.Quarantined
+	*fs = st
+}
+
 // runDistributedLane executes the grid through a real coordinator — HTTP
 // listener, shared store, work-stealing claims — with nw in-process
 // workers, the same wiring acic-coord uses minus the process boundary.
-func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, nw, width int) (DistributedLane, error) {
+func runDistributedLane(cfg Config, fs *experiments.FaultStats, cells []experiments.Cell, ref []cpu.Result, nw, width int) (DistributedLane, error) {
 	dir, err := os.MkdirTemp("", "acic-dist-sweep-*")
 	if err != nil {
 		return DistributedLane{}, err
@@ -148,6 +160,11 @@ func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, 
 		Lease:  time.Minute,
 	})
 	defer coord.Close()
+	// An interrupt stops the workers claiming, so it also closes the
+	// coordinator: queued batches fail back to the suite, whose cancelled
+	// context settles them at once, and Require returns instead of
+	// waiting on work nobody will claim.
+	defer context.AfterFunc(cfg.Context, coord.Close)()
 	mux := http.NewServeMux()
 	mux.Handle("/api/", coord.Handler())
 	mux.Handle("/", storeHandler)
@@ -155,11 +172,7 @@ func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, 
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	ctx := cfg.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	wctx, cancel := context.WithCancel(ctx)
+	wctx, cancel := context.WithCancel(cfg.Context)
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < nw; i++ {
@@ -178,6 +191,7 @@ func runDistributedLane(cfg Config, cells []experiments.Cell, ref []cpu.Result, 
 	s.Workers = width
 	s.CacheDir, s.ArtifactDir = dir, dir
 	s.Remote = coord
+	defer addFaults(fs, s)
 	if err := s.CacheError(); err != nil {
 		return DistributedLane{}, err
 	}

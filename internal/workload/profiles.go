@@ -41,8 +41,10 @@ type Profile struct {
 	StoreFrac  float64
 	DataBlocks int // heap footprint in 64B blocks
 
-	// PaperMPKI is Table III's measured L1i MPKI on the FDP baseline,
-	// recorded for EXPERIMENTS.md comparison (documentation only).
+	// PaperMPKI is Table III's measured L1i MPKI on the FDP baseline.
+	// The simulator never reads it: the table3 experiment prints it next
+	// to the simulated MPKI, and perfbench's sim.table3_mpki_err_pct
+	// tracks the gap between the two.
 	PaperMPKI float64
 }
 
