@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -122,6 +123,11 @@ func main() {
 		NoWorkerTimeout: *noWorker,
 	})
 	defer coord.Close()
+	// An interrupt stops the local workers claiming, so it also closes the
+	// coordinator: queued batches fail back to the suite, whose cancelled
+	// context settles them at once, instead of waiting on work nobody
+	// will claim.
+	defer context.AfterFunc(ctx, coord.Close)()
 	mux.Handle("/api/", coord.Handler())
 
 	srv := &http.Server{Handler: mux}

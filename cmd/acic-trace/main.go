@@ -12,9 +12,9 @@
 // Subcommands:
 //
 //	acic-trace warm -artifact-dir DIR [-n N] [-workloads a,b] [-workers W]
-//	    materialize every prepare-stage artifact (trace, annotated
-//	    program, successor array, data-latency timeline) for the named
-//	    workloads (default: all datacenter + SPEC profiles), so later
+//	    materialize the workload artifact (trace, annotated program,
+//	    successor array, data-latency timeline in one container) of each
+//	    named workload (default: all datacenter + SPEC profiles), so later
 //	    acic-bench / acic-sim runs skip the prepare phase entirely
 //	acic-trace inspect PATH...
 //	    describe trace/artifact container files (a directory inspects
@@ -127,8 +127,8 @@ func fail(format string, args ...any) {
 	os.Exit(1)
 }
 
-// runWarm materializes every prepare-stage artifact for the requested
-// workloads into the store, so later simulation runs start warm.
+// runWarm materializes the requested workloads' artifacts into the
+// store, so later simulation runs start warm.
 func runWarm(args []string) {
 	fs := flag.NewFlagSet("acic-trace warm", flag.ExitOnError)
 	var artifactDir string
@@ -260,8 +260,7 @@ func describeQuarantine(dir string) {
 }
 
 // describeFile prints one container's layout: name, sections, sizes, and
-// element counts where the payload encoding carries one. Legacy v1 trace
-// files are decoded through trace.Read and described as such.
+// element counts where the payload encoding carries one.
 func describeFile(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -269,18 +268,13 @@ func describeFile(path string) error {
 	}
 	name, secs, err := trace.ReadContainer(bytes.NewReader(data))
 	if err != nil {
-		tr, v1err := trace.Read(bytes.NewReader(data))
-		if v1err != nil {
-			return err
-		}
-		fmt.Printf("%s: legacy v1 trace %q, %d instructions, %d bytes\n", path, tr.Name, tr.Len(), len(data))
-		return nil
+		return err
 	}
 	fmt.Printf("%s: v2 container %q, %d sections, %d bytes\n", path, name, len(secs), len(data))
 	var instCount, instBytes uint64
 	for _, s := range secs {
 		fmt.Printf("  %s  %8d bytes%s\n", s.Tag, len(s.Data), sectionDetail(s))
-		if s.Tag == trace.SecInsts || s.Tag == trace.SecInstsZ {
+		if s.Tag == trace.SecInstsZ {
 			if count, n := binary.Uvarint(s.Data); n > 0 {
 				instCount += count
 				instBytes += uint64(len(s.Data))
@@ -305,7 +299,7 @@ const instRecordBytes = 32
 // payload, or 0 when the encoding carries no element count.
 func sectionRawWidth(tag string) uint64 {
 	switch tag {
-	case trace.SecInsts, trace.SecInstsZ:
+	case trace.SecInstsZ:
 		return instRecordBytes
 	case trace.SecBlocks, trace.SecNextAt:
 		return 8
@@ -322,7 +316,7 @@ func sectionRawWidth(tag string) uint64 {
 func sectionDetail(s trace.Section) string {
 	var count uint64
 	switch s.Tag {
-	case trace.SecInsts, trace.SecInstsZ, trace.SecBlocks, trace.SecNextAt, trace.SecDataLat:
+	case trace.SecInstsZ, trace.SecBlocks, trace.SecNextAt, trace.SecDataLat:
 		c, n := binary.Uvarint(s.Data)
 		if n <= 0 {
 			return ""

@@ -22,7 +22,7 @@ import (
 // size is a constant rather than a setting.
 const prepareWindow = 1 << 16
 
-// Pipeline prepares workloads: each app's four artifacts,
+// Pipeline prepares workloads: each app's four stages,
 //
 //	trace   — synthetic trace generation (workload.Generate)
 //	program — branch-predictor replay + descriptor derivation (cpu.Program)
@@ -30,18 +30,19 @@ const prepareWindow = 1 << 16
 //	datalat — data-side latency timeline (Program.EnsureDataLatencies)
 //
 // are memoized per app with singleflight and, when a store directory is
-// configured, persisted through the trace codec's v2 container format
-// (sections INSZ / ANNO+DESC+BLKS / NXTA / DLAT). Artifact keys share the
-// result cache's derivation (keys.go: schema version, simulator-config
-// digest, profile digest, trace length), so a config edit invalidates
-// prepared artifacts and cached results together.
+// configured, persisted as one workload artifact: a trace-codec v2
+// container holding the trace's INSZ windows followed by the ANNO, DESC,
+// BLKS, NXTA and DLAT sections. The artifact key shares the result cache's
+// derivation (keys.go: schema version, simulator-config digest, profile
+// digest, trace length), so a config edit invalidates prepared artifacts
+// and cached results together.
 //
-// A workload is loaded from the store when all four artifacts decode;
-// otherwise it is prepared cold by the fused windowed pass (stream.go),
-// which rewrites all four. Artifacts are best-effort: an unreadable,
-// truncated, corrupt, or version-mismatched entry is a miss (quarantined
-// when it reads but fails to decode), so the store can only make
-// preparation faster, never wrong.
+// A workload is loaded from the store when its artifact decodes and
+// passes every consistency check; otherwise it is prepared cold by the
+// fused windowed pass (stream.go), which rewrites it. The artifact is
+// best-effort: an unreadable, truncated, corrupt, or version-mismatched
+// entry is a miss (quarantined when it reads but fails to decode), so the
+// store can only make preparation faster, never wrong.
 //
 // Concurrent workers in one process share a single preparation per app
 // through the group's singleflight; concurrent processes share through the
@@ -55,27 +56,17 @@ type Pipeline struct {
 
 	workloads *engine.Group[string, *Workload]
 
-	// Typed artifact stores, all nil when no store is configured. They
-	// are read through Load and written only by the cold pass's streamed
-	// entries (BeginStream), so they carry no encoders.
-	traceStore   *engine.DiskCache[string, *trace.Trace]
-	programStore *engine.DiskCache[programKey, *cpu.Program]
-	nextatStore  *engine.DiskCache[string, []int64]
-	datalatStore *engine.DiskCache[string, []int16]
+	// store holds one workload artifact per app; nil when no store is
+	// configured. It is read through Load and written only by the cold
+	// pass's streamed entry (BeginStream), so it carries no encoder.
+	store *engine.DiskCache[string, *Workload]
 
 	// simOnly drops what the simulator does not read from every workload
 	// handed out (see simOnly's PipelineConfig field).
 	simOnly bool
 
 	cold atomic.Int64 // apps prepared by the windowed pass
-	warm atomic.Int64 // apps the store served (loaded, or found complete by Warm)
-}
-
-// programKey names an app's program artifact and carries the trace the
-// program decodes against; only app enters the store key.
-type programKey struct {
-	app string
-	tr  *trace.Trace
+	warm atomic.Int64 // apps the store served (loaded, or found by Warm)
 }
 
 // PipelineConfig configures NewPipeline.
@@ -127,104 +118,75 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 
 	var err error
 	if cfg.Dir != "" {
-		err = pl.openStore(cfg.Dir)
+		// Every artifact uses the trace codec's container format with the
+		// ".actr" extension, so `acic-trace inspect` can describe any file
+		// in the store.
+		pl.store, err = engine.NewCodecDiskCache(cfg.Dir, ".actr", pl.storeKey, nil,
+			func(data []byte) (*Workload, error) { return decodeWorkload(data, pl.memCfg) })
 	}
 	return pl, err
 }
 
-// stageKey returns the content-addressing key function for one stage.
-func (pl *Pipeline) stageKey(stage string) func(string) string {
-	return func(app string) string {
-		prof, ok := pl.lookup(app)
-		return storeKeyPrefix(profileDigest(prof, ok, app), pl.n) + "|stage:" + stage
-	}
+// storeKey is app's content-addressing key in the artifact store.
+func (pl *Pipeline) storeKey(app string) string {
+	prof, ok := pl.lookup(app)
+	return storeKeyPrefix(profileDigest(prof, ok, app), pl.n) + "|stage:workload"
 }
 
-// openStore attaches the four artifact stores to dir. All artifacts use
-// the trace codec's container format with the ".actr" extension, so
-// `acic-trace inspect` can describe any file in the store.
-func (pl *Pipeline) openStore(dir string) error {
-	traces, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("trace"), nil,
-		func(_ string, data []byte) (*trace.Trace, error) {
-			return trace.Read(bytes.NewReader(data))
-		})
-	if err != nil {
-		return err
-	}
-	progKey := pl.stageKey("program")
-	programs, err := engine.NewCodecDiskCache(dir, ".actr",
-		func(k programKey) string { return progKey(k.app) }, nil, decodeProgram)
-	if err != nil {
-		return err
-	}
-	nextats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("nextat"), nil,
-		func(_ string, data []byte) ([]int64, error) {
-			payload, err := decodeSection(data, trace.SecNextAt)
-			if err != nil {
-				return nil, err
-			}
-			return trace.DecodeInt64sDelta(payload)
-		})
-	if err != nil {
-		return err
-	}
-	datalats, err := engine.NewCodecDiskCache(dir, ".actr", pl.stageKey("datalat"), nil,
-		func(_ string, data []byte) ([]int16, error) {
-			payload, err := decodeSection(data, trace.SecDataLat)
-			if err != nil {
-				return nil, err
-			}
-			return trace.DecodeInt16s(payload)
-		})
-	if err != nil {
-		return err
-	}
-	pl.traceStore, pl.programStore, pl.nextatStore, pl.datalatStore = traces, programs, nextats, datalats
-	return nil
-}
+// workloadSections are the derived sections a workload artifact carries
+// after its INSZ windows, in write order.
+var workloadSections = []string{trace.SecAnnot, trace.SecDesc, trace.SecBlocks, trace.SecNextAt, trace.SecDataLat}
 
-// decodeProgram rebuilds a Program from its persisted sections — branch
-// annotations, descriptor bytes, collapsed block sequence — against the
-// key's trace. MemBlk and the run-ahead bitmap are cheap local recomputes.
-func decodeProgram(k programKey, data []byte) (*cpu.Program, error) {
-	_, secs, err := trace.ReadContainer(bytes.NewReader(data))
+// decodeWorkload rebuilds a workload, all but its Profile, from its
+// artifact. Every check a load makes runs here, so any failure quarantines
+// the one entry: the section CRCs, the annotation and descriptor lengths
+// and block count against the trace (cpu.NewProgramFromParts), the
+// successor array against the blocks, and the latency timeline against
+// the program (AdoptDataLatencies). MemBlk and the run-ahead bitmap are
+// cheap local recomputes.
+func decodeWorkload(data []byte, memCfg mem.Config) (*Workload, error) {
+	name, secs, err := trace.ReadContainer(bytes.NewReader(data))
 	if err != nil {
 		return nil, err
 	}
-	annData, ok := trace.FindSection(secs, trace.SecAnnot)
-	if !ok {
-		return nil, fmt.Errorf("experiments: program artifact missing %s section", trace.SecAnnot)
-	}
-	descData, ok := trace.FindSection(secs, trace.SecDesc)
-	if !ok {
-		return nil, fmt.Errorf("experiments: program artifact missing %s section", trace.SecDesc)
-	}
-	blkData, ok := trace.FindSection(secs, trace.SecBlocks)
-	if !ok {
-		return nil, fmt.Errorf("experiments: program artifact missing %s section", trace.SecBlocks)
-	}
-	ann, err := cpu.AnnotationsFromBytes(annData)
+	insts, err := trace.InstsFromSections(secs)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := trace.DecodeUint64sDelta(blkData)
+	var payload [5][]byte
+	for i, tag := range workloadSections {
+		var ok bool
+		if payload[i], ok = trace.FindSection(secs, tag); !ok {
+			return nil, fmt.Errorf("experiments: workload artifact missing %s section", tag)
+		}
+	}
+	ann, err := cpu.AnnotationsFromBytes(payload[0])
 	if err != nil {
 		return nil, err
 	}
-	return cpu.NewProgramFromParts(k.tr, ann, descData, blocks)
-}
-
-// decodeSection unwraps a single-section container.
-func decodeSection(data []byte, tag string) ([]byte, error) {
-	_, secs, err := trace.ReadContainer(bytes.NewReader(data))
+	blocks, err := trace.DecodeUint64sDelta(payload[2])
 	if err != nil {
 		return nil, err
 	}
-	payload, ok := trace.FindSection(secs, tag)
-	if !ok {
-		return nil, fmt.Errorf("experiments: artifact missing %s section", tag)
+	nextAt, err := trace.DecodeInt64sDelta(payload[3])
+	if err != nil {
+		return nil, err
 	}
-	return payload, nil
+	lat, err := trace.DecodeInt16s(payload[4])
+	if err != nil {
+		return nil, err
+	}
+	prog, err := cpu.NewProgramFromParts(&trace.Trace{Name: name, Insts: insts}, ann, payload[1], blocks)
+	if err != nil {
+		return nil, err
+	}
+	if len(nextAt) != len(prog.Blocks) {
+		return nil, fmt.Errorf("experiments: successor array length %d != %d block accesses", len(nextAt), len(prog.Blocks))
+	}
+	if err := prog.AdoptDataLatencies(lat, memCfg); err != nil {
+		return nil, err
+	}
+	return newWorkload(workload.Profile{}, prog, nextAt), nil
 }
 
 // newWorkload builds the Workload view over a finished Program and its
@@ -251,8 +213,12 @@ func (pl *Pipeline) prepare(app string) (*Workload, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q", app)
 	}
-	w := pl.load(app, prof)
+	var w *Workload
+	if pl.store != nil {
+		w, _ = pl.store.Load(app) // nil on a miss
+	}
 	if w != nil {
+		w.Profile = prof
 		pl.warm.Add(1)
 	} else {
 		var err error
@@ -269,41 +235,11 @@ func (pl *Pipeline) prepare(app string) (*Workload, error) {
 	return w, nil
 }
 
-// load reads app's four artifacts in dependency order — the trace, the
-// program sections against it, the successor array, the latency timeline
-// — and returns nil when there is no store or any of them is missing,
-// undecodable (DiskCache.Load quarantines it), or inconsistent with the
-// others. The cold pass then rewrites all four.
-func (pl *Pipeline) load(app string, prof workload.Profile) *Workload {
-	if pl.traceStore == nil {
-		return nil
-	}
-	tr, ok := pl.traceStore.Load(app)
-	if !ok {
-		return nil
-	}
-	prog, ok := pl.programStore.Load(programKey{app, tr})
-	if !ok {
-		return nil
-	}
-	nextAt, ok := pl.nextatStore.Load(app)
-	if !ok || len(nextAt) != len(prog.Blocks) {
-		return nil
-	}
-	lat, ok := pl.datalatStore.Load(app)
-	if !ok || prog.AdoptDataLatencies(lat, pl.memCfg) != nil {
-		return nil
-	}
-	return newWorkload(prof, prog, nextAt)
-}
-
-// stored reports whether every artifact for app exists in the store. It
-// is an existence check only: Warm uses it to decide whether an app can
-// be dropped from memory and reloaded later.
+// stored reports whether the store holds app's artifact. It is an
+// existence check only: Warm uses it to decide whether an app can be
+// dropped from memory and reloaded later.
 func (pl *Pipeline) stored(app string) bool {
-	return pl.traceStore != nil &&
-		pl.traceStore.Has(app) && pl.programStore.Has(programKey{app: app}) &&
-		pl.nextatStore.Has(app) && pl.datalatStore.Has(app)
+	return pl.store != nil && pl.store.Has(app)
 }
 
 // Workload returns the fully prepared workload for an app, loading or
@@ -337,17 +273,16 @@ func (pl *Pipeline) Require(apps ...string) error {
 	return pl.workloads.Require(apps...)
 }
 
-// Warm fills the store with all four artifacts of the named apps — the
+// Warm fills the store with the workload artifacts of the named apps — the
 // `acic-trace warm` path that prepares the store for later runs. It runs
 // one pool task per app, and every app is attempted even if some fail;
 // the error of the first failing app in argument order is returned.
 //
-// Warm persists, then releases: once the store holds all four of an
-// app's artifacts, the app's memo is dropped, so Warm's peak memory is
-// O(workers × one app) rather than O(apps); a later Workload(app) loads
-// from the store, byte-identical by its contract. An app whose four
-// artifacts the store already holds is counted as served by the store
-// and not loaded: decoding it whole only to drop it would make a warm
+// Warm persists, then releases: once the store holds an app's artifact,
+// the app's memo is dropped, so Warm's peak memory is O(workers × one
+// app) rather than O(apps); a later Workload(app) loads from the store,
+// byte-identical by its contract. An app whose artifact the store already
+// holds is counted as served by the store and not loaded: decoding it whole only to drop it would make a warm
 // over a warm store cost most of a load of every app. Without a store,
 // or when a best-effort store write failed, the memo is kept and Warm
 // means "prepare in memory". Like Require, Warm must not be called from
@@ -377,8 +312,8 @@ func (pl *Pipeline) Warm(apps ...string) error {
 // StageNames lists the pipeline stages in dependency order.
 func StageNames() []string { return []string{"trace", "program", "nextat", "datalat"} }
 
-// StageStats reports one stage's counters: artifacts regenerated vs.
-// served from the persistent store.
+// StageStats reports one stage's counters: apps whose stage was
+// regenerated vs. served from the persistent store.
 type StageStats struct {
 	Stage     string `json:"stage"`
 	Computed  int64  `json:"computed"`
@@ -386,10 +321,9 @@ type StageStats struct {
 }
 
 // Stats returns per-stage counters in dependency order. An app is either
-// prepared cold, which writes all four artifacts, or served with all four
-// by the store (loaded, or found complete by Warm), so every row reads the
-// same two counts. A warm store
-// shows Computed == 0 on every stage; that is what "skipping the prepare
+// prepared cold, which computes every stage and writes its artifact, or
+// served whole by the store (loaded, or found by Warm), so every row reads
+// the same two counts. A warm store shows Computed == 0 on every stage; that is what "skipping the prepare
 // phase" means and what the regression tests assert.
 func (pl *Pipeline) Stats() []StageStats {
 	cold, warm := pl.cold.Load(), pl.warm.Load()
@@ -404,18 +338,17 @@ func (pl *Pipeline) Stats() []StageStats {
 // failures.
 func (pl *Pipeline) Retries() int64 { return pl.workloads.Retries() }
 
-// Quarantined returns how many undecodable artifacts the stores moved to
+// Quarantined returns how many undecodable artifacts the store moved to
 // quarantine/ (0 when no store is configured).
 func (pl *Pipeline) Quarantined() int64 {
-	if pl.traceStore == nil {
+	if pl.store == nil {
 		return 0
 	}
-	return pl.traceStore.Quarantined() + pl.programStore.Quarantined() +
-		pl.nextatStore.Quarantined() + pl.datalatStore.Quarantined()
+	return pl.store.Quarantined()
 }
 
-// Regenerated returns the total number of artifacts produced by cold
-// prepares (0 on a fully warm store).
+// Regenerated returns the number of stages cold prepares computed: one
+// per stage for every app prepared cold (0 on a fully warm store).
 func (pl *Pipeline) Regenerated() int64 {
 	return int64(len(StageNames())) * pl.cold.Load()
 }

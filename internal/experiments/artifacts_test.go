@@ -150,9 +150,10 @@ func corruptStore(t *testing.T, dir string, mangle func([]byte) []byte) int {
 	return len(files)
 }
 
-// TestPipelineCorruptArtifactsRegenerate: flipped-bit and truncated store
-// entries must be treated as misses — the stages regenerate, the workload
-// is still correct, and the rewritten store serves the next run warm.
+// TestPipelineCorruptArtifactsRegenerate: a flipped-bit, truncated or
+// garbage workload artifact must be treated as a miss — every stage
+// regenerates, the workload is still correct, and the rewritten store
+// serves the next run warm.
 func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 	const app, n = "media-streaming", 20_000
 	mangles := map[string]func([]byte) []byte{
@@ -168,8 +169,8 @@ func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 			if _, err := newTestPipeline(t, n, dir).Workload(app); err != nil {
 				t.Fatal(err)
 			}
-			if files := corruptStore(t, dir, mangle); files != 4 {
-				t.Fatalf("store holds %d artifacts, want 4", files)
+			if files := corruptStore(t, dir, mangle); files != 1 {
+				t.Fatalf("store holds %d artifacts, want 1", files)
 			}
 
 			pl := newTestPipeline(t, n, dir)
@@ -190,8 +191,8 @@ func TestPipelineCorruptArtifactsRegenerate(t *testing.T) {
 	}
 }
 
-// TestPipelineWarm exercises the `acic-trace warm` path: Warm writes all
-// four stages and keeps no workload in memory, a second Warm over the
+// TestPipelineWarm exercises the `acic-trace warm` path: Warm writes each
+// app's artifact and keeps no workload in memory, a second Warm over the
 // filled store counts every app as served by the store without loading
 // any, and a suite over the same store then prepares with zero
 // regenerations.

@@ -93,7 +93,7 @@ type DiskCache[K comparable, V any] struct {
 	ext   string
 	key   func(K) string
 	enc   func(V) ([]byte, error)
-	dec   func(K, []byte) (V, error)
+	dec   func([]byte) (V, error)
 
 	quarantined atomic.Int64
 }
@@ -123,7 +123,7 @@ func NewDiskCache[K comparable, V any](dir string, key func(K) string) (*DiskCac
 			}
 			return encodeJSONFrame(payload), nil
 		},
-		func(_ K, data []byte) (V, error) {
+		func(data []byte) (V, error) {
 			var v V
 			payload, err := decodeJSONFrame(data)
 			if err != nil {
@@ -158,12 +158,10 @@ func decodeJSONFrame(data []byte) ([]byte, error) {
 
 // NewCodecDiskCache creates a cache over dir — a local directory (created
 // with all missing parents) or, when dir is an http(s):// URL, a remote
-// StoreServer — whose values are encoded by enc and decoded by dec. dec
-// receives the key alongside the bytes so decoders can rebuild derived
-// state from sibling artifacts (a persisted Program is reconstructed
-// against its trace); any dec error quarantines the entry and reads as a
-// miss. A nil enc makes a cache written only through BeginStream; its
-// Store is a no-op.
+// StoreServer — whose values are encoded by enc and decoded by dec. An
+// entry decodes from its own bytes alone; any dec error quarantines the
+// entry and reads as a miss. A nil enc makes a cache written only through
+// BeginStream; its Store is a no-op.
 //
 // The backend is probed up front: Store is deliberately best-effort (a
 // failed write only costs a future recompute), so without the probe an
@@ -172,7 +170,7 @@ func decodeJSONFrame(data []byte) ([]byte, error) {
 // caller believes it warmed a cache. Local construction also sweeps stale
 // files out of tmp/, reclaiming temps left by crashed writers.
 func NewCodecDiskCache[K comparable, V any](dir, ext string, key func(K) string,
-	enc func(V) ([]byte, error), dec func(K, []byte) (V, error)) (*DiskCache[K, V], error) {
+	enc func(V) ([]byte, error), dec func([]byte) (V, error)) (*DiskCache[K, V], error) {
 	var store blobStore
 	if IsStoreURL(dir) {
 		hs, err := newHTTPStore(dir)
@@ -221,7 +219,7 @@ func (d *DiskCache[K, V]) Load(k K) (V, bool) {
 	if !ok {
 		return zero, false
 	}
-	v, err := d.dec(k, data)
+	v, err := d.dec(data)
 	if err != nil {
 		d.store.quarantine(name, d.key(k), err)
 		d.quarantined.Add(1)

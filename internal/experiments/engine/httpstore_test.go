@@ -88,7 +88,7 @@ func TestHTTPStoreStreaming(t *testing.T) {
 	url, root := newStoreServer(t)
 	c, err := NewCodecDiskCache(url, ".bin", func(k string) string { return k },
 		func(v []byte) ([]byte, error) { return v, nil },
-		func(_ string, b []byte) ([]byte, error) { return append([]byte(nil), b...), nil })
+		func(b []byte) ([]byte, error) { return append([]byte(nil), b...), nil })
 	if err != nil {
 		t.Fatal(err)
 	}

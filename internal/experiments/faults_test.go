@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -103,10 +102,10 @@ func assertQuarantined(t *testing.T, dir string, want int) {
 	}
 }
 
-// TestSectionBitFlipQuarantineAndRegenerate is the satellite coverage
-// matrix: one flipped bit inside each v2 section type's CRC-covered
-// payload must quarantine the artifact (reason file and all), regenerate
-// a workload equal to the reference, and leave the store warm again.
+// TestSectionBitFlipQuarantineAndRegenerate is the coverage matrix: one
+// flipped bit inside each section type's CRC-covered payload must
+// quarantine the workload artifact (reason file and all), regenerate a
+// workload equal to the reference, and leave the store warm again.
 func TestSectionBitFlipQuarantineAndRegenerate(t *testing.T) {
 	const app, n = "media-streaming", 20_000
 	prof, _ := workload.ByName(app)
@@ -144,54 +143,12 @@ func TestSectionBitFlipQuarantineAndRegenerate(t *testing.T) {
 			assertStageCounts(t, rewarmed, 0, 1)
 		})
 	}
-
-	// The legacy SecInsts layout: rewrite the trace artifact as an
-	// old-generation INST container, confirm it still loads (compat),
-	// then flip a payload bit and confirm quarantine + regeneration.
-	t.Run(trace.SecInsts, func(t *testing.T) {
-		dir := t.TempDir()
-		if _, err := newTestPipeline(t, n, dir).Workload(app); err != nil {
-			t.Fatal(err)
-		}
-		path, _ := findArtifactWithSection(t, dir, trace.SecInstsZ)
-		var b bytes.Buffer
-		if err := trace.WriteContainer(&b, want.Trace.Name, []trace.Section{
-			{Tag: trace.SecInsts, Data: trace.EncodeInsts(want.Trace.Insts)},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		compat := newTestPipeline(t, n, dir)
-		got, err := compat.Workload(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertWorkloadsEqual(t, want, got)
-		if q := compat.Quarantined(); q != 0 {
-			t.Fatalf("compat INST artifact quarantined (%d), want readable", q)
-		}
-
-		_, spans := findArtifactWithSection(t, dir, trace.SecInsts)
-		flipPayloadBit(t, path, spans[0])
-		pl := newTestPipeline(t, n, dir)
-		got, err = pl.Workload(app)
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertPreparedEqual(t, want, got)
-		if q := pl.Quarantined(); q != 1 {
-			t.Fatalf("Quarantined = %d, want 1", q)
-		}
-		assertQuarantined(t, dir, 1)
-	})
 }
 
-// TestStreamedStoreBitFlipWarmLoad covers the multi-window store: a trace
-// artifact written by a cold prepare of several windows (one INSZ section
-// each) is corrupted in its last section and must quarantine and
-// regenerate like a single-section one.
+// TestStreamedStoreBitFlipWarmLoad covers the multi-window store: a
+// workload artifact written by a cold prepare of several windows (one INSZ
+// section each) is corrupted in its last window and must quarantine and
+// regenerate like a single-window one.
 func TestStreamedStoreBitFlipWarmLoad(t *testing.T) {
 	const app, n = "media-streaming", 20_000
 	prof, _ := workload.ByName(app)
@@ -203,7 +160,7 @@ func TestStreamedStoreBitFlipWarmLoad(t *testing.T) {
 	}
 	path, spans := findArtifactWithSection(t, dir, trace.SecInstsZ)
 	if len(spans) < 2 {
-		t.Fatalf("trace artifact has %d INSZ sections, want one per window", len(spans))
+		t.Fatalf("workload artifact has %d INSZ sections, want one per window", len(spans))
 	}
 	flipPayloadBit(t, path, spans[len(spans)-1])
 

@@ -39,7 +39,12 @@ import (
 // never collide in one store; bumped together with the key-format change
 // so a v2 store is retired wholesale rather than partially re-keyed
 // (DESIGN.md §10).
-const cacheSchemaVersion = 3
+//
+// v4: a prepared workload is one store entry (the INSZ windows followed by
+// the ANNO, DESC, BLKS, NXTA and DLAT sections) instead of four, and the
+// trace codec no longer reads v1 streams or INST sections, so v3 stores
+// are retired wholesale (DESIGN.md §9).
+const cacheSchemaVersion = 4
 
 // simConfigHash digests the default simulator configuration (core, memory
 // hierarchy, prefetchers, ACIC) and the shape of cpu.Result (%#v of the

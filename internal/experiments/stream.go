@@ -13,12 +13,12 @@ import (
 // stream is the cold prepare: one windowed walk drives generation
 // (workload.GenerateStream), branch annotation and descriptor/latency
 // derivation (cpu.ProgramBuilder), the successor array
-// (analysis.NextUseBuilder), and — when a store is configured — the trace
-// artifact, written one INSZ section per window through a ContainerWriter
-// so the full instruction image never exists in memory. Peak residency is
-// O(window) Inst records plus the per-instruction byte/array state the
-// simulator needs anyway; the returned workload carries no Inst records
-// (a later load from the store does).
+// (analysis.NextUseBuilder), and — when a store is configured — the
+// workload artifact, written one INSZ section per window through a
+// ContainerWriter so the full instruction image never exists in memory.
+// Peak residency is O(window) Inst records plus the per-instruction
+// byte/array state the simulator needs anyway; the returned workload
+// carries no Inst records (a later load from the store does).
 //
 // The generator, the front end, and the data hierarchy are all sequential
 // state machines, so per-window feeding equals the whole-trace pass of
@@ -28,45 +28,41 @@ import (
 func (pl *Pipeline) stream(app string, prof workload.Profile) (*Workload, error) {
 	builder := cpu.NewProgramBuilder(prof.Name, pl.memCfg, pl.n)
 	nextUse := analysis.NewNextUseBuilder(pl.n / 8)
-	// The trace artifact takes one section per window, so the window grows
-	// with n past trace.MaxSections windows to keep the artifact readable.
-	window := max(pl.window, (pl.n+trace.MaxSections-1)/trace.MaxSections)
+	// The artifact takes one section per window plus the derived sections,
+	// so the window grows with n past that many windows to keep the
+	// artifact within the reader's section limit.
+	maxWindows := trace.MaxSections - len(workloadSections)
+	window := max(pl.window, (pl.n+maxWindows-1)/maxWindows)
 	stream := workload.GenerateStream(prof, pl.n, window)
 
-	// Best-effort streaming write of the trace artifact: a failure at any
-	// point aborts persistence (a later run regenerates it) but never the
-	// preparation itself. The deferred Abort is panic insurance — if this
-	// pass dies mid-window (one failed attempt of the workload group), the
-	// half-written entry is discarded rather than left in flight; Abort is
-	// a no-op on nil and after Commit.
+	// Best-effort streaming write of the artifact: a failure at any point
+	// drops persistence (a later run regenerates it) but never the
+	// preparation itself. The deferred Abort discards the entry unless it
+	// was committed, including when this pass dies mid-window (one failed
+	// attempt of the workload group); Abort is a no-op on nil and after
+	// Commit.
 	var entry *engine.StreamEntry
 	var cw *trace.ContainerWriter
 	defer func() { entry.Abort() }()
-	if pl.traceStore != nil {
-		if e, ok := pl.traceStore.BeginStream(app); ok {
-			if w, err := trace.NewContainerWriter(e.F, prof.Name); err == nil {
-				entry, cw = e, w
-			} else {
-				e.Abort()
-			}
+	if pl.store != nil {
+		if e, ok := pl.store.BeginStream(app); ok {
+			entry = e
+			// On error cw stays nil and the deferred Abort discards the entry.
+			cw, _ = trace.NewContainerWriter(e.F, prof.Name)
+		}
+	}
+	// persist writes one section, materializing its payload only while it
+	// is written: assembling the container whole would sit on top of the
+	// finished Program and dominate the peak the windowed walk avoids.
+	persist := func(tag string, payload func() []byte) {
+		if cw != nil && cw.WriteSection(tag, payload()) != nil {
+			cw = nil
 		}
 	}
 
 	for chunk := stream.Next(); chunk != nil; chunk = stream.Next() {
-		if cw != nil {
-			if err := cw.WriteSection(trace.SecInstsZ, trace.EncodeInstsPacked(chunk)); err != nil {
-				entry.Abort()
-				entry, cw = nil, nil
-			}
-		}
+		persist(trace.SecInstsZ, func() []byte { return trace.EncodeInstsPacked(chunk) })
 		nextUse.Append(builder.Append(chunk))
-	}
-	if cw != nil {
-		if err := cw.Close(); err != nil {
-			entry.Abort()
-		} else {
-			entry.Commit()
-		}
 	}
 
 	prog := builder.Finish()
@@ -74,49 +70,15 @@ func (pl *Pipeline) stream(app string, prof workload.Profile) (*Workload, error)
 	if len(nextAt) != len(prog.Blocks) {
 		return nil, fmt.Errorf("experiments: streamed successor array length %d != %d block accesses", len(nextAt), len(prog.Blocks))
 	}
-	// Persist the derived artifacts so later runs load instead of
-	// regenerating. Sections stream to the entry files one at a time:
-	// assembling each whole container in memory would sit on top of the
-	// finished Program and dominate the peak the windowed walk avoided.
-	if pl.programStore != nil {
-		streamArtifact(pl.programStore, programKey{app: app}, prof.Name,
-			func() (string, []byte) { return trace.SecAnnot, prog.AnnotationBytes() },
-			func() (string, []byte) { return trace.SecDesc, prog.Desc },
-			func() (string, []byte) { return trace.SecBlocks, trace.EncodeUint64sDelta(prog.Blocks) })
-		streamArtifact(pl.nextatStore, app, "nextat",
-			func() (string, []byte) { return trace.SecNextAt, trace.EncodeInt64sDelta(nextAt) })
-		streamArtifact(pl.datalatStore, app, "datalat",
-			func() (string, []byte) { return trace.SecDataLat, trace.EncodeInt16s(prog.DataLat) })
+	// The derived sections follow the last window, in workloadSections
+	// order, so later runs load instead of regenerating.
+	persist(trace.SecAnnot, prog.AnnotationBytes)
+	persist(trace.SecDesc, func() []byte { return prog.Desc })
+	persist(trace.SecBlocks, func() []byte { return trace.EncodeUint64sDelta(prog.Blocks) })
+	persist(trace.SecNextAt, func() []byte { return trace.EncodeInt64sDelta(nextAt) })
+	persist(trace.SecDataLat, func() []byte { return trace.EncodeInt16s(prog.DataLat) })
+	if cw != nil && cw.Close() == nil {
+		entry.Commit()
 	}
 	return newWorkload(prof, prog, nextAt), nil
-}
-
-// streamArtifact writes one artifact container straight to a store entry
-// file, materializing each section payload only while it is being written
-// (the sections are closures so encodings never coexist): single-section
-// containers for the array stages, the three-section program container.
-// Best-effort like Store: any failure aborts the entry and the artifact is
-// simply regenerated later.
-func streamArtifact[K comparable, V any](c *engine.DiskCache[K, V], k K, name string, sections ...func() (string, []byte)) {
-	e, ok := c.BeginStream(k)
-	if !ok {
-		return
-	}
-	cw, err := trace.NewContainerWriter(e.F, name)
-	if err != nil {
-		e.Abort()
-		return
-	}
-	for _, section := range sections {
-		tag, payload := section()
-		if err := cw.WriteSection(tag, payload); err != nil {
-			e.Abort()
-			return
-		}
-	}
-	if err := cw.Close(); err != nil {
-		e.Abort()
-		return
-	}
-	e.Commit()
 }

@@ -57,11 +57,13 @@ func equalSlices[T comparable](t *testing.T, label string, a, b []T) bool {
 // the whole-trace reference (Prepare) at window sizes including 1 and
 // beyond the trace length: every prepared array equal, the cold workload
 // carrying no Inst records, each stage counted once, and the warm reload
-// restoring Inst records equal to the reference's. Window 1 asks for more
-// windows than a container holds sections, so its warm reload also pins
-// the window's growth to n/trace.MaxSections.
+// regenerating nothing and restoring Inst records equal to the
+// reference's. Window 1 asks for more windows than the artifact holds
+// sections, and n = 20,480 = 1,024 × 20 is where a window grown to fill
+// all trace.MaxSections sections would leave no room for the derived
+// ones, so its warm reload pins the window's growth to n/(MaxSections-5).
 func TestPipelineStreamedMatchesBatch(t *testing.T) {
-	const app, n = "media-streaming", 20_000
+	const app, n = "media-streaming", 20_480
 	prof, _ := workload.ByName(app)
 	want := Prepare(prof, n)
 
@@ -81,19 +83,24 @@ func TestPipelineStreamedMatchesBatch(t *testing.T) {
 		assertPreparedEqual(t, want, got)
 		assertStageCounts(t, pl, 1, 0)
 
-		warm, err := newTestPipeline(t, n, dir).Workload(app)
+		warmPl := newTestPipeline(t, n, dir)
+		warm, err := warmPl.Workload(app)
 		if err != nil {
 			t.Fatalf("window=%d: warm reload: %v", window, err)
+		}
+		if reg := warmPl.Regenerated(); reg != 0 {
+			t.Fatalf("window=%d: warm reload regenerated %d stages, want 0", window, reg)
 		}
 		assertWorkloadsEqual(t, want, warm)
 	}
 }
 
 // TestPipelineStreamedWritesWarmStore is the artifact-compatibility check:
-// a multi-window cold run fills the store (chunked INSZ trace container
-// included), and a pipeline at the default window over the same store
-// then loads every stage with zero regenerations and reconstructs the full
-// workload — instruction records and all — equal to Prepare's.
+// a multi-window cold run fills the store (one INSZ section per window in
+// the workload artifact), and a pipeline at the default window over the
+// same store then loads every stage with zero regenerations and
+// reconstructs the full workload — instruction records and all — equal to
+// Prepare's.
 func TestPipelineStreamedWritesWarmStore(t *testing.T) {
 	const app, n = "sibench", 20_000
 	prof, _ := workload.ByName(app)

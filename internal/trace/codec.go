@@ -23,22 +23,19 @@ import (
 //	  crc    uint32   IEEE CRC-32 of the payload
 //	  payload
 //
-// A version-1 file was a bare instruction stream (the payload now carried in
-// the "INST" section, preceded by its count); Read still accepts it. Version
-// 2 generalizes the file into a container of tagged sections so the prepared
-// workload artifacts — branch annotations, cpu.Program descriptor arrays,
-// the data-latency timeline, and the next-use successor array — persist
-// through the same codec as the trace itself (DESIGN.md §9). Unknown tags
-// are preserved by ReadContainer, so older readers skip sections newer
-// writers add.
+// The container is a set of tagged sections so the prepared workload
+// artifact — the instruction windows plus branch annotations, cpu.Program
+// descriptor arrays, the data-latency timeline, and the next-use successor
+// array — persists through the same codec as a bare trace (DESIGN.md §9).
+// Unknown tags are preserved by ReadContainer, so older readers skip
+// sections newer writers add.
 //
-// PCs in the instruction payload are delta-encoded (zigzag) against the
-// previous PC because the stream is dominated by sequential fetch; this
-// keeps large traces compact. The remaining payload encodings (delta
-// varints for sorted-ish uint64 arrays, zigzag varints for int64 arrays,
-// fixed 2-byte little-endian for int16 arrays) are exposed as helpers so
-// the layers that own the typed arrays (cpu, analysis, experiments) encode
-// them without duplicating varint plumbing.
+// Instruction sections use the packed SecInstsZ encoding (stream.go). The
+// remaining payload encodings (delta varints for sorted-ish uint64 arrays,
+// zigzag varints for int64 arrays, fixed 2-byte little-endian for int16
+// arrays) are exposed as helpers so the layers that own the typed arrays
+// (cpu, analysis, experiments) encode them without duplicating varint
+// plumbing.
 
 var magic = [4]byte{'A', 'C', 'T', 'R'}
 
@@ -48,7 +45,6 @@ const codecVersion = 2
 // The trace package owns only the names; the typed contents belong to the
 // layers that produce them.
 const (
-	SecInsts   = "INST" // instruction stream (count + varint records; superseded by SecInstsZ)
 	SecAnnot   = "ANNO" // branch.Annotation redirect byte per instruction
 	SecDesc    = "DESC" // cpu.Program descriptor byte per instruction
 	SecBlocks  = "BLKS" // collapsed block-access sequence (delta varints)
@@ -249,94 +245,6 @@ func SectionSpans(data []byte) ([]SectionSpan, error) {
 	return spans, nil
 }
 
-// EncodeInsts encodes an instruction stream as an SecInsts payload: the
-// record count followed by varint-delta records.
-func EncodeInsts(insts []Inst) []byte {
-	out := make([]byte, 0, 4*len(insts)+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(insts)))
-	var prevPC uint64
-	var buf [3 * binary.MaxVarintLen64]byte
-	for i := range insts {
-		in := &insts[i]
-		n := binary.PutUvarint(buf[:], zigzag(int64(in.PC-prevPC)))
-		prevPC = in.PC
-		flags := byte(in.Class)
-		if in.Taken {
-			flags |= 0x80
-		}
-		buf[n] = flags
-		n++
-		if in.Class.IsBranch() {
-			n += binary.PutUvarint(buf[n:], zigzag(int64(in.Target-in.PC)))
-		}
-		if in.Class.IsMem() {
-			n += binary.PutUvarint(buf[n:], in.MemAddr)
-		}
-		out = append(out, buf[:n]...)
-	}
-	return out
-}
-
-// DecodeInsts decodes an SecInsts payload. Records are decoded with
-// index-based varint reads over the raw payload — the decoder runs once
-// per workload artifact load on the warm-start path, and a per-byte
-// reader interface there costs more than the arithmetic it feeds.
-func DecodeInsts(data []byte) ([]Inst, error) {
-	pos := 0
-	uvarint := func() (uint64, bool) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, false
-		}
-		pos += n
-		return v, true
-	}
-	count, ok := uvarint()
-	if !ok {
-		return nil, fmt.Errorf("%w: instruction count: truncated varint", ErrBadFormat)
-	}
-	// Every record consumes at least one payload byte, so a count beyond
-	// the remaining bytes is corrupt — reject it before allocating.
-	if count > uint64(len(data)-pos) {
-		return nil, fmt.Errorf("%w: instruction count %d exceeds %d payload bytes", ErrBadFormat, count, len(data)-pos)
-	}
-	insts := make([]Inst, 0, count)
-	var prevPC uint64
-	for i := uint64(0); i < count; i++ {
-		d, ok := uvarint()
-		if !ok {
-			return nil, fmt.Errorf("%w: record %d: truncated varint", ErrBadFormat, i)
-		}
-		pc := prevPC + uint64(unzigzag(d))
-		prevPC = pc
-		if pos >= len(data) {
-			return nil, fmt.Errorf("%w: record %d: truncated flags", ErrBadFormat, i)
-		}
-		flags := data[pos]
-		pos++
-		in := Inst{PC: pc, Class: Class(flags & 0x7f), Taken: flags&0x80 != 0}
-		if in.Class >= numClasses {
-			return nil, fmt.Errorf("%w: record %d: bad class %d", ErrBadFormat, i, in.Class)
-		}
-		if in.Class.IsBranch() {
-			td, ok := uvarint()
-			if !ok {
-				return nil, fmt.Errorf("%w: record %d target: truncated varint", ErrBadFormat, i)
-			}
-			in.Target = pc + uint64(unzigzag(td))
-		}
-		if in.Class.IsMem() {
-			a, ok := uvarint()
-			if !ok {
-				return nil, fmt.Errorf("%w: record %d memaddr: truncated varint", ErrBadFormat, i)
-			}
-			in.MemAddr = a
-		}
-		insts = append(insts, in)
-	}
-	return insts, nil
-}
-
 // EncodeUint64sDelta encodes a uint64 array as count + zigzag varint deltas
 // against the previous element (block sequences revisit nearby addresses,
 // so deltas stay small).
@@ -437,26 +345,26 @@ func Write(w io.Writer, t *Trace) error {
 	return WriteContainer(w, t.Name, []Section{{Tag: SecInstsZ, Data: EncodeInstsPacked(t.Insts)}})
 }
 
-// Read decodes a trace written by Write. All on-disk generations are
-// accepted: v2 with packed SecInstsZ sections (any number — streamed
-// containers carry one per window, concatenated in order), v2 with the
-// older SecInsts section, and the legacy v1 bare stream.
+// Read decodes a trace written by Write, or the instruction stream of
+// any container carrying SecInstsZ sections (a streamed trace or a
+// workload artifact).
 func Read(r io.Reader) (*Trace, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	head, err := br.Peek(8)
-	if err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
-	}
-	if [4]byte(head[0:4]) != magic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, head[0:4])
-	}
-	if binary.LittleEndian.Uint32(head[4:8]) == 1 {
-		return readV1(br)
-	}
-	name, secs, err := ReadContainer(br)
+	name, secs, err := ReadContainer(r)
 	if err != nil {
 		return nil, err
 	}
+	insts, err := InstsFromSections(secs)
+	if err != nil {
+		return nil, err
+	}
+	return &Trace{Name: name, Insts: insts}, nil
+}
+
+// InstsFromSections concatenates a container's SecInstsZ sections, in
+// order, into one instruction stream; streamed containers carry one per
+// window. It is the one concatenation path: Read and the workload
+// artifact decoder both use it.
+func InstsFromSections(secs []Section) ([]Inst, error) {
 	// Sum the per-section counts up front so the concatenation is one
 	// allocation: appending window-sized sections into a growing slice
 	// reallocates ~5x the final bytes in 1.25x growth steps on streamed
@@ -473,55 +381,17 @@ func Read(r io.Reader) (*Trace, error) {
 			}
 		}
 	}
+	if !found {
+		return nil, fmt.Errorf("%w: no %s section", ErrBadFormat, SecInstsZ)
+	}
 	insts := make([]Inst, 0, min(total, maxPreallocInsts))
 	for _, s := range secs {
 		if s.Tag == SecInstsZ {
+			var err error
 			if insts, err = AppendInstsPacked(insts, s.Data); err != nil {
 				return nil, err
 			}
 		}
 	}
-	if !found {
-		data, ok := FindSection(secs, SecInsts)
-		if !ok {
-			return nil, fmt.Errorf("%w: no %s or %s section", ErrBadFormat, SecInstsZ, SecInsts)
-		}
-		if insts, err = DecodeInsts(data); err != nil {
-			return nil, err
-		}
-	}
-	return &Trace{Name: name, Insts: insts}, nil
-}
-
-// readV1 decodes the legacy version-1 stream: magic, version, nameLen,
-// name, count, then the same varint record encoding the v2 instruction
-// section carries (without a leading count).
-func readV1(br *bufio.Reader) (*Trace, error) {
-	var skip [4]byte
-	if _, err := io.ReadFull(br, skip[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
-	}
-	var hdr [16]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading header: %v", ErrBadFormat, err)
-	}
-	nameLen := binary.LittleEndian.Uint32(hdr[4:8])
-	count := binary.LittleEndian.Uint64(hdr[8:16])
-	if nameLen > 1<<16 {
-		return nil, fmt.Errorf("%w: name length %d too large", ErrBadFormat, nameLen)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return nil, fmt.Errorf("%w: reading name: %v", ErrBadFormat, err)
-	}
-	rest, err := io.ReadAll(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading records: %w", err)
-	}
-	payload := binary.AppendUvarint(make([]byte, 0, len(rest)+binary.MaxVarintLen64), count)
-	insts, err := DecodeInsts(append(payload, rest...))
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{Name: string(nameBuf), Insts: insts}, nil
+	return insts, nil
 }

@@ -23,9 +23,9 @@ import (
 const fuzzWindow = 512
 
 // seedArtifacts is one small workload's artifacts as a prepare persists
-// them: the four stage containers plus the typed payloads inside them.
+// them: the containers plus the typed payloads inside them.
 type seedArtifacts struct {
-	containers [][]byte // trace (whole and windowed), program, nextat, datalat, legacy INST
+	containers [][]byte // trace (whole and windowed), workload artifact, derived sections only, retired v1 and INST shapes
 	packed     [][]byte // INSZ payloads: the whole trace and each window
 	blocks     []byte   // BLKS payload
 	nextAt     []byte   // NXTA payload
@@ -50,6 +50,13 @@ func realArtifacts(f *testing.F) seedArtifacts {
 		s.packed = append(s.packed, payload)
 		windows = append(windows, trace.Section{Tag: trace.SecInstsZ, Data: payload})
 	}
+	derived := []trace.Section{
+		{Tag: trace.SecAnnot, Data: prog.AnnotationBytes()},
+		{Tag: trace.SecDesc, Data: prog.Desc},
+		{Tag: trace.SecBlocks, Data: s.blocks},
+		{Tag: trace.SecNextAt, Data: s.nextAt},
+		{Tag: trace.SecDataLat, Data: s.dataLat},
+	}
 
 	container := func(name string, secs ...trace.Section) []byte {
 		var b bytes.Buffer
@@ -62,16 +69,24 @@ func realArtifacts(f *testing.F) seedArtifacts {
 	if err := trace.Write(&whole, tr); err != nil {
 		f.Fatal(err)
 	}
+	// The retired shapes, which must be refused: a version-1 header, and
+	// an instruction section under the old INST tag (the tag is outside
+	// the section CRC, so only the reader's tag check refuses it).
+	v1 := bytes.Clone(whole.Bytes())
+	v1[4] = 1
+	inst := bytes.Clone(whole.Bytes())
+	spans, err := trace.SectionSpans(inst)
+	if err != nil {
+		f.Fatal(err)
+	}
+	copy(inst[spans[0].Off-16:], "INST")
 	s.containers = [][]byte{
 		whole.Bytes(),
 		container(tr.Name, windows...),
-		container(tr.Name,
-			trace.Section{Tag: trace.SecAnnot, Data: prog.AnnotationBytes()},
-			trace.Section{Tag: trace.SecDesc, Data: prog.Desc},
-			trace.Section{Tag: trace.SecBlocks, Data: s.blocks}),
-		container("nextat", trace.Section{Tag: trace.SecNextAt, Data: s.nextAt}),
-		container("datalat", trace.Section{Tag: trace.SecDataLat, Data: s.dataLat}),
-		container(tr.Name, trace.Section{Tag: trace.SecInsts, Data: trace.EncodeInsts(tr.Insts)}),
+		container(tr.Name, append(windows, derived...)...),
+		container(tr.Name, derived...),
+		v1,
+		inst,
 	}
 	return s
 }

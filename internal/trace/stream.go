@@ -10,10 +10,10 @@ import (
 
 // Packed instruction sections and chunked container writing.
 //
-// The original SecInsts payload spends ~4B per instruction: a varint PC
-// delta, a flags byte, and (for branches/mem ops) a raw operand varint.
-// The packed SecInstsZ payload folds the dominant structure of the stream
-// into single tokens:
+// A plain varint record spends ~4B per instruction: a varint PC delta, a
+// flags byte, and (for branches/mem ops) a raw operand varint. The packed
+// SecInstsZ payload folds the dominant structure of the stream into single
+// tokens:
 //
 //	payload := count uvarint, then records
 //	token   := uvarint(u<<5 | op)
@@ -25,12 +25,14 @@ import (
 //	           advancing the PC by 4 (u <= maxPackedRun; longer runs
 //	           take several tokens)
 //	op 17:     escape for records the folded forms cannot carry (PC or
-//	           target not 4-aligned): uvarint(zigzag(PC-prevPC)), the
-//	           SecInsts flags byte, then the SecInsts operand encoding
+//	           target not 4-aligned): uvarint(zigzag(PC-prevPC)), a flags
+//	           byte (class | taken<<7), then for branches
+//	           uvarint(zigzag(Target-PC)) and for loads/stores the
+//	           memaddr delta above
 //
 // Sequential fetch makes the common tokens one byte (delta/4 = 1 folds to
 // token 64+op) and collapses straight-line ALU runs to one or two bytes,
-// so the packed stream lands well under the old 4B/inst. Each section is
+// so the packed stream lands well under 4B/inst. Each section is
 // self-contained — prevPC and prevMem reset to zero per section — which is
 // what lets the streaming writer emit one section per window and the
 // reader concatenate any number of SecInstsZ sections back into one trace.
@@ -43,7 +45,7 @@ const (
 	packedOpShift  = 5
 	packedOpMask   = 1<<packedOpShift - 1
 	packedOpRun    = 16 // u = run length of sequential ALU records
-	packedOpEscape = 17 // raw SecInsts-style record follows
+	packedOpEscape = 17 // unfolded record follows
 )
 
 // maxPackedRun caps one run token's length. Generated traces never come

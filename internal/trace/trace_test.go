@@ -164,35 +164,14 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("expected error for truncated stream")
 	}
-}
-
-func TestCodecReadsLegacyV1(t *testing.T) {
-	// A version-1 file is a bare record stream; Read must still accept it.
-	tr := randomTrace(rand.New(rand.NewSource(11)), 500)
-	var buf bytes.Buffer
-	buf.Write(magic[:])
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], 1)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(tr.Name)))
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(len(tr.Insts)))
-	buf.Write(hdr[:])
-	buf.WriteString(tr.Name)
-	payload := EncodeInsts(tr.Insts)
-	// Strip the leading count varint: v1 carried the count in its header.
-	_, n := binary.Uvarint(payload)
-	buf.Write(payload[n:])
-
-	got, err := Read(&buf)
-	if err != nil {
-		t.Fatalf("Read(v1): %v", err)
+	// A container whose instructions sit under the INST tag, retired with
+	// schema 4, carries no instruction stream Read accepts.
+	buf.Reset()
+	if err := WriteContainer(&buf, tr.Name, []Section{{Tag: "INST", Data: EncodeInstsPacked(tr.Insts)}}); err != nil {
+		t.Fatal(err)
 	}
-	if got.Name != tr.Name || len(got.Insts) != len(tr.Insts) {
-		t.Fatalf("v1 header mismatch: %q/%d", got.Name, len(got.Insts))
-	}
-	for i := range tr.Insts {
-		if got.Insts[i] != tr.Insts[i] {
-			t.Fatalf("v1 inst %d: got %+v want %+v", i, got.Insts[i], tr.Insts[i])
-		}
+	if _, err := Read(&buf); !errors.Is(err, ErrBadFormat) {
+		t.Errorf("INST container: got %v, want ErrBadFormat", err)
 	}
 }
 
@@ -202,10 +181,13 @@ func TestCodecRejectsUnsupportedVersion(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	binary.LittleEndian.PutUint32(data[4:8], 3) // future version
-	if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("future version: got %v, want ErrBadFormat", err)
+	// Version 1, the bare record stream, was retired with schema 4.
+	for _, v := range []uint32{1, 3} {
+		data := bytes.Clone(buf.Bytes())
+		binary.LittleEndian.PutUint32(data[4:8], v)
+		if _, err := Read(bytes.NewReader(data)); !errors.Is(err, ErrBadFormat) {
+			t.Errorf("version %d: got %v, want ErrBadFormat", v, err)
+		}
 	}
 }
 
@@ -287,9 +269,6 @@ func TestTypedPayloadRoundTrips(t *testing.T) {
 	// A count far beyond the payload must be rejected before allocation,
 	// not trusted into a multi-GB make().
 	huge := binary.AppendUvarint(nil, 1<<32)
-	if _, err := DecodeInsts(huge); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("huge inst count: got %v, want ErrBadFormat", err)
-	}
 	if _, err := DecodeUint64sDelta(huge); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("huge uint64 count: got %v, want ErrBadFormat", err)
 	}
