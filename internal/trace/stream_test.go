@@ -159,6 +159,20 @@ func TestPackedInstsBoundsExpansion(t *testing.T) {
 	}
 }
 
+func TestReadRefusesOldInstSection(t *testing.T) {
+	// Containers written before SecInstsZ carry a single INST section. That
+	// codec was retired with schema 4, so such a container holds no
+	// instruction stream Read accepts.
+	tr := randomTrace(rand.New(rand.NewSource(13)), 800)
+	var buf bytes.Buffer
+	if err := WriteContainer(&buf, tr.Name, []Section{{Tag: "INST", Data: EncodeInstsPacked(tr.Insts)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&buf); !errors.Is(err, ErrBadFormat) {
+		t.Fatalf("INST container: got %v, want ErrBadFormat", err)
+	}
+}
+
 func TestContainerWriterStreamsSections(t *testing.T) {
 	tr := alignedTrace(rand.New(rand.NewSource(31)), 9000)
 	path := filepath.Join(t.TempDir(), "stream.actr")
