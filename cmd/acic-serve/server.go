@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,7 +26,9 @@ import (
 // query — cells or whole figures — is served from memory or the
 // content-addressed store. Figures are memoized in their own
 // singleflight group keyed by slug, so concurrent identical figure
-// queries render once.
+// queries render once. What a request's answer is derived from — a
+// settled cell's key and encoded result, a figure's ETag — is derived
+// once per process, so a warm or 304 answer does only per-request work.
 type server struct {
 	suite   *experiments.Suite
 	figures *engine.Group[string, string]
@@ -41,7 +44,24 @@ type server struct {
 
 	requests atomic.Int64
 	started  time.Time
-	gridKey  func() string
+
+	// figureETags maps every registry slug to its figure's ETag, derived
+	// once from the suite's GridKey.
+	figureETags func() map[string]string
+
+	// settled holds each registry cell that has answered successfully:
+	// its key and its JSON-encoded outcome, both fixed for the suite's
+	// life. Only registry cells are stored, so it never holds more than
+	// maxCells entries.
+	settledMu sync.RWMutex
+	settled   map[experiments.Cell]cellEntry
+}
+
+// cellEntry is one settled cell's answer: its key and its encoded
+// api.CellOutcome.
+type cellEntry struct {
+	key     string
+	outcome []byte
 }
 
 func newServer(suite *experiments.Suite, breaker *engine.Breaker, faultBudget int64) *server {
@@ -50,8 +70,19 @@ func newServer(suite *experiments.Suite, breaker *engine.Breaker, faultBudget in
 		breaker:     breaker,
 		faultBudget: faultBudget,
 		started:     time.Now(),
-		gridKey:     sync.OnceValue(suite.GridKey),
+		settled:     make(map[experiments.Cell]cellEntry),
 	}
+	s.figureETags = sync.OnceValue(func() map[string]string {
+		grid := suite.GridKey()
+		slugs := experiments.ExperimentSlugs()
+		tags := make(map[string]string, len(slugs))
+		for _, slug := range slugs {
+			// The tag covers the whole grid configuration plus the figure
+			// identity.
+			tags[slug] = etagFor(grid + "|exp:" + slug)
+		}
+		return tags
+	})
 	// Figure renders run inline on the claiming request goroutine
 	// (Group.Get); the group exists for its memo and singleflight, not
 	// for scheduling, so it gets a minimal pool of its own rather than
@@ -140,15 +171,14 @@ func etagFor(material string) string {
 // suite configuration.
 func (s *server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	slug := r.PathValue("name")
-	if _, ok := experiments.LookupExperiment(slug); !ok {
+	etag, ok := s.figureETags()[slug]
+	if !ok {
 		api.WriteError(w, http.StatusNotFound, &api.Error{
 			Code: api.CodeNotFound, Message: "no such experiment: " + slug + " (see " + api.Prefix + "experiments)"})
 		return
 	}
-	// The tag covers the whole grid configuration plus the figure
-	// identity — checked before rendering, so a warm client's re-query
-	// costs no simulation at all.
-	etag := etagFor(s.gridKey() + "|exp:" + slug)
+	// Checked before rendering, so a warm client's re-query costs no
+	// simulation at all.
 	if r.Header.Get("If-None-Match") == etag {
 		w.WriteHeader(http.StatusNotModified)
 		return
@@ -199,14 +229,25 @@ func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A settled cell brings its key and encoded outcome along; only the
+	// others derive their key here.
+	entries := make([]cellEntry, len(cells))
+	s.settledMu.RLock()
+	for i, c := range cells {
+		entries[i] = s.settled[c]
+	}
+	s.settledMu.RUnlock()
+	sorted := make([]string, len(cells))
+	for i, c := range cells {
+		if entries[i].key == "" {
+			entries[i].key = s.suite.CellKey(c)
+		}
+		sorted[i] = entries[i].key
+	}
+
 	// ETag over the sorted cell key set: the keys are content addresses,
 	// so a match means the client's cached body is still exact — answer
 	// 304 before any simulation.
-	keys := make([]string, len(cells))
-	for i, c := range cells {
-		keys[i] = s.suite.CellKey(c)
-	}
-	sorted := append([]string(nil), keys...)
 	sort.Strings(sorted)
 	etag := etagFor(strings.Join(sorted, "\n"))
 	if r.Header.Get("If-None-Match") == etag {
@@ -214,51 +255,91 @@ func (s *server) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Circuit-broken cells answer instantly without compute; the rest go
-	// through one Require batch.
-	runnable := make([]experiments.Cell, 0, len(cells))
+	// Settled cells need no engine work. Circuit-broken cells answer
+	// instantly without compute; the rest go through one Require batch.
+	var runnable []experiments.Cell
 	blocked := make(map[int]bool)
 	for i, c := range cells {
-		if s.breaker.Allow(keys[i]) {
+		switch {
+		case entries[i].outcome != nil:
+		case s.breaker.Allow(entries[i].key):
 			runnable = append(runnable, c)
-		} else {
+		default:
 			blocked[i] = true
 		}
 	}
 	recoveredBefore := s.suite.FaultStats().Recovered()
-	s.suite.Require(runnable...) // per-cell outcomes read below
+	if len(runnable) > 0 {
+		s.suite.Require(runnable...) // per-cell outcomes read below
+	}
 
-	outcomes := make([]api.CellOutcome, len(cells))
+	outcomes := make([][]byte, len(cells))
 	for i, c := range cells {
-		out := api.CellOutcome{Cell: c.API(), Key: keys[i]}
-		if blocked[i] {
-			out.Error = &api.Error{Code: api.CodeCircuitOpen, Cell: c.String(),
-				Message: "cell is circuit-broken after repeated deterministic failures"}
-			outcomes[i] = out
+		if outcomes[i] = entries[i].outcome; outcomes[i] != nil {
 			continue
 		}
-		res, err := s.suite.Result(c.App, c.Scheme, c.Prefetcher)
-		s.breaker.Record(keys[i], err)
-		if err != nil {
-			code := api.CodeCellError
-			if engine.IsTransient(err) {
-				code = api.CodeTransient
-				// Forget transient failures so a retry recomputes instead
-				// of replaying the memoized error.
-				s.suite.Forget(c)
-			}
-			out.Error = &api.Error{Code: code, Message: err.Error(),
-				Transient: code == api.CodeTransient, Cell: c.String()}
-		} else {
-			out.Result, _ = json.Marshal(res)
+		out, ok := s.cellOutcome(c, entries[i].key, blocked[i])
+		outcomes[i], _ = json.Marshal(out)
+		if ok {
+			s.settle(c, cellEntry{key: entries[i].key, outcome: outcomes[i]})
 		}
-		outcomes[i] = out
 	}
 	if !s.withinFaultBudget(w, recoveredBefore) {
 		return
 	}
 	w.Header().Set("ETag", etag)
-	api.WriteJSON(w, http.StatusOK, api.CellsResponse{ETag: etag, Cells: outcomes})
+	writeCells(w, etag, outcomes)
+}
+
+// cellOutcome answers one cell that is not settled, after its Require
+// batch; ok reports a result that encoded, which settles the cell.
+func (s *server) cellOutcome(c experiments.Cell, key string, blocked bool) (out api.CellOutcome, ok bool) {
+	out = api.CellOutcome{Cell: c.API(), Key: key}
+	if blocked {
+		out.Error = &api.Error{Code: api.CodeCircuitOpen, Cell: c.String(),
+			Message: "cell is circuit-broken after repeated deterministic failures"}
+		return out, false
+	}
+	res, err := s.suite.Result(c.App, c.Scheme, c.Prefetcher)
+	s.breaker.Record(key, err)
+	if err != nil {
+		code := api.CodeCellError
+		if engine.IsTransient(err) {
+			code = api.CodeTransient
+			// Forget transient failures so a retry recomputes instead
+			// of replaying the memoized error.
+			s.suite.Forget(c)
+		}
+		out.Error = &api.Error{Code: code, Message: err.Error(),
+			Transient: code == api.CodeTransient, Cell: c.String()}
+		return out, false
+	}
+	out.Result, err = json.Marshal(res)
+	return out, err == nil
+}
+
+// writeCells writes a 200 /v1/cells answer from its cells' encoded
+// outcomes: the bytes api.WriteJSON writes for api.CellsResponse{ETag:
+// etag, Cells: outcomes}, without re-encoding the outcomes (json would
+// re-validate every embedded result on every request).
+func writeCells(w http.ResponseWriter, etag string, outcomes [][]byte) {
+	n := len(`{"etag":"","cells":[]}`) + 2*len(etag) + len(outcomes) + 1
+	for _, o := range outcomes {
+		n += len(o)
+	}
+	body := append(make([]byte, 0, n), `{"etag":`...)
+	// An ETag is quoted hex (etagFor), which JSON and Go quote alike.
+	body = append(strconv.AppendQuote(body, etag), `,"cells":[`...)
+	for i, o := range outcomes {
+		if i > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, o...)
+	}
+	body = append(body, "]}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(body)
 }
 
 // withinFaultBudget enforces the per-request fault budget: when serving
@@ -280,12 +361,36 @@ func (s *server) withinFaultBudget(w http.ResponseWriter, recoveredBefore int64)
 	return false
 }
 
+// settle records a successful cell's answer. Only registry cells are
+// kept, which bounds the map by maxCells whatever names clients send.
+func (s *server) settle(c experiments.Cell, e cellEntry) {
+	if !registryCells()[c] {
+		return
+	}
+	s.settledMu.Lock()
+	s.settled[c] = e
+	s.settledMu.Unlock()
+}
+
+// registryCells is every cell the registries name: each registered
+// workload under each registered scheme and each prefetcher platform.
+// It is built once.
+var registryCells = sync.OnceValue(func() map[experiments.Cell]bool {
+	cells := make(map[experiments.Cell]bool)
+	for _, p := range workload.All() {
+		for _, scheme := range experiments.SchemeNames() {
+			for _, pf := range experiments.Prefetchers() {
+				cells[experiments.Cell{App: p.Name, Scheme: scheme, Prefetcher: pf}] = true
+			}
+		}
+	}
+	return cells
+})
+
 // maxCells bounds one /v1/cells query: every registered workload under
 // every scheme and every prefetcher platform. A longer query can only
 // repeat cells, so the bound comes from the registries, not a setting.
-func maxCells() int {
-	return len(workload.All()) * len(experiments.SchemeNames()) * len(experiments.Prefetchers())
-}
+func maxCells() int { return len(registryCells()) }
 
 // cellsQuery expands a /v1/cells query into its cells, prefetcher-major.
 // app and scheme are required, comma-separated lists ("all" expands app

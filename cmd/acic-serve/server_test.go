@@ -16,6 +16,7 @@ import (
 	"acic/internal/experiments"
 	"acic/internal/experiments/engine"
 	"acic/internal/faults"
+	"acic/internal/workload"
 )
 
 const (
@@ -27,7 +28,7 @@ const (
 // newTestSuite builds a suite with the fixed test configuration; every
 // suite built here is byte-identical to every other, which is what the
 // serve-vs-CLI diffs rely on.
-func newTestSuite(t *testing.T) *experiments.Suite {
+func newTestSuite(t testing.TB) *experiments.Suite {
 	t.Helper()
 	s := experiments.NewSuite(testN)
 	s.Apps = []string{testApp, testApp2}
@@ -421,6 +422,9 @@ func TestCellsQueryBound(t *testing.T) {
 	}
 
 	limit := maxCells()
+	if want := len(workload.All()) * len(experiments.SchemeNames()) * len(experiments.Prefetchers()); limit != want {
+		t.Fatalf("maxCells = %d, want %d (workloads x schemes x prefetchers)", limit, want)
+	}
 	schemes := strings.TrimSuffix(strings.Repeat("no-such-scheme,", limit), ",")
 	if cells, qerr := cellsQuery(url.Values{"app": {testApp}, "scheme": {schemes}}, suiteApps); qerr != nil || len(cells) != limit {
 		t.Errorf("query of exactly %d cells: %d cells, %v", limit, len(cells), qerr)

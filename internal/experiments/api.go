@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"acic/internal/api"
-	"acic/internal/workload"
 )
 
 // Conversions between the suite's Cell and the wire Cell in internal/api.
@@ -47,10 +46,9 @@ func (s *Suite) GridKey() string {
 	h := sha256.New()
 	apps := append(s.AppNames(), s.SPECNames()...)
 	for _, app := range apps {
-		p, ok := workload.ByName(app)
 		opts := s.options(app)
 		fmt.Fprintf(h, "%s|warmup:%g|sample:%s\n",
-			storeKeyPrefix(profileDigest(p, ok, app), s.N),
+			storeKeyPrefix(profileDigest(app), s.N),
 			opts.WarmupFrac, sampleKey(opts.Sample))
 	}
 	return hex.EncodeToString(h.Sum(nil)[:16])

@@ -51,7 +51,6 @@ type Pipeline struct {
 	n      int
 	window int // instructions per cold-prepare window (prepareWindow)
 	memCfg mem.Config
-	lookup func(string) (workload.Profile, bool)
 	pool   *engine.Pool
 
 	workloads *engine.Group[string, *Workload]
@@ -80,9 +79,6 @@ type PipelineConfig struct {
 	// pool. Demand-driven preparation (Workload) runs inline on the
 	// calling goroutine either way.
 	Pool *engine.Pool
-	// Lookup resolves app names to profiles (nil = workload.ByName).
-	Lookup func(string) (workload.Profile, bool)
-
 	// simOnly makes every workload carry only simulator state: no
 	// Trace.Insts and no Prog.MemBlk. A Suite sets it: none of its cells
 	// or renderers reads either, and a warm load would otherwise keep each
@@ -104,10 +100,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Pool == nil {
 		cfg.Pool = engine.NewPool(0)
 	}
-	if cfg.Lookup == nil {
-		cfg.Lookup = workload.ByName
-	}
-	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), lookup: cfg.Lookup, pool: cfg.Pool, simOnly: cfg.simOnly}
+	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), pool: cfg.Pool, simOnly: cfg.simOnly}
 	pl.workloads = engine.NewGroup(cfg.Pool, pl.prepare)
 	pl.workloads.Name = "workload"
 	// Transient failures (injected faults, MarkTransient-wrapped errors)
@@ -129,8 +122,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 
 // storeKey is app's content-addressing key in the artifact store.
 func (pl *Pipeline) storeKey(app string) string {
-	prof, ok := pl.lookup(app)
-	return storeKeyPrefix(profileDigest(prof, ok, app), pl.n) + "|stage:workload"
+	return storeKeyPrefix(profileDigest(app), pl.n) + "|stage:workload"
 }
 
 // workloadSections are the derived sections a workload artifact carries
@@ -209,7 +201,7 @@ func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Work
 // drops the Inst records and the data-block array: the latency timeline
 // is installed by then, so EnsureDataLatencies never reads MemBlk again.
 func (pl *Pipeline) prepare(app string) (*Workload, error) {
-	prof, ok := pl.lookup(app)
+	prof, ok := workload.ByName(app)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown workload %q", app)
 	}

@@ -61,15 +61,27 @@ var simConfigHash = sync.OnceValue(func() string {
 	return hex.EncodeToString(sum[:16])
 })
 
-// profileDigest canonicalizes the workload identity behind an app name:
-// the SHA-256 of the profile's %#v when registered (so editing a profile
-// parameter invalidates its entries), or a sentinel for unknown names.
-func profileDigest(p workload.Profile, ok bool, app string) string {
-	if !ok {
-		return "unknown:" + app
+// profileDigests maps every registered app to the SHA-256 of its
+// profile's %#v (so editing a profile parameter invalidates its entries).
+// It is built once over workload.All() — every cell key and every served
+// ETag reads it — and so holds exactly one entry per registered profile.
+var profileDigests = sync.OnceValue(func() map[string]string {
+	m := make(map[string]string)
+	for _, p := range workload.All() {
+		sum := sha256.Sum256(fmt.Appendf(nil, "%#v", p))
+		m[p.Name] = hex.EncodeToString(sum[:])
 	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%#v", p)))
-	return hex.EncodeToString(sum[:])
+	return m
+})
+
+// profileDigest canonicalizes the workload identity behind an app name:
+// its registered profile's digest, or a sentinel for unknown names, which
+// is neither hashed nor remembered.
+func profileDigest(app string) string {
+	if d, ok := profileDigests()[app]; ok {
+		return d
+	}
+	return "unknown:" + app
 }
 
 // storeKeyPrefix is the shared prefix of every persistent key:

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"acic/internal/stats"
 )
@@ -39,17 +40,26 @@ func staticExp(slug, desc string, f func() *stats.Table) Experiment {
 	return tableExp(slug, desc, func(*Suite) (*stats.Table, error) { return f(), nil })
 }
 
+// experimentsBySlug indexes the registry by slug, built once: the serve
+// daemon resolves a slug on every figure request, and Registry builds
+// every entry's closure afresh. Entries hold no state, so one copy serves
+// every caller.
+var experimentsBySlug = sync.OnceValue(func() map[string]Experiment {
+	reg := Registry()
+	m := make(map[string]Experiment, len(reg))
+	for _, e := range reg {
+		m[e.Slug] = e
+	}
+	return m
+})
+
 // LookupExperiment resolves a slug to its registry entry. Every
 // by-name consumer — acic-bench -exp, acic-coord -exp, the serve
 // daemon's /v1/figures/{name} — resolves through here, which is what
 // makes the slug the single spelling of an experiment's identity.
 func LookupExperiment(slug string) (Experiment, bool) {
-	for _, e := range Registry() {
-		if e.Slug == slug {
-			return e, true
-		}
-	}
-	return Experiment{}, false
+	e, ok := experimentsBySlug()[slug]
+	return e, ok
 }
 
 // ExperimentSlugs returns every registry slug in presentation order.

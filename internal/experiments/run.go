@@ -124,9 +124,8 @@ func sampleOffsetFor(stride int, app string) int {
 	if stride <= 2 {
 		return 1
 	}
-	p, ok := workload.ByName(app)
 	h := fnv.New32a()
-	h.Write([]byte(profileDigest(p, ok, app)))
+	h.Write([]byte(profileDigest(app)))
 	return 1 + int(h.Sum32()%uint32(stride-1))
 }
 

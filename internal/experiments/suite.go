@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -121,9 +122,6 @@ type Suite struct {
 	resultStore *engine.DiskCache[Cell, cpu.Result]
 	done        atomic.Int64
 	cacheErr    error
-
-	sampleMu sync.Mutex
-	samples  map[string]cpu.SampleConfig // per-app sampling config (digest-derived offsets)
 }
 
 // GangStats is the counter shape of the retired gang lane. Both fields
@@ -199,31 +197,23 @@ func (s *Suite) init() {
 // cacheSchemaVersion bump or config edit invalidates both together; the
 // trailing sample component keeps sampled and full entries disjoint.
 func (s *Suite) cacheKey(c Cell) string {
-	p, ok := workload.ByName(c.App)
 	opts := s.options(c.App)
 	return fmt.Sprintf("%s|scheme:%s|pf:%s|warmup:%g|sample:%s",
-		storeKeyPrefix(profileDigest(p, ok, c.App), s.N), c.Scheme, c.Prefetcher,
+		storeKeyPrefix(profileDigest(c.App), s.N), c.Scheme, c.Prefetcher,
 		opts.WarmupFrac, sampleKey(opts.Sample))
 }
 
 // sampleFor returns the app's sampling configuration — the suite's set
 // count with the workload's digest-derived constituency offset (or the
-// pinned SampleOffset) — memoized because the digest hashes the profile.
-// Configuration errors were surfaced by init; here they are logic errors.
+// pinned SampleOffset). It is not memoized: the digest is a table read
+// (keys.go), so deriving it costs one small hash, and a query naming an
+// unknown app leaves no per-name state behind. Configuration errors were
+// surfaced by init; here they are logic errors.
 func (s *Suite) sampleFor(app string) cpu.SampleConfig {
-	s.sampleMu.Lock()
-	defer s.sampleMu.Unlock()
-	if sc, ok := s.samples[app]; ok {
-		return sc
-	}
-	if s.samples == nil { // cacheKey is callable before the engine spins up
-		s.samples = make(map[string]cpu.SampleConfig)
-	}
 	sc, err := SampleConfigFor(s.SampleSets, s.SampleOffset, app)
 	if err != nil {
 		panic(err)
 	}
-	s.samples[app] = sc
 	return sc
 }
 
@@ -275,16 +265,22 @@ func (s *Suite) computeCell(c Cell) (cpu.Result, error) {
 	return RunSubsystem(w, sub, opts)
 }
 
-// AppNames returns the datacenter application list in paper order.
-func (s *Suite) AppNames() []string {
-	if s.Apps != nil {
-		return s.Apps
-	}
+// datacenterNames is the default application list, built once: the serve
+// daemon expands a query through AppNames on every request.
+var datacenterNames = sync.OnceValue(func() []string {
 	var names []string
 	for _, p := range workload.Datacenter() {
 		names = append(names, p.Name)
 	}
 	return names
+})
+
+// AppNames returns the datacenter application list in paper order.
+func (s *Suite) AppNames() []string {
+	if s.Apps != nil {
+		return s.Apps
+	}
+	return slices.Clone(datacenterNames())
 }
 
 // SPECNames returns the SPEC workload list in paper order.

@@ -1,5 +1,7 @@
 package workload
 
+import "sync"
+
 // Profile parameterizes one synthetic workload. The ten datacenter profiles
 // mirror Table III's applications; the five SPEC profiles mirror the
 // Fig 18/19 subset (SPEC2017 Int with L1i MPKI > 1).
@@ -189,19 +191,21 @@ func SPEC() []Profile {
 	}
 }
 
+// byName indexes every profile by name, built once: ByName sits on the
+// serve daemon's per-request key path. Profile holds only values, so a
+// lookup hands out an independent copy.
+var byName = sync.OnceValue(func() map[string]Profile {
+	m := make(map[string]Profile)
+	for _, p := range All() {
+		m[p.Name] = p
+	}
+	return m
+})
+
 // ByName returns the named profile from either suite.
 func ByName(name string) (Profile, bool) {
-	for _, p := range Datacenter() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	for _, p := range SPEC() {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return Profile{}, false
+	p, ok := byName()[name]
+	return p, ok
 }
 
 // All returns every profile (datacenter then SPEC).

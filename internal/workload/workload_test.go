@@ -57,6 +57,18 @@ func TestByName(t *testing.T) {
 	if len(Datacenter()) != 10 || len(SPEC()) != 5 || len(All()) != 15 {
 		t.Error("suite sizes wrong")
 	}
+	// Names are unique: each profile is the one its name resolves to.
+	for _, p := range All() {
+		if got, _ := ByName(p.Name); got != p {
+			t.Errorf("ByName(%q) = %+v, want %+v", p.Name, got, p)
+		}
+	}
+	// A lookup hands out a copy; editing it leaves the table intact.
+	p, _ := ByName("gcc")
+	p.Seed++
+	if again, _ := ByName("gcc"); again.Seed == p.Seed {
+		t.Error("editing a looked-up profile changed the table")
+	}
 }
 
 // TestTraceControlFlowConsistency checks the structural validity of the
