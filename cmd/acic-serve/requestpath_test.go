@@ -81,27 +81,43 @@ func TestServeCellsRequestAllocs(t *testing.T) {
 	}
 }
 
-// TestServeCellsUnknownAppsBounded sends 1,000 distinct unregistered app
-// names: each answers with a per-cell error, and none leaves a settled
-// entry behind, so the per-cell map stays within maxCells however many
-// names clients invent.
+// TestServeCellsUnknownAppsBounded sends 1,000 distinct unregistered
+// names — apps, schemes and prefetchers in turn: each answers with a
+// per-cell error, and none leaves a settled entry, a result-memo entry or
+// a workload-memo entry behind, so the daemon's per-name state stays
+// within the registries however many names clients invent. (The
+// breaker's per-key map still grows; it is not bounded here.)
 func TestServeCellsUnknownAppsBounded(t *testing.T) {
-	srv := newServer(newTestSuite(t), engine.NewBreaker(0, 0), 0)
+	suite := newTestSuite(t)
+	srv := newServer(suite, engine.NewBreaker(0, 0), 0)
 	h := srv.handler()
 	if rec := serveOne(h, cellsTarget, ""); rec.Code != http.StatusOK {
 		t.Fatalf("GET %s = %d", cellsTarget, rec.Code)
 	}
+	cells, workloads := suite.MemoSizes()
 	for i := range 1000 {
 		target := fmt.Sprintf("/v1/cells?app=no-such-app-%d&scheme=acic", i)
-		if rec := serveOne(h, target, ""); rec.Code != http.StatusOK {
-			t.Fatalf("GET %s = %d", target, rec.Code)
+		switch i % 3 {
+		case 1:
+			target = fmt.Sprintf("/v1/cells?app=%s&scheme=no-such-scheme-%d", testApp, i)
+		case 2:
+			target = fmt.Sprintf("/v1/cells?app=%s&scheme=acic&prefetcher=no-such-pf-%d", testApp, i)
+		}
+		rec := serveOne(h, target, "")
+		var cr api.CellsResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &cr); rec.Code != http.StatusOK || err != nil ||
+			len(cr.Cells) != 1 || cr.Cells[0].Error == nil || cr.Cells[0].Error.Code != api.CodeCellError {
+			t.Fatalf("GET %s = %d (%v): %s, want one cell_error", target, rec.Code, err, rec.Body)
 		}
 	}
 	srv.settledMu.RLock()
 	n := len(srv.settled)
 	srv.settledMu.RUnlock()
 	if n != 1 || n > maxCells() {
-		t.Errorf("%d settled entries after one registry cell and 1,000 unknown apps, want 1 (bound %d)", n, maxCells())
+		t.Errorf("%d settled entries after one registry cell and 1,000 unknown names, want 1 (bound %d)", n, maxCells())
+	}
+	if c, w := suite.MemoSizes(); c != cells || w != workloads {
+		t.Errorf("memos hold %d cells and %d workloads after 1,000 unknown names, want %d and %d", c, w, cells, workloads)
 	}
 }
 

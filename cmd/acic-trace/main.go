@@ -22,7 +22,6 @@
 package main
 
 import (
-	"bytes"
 	"encoding/binary"
 	"flag"
 	"fmt"
@@ -266,7 +265,7 @@ func describeFile(path string) error {
 	if err != nil {
 		return err
 	}
-	name, secs, err := trace.ReadContainer(bytes.NewReader(data))
+	name, secs, err := trace.ParseContainer(data)
 	if err != nil {
 		return err
 	}

@@ -8,34 +8,44 @@ import (
 	"acic/internal/trace"
 )
 
-// NewProgramFromParts reassembles a Program from persisted artifacts: the
-// trace plus the annotation, descriptor, and collapsed-block arrays that
-// NewProgram derives (trace codec v2 sections ANNO/DESC/BLKS). Only the
-// cheap purely-local state — the per-instruction data-block array and the
-// run-ahead event bitmap — is recomputed; the expensive branch-predictor
-// replay behind ann and the descriptor pass are skipped. The parts are
-// validated against the trace (lengths, block count, event bits) so a
-// mismatched or stale artifact fails here and the caller regenerates
-// instead of simulating garbage.
-func NewProgramFromParts(tr *trace.Trace, ann []branch.Annotation, desc []uint8, blocks []uint64) (*Program, error) {
-	if len(ann) != len(tr.Insts) {
-		return nil, fmt.Errorf("cpu: annotation length %d != trace length %d", len(ann), len(tr.Insts))
+// NewProgramFromParts reassembles a Program of n instructions from
+// persisted artifacts: the trace plus the annotation, descriptor, and
+// collapsed-block arrays that NewProgram derives (trace codec v2 sections
+// ANNO/DESC/BLKS). Only the cheap purely-local state — the per-instruction
+// data-block array and the run-ahead event bitmap — is recomputed; the
+// expensive branch-predictor replay behind ann and the descriptor pass are
+// skipped. tr.Insts is either the n decoded records or nil: a Program
+// without them has no MemBlk, so its data-side timeline must be adopted
+// (AdoptDataLatencies), not replayed. The parts are validated against n
+// (lengths, block count, event bits, and descriptors free of level bits,
+// which DescBytes masks out) so a mismatched or stale artifact fails here
+// and the caller regenerates instead of simulating garbage.
+func NewProgramFromParts(tr *trace.Trace, n int, ann []branch.Annotation, desc []uint8, blocks []uint64) (*Program, error) {
+	if tr.Insts != nil && len(tr.Insts) != n {
+		return nil, fmt.Errorf("cpu: trace length %d != instruction count %d", len(tr.Insts), n)
 	}
-	if len(desc) != len(tr.Insts) {
-		return nil, fmt.Errorf("cpu: descriptor length %d != trace length %d", len(desc), len(tr.Insts))
+	if len(ann) != n {
+		return nil, fmt.Errorf("cpu: annotation length %d != trace length %d", len(ann), n)
+	}
+	if len(desc) != n {
+		return nil, fmt.Errorf("cpu: descriptor length %d != trace length %d", len(desc), n)
 	}
 	p := &Program{
 		Trace:     tr,
 		Ann:       ann,
 		Desc:      desc,
 		Blocks:    blocks,
-		MemBlk:    make([]uint64, len(tr.Insts)),
-		runEvents: make([]uint64, (len(tr.Insts)+63)/64+1),
+		runEvents: make([]uint64, (n+63)/64+1),
+	}
+	if tr.Insts != nil {
+		p.MemBlk = make([]uint64, n)
 	}
 	nblocks := 0
-	for i := range tr.Insts {
-		d := desc[i]
-		if tr.Insts[i].Class.IsMem() {
+	for i, d := range desc {
+		if d&descLevel != 0 {
+			return nil, fmt.Errorf("cpu: descriptor %d carries data-level bits %#x", i, d&descLevel)
+		}
+		if p.MemBlk != nil && tr.Insts[i].Class.IsMem() {
 			p.MemBlk[i] = trace.Block(tr.Insts[i].MemAddr)
 		}
 		if d&descNewBlock != 0 {
@@ -76,20 +86,47 @@ func AnnotationsFromBytes(data []byte) ([]branch.Annotation, error) {
 
 // AdoptDataLatencies installs a precomputed data-side latency timeline
 // (from the workload artifact store) instead of replaying the data
-// hierarchy. Adopting after the timeline was already computed (or adopted)
-// under the same config is a no-op; a different config panics exactly like
-// EnsureDataLatencies, and a timeline of the wrong length is rejected
-// before installation so a stale artifact cannot poison the Program.
+// hierarchy, writing each memory instruction's data level into its
+// descriptor. Adopting after the timeline was already computed (or
+// adopted) under the same config is a no-op; a different config panics
+// exactly like EnsureDataLatencies. A timeline that cfg could not have
+// produced — the wrong length, a memory instruction whose latency is no
+// level's, or a nonzero latency on any other instruction — is rejected
+// before installation so a stale artifact cannot poison the Program. When
+// two levels share a latency, the first in lookup order is recorded; the
+// latency the simulator reads is the same either way.
 func (p *Program) AdoptDataLatencies(lat []int16, cfg mem.Config) error {
 	if len(lat) != len(p.Desc) {
 		return fmt.Errorf("cpu: data-latency timeline length %d != program length %d", len(lat), len(p.Desc))
 	}
-	p.dataLatOnce.Do(func() {
-		p.DataLat = lat
-		p.dataLatCfg = cfg
-	})
-	if p.dataLatCfg != cfg {
-		panic("cpu: data-latency timeline was computed under a different mem.Config; use one Program per hierarchy configuration")
+	table := levelTable(cfg)
+	levelOf := func(v int16) (mem.Level, bool) {
+		for l, t := range table {
+			if int64(v) == t {
+				return mem.Level(l), true
+			}
+		}
+		return 0, false
 	}
+	for i, d := range p.Desc {
+		if d&(descLoad|descStore) == 0 {
+			if lat[i] != 0 {
+				return fmt.Errorf("cpu: data latency %d on non-memory instruction %d", lat[i], i)
+			}
+		} else if _, ok := levelOf(lat[i]); !ok {
+			return fmt.Errorf("cpu: data latency %d at instruction %d is no level's latency %v", lat[i], i, table)
+		}
+	}
+	p.dataLatOnce.Do(func() {
+		p.setDataConfig(cfg)
+		for i, d := range p.Desc {
+			if d&(descLoad|descStore) != 0 {
+				l, _ := levelOf(lat[i])
+				p.Desc[i] = withLevel(d, l)
+			}
+		}
+		p.DataLat = lat
+	})
+	p.checkDataConfig(cfg)
 	return nil
 }

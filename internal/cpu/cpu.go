@@ -198,8 +198,16 @@ type inflight struct {
 // and run-ahead loops each visit every dynamic instruction; one descriptor
 // byte answers their common questions (does this instruction open a new
 // fetch block / touch memory / end the fetch group / redirect the front
-// end) without loading the 32-byte Inst record or the branch annotation,
-// which cuts the loops' memory traffic to a sequential byte stream.
+// end / how long does its load take) without loading the 32-byte Inst
+// record, the branch annotation or a latency array, which cuts the loops'
+// memory traffic to a sequential byte stream.
+//
+// Bits 6-7 hold a memory instruction's data level (mem.Level: L1D, L2,
+// L3 or DRAM), installed with the data-side timeline (EnsureDataLatencies,
+// AdoptDataLatencies, ProgramBuilder); its latency is
+// levelLat[d>>descLevelShift]. They are 0 until then and on every other
+// instruction, and the DESC artifact section carries them masked out
+// (DescBytes).
 const (
 	descNewBlock uint8 = 1 << iota // first instruction of a block access
 	descLoad
@@ -209,15 +217,18 @@ const (
 	descMisfetch
 
 	descRunEvent = descNewBlock | descMispredict | descMisfetch
+
+	descLevelShift       = 6
+	descLevel      uint8 = 3 << descLevelShift
 )
 
 // Program is a trace preprocessed for simulation: flat, scheme-independent
 // per-instruction and per-access arrays that every scheme run over a
-// workload shares. The simulation loops read only these arrays — the
-// descriptor byte stream, the collapsed block-access sequence (one uint64
-// per access, indexed by access index), and the data-block array for
-// memory operations — never the 32-byte Inst records, which matters when
-// the per-access budget is a few hundred nanoseconds.
+// workload shares. The simulation loops read only the descriptor byte
+// stream (data levels included), the collapsed block-access sequence (one
+// uint64 per access, indexed by access index) and the 4-entry level
+// latency table — never the 32-byte Inst records or the DataLat timeline,
+// which matters when the per-access budget is a few hundred nanoseconds.
 type Program struct {
 	Trace  *trace.Trace
 	Ann    []branch.Annotation
@@ -237,11 +248,17 @@ type Program struct {
 	// once, in order, regardless of i-cache scheme or timing — so the
 	// timeline is scheme-independent and computed once per workload by
 	// EnsureDataLatencies. Populated lazily by NewSimulator when the caller
-	// has not done it explicitly.
+	// has not done it explicitly. The simulator reads the same latencies
+	// through the descriptors' level bits and levelLat, so an owner may set
+	// DataLat to nil once the timeline is installed; it is kept for the
+	// DLAT artifact section and for callers that compare timelines.
 	DataLat []int16
 
 	dataLatOnce sync.Once
 	dataLatCfg  mem.Config
+	// levelLat is dataLatCfg's latency per data level (mem.Level), indexed
+	// by a descriptor's level bits.
+	levelLat [4]int64
 
 	// runEvents is a bitmap over instructions with a run-ahead event bit
 	// (descRunEvent) set, letting the run-ahead walker skip straight-line
@@ -278,21 +295,65 @@ type Program struct {
 // configuration: asking for a timeline under a different config would
 // silently hand every simulation the wrong latencies, so it panics
 // instead — build a separate Program to simulate another hierarchy.
+//
+// The replay also writes each memory instruction's data level into its
+// descriptor, which is what the simulation loops read.
 func (p *Program) EnsureDataLatencies(cfg mem.Config) {
 	p.dataLatOnce.Do(func() {
+		p.setDataConfig(cfg)
 		h := mem.New(cfg)
 		lat := make([]int16, len(p.Desc))
 		for i, d := range p.Desc {
 			if d&(descLoad|descStore) != 0 {
-				lat[i] = int16(h.DataAccess(p.MemBlk[i]))
+				l := h.DataLevel(p.MemBlk[i])
+				p.Desc[i] = withLevel(d, l)
+				lat[i] = int16(p.levelLat[l])
 			}
 		}
 		p.DataLat = lat
-		p.dataLatCfg = cfg
 	})
+	p.checkDataConfig(cfg)
+}
+
+// setDataConfig binds the Program to the hierarchy configuration its
+// data-side timeline is installed under. Callers hold dataLatOnce.
+func (p *Program) setDataConfig(cfg mem.Config) {
+	p.dataLatCfg = cfg
+	p.levelLat = levelTable(cfg)
+}
+
+// levelTable returns cfg's latency per data level in the timeline's unit,
+// the DLAT section's int16, so the table and DataLat read alike.
+func levelTable(cfg mem.Config) [4]int64 {
+	var t [4]int64
+	for l, lat := range cfg.Lat.Data() {
+		t[l] = int64(int16(lat))
+	}
+	return t
+}
+
+// checkDataConfig panics when cfg is not the configuration the Program's
+// timeline was installed under.
+func (p *Program) checkDataConfig(cfg mem.Config) {
 	if p.dataLatCfg != cfg {
 		panic("cpu: data-latency timeline was computed under a different mem.Config; use one Program per hierarchy configuration")
 	}
+}
+
+// withLevel returns descriptor d carrying data level l.
+func withLevel(d uint8, l mem.Level) uint8 {
+	return d&^descLevel | uint8(l)<<descLevelShift
+}
+
+// DescBytes returns the descriptors as the DESC artifact section carries
+// them: a copy with the data-level bits masked out. The levels travel in
+// the DLAT section, so the section is the same whatever the hierarchy.
+func (p *Program) DescBytes() []byte {
+	out := make([]byte, len(p.Desc))
+	for i, d := range p.Desc {
+		out[i] = d &^ descLevel
+	}
+	return out
 }
 
 // nextRunEvent returns the smallest index >= i whose descriptor carries a
@@ -371,6 +432,9 @@ type Simulator struct {
 	sub  icache.Subsystem
 	hier *mem.Hierarchy
 	prog *Program
+
+	// levelLat is the Program's latency per data level (Program.levelLat).
+	levelLat [4]int64
 
 	// Timing state. Retirement is closed-form (see fetch): each
 	// instruction's retire cycle is fixed at dispatch, so rob is a ring of
@@ -480,6 +544,7 @@ func NewSimulator(cfg Config, prog *Program, sub icache.Subsystem, hier *mem.Hie
 		sub:         sub,
 		hier:        hier,
 		prog:        prog,
+		levelLat:    prog.levelLat,
 		rob:         make([]int64, cfg.ROB),
 		lastRet:     -1,
 		pfInFlight:  make([]inflight, 0, cfg.MaxPrefetches),
@@ -771,7 +836,7 @@ func (s *Simulator) fetch() {
 			robLen--
 		}
 	}
-	desc, dataLat := s.prog.Desc, s.prog.DataLat
+	desc, levelLat := s.prog.Desc, &s.levelLat
 	idx, lastRet, lastRetN := s.fetchIdx, s.lastRet, s.lastRetN
 	end := min(len(desc), idx+min(s.cfg.FetchWidth, len(rob)-robLen))
 	ready, width := cycle+s.cfg.PipelineDepth, s.cfg.RetireWidth
@@ -791,12 +856,12 @@ func (s *Simulator) fetch() {
 			}
 		}
 
-		// Class-based completion time. Loads take their latency from the
-		// precomputed data-side timeline (the data hierarchy was replayed
+		// Class-based completion time. Loads take the latency of the data
+		// level their descriptor carries (the data hierarchy was replayed
 		// once per workload), masked in without a branch; stores retire
 		// through the store buffer and do not delay completion, so their
 		// hierarchy effect lives entirely in the precompute.
-		rt := max(cycle+1, ready+int64(dataLat[idx]&-int16(d&descLoad>>1)))
+		rt := max(cycle+1, ready+levelLat[d>>descLevelShift]&-int64(d&descLoad>>1))
 		// The in-order and width terms, kept free of data-dependent
 		// branches: the first retire slot left is in cycle lastRet, or in
 		// lastRet+1 once lastRet holds RetireWidth retirements.

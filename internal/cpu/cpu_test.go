@@ -202,8 +202,9 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestDataLatenciesMatchReplay pins the timeline precompute against a
-// direct hierarchy replay: the array must equal DataAccess called per
-// memory instruction in order, and be stable across Ensure calls.
+// direct hierarchy replay: the array must equal the latency of the level
+// serving each memory instruction in order (replayLatency), and be stable
+// across Ensure calls.
 func TestDataLatenciesMatchReplay(t *testing.T) {
 	prof, _ := workload.ByName("wikipedia")
 	tr := workload.Generate(prof, 30_000)
@@ -215,7 +216,7 @@ func TestDataLatenciesMatchReplay(t *testing.T) {
 	for i, d := range prog.Desc {
 		want := int16(0)
 		if d&(descLoad|descStore) != 0 {
-			want = int16(h.DataAccess(prog.MemBlk[i]))
+			want = replayLatency(h, prog.MemBlk[i])
 		}
 		if saved[i] != want {
 			t.Fatalf("DataLat[%d] = %d, replay says %d", i, saved[i], want)

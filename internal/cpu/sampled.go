@@ -102,7 +102,7 @@ func (p *Program) ensureSampleIndex(width int, mispredict, misfetch int64) {
 			if d&descNewBlock != 0 {
 				accInstr = append(accInstr, int32(i))
 			}
-			if d&descLoad != 0 && p.DataLat[i] >= bigLoadLat {
+			if d&descLoad != 0 && p.levelLat[d>>descLevelShift] >= bigLoadLat {
 				ev[i>>6] |= 1 << uint(i&63)
 			}
 		}
@@ -260,13 +260,13 @@ func (s *Simulator) handleSampledEvent(k int) {
 	if k >= s.gateIdx {
 		s.robGate(k)
 	}
-	if d&descLoad != 0 && s.prog.DataLat[k] >= bigLoadLat {
+	if lat := s.levelLat[d>>descLevelShift]; d&descLoad != 0 && lat >= bigLoadLat {
 		// Completion in retire-slot units, computed straight from the pace
 		// slot: fetch and retire widths coincide (Table II), so the pace
 		// coordinate doubles as the retire coordinate to within one cycle
 		// — the chain only feeds the rare gate and the final drain.
 		c6 := s.paceBase + s.prog.samplePace[k] +
-			(s.cfg.PipelineDepth+int64(s.prog.DataLat[k]))*int64(s.cfg.RetireWidth)
+			(s.cfg.PipelineDepth+lat)*int64(s.cfg.RetireWidth)
 		if chain := s.vtRetire6 + int64(k-s.vtIdx); c6 > chain {
 			s.vtRetire6, s.vtIdx = c6, k
 			s.gateIdx = k + s.cfg.ROB

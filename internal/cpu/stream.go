@@ -18,13 +18,13 @@ import (
 // The payoff is what the builder does NOT keep: the instruction window is
 // dead once appended, so a streamed prepare holds O(window) Inst records
 // instead of O(trace) — the finished Program carries only the per-
-// instruction byte/array state the simulator actually reads (Desc, Ann,
-// MemBlk, DataLat, Blocks, runEvents; the Trace field has no Insts).
+// instruction byte/array state the simulator and the artifact writer read
+// (Desc, Ann, MemBlk, DataLat, Blocks, runEvents; the Trace field has no
+// Insts).
 type ProgramBuilder struct {
 	p         *Program
 	fe        *branch.FrontEnd
 	hier      *mem.Hierarchy
-	cfg       mem.Config
 	prevBlock uint64
 }
 
@@ -34,19 +34,16 @@ type ProgramBuilder struct {
 // would take); capHint pre-sizes the per-instruction arrays when the final
 // length is known (0 is fine).
 func NewProgramBuilder(name string, cfg mem.Config, capHint int) *ProgramBuilder {
-	return &ProgramBuilder{
-		p: &Program{
-			Trace:   &trace.Trace{Name: name},
-			Ann:     make([]branch.Annotation, 0, capHint),
-			Desc:    make([]uint8, 0, capHint),
-			Blocks:  make([]uint64, 0, capHint/4+1),
-			MemBlk:  make([]uint64, 0, capHint),
-			DataLat: make([]int16, 0, capHint),
-		},
-		fe:   branch.NewFrontEnd(),
-		hier: mem.New(cfg),
-		cfg:  cfg,
+	p := &Program{
+		Trace:   &trace.Trace{Name: name},
+		Ann:     make([]branch.Annotation, 0, capHint),
+		Desc:    make([]uint8, 0, capHint),
+		Blocks:  make([]uint64, 0, capHint/4+1),
+		MemBlk:  make([]uint64, 0, capHint),
+		DataLat: make([]int16, 0, capHint),
 	}
+	p.dataLatOnce.Do(func() { p.setDataConfig(cfg) })
+	return &ProgramBuilder{p: p, fe: branch.NewFrontEnd(), hier: mem.New(cfg)}
 }
 
 // Append annotates and assembles one instruction window. It returns the
@@ -71,14 +68,16 @@ func (b *ProgramBuilder) Append(insts []trace.Inst) []uint64 {
 		var memBlk uint64
 		var lat int16
 		switch in.Class {
-		case trace.ClassLoad:
-			d |= descLoad
+		case trace.ClassLoad, trace.ClassStore:
+			if in.Class == trace.ClassLoad {
+				d |= descLoad
+			} else {
+				d |= descStore
+			}
 			memBlk = trace.Block(in.MemAddr)
-			lat = int16(b.hier.DataAccess(memBlk))
-		case trace.ClassStore:
-			d |= descStore
-			memBlk = trace.Block(in.MemAddr)
-			lat = int16(b.hier.DataAccess(memBlk))
+			l := b.hier.DataLevel(memBlk)
+			d = withLevel(d, l)
+			lat = int16(p.levelLat[l])
 		}
 		if in.Class.IsBranch() && (in.Class != trace.ClassCondBranch || in.Taken) {
 			d |= descGroupEnd
@@ -106,10 +105,11 @@ func (b *ProgramBuilder) Append(insts []trace.Inst) []uint64 {
 // Len returns the number of instructions appended so far.
 func (b *ProgramBuilder) Len() int { return len(b.p.Desc) }
 
-// Finish returns the completed Program. The data-latency timeline is
-// already installed under the builder's config (a later
-// EnsureDataLatencies with the same config is a no-op; a different config
-// panics, as always). The builder must not be appended to afterwards.
+// Finish returns the completed Program. The data-latency timeline and the
+// descriptors' data levels are already installed under the builder's
+// config (a later EnsureDataLatencies with the same config is a no-op; a
+// different config panics, as always). The builder must not be appended
+// to afterwards.
 func (b *ProgramBuilder) Finish() *Program {
 	p := b.p
 	// NewProgram sizes the run-ahead bitmap to (n+63)/64+1 words; match it
@@ -119,7 +119,6 @@ func (b *ProgramBuilder) Finish() *Program {
 		p.runEvents = append(p.runEvents, 0)
 	}
 	p.runEvents = p.runEvents[:want]
-	p.dataLatOnce.Do(func() { p.dataLatCfg = b.cfg })
 	b.p = nil
 	return p
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -80,12 +81,14 @@ type PipelineConfig struct {
 	// calling goroutine either way.
 	Pool *engine.Pool
 	// simOnly makes every workload carry only simulator state: no
-	// Trace.Insts and no Prog.MemBlk. A Suite sets it: none of its cells
-	// or renderers reads either, and a warm load would otherwise keep each
-	// app's decoded Inst records (32 B/inst) and MemBlk (8 B/inst)
-	// resident for the whole run. NewPipeline callers that digest or
-	// compare those arrays (store tooling, the pipeline tests) leave it
-	// off.
+	// Trace.Insts, Prog.MemBlk, Prog.DataLat or annotations, and a warm
+	// load never decodes the whole trace. A Suite sets it: none of its
+	// cells or renderers reads those arrays, and a warm load would
+	// otherwise build each app's Inst records (32 B/inst) and MemBlk
+	// (8 B/inst) only to drop them, and keep DataLat (2 B/inst) and the
+	// annotations (1 B/inst) resident for the whole run. NewPipeline
+	// callers that digest or compare those arrays (store tooling, the
+	// pipeline tests, perfbench) leave it off.
 	simOnly bool
 }
 
@@ -115,10 +118,21 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		// ".actr" extension, so `acic-trace inspect` can describe any file
 		// in the store.
 		pl.store, err = engine.NewCodecDiskCache(cfg.Dir, ".actr", pl.storeKey, nil,
-			func(data []byte) (*Workload, error) { return decodeWorkload(data, pl.memCfg) })
+			func(data []byte) (*Workload, error) { return decodeWorkload(data, pl.memCfg, pl.simOnly) })
 	}
 	return pl, err
 }
+
+// unknownName is the error an app or cell fails with when it names an
+// app, scheme or prefetcher that no registry holds. The failure is
+// deterministic and cheap to reach again, so the memos forget it
+// (isUnknownName) instead of keeping one entry for every name a client
+// invents.
+type unknownName struct{ kind, name string }
+
+func (e unknownName) Error() string { return fmt.Sprintf("experiments: unknown %s %q", e.kind, e.name) }
+
+func isUnknownName(err error) bool { return errors.As(err, new(unknownName)) }
 
 // storeKey is app's content-addressing key in the artifact store.
 func (pl *Pipeline) storeKey(app string) string {
@@ -131,17 +145,33 @@ var workloadSections = []string{trace.SecAnnot, trace.SecDesc, trace.SecBlocks, 
 
 // decodeWorkload rebuilds a workload, all but its Profile, from its
 // artifact. Every check a load makes runs here, so any failure quarantines
-// the one entry: the section CRCs, the annotation and descriptor lengths
-// and block count against the trace (cpu.NewProgramFromParts), the
-// successor array against the blocks, and the latency timeline against
-// the program (AdoptDataLatencies). MemBlk and the run-ahead bitmap are
-// cheap local recomputes.
-func decodeWorkload(data []byte, memCfg mem.Config) (*Workload, error) {
-	name, secs, err := trace.ReadContainer(bytes.NewReader(data))
+// the one entry: the section CRCs, the decode of every INSZ window, the
+// annotation and descriptor lengths and block count against the
+// instruction count (cpu.NewProgramFromParts), the successor array against
+// the blocks, and the latency timeline against the program and the
+// hierarchy's levels (AdoptDataLatencies). The run-ahead bitmap is a cheap
+// local recompute.
+//
+// simOnly decodes the windows one at a time into one reused buffer
+// (trace.CountInsts) and keeps no Inst records, so the Program has no
+// MemBlk; otherwise the trace is decoded whole and MemBlk recomputed from
+// it. Both accept and refuse the same inputs and build the same
+// descriptors, blocks and successor array.
+func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, error) {
+	// Sections alias data; only the descriptors are kept as they are, so
+	// only they are copied.
+	name, secs, err := trace.ParseContainer(data)
 	if err != nil {
 		return nil, err
 	}
-	insts, err := trace.InstsFromSections(secs)
+	var insts []trace.Inst
+	var n int
+	if simOnly {
+		n, err = trace.CountInsts(secs)
+	} else {
+		insts, err = trace.InstsFromSections(secs)
+		n = len(insts)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -168,7 +198,7 @@ func decodeWorkload(data []byte, memCfg mem.Config) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	prog, err := cpu.NewProgramFromParts(&trace.Trace{Name: name, Insts: insts}, ann, payload[1], blocks)
+	prog, err := cpu.NewProgramFromParts(&trace.Trace{Name: name, Insts: insts}, n, ann, bytes.Clone(payload[1]), blocks)
 	if err != nil {
 		return nil, err
 	}
@@ -198,12 +228,15 @@ func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Work
 
 // prepare is the workload group's compute: load app from the store, or
 // prepare it cold through the windowed pass. A simOnly pipeline then
-// drops the Inst records and the data-block array: the latency timeline
-// is installed by then, so EnsureDataLatencies never reads MemBlk again.
+// drops all the simulator does not read: the Inst records, the data-block
+// array, the latency timeline and the annotations. The timeline is
+// installed by then (the descriptors carry each load's data level), so
+// EnsureDataLatencies never reads MemBlk or DataLat again, and the
+// descriptors carry the redirect bits the annotations hold.
 func (pl *Pipeline) prepare(app string) (*Workload, error) {
 	prof, ok := workload.ByName(app)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown workload %q", app)
+		return nil, unknownName{"workload", app}
 	}
 	var w *Workload
 	if pl.store != nil {
@@ -222,7 +255,8 @@ func (pl *Pipeline) prepare(app string) (*Workload, error) {
 	if pl.simOnly {
 		w.Prog.Trace = &trace.Trace{Name: w.Prog.Trace.Name}
 		w.Trace = w.Prog.Trace
-		w.Prog.MemBlk = nil
+		w.Prog.MemBlk, w.Prog.DataLat = nil, nil
+		w.Prog.Ann, w.Ann = nil, nil
 	}
 	return w, nil
 }
@@ -239,7 +273,11 @@ func (pl *Pipeline) stored(app string) bool {
 // store carries its Inst records and data-block array, and one prepared
 // cold carries the data-block array but no Inst records.
 func (pl *Pipeline) Workload(app string) (*Workload, error) {
-	return pl.workloads.Get(app)
+	w, err := pl.workloads.Get(app)
+	if err != nil {
+		pl.workloads.ForgetIf(app, isUnknownName)
+	}
+	return w, err
 }
 
 // ForgetTransient drops app's memo when its outcome is a transient error,
@@ -262,7 +300,13 @@ func (pl *Pipeline) ForgetAllTransient() int {
 // deduplicated against earlier work. Must not be called from inside a
 // pool task (use Workload, which computes inline).
 func (pl *Pipeline) Require(apps ...string) error {
-	return pl.workloads.Require(apps...)
+	err := pl.workloads.Require(apps...)
+	if err != nil {
+		for _, app := range apps {
+			pl.workloads.ForgetIf(app, isUnknownName)
+		}
+	}
+	return err
 }
 
 // Warm fills the store with the workload artifacts of the named apps — the
@@ -293,7 +337,7 @@ func (pl *Pipeline) Warm(apps ...string) error {
 			pl.warm.Add(1)
 			return nil
 		}
-		_, err := pl.workloads.Get(apps[i])
+		_, err := pl.Workload(apps[i])
 		if err == nil && pl.stored(apps[i]) {
 			pl.workloads.Forget(apps[i])
 		}

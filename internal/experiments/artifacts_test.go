@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -420,9 +421,13 @@ func TestExpAllColdVsWarmStoreByteIdentical(t *testing.T) {
 
 // TestSuiteWorkloadsCarryOnlySimulatorState pins what a Suite keeps
 // resident: a workload it prepares cold and one it loads from the store
-// both carry no Inst records and no data-block array, keep their name and
-// length, and simulate exactly like Prepare's. A plain Pipeline over the
-// same store still returns both arrays, equal to Prepare's.
+// both carry no Inst records, no data-block array, no latency timeline
+// and no annotations, keep their name and length, and simulate exactly
+// like Prepare's. The warm load decodes the trace a window at a time, so
+// all it allocates stays within a small multiple of the arrays it keeps;
+// decoding the trace whole (32 B/inst) would break the bound. A plain
+// Pipeline over the same store still returns every array, equal to
+// Prepare's.
 func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 	const app, n = "sibench", 20_000
 	prof, _ := workload.ByName(app)
@@ -439,6 +444,15 @@ func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 	}{{"cold", 1, 0}, {"warm", 0, 1}} {
 		s := NewSuite(n)
 		s.ArtifactDir = dir
+		s.init()
+		// Twenty windows, so the whole trace is many times one window.
+		s.pipeline.window = n / 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := s.PrepareAll(app); err != nil {
+			t.Fatalf("%s: %v", phase.name, err)
+		}
+		runtime.ReadMemStats(&after)
 		w, err := s.Workload(app)
 		if err != nil {
 			t.Fatalf("%s: %v", phase.name, err)
@@ -447,11 +461,29 @@ func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 			t.Errorf("%s: suite workload keeps %d insts (program %d) and %d data blocks, want none",
 				phase.name, len(w.Trace.Insts), len(w.Prog.Trace.Insts), len(w.Prog.MemBlk))
 		}
+		if w.Ann != nil || w.Prog.Ann != nil || w.Prog.DataLat != nil {
+			t.Errorf("%s: suite workload keeps %d annotations (program %d) and %d latencies, want none",
+				phase.name, len(w.Ann), len(w.Prog.Ann), len(w.Prog.DataLat))
+		}
 		if w.Trace != w.Prog.Trace || w.Trace.Name != app || w.Prog.Len() != want.Prog.Len() {
 			t.Errorf("%s: trace %q (shared %v), length %d, want %q, %d",
 				phase.name, w.Trace.Name, w.Trace == w.Prog.Trace, w.Prog.Len(), app, want.Prog.Len())
 		}
 		assertStageCounts(t, s.pipeline, phase.computed, phase.fromStore)
+		if phase.name == "warm" {
+			// The load reads the entry (about 7 B/inst here), decodes the
+			// arrays and builds the oracle: about 6.7x the descriptors,
+			// blocks and successors it keeps (3.1 B/inst). The whole
+			// trace's Inst records would add 32 B/inst, and MemBlk alone
+			// 8 B/inst; either breaks 8x.
+			retained := uint64(len(w.Prog.Desc) + 8*len(w.Blocks) + 8*len(w.NextAt))
+			alloc := after.TotalAlloc - before.TotalAlloc
+			t.Logf("warm PrepareAll allocated %d B for %d B of descriptors, blocks and successors", alloc, retained)
+			if alloc > 8*retained {
+				t.Errorf("warm PrepareAll allocated %d B, want at most 8x the %d B of descriptors, blocks and successors it keeps",
+					alloc, retained)
+			}
+		}
 		if res, err := Run(w, "acic", DefaultOptions()); err != nil || res != wantRes {
 			t.Errorf("%s: acic run %+v (%v), want %+v", phase.name, res, err, wantRes)
 		}

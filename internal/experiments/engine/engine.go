@@ -370,7 +370,14 @@ func (g *Group[K, V]) Forget(k K) bool {
 // process (acic-serve, a distributed worker between requeues) uses this
 // to heal stage memos poisoned by injected faults or store outages
 // without discarding work that is still good.
-func (g *Group[K, V]) ForgetTransient(k K) bool {
+func (g *Group[K, V]) ForgetTransient(k K) bool { return g.ForgetIf(k, IsTransient) }
+
+// ForgetIf drops a completed key only when its memoized outcome is an
+// error drop accepts, returning whether anything was dropped. Besides
+// ForgetTransient, callers use it to keep cheap deterministic failures —
+// a key naming something that does not exist — out of the memo, so the
+// memo does not grow with every such key a client sends.
+func (g *Group[K, V]) ForgetIf(k K, drop func(error) bool) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	c, ok := g.cells[k]
@@ -379,7 +386,7 @@ func (g *Group[K, V]) ForgetTransient(k K) bool {
 	}
 	select {
 	case <-c.done:
-		if c.err == nil || !IsTransient(c.err) {
+		if c.err == nil || !drop(c.err) {
 			return false
 		}
 		delete(g.cells, k)

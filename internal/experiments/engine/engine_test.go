@@ -344,7 +344,8 @@ func TestGroupForget(t *testing.T) {
 
 // TestGroupForgetTransient: only completed keys whose memoized outcome
 // is a transient error are dropped — successes and deterministic errors
-// stand, and the sweep variant counts exactly the poisoned keys.
+// stand, and the sweep variant counts exactly the poisoned keys. ForgetIf
+// drops a deterministic error its predicate accepts, and nothing else.
 func TestGroupForgetTransient(t *testing.T) {
 	mode := map[string]error{
 		"ok":    nil,
@@ -376,14 +377,21 @@ func TestGroupForgetTransient(t *testing.T) {
 	if n := g.ForgetAllTransient(); n != 1 {
 		t.Errorf("ForgetAllTransient dropped %d keys, want 1 (blip2)", n)
 	}
+	isDet := func(err error) bool { return err == mode["det"] }
+	if g.ForgetIf("ok", isDet) || g.ForgetIf("missing", isDet) {
+		t.Error("ForgetIf dropped a success or an unclaimed key")
+	}
+	if !g.ForgetIf("det", isDet) {
+		t.Error("ForgetIf kept an error it accepts")
+	}
 
 	// The survivors replay from the memo; the dropped keys recompute.
 	before := calls.Load()
 	for k := range mode {
 		g.Get(k)
 	}
-	if n := calls.Load() - before; n != 2 {
-		t.Errorf("recomputed %d keys after the sweeps, want 2", n)
+	if n := calls.Load() - before; n != 3 {
+		t.Errorf("recomputed %d keys after the sweeps, want 3", n)
 	}
 
 	// An in-flight key is left alone even if it will fail transiently.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"acic/internal/mem"
@@ -10,11 +11,15 @@ import (
 
 // FuzzDecodeWorkloadArtifact runs the store's workload decoder over
 // arbitrary bytes, which may come from a remote /blob/ store. It is seeded
-// with a real cold-written entry of several windows. No input may panic,
-// and an accepted input must yield a workload whose arrays agree in
-// length: one entry per instruction for the trace, annotations,
-// descriptors, data blocks and latency timeline, and one successor per
-// block access.
+// with a real cold-written entry of several windows. Every input goes
+// through both the full decode and the simulator-only one a Suite uses.
+// No input may panic, both must accept and refuse the same inputs, and an
+// accepted input must yield workloads whose arrays agree in length (one
+// entry per instruction for the trace, annotations, descriptors, data
+// blocks and latency timeline, one successor per block access) and whose
+// descriptors (data-level bits included), blocks and successor arrays
+// are equal. The simulator-only workload keeps no Inst records and no
+// data-block array.
 func FuzzDecodeWorkloadArtifact(f *testing.F) {
 	dir := f.TempDir()
 	pl, err := NewPipeline(PipelineConfig{N: 2000, Dir: dir})
@@ -37,7 +42,11 @@ func FuzzDecodeWorkloadArtifact(f *testing.F) {
 
 	memCfg := mem.DefaultConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := decodeWorkload(data, memCfg)
+		w, err := decodeWorkload(data, memCfg, false)
+		sim, simErr := decodeWorkload(data, memCfg, true)
+		if (err == nil) != (simErr == nil) {
+			t.Fatalf("full decode error %v, simulator-only decode error %v", err, simErr)
+		}
 		if err != nil {
 			return
 		}
@@ -48,6 +57,12 @@ func FuzzDecodeWorkloadArtifact(f *testing.F) {
 		}
 		if len(w.Blocks) != len(w.Prog.Blocks) || len(w.NextAt) != len(w.Blocks) {
 			t.Fatalf("%d block accesses (program %d), %d successors", len(w.Blocks), len(w.Prog.Blocks), len(w.NextAt))
+		}
+		if sim.Trace.Insts != nil || sim.Prog.MemBlk != nil {
+			t.Fatalf("simulator-only decode keeps %d insts and %d data blocks", len(sim.Trace.Insts), len(sim.Prog.MemBlk))
+		}
+		if !slices.Equal(sim.Prog.Desc, w.Prog.Desc) || !slices.Equal(sim.Blocks, w.Blocks) || !slices.Equal(sim.NextAt, w.NextAt) {
+			t.Fatal("simulator-only decode differs from the full decode in descriptors, blocks or successors")
 		}
 	})
 }

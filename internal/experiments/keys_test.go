@@ -51,6 +51,51 @@ func TestUnknownAppsLeaveNoDigestState(t *testing.T) {
 	}
 }
 
+// TestUnknownNamesLeaveNoMemo: cells and workloads naming an app, scheme
+// or prefetcher that no registry holds fail with the error their compute
+// would return, through Result, Require, Workload and PrepareAll alike,
+// and add nothing to the result or workload memo.
+func TestUnknownNamesLeaveNoMemo(t *testing.T) {
+	s := NewSuite(2000)
+	s.Workers = 1
+	if _, err := s.Result("sibench", "lru", "fdp"); err != nil {
+		t.Fatal(err)
+	}
+	cells, workloads := s.MemoSizes()
+	for i := range 1000 {
+		app, scheme, pf := "sibench", "acic", "fdp"
+		var want string
+		switch i % 3 {
+		case 0:
+			app = fmt.Sprintf("no-such-app-%d", i)
+			want = fmt.Sprintf("experiments: unknown workload %q", app)
+		case 1:
+			scheme = fmt.Sprintf("no-such-scheme-%d", i)
+			want = fmt.Sprintf("experiments: unknown scheme %q", scheme)
+		case 2:
+			pf = fmt.Sprintf("no-such-pf-%d", i)
+			want = fmt.Sprintf("experiments: unknown prefetcher %q", pf)
+		}
+		if _, err := s.Result(app, scheme, pf); err == nil || err.Error() != want {
+			t.Fatalf("Result(%s, %s, %s) error %v, want %s", app, scheme, pf, err, want)
+		}
+		if err := s.Require(Cell{"sibench", "lru", "fdp"}, Cell{app, scheme, pf}); err == nil || err.Error() != want {
+			t.Fatalf("Require error %v, want %s", err, want)
+		}
+		if i%3 == 0 {
+			if _, err := s.Workload(app); err == nil || err.Error() != want {
+				t.Fatalf("Workload(%s) error %v, want %s", app, err, want)
+			}
+			if err := s.PrepareAll("sibench", app); err == nil || err.Error() != want {
+				t.Fatalf("PrepareAll error %v, want %s", err, want)
+			}
+		}
+	}
+	if c, w := s.MemoSizes(); c != cells || w != workloads {
+		t.Errorf("memos hold %d cells and %d workloads after 1,000 unknown names, want %d and %d", c, w, cells, workloads)
+	}
+}
+
 // BenchmarkCellKey measures deriving one registered cell's key.
 func BenchmarkCellKey(b *testing.B) {
 	s := NewSuite(400_000)

@@ -31,7 +31,9 @@ type Workload struct {
 	// Trace is Prog.Trace. Its Inst records are present only on workloads
 	// from Prepare or from a store load through Pipeline.Workload; a cold
 	// prepare and every Suite workload leave just the name.
-	Trace  *trace.Trace
+	Trace *trace.Trace
+	// Ann is Prog.Ann: nil on every Suite workload, whose descriptors
+	// carry the redirect bits.
 	Ann    []branch.Annotation
 	Blocks []uint64
 	Oracle *analysis.NextUseOracle
@@ -180,7 +182,7 @@ func platformConfig(prefetcher string) (cpu.Config, error) {
 			return cfg, nil
 		}
 	}
-	return cpu.Config{}, fmt.Errorf("experiments: unknown prefetcher %q", prefetcher)
+	return cpu.Config{}, unknownName{"prefetcher", prefetcher}
 }
 
 // warmup returns the warmup instruction count for a workload under opts.

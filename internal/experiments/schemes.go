@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"acic/internal/bypass"
 	"acic/internal/cache"
 	"acic/internal/core"
@@ -210,7 +208,7 @@ func NewSampledScheme(name string, w *Workload, sample cpu.SampleConfig) (icache
 		c.Name = "acic-nofilter"
 		return icache.New(c)
 	default:
-		return nil, fmt.Errorf("experiments: unknown scheme %q", name)
+		return nil, unknownName{"scheme", name}
 	}
 }
 

@@ -73,7 +73,7 @@ func (pl *Pipeline) stream(app string, prof workload.Profile) (*Workload, error)
 	// The derived sections follow the last window, in workloadSections
 	// order, so later runs load instead of regenerating.
 	persist(trace.SecAnnot, prog.AnnotationBytes)
-	persist(trace.SecDesc, func() []byte { return prog.Desc })
+	persist(trace.SecDesc, prog.DescBytes)
 	persist(trace.SecBlocks, func() []byte { return trace.EncodeUint64sDelta(prog.Blocks) })
 	persist(trace.SecNextAt, func() []byte { return trace.EncodeInt64sDelta(nextAt) })
 	persist(trace.SecDataLat, func() []byte { return trace.EncodeInt16s(prog.DataLat) })

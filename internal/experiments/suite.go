@@ -302,10 +302,11 @@ func (s *Suite) PrepareAll(apps ...string) error {
 }
 
 // Workload returns the prepared workload for an app, generating on demand.
-// It carries what simulation reads — the Program's descriptor, block and
-// latency arrays, the annotations, the successor array and the oracle —
-// but no Inst records (Trace holds only the name) and no Prog.MemBlk;
-// the Workload of a pipeline from NewPipeline returns those.
+// It carries what simulation reads — the Program's descriptor and block
+// arrays (the descriptors hold each load's data level), the successor
+// array and the oracle — but no Inst records (Trace holds only the name),
+// no Prog.MemBlk, no Prog.DataLat and no annotations; the Workload of a
+// pipeline from NewPipeline returns those.
 func (s *Suite) Workload(app string) (*Workload, error) {
 	s.init()
 	return s.pipeline.Workload(app)
@@ -332,7 +333,13 @@ func (s *Suite) Require(cells ...Cell) error {
 	if s.Remote != nil {
 		s.submitRemote(cells)
 	}
-	return s.results.Require(cells...)
+	err := s.results.Require(cells...)
+	if err != nil {
+		for _, c := range cells {
+			s.results.ForgetIf(c, isUnknownName)
+		}
+	}
+	return err
 }
 
 // GangStats reports the zero-valued counters of the retired gang lane.
@@ -342,7 +349,12 @@ func (s *Suite) GangStats() GangStats { return GangStats{} }
 // prefetcher (any name from Prefetchers()), computing it if needed.
 func (s *Suite) Result(app, scheme, prefetcher string) (cpu.Result, error) {
 	s.init()
-	return s.results.Get(Cell{App: app, Scheme: scheme, Prefetcher: prefetcher})
+	c := Cell{App: app, Scheme: scheme, Prefetcher: prefetcher}
+	res, err := s.results.Get(c)
+	if err != nil {
+		s.results.ForgetIf(c, isUnknownName)
+	}
+	return res, err
 }
 
 // res returns an already-planned result; renderers call it after a
@@ -408,6 +420,16 @@ func (s *Suite) CacheError() error {
 func (s *Suite) Stats() (computed, fromCache, workloads int64) {
 	s.init()
 	return s.results.Computed(), s.results.CacheHits(), s.pipeline.WorkloadsPrepared()
+}
+
+// MemoSizes reports how many cells the result memo holds and how many
+// apps the workload memo holds, completed or in flight. A cell or app
+// naming something no registry holds is forgotten once it fails
+// (unknownName), so both stay bounded by the registries whatever names
+// callers send.
+func (s *Suite) MemoSizes() (cells, workloads int) {
+	s.init()
+	return s.results.Size(), s.pipeline.workloads.Size()
 }
 
 // PrepareStats reports the artifact pipeline's per-stage counters (see

@@ -11,9 +11,10 @@
 // instruction order and therefore identical for every i-cache scheme, so
 // decoupling it from the scheme-dependent instruction-miss stream makes
 // every load/store latency a pure function of the workload. The cpu layer
-// exploits exactly that — it replays DataAccess once per workload into a
-// latency timeline (cpu.Program.EnsureDataLatencies) and every scheme's
-// simulation reads the shared array instead of re-simulating the data side.
+// exploits exactly that — it replays DataLevel once per workload into a
+// per-instruction level (cpu.Program.EnsureDataLatencies) and every
+// scheme's simulation reads the shared levels instead of re-simulating the
+// data side.
 //
 // The level caches are plain LRU and nothing consumes their per-line
 // metadata, so they use a specialized flat implementation instead of the
@@ -31,6 +32,21 @@ type Latencies struct {
 	L3   int64
 	DRAM int64
 }
+
+// Level is the data-side level that served an access, in lookup order;
+// it indexes Latencies.Data.
+type Level uint8
+
+const (
+	LevelL1D Level = iota
+	LevelL2
+	LevelL3
+	LevelDRAM
+)
+
+// Data returns the load-to-use latency of each data-side level, indexed
+// by Level.
+func (l Latencies) Data() [4]int64 { return [4]int64{l.L1D, l.L2, l.L3, l.DRAM} }
 
 // DefaultLatencies follows Table II; DRAM reflects ~50ns at 4GHz.
 func DefaultLatencies() Latencies {
@@ -202,32 +218,32 @@ func (h *Hierarchy) InstrMiss(block uint64) int64 {
 	return h.lat.DRAM
 }
 
-// DataAccess services a load/store to a data block through L1d/L2/L3/DRAM
-// and returns its load-to-use latency in cycles. The data-side levels are
-// touched only by this method, so the latency sequence over a fixed access
-// stream is deterministic — cpu.Program.EnsureDataLatencies replays a
-// workload's loads and stores through a fresh hierarchy exactly once and
-// shares the resulting timeline across every scheme's simulation.
-func (h *Hierarchy) DataAccess(block uint64) int64 {
+// DataLevel services a load/store to a data block through L1d/L2/L3/DRAM
+// and returns the level that served it. The data-side levels are touched
+// only by DataLevel, so the level sequence over a fixed access stream is
+// deterministic — cpu.Program.EnsureDataLatencies replays a workload's
+// loads and stores through a fresh hierarchy exactly once and shares the
+// resulting levels across every scheme's simulation.
+func (h *Hierarchy) DataLevel(block uint64) Level {
 	h.DataAccesses++
 	if h.l1d.access(block) {
 		h.L1DHits++
-		return h.lat.L1D
+		return LevelL1D
 	}
 	if h.l2.access(block) {
 		h.L2DataHits++
 		h.l1d.insert(block)
-		return h.lat.L2
+		return LevelL2
 	}
 	if h.l3.access(block) {
 		h.L3DataHits++
 		h.l2.insert(block)
 		h.l1d.insert(block)
-		return h.lat.L3
+		return LevelL3
 	}
 	h.DRAMData++
 	h.l3.insert(block)
 	h.l2.insert(block)
 	h.l1d.insert(block)
-	return h.lat.DRAM
+	return LevelDRAM
 }

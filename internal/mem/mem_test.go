@@ -34,12 +34,15 @@ func TestInstrMissL3Path(t *testing.T) {
 
 func TestDataAccessHierarchy(t *testing.T) {
 	h := New(DefaultConfig())
-	lat := h.Latencies()
-	if got := h.DataAccess(1000); got != lat.DRAM {
-		t.Errorf("cold data access = %d, want DRAM %d", got, lat.DRAM)
+	if got := h.DataLevel(1000); got != LevelDRAM {
+		t.Errorf("cold data access served by level %d, want DRAM", got)
 	}
-	if got := h.DataAccess(1000); got != lat.L1D {
-		t.Errorf("warm data access = %d, want L1D %d", got, lat.L1D)
+	if got := h.DataLevel(1000); got != LevelL1D {
+		t.Errorf("warm data access served by level %d, want L1D", got)
+	}
+	lat := h.Latencies()
+	if got := lat.Data(); got != [4]int64{lat.L1D, lat.L2, lat.L3, lat.DRAM} {
+		t.Errorf("level latencies %v, want L1D, L2, L3, DRAM in order", got)
 	}
 	if h.DataAccesses != 2 || h.L1DHits != 1 || h.DRAMData != 1 {
 		t.Errorf("counters: %+v", *h)
@@ -48,7 +51,7 @@ func TestDataAccessHierarchy(t *testing.T) {
 
 func TestInstructionAndDataShareL2(t *testing.T) {
 	h := New(DefaultConfig())
-	h.DataAccess(77) // fills L2 (and L1d/L3) with block 77
+	h.DataLevel(77) // fills L2 (and L1d/L3) with block 77
 	if got := h.InstrMiss(77); got != h.Latencies().L2 {
 		t.Errorf("instruction fetch of data-warmed block = %d, want L2 %d", got, h.Latencies().L2)
 	}

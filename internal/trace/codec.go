@@ -117,77 +117,45 @@ func WriteContainer(w io.Writer, name string, secs []Section) error {
 // rejects a header claiming more, so the writers refuse to exceed it.
 const MaxSections = 1 << 10
 
-// maxSaneLen bounds single-allocation sizes while decoding, so a corrupt
-// length field fails cleanly instead of attempting a huge allocation.
+// maxSaneLen bounds a section's payload length: the reader rejects a
+// header claiming more, so the writers refuse to exceed it.
 const maxSaneLen = 1 << 32
 
 // maxPreallocInsts caps the upfront record allocation a packed-section
 // count can request; traces past it (128 MB of records) grow from there.
 const maxPreallocInsts = 1 << 22
 
-// ReadContainer decodes a v2 container, verifying each section's checksum.
-// Truncated streams and checksum mismatches return ErrBadFormat.
+// ReadContainer decodes a v2 container read whole from r (see
+// ParseContainer). Truncated streams and checksum mismatches return
+// ErrBadFormat.
 func ReadContainer(r io.Reader) (name string, secs []Section, err error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var m [4]byte
-	if _, err := io.ReadFull(br, m[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: reading magic: %v", ErrBadFormat, err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return "", nil, fmt.Errorf("%w: %v", ErrBadFormat, err)
 	}
-	if m != magic {
-		return "", nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, m[:])
-	}
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return "", nil, fmt.Errorf("%w: reading header: %v", ErrBadFormat, err)
-	}
-	if v := binary.LittleEndian.Uint32(hdr[0:4]); v != codecVersion {
-		return "", nil, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadFormat, v, codecVersion)
-	}
-	nameLen := binary.LittleEndian.Uint32(hdr[4:8])
-	nsec := binary.LittleEndian.Uint32(hdr[8:12])
-	if nameLen > 1<<16 || nsec > MaxSections {
-		return "", nil, fmt.Errorf("%w: implausible header (name %d, sections %d)", ErrBadFormat, nameLen, nsec)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
-		return "", nil, fmt.Errorf("%w: reading name: %v", ErrBadFormat, err)
-	}
-	secs = make([]Section, 0, nsec)
-	for i := uint32(0); i < nsec; i++ {
-		var sh [16]byte
-		if _, err := io.ReadFull(br, sh[:]); err != nil {
-			return "", nil, fmt.Errorf("%w: section %d header: %v", ErrBadFormat, i, err)
-		}
-		length := binary.LittleEndian.Uint64(sh[4:12])
-		if length > maxSaneLen {
-			return "", nil, fmt.Errorf("%w: section %d length %d too large", ErrBadFormat, i, length)
-		}
-		data, err := readCapped(br, length)
-		if err != nil {
-			return "", nil, fmt.Errorf("%w: section %d payload: %v", ErrBadFormat, i, err)
-		}
-		if crc := crc32.ChecksumIEEE(data); crc != binary.LittleEndian.Uint32(sh[12:16]) {
-			return "", nil, fmt.Errorf("%w: section %q checksum mismatch", ErrBadFormat, sh[0:4])
-		}
-		secs = append(secs, Section{Tag: string(sh[0:4]), Data: data})
-	}
-	return string(nameBuf), secs, nil
+	return ParseContainer(data)
 }
 
-// readCapped reads exactly n bytes, growing the buffer in bounded chunks
-// so a corrupt length field fails once the stream runs dry instead of
-// zeroing gigabytes up front.
-func readCapped(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = uint64(1 << 20)
-	buf := make([]byte, 0, int(min(n, chunk)))
-	for uint64(len(buf)) < n {
-		old := len(buf)
-		buf = append(buf, make([]byte, int(min(n-uint64(len(buf)), chunk)))...)
-		if _, err := io.ReadFull(r, buf[old:]); err != nil {
-			return nil, err
-		}
+// ParseContainer decodes a v2 container held in memory, verifying each
+// section's checksum; truncated input and checksum mismatches return
+// ErrBadFormat. It copies nothing: each section's Data aliases data
+// (capacity-capped, so an append cannot overwrite its neighbour). A
+// caller that keeps a section past data's lifetime, or mutates it, copies
+// it first.
+func ParseContainer(data []byte) (name string, secs []Section, err error) {
+	spans, err := SectionSpans(data)
+	if err != nil {
+		return "", nil, err
 	}
-	return buf, nil
+	secs = make([]Section, len(spans))
+	for i, sp := range spans {
+		payload := data[sp.Off : sp.Off+sp.Len : sp.Off+sp.Len]
+		if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(data[sp.Off-4:sp.Off]) {
+			return "", nil, fmt.Errorf("%w: section %q checksum mismatch", ErrBadFormat, sp.Tag)
+		}
+		secs[i] = Section{Tag: sp.Tag, Data: payload}
+	}
+	return string(data[16 : 16+binary.LittleEndian.Uint32(data[8:12])]), secs, nil
 }
 
 // FindSection returns the first section with the given tag.
@@ -213,9 +181,9 @@ type SectionSpan struct {
 }
 
 // SectionSpans walks an encoded v2 container's layout without decoding
-// payloads and returns each section's payload span. The walk applies the
-// same sanity limits as ReadContainer; payload CRCs are not verified (the
-// caller is usually about to break them on purpose).
+// payloads and returns each section's payload span. It is ParseContainer's
+// walk without the payload CRC checks (the caller is usually about to
+// break them on purpose).
 func SectionSpans(data []byte) ([]SectionSpan, error) {
 	if len(data) < 16 || !bytes.Equal(data[:4], magic[:]) {
 		return nil, fmt.Errorf("%w: not a container", ErrBadFormat)
@@ -229,6 +197,9 @@ func SectionSpans(data []byte) ([]SectionSpan, error) {
 		return nil, fmt.Errorf("%w: implausible header (name %d, sections %d)", ErrBadFormat, nameLen, nsec)
 	}
 	off := 16 + int(nameLen)
+	if off > len(data) {
+		return nil, fmt.Errorf("%w: truncated in name", ErrBadFormat)
+	}
 	spans := make([]SectionSpan, 0, nsec)
 	for i := uint32(0); i < nsec; i++ {
 		if off+16 > len(data) {
@@ -363,7 +334,8 @@ func Read(r io.Reader) (*Trace, error) {
 // InstsFromSections concatenates a container's SecInstsZ sections, in
 // order, into one instruction stream; streamed containers carry one per
 // window. It is the one concatenation path: Read and the workload
-// artifact decoder both use it.
+// artifact decoder both use it. CountInsts accepts and refuses exactly
+// what it does.
 func InstsFromSections(secs []Section) ([]Inst, error) {
 	// Sum the per-section counts up front so the concatenation is one
 	// allocation: appending window-sized sections into a growing slice
@@ -394,4 +366,29 @@ func InstsFromSections(secs []Section) ([]Inst, error) {
 		}
 	}
 	return insts, nil
+}
+
+// CountInsts decodes a container's SecInstsZ sections one at a time into
+// one reused window buffer and returns their total record count. Every
+// window is checked as InstsFromSections checks it, but the instruction
+// stream is never held whole: a reader that needs only the count and the
+// proof that the stream decodes pays for one window of records.
+func CountInsts(secs []Section) (int, error) {
+	var window []Inst
+	n, found := 0, false
+	for _, s := range secs {
+		if s.Tag != SecInstsZ {
+			continue
+		}
+		found = true
+		var err error
+		if window, err = AppendInstsPacked(window[:0], s.Data); err != nil {
+			return 0, err
+		}
+		n += len(window)
+	}
+	if !found {
+		return 0, fmt.Errorf("%w: no %s section", ErrBadFormat, SecInstsZ)
+	}
+	return n, nil
 }

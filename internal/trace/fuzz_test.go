@@ -52,7 +52,7 @@ func realArtifacts(f *testing.F) seedArtifacts {
 	}
 	derived := []trace.Section{
 		{Tag: trace.SecAnnot, Data: prog.AnnotationBytes()},
-		{Tag: trace.SecDesc, Data: prog.Desc},
+		{Tag: trace.SecDesc, Data: prog.DescBytes()},
 		{Tag: trace.SecBlocks, Data: s.blocks},
 		{Tag: trace.SecNextAt, Data: s.nextAt},
 		{Tag: trace.SecDataLat, Data: s.dataLat},
