@@ -58,8 +58,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
-	"strings"
 	"time"
 
 	"acic/cmd/internal/cliutil"
@@ -78,7 +76,7 @@ import (
 // or |speedup| error exceeds errPct (DESIGN.md §10 documents the bounds
 // this mode regenerates). The result cache is deliberately not used:
 // both lanes must compute, or the wall-clock comparison is a lie.
-func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps string, errPct float64) {
+func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float64) {
 	cleanup := func() {}
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "acic-bench: -sample-validate: "+format+"\n", args...)
@@ -109,24 +107,19 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 		artifactDir = scratch
 	}
 
-	newSuite := func(sampled bool) *experiments.Suite {
+	newSuite := func(sampleSets int) *experiments.Suite {
 		lane := *sim
 		lane.ArtifactDir = artifactDir
+		lane.CacheDir = ""
 		lane.SampleSets = sampleSets
-		if !sampled {
-			lane.SampleSets, lane.SampleOffset = 0, 0
-		}
-		s := lane.NewSuite(ctx, n)
-		if apps != "" {
-			s.Apps = strings.Split(apps, ",")
-		}
+		s := lane.NewSuite(ctx)
 		if err := s.CacheError(); err != nil {
 			fail("%v", err)
 		}
 		return s
 	}
-	full := newSuite(false)
-	sampled := newSuite(true)
+	full := newSuite(0)
+	sampled := newSuite(sampleSets)
 
 	schemes := append([]string{experiments.Baseline}, experiments.Fig10Schemes...)
 	cells := experiments.CrossCells(full.AppNames(), schemes, "fdp")
@@ -208,13 +201,9 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, n int, apps s
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		n        = flag.Int("n", 0, "trace length in instructions (0 = ACIC_BENCH_N or 400000)")
-		apps     = flag.String("apps", "", "restrict datacenter apps (comma-separated)")
-		sim      = cliutil.RegisterSim(flag.CommandLine)
-		cacheDir = cliutil.RegisterCacheDir(flag.CommandLine)
-		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
-		list     = flag.Bool("list", false, "list experiments and exit")
+		exp  = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		sim  = cliutil.RegisterRun(flag.CommandLine)
+		list = flag.Bool("list", false, "list experiments and exit")
 
 		benchJSON = flag.String("bench-json", "", "distributed-sweep mode: run the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store (per-cell results verified identical), write the report to this JSON file and exit")
 
@@ -224,6 +213,7 @@ func main() {
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
 	)
+	sim.RegisterCacheDir(flag.CommandLine)
 	flag.Parse()
 
 	if err := sim.Validate(); err != nil {
@@ -272,7 +262,7 @@ func main() {
 	}
 
 	if *sampleValidate {
-		runSampleValidate(ctx, sim, *n, *apps, *sampleErrPct)
+		runSampleValidate(ctx, sim, *sampleErrPct)
 		if ctx.Err() != nil {
 			os.Exit(cliutil.ExitInterrupted)
 		}
@@ -280,7 +270,7 @@ func main() {
 	}
 
 	if *benchJSON != "" {
-		rep, err := perf.Measure(perf.Config{Context: ctx, N: *n})
+		rep, err := perf.Measure(ctx, sim.N)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
 			os.Exit(1)
@@ -313,74 +303,20 @@ func main() {
 		return
 	}
 
-	// -exp names resolve through the registry's slug lookup — the same
-	// identifiers /v1/experiments serves, so the CLI and the API cannot
-	// drift.
-	want := map[string]bool{}
-	if *exp != "all" {
-		var unknown []string
-		for _, w := range strings.Split(*exp, ",") {
-			w = strings.TrimSpace(w)
-			if _, ok := experiments.LookupExperiment(w); !ok {
-				unknown = append(unknown, w)
-				continue
-			}
-			want[w] = true
-		}
-		if len(unknown) > 0 {
-			sort.Strings(unknown)
-			fmt.Fprintf(os.Stderr, "unknown experiments: %s (use -list)\n", strings.Join(unknown, ", "))
-			os.Exit(1)
-		}
+	selected, err := cliutil.Experiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
-	suite := sim.NewSuite(ctx, *n)
-	suite.CacheDir = *cacheDir
-	if sim.SampleSets > 0 {
-		fmt.Printf("set-sampled fast mode: %d of %d L1i sets; statistics extrapolated (error bars: DESIGN.md §10, acic-bench -sample-validate)\n",
-			sim.SampleSets, icache.DefaultSets)
-	}
-	if *apps != "" {
-		suite.Apps = strings.Split(*apps, ",")
-	}
-	if *progress {
-		suite.Progress = func(done, total int, label string) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, label)
-		}
-	}
-	// CacheError spins up the engine, freezing the fields set above.
+	suite := sim.NewSuite(ctx)
+	// CacheError spins up the engine, freezing the suite's configuration.
 	if err := suite.CacheError(); err != nil {
 		fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
 		os.Exit(1)
 	}
-	// One bad figure must not cost the rest of the run: failures are
-	// reported and the remaining experiments still execute (the engine has
-	// already contained the failure to the offending cells). An interrupt
-	// stops the loop instead — everything printed so far is complete.
-	var failed []string
-	interrupted := false
-	for _, e := range exps {
-		if *exp != "all" && !want[e.Slug] {
-			continue
-		}
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		start := time.Now()
-		out, err := e.Run(suite)
-		if err != nil {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			failed = append(failed, e.Slug)
-			fmt.Fprintf(os.Stderr, "acic-bench: %s: %v\n", e.Slug, err)
-			continue
-		}
-		fmt.Printf("=== %s: %s (%.1fs)\n%s\n", e.Slug, e.Desc, time.Since(start).Seconds(), out)
-	}
-	if *progress {
+	outcome := cliutil.Render(ctx, "acic-bench", suite, selected, os.Stdout, os.Stderr)
+	if sim.Progress {
 		computed, fromCache, workloads := suite.Stats()
 		fmt.Fprintf(os.Stderr, "computed %d cells, %d from cache, %d workloads prepared\n",
 			computed, fromCache, workloads)
@@ -391,18 +327,13 @@ func main() {
 		if fs := suite.FaultStats(); sim.FaultSpec != "" || fs.Any() {
 			fmt.Fprintln(os.Stderr, fs)
 		}
-		if interrupted {
+		if outcome.Interrupted {
 			fmt.Fprintln(os.Stderr, "interrupted: true")
 		}
 	}
 	stopCPUProfile()
 	writeMemProfile()
-	switch {
-	case interrupted:
-		fmt.Fprintln(os.Stderr, "acic-bench: interrupted — output above is partial")
-		os.Exit(cliutil.ExitInterrupted)
-	case len(failed) > 0:
-		fmt.Fprintf(os.Stderr, "acic-bench: %d experiment(s) failed: %s\n", len(failed), strings.Join(failed, ", "))
-		os.Exit(1)
+	if code := outcome.ExitCode("acic-bench", os.Stderr); code != 0 {
+		os.Exit(code)
 	}
 }

@@ -34,21 +34,17 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"sync"
 	"time"
 
 	"acic/cmd/internal/cliutil"
 	"acic/internal/distrib"
-	"acic/internal/experiments"
 	"acic/internal/experiments/engine"
 )
 
 func main() {
 	var (
 		exp      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		n        = flag.Int("n", 0, "trace length in instructions (0 = ACIC_BENCH_N or 400000)")
-		apps     = flag.String("apps", "", "restrict datacenter apps (comma-separated)")
 		listen   = flag.String("listen", "127.0.0.1:0", "address serving the coordinator API and the shared store (port 0 = ephemeral, printed at startup)")
 		storeDir = flag.String("store-dir", "", "shared store directory served to workers (empty = scratch, removed at exit)")
 		storeURL = flag.String("store-url", "", "external shared store URL for coordinator and workers (empty = serve -store-dir on -listen)")
@@ -56,8 +52,7 @@ func main() {
 		requeues = flag.Int("max-requeues", 3, "per-batch requeue budget (lease expiries + transient failures) before its cells run locally")
 		noWorker = flag.Duration("no-worker-timeout", 0, "fall back to local execution when no worker has made contact for this long (0 = wait forever)")
 		localW   = flag.Int("local-workers", 0, "spawn this many in-process workers (a self-contained distributed run)")
-		sim      = cliutil.RegisterSim(flag.CommandLine)
-		progress = flag.Bool("progress", false, "report per-cell progress and scheduling stats on stderr")
+		sim      = cliutil.RegisterRun(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -70,6 +65,11 @@ func main() {
 	}
 	if err := sim.InstallFaults(); err != nil {
 		fail("-fault-spec: %v", err)
+	}
+	selected, err := cliutil.Experiments(*exp)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 
 	ctx, stopSignals := cliutil.InterruptContext()
@@ -106,18 +106,19 @@ func main() {
 		advertised = selfURL
 	}
 
-	cfg := distrib.Config{
-		N:            experiments.NewSuite(*n).N, // resolves 0 -> default
-		SampleSets:   sim.SampleSets,
-		SampleOffset: sim.SampleOffset,
-		StoreURL:     advertised,
+	// The coordinator's own suite: stores point at the shared root (the
+	// local directory when we serve it ourselves — same bytes the HTTP
+	// view publishes — or the external URL), and the coordinator, its
+	// Remote, routes every Require batch through the work-stealing queue
+	// and advertises the suite's Config to workers.
+	if *storeURL != "" {
+		sim.CacheDir, sim.ArtifactDir = *storeURL, *storeURL
+	} else {
+		sim.CacheDir, sim.ArtifactDir = dir, dir
 	}
-	if *apps != "" {
-		cfg.Apps = strings.Split(*apps, ",")
-	}
-
-	coord := distrib.NewCoordinator(distrib.CoordinatorOptions{
-		Config:          cfg,
+	suite := sim.NewSuite(ctx)
+	coord := distrib.NewCoordinator(suite, distrib.CoordinatorOptions{
+		StoreURL:        advertised,
 		Lease:           *lease,
 		MaxRequeues:     *requeues,
 		NoWorkerTimeout: *noWorker,
@@ -128,6 +129,11 @@ func main() {
 	// context settles them at once, instead of waiting on work nobody
 	// will claim.
 	defer context.AfterFunc(ctx, coord.Close)()
+	// CacheError spins up the engine (resolving -n 0) before any worker
+	// can fetch the config.
+	if err := suite.CacheError(); err != nil {
+		fail("%v", err)
+	}
 	mux.Handle("/api/", coord.Handler())
 
 	srv := &http.Server{Handler: mux}
@@ -141,7 +147,7 @@ func main() {
 		go func(i int) {
 			defer workers.Done()
 			opts := distrib.WorkerOptions{Coord: selfURL, Workers: sim.Workers, Name: fmt.Sprintf("local-%d", i)}
-			if *progress {
+			if sim.Progress {
 				opts.Log = func(format string, args ...any) {
 					fmt.Fprintf(os.Stderr, format+"\n", args...)
 				}
@@ -152,66 +158,7 @@ func main() {
 		}(i)
 	}
 
-	// The coordinator's own suite: stores point at the shared root (the
-	// local directory when we serve it ourselves — same bytes the HTTP
-	// view publishes — or the external URL), and Remote routes every
-	// Require batch through the work-stealing queue.
-	suite := experiments.NewSuite(cfg.N)
-	suite.Context = ctx
-	suite.Apps = cfg.Apps
-	suite.Workers = sim.Workers
-	suite.SampleSets = cfg.SampleSets
-	suite.SampleOffset = cfg.SampleOffset
-	suite.Remote = coord
-	if *storeURL != "" {
-		suite.CacheDir, suite.ArtifactDir = *storeURL, *storeURL
-	} else {
-		suite.CacheDir, suite.ArtifactDir = dir, dir
-	}
-	if *progress {
-		suite.Progress = func(done, total int, label string) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, label)
-		}
-	}
-	if err := suite.CacheError(); err != nil {
-		fail("%v", err)
-	}
-
-	exps := experiments.Registry()
-	want := map[string]bool{}
-	if *exp != "all" {
-		for _, w := range strings.Split(*exp, ",") {
-			w = strings.TrimSpace(w)
-			if _, ok := experiments.LookupExperiment(w); !ok {
-				fail("unknown experiment %q (see acic-bench -list)", w)
-			}
-			want[w] = true
-		}
-	}
-
-	var failed []string
-	interrupted := false
-	for _, e := range exps {
-		if *exp != "all" && !want[e.Slug] {
-			continue
-		}
-		if ctx.Err() != nil {
-			interrupted = true
-			break
-		}
-		start := time.Now()
-		out, err := e.Run(suite)
-		if err != nil {
-			if ctx.Err() != nil {
-				interrupted = true
-				break
-			}
-			failed = append(failed, e.Slug)
-			fmt.Fprintf(os.Stderr, "acic-coord: %s: %v\n", e.Slug, err)
-			continue
-		}
-		fmt.Printf("=== %s: %s (%.1fs)\n%s\n", e.Slug, e.Desc, time.Since(start).Seconds(), out)
-	}
+	outcome := cliutil.Render(ctx, "acic-coord", suite, selected, os.Stdout, os.Stderr)
 
 	// Rendering is done: release the workers, then wait for the local
 	// ones so their completions (and logs) finish before we report.
@@ -225,7 +172,7 @@ func main() {
 		time.Sleep(1 * time.Second)
 	}
 
-	if *progress {
+	if sim.Progress {
 		computed, fromCache, workloads := suite.Stats()
 		fmt.Fprintf(os.Stderr, "computed %d cells locally, %d from shared store, %d workloads prepared\n",
 			computed, fromCache, workloads)
@@ -236,12 +183,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, fs)
 		}
 	}
-	switch {
-	case interrupted:
-		fmt.Fprintln(os.Stderr, "acic-coord: interrupted — output above is partial")
-		os.Exit(cliutil.ExitInterrupted)
-	case len(failed) > 0:
-		fmt.Fprintf(os.Stderr, "acic-coord: %d experiment(s) failed: %s\n", len(failed), strings.Join(failed, ", "))
-		os.Exit(1)
+	if code := outcome.ExitCode("acic-coord", os.Stderr); code != 0 {
+		os.Exit(code)
 	}
 }

@@ -40,7 +40,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"strings"
 	"time"
 
 	"acic/cmd/internal/cliutil"
@@ -52,17 +51,14 @@ import (
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:8091", "address to serve the /v1/ API on (port 0 = ephemeral, printed at startup)")
-		n        = flag.Int("n", 0, "trace length in instructions (0 = ACIC_BENCH_N or 400000)")
-		apps     = flag.String("apps", "", "restrict datacenter apps (comma-separated)")
 		preload  = flag.String("preload", "", "warm at startup: 'grid' (the paper's scheme grid under fdp), 'all' (every registry experiment), or a comma-separated slug list; serving starts immediately, the preload fills the memo in the background")
 		storeURL = flag.String("store-url", "", "shared store server URL for results and artifacts (fronts a distributed grid's store; overrides -cache-dir/-artifact-dir)")
 		budget   = flag.Int64("fault-budget", 0, "per-request fault budget: refuse a request (503 fault_budget_exhausted) whose service consumed more than this many fault recoveries (0 = unlimited)")
 		brkN     = flag.Int("breaker-threshold", engine.DefaultBreakerThreshold, "circuit breaker: consecutive deterministic cell failures before the cell's key trips open")
 		brkCool  = flag.Duration("breaker-cooldown", engine.DefaultBreakerCooldown, "circuit breaker: how long a tripped key refuses before admitting a half-open probe")
-		sim      = cliutil.RegisterSim(flag.CommandLine)
-		cacheDir = cliutil.RegisterCacheDir(flag.CommandLine)
-		progress = flag.Bool("progress", false, "report per-cell progress on stderr")
+		sim      = cliutil.RegisterRun(flag.CommandLine)
 	)
+	sim.RegisterCacheDir(flag.CommandLine)
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -79,18 +75,9 @@ func main() {
 	defer stopSignals()
 
 	if *storeURL != "" {
-		*cacheDir, sim.ArtifactDir = *storeURL, *storeURL
+		sim.CacheDir, sim.ArtifactDir = *storeURL, *storeURL
 	}
-	suite := sim.NewSuite(ctx, *n)
-	suite.CacheDir = *cacheDir
-	if *apps != "" {
-		suite.Apps = strings.Split(*apps, ",")
-	}
-	if *progress {
-		suite.Progress = func(done, total int, label string) {
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, label)
-		}
-	}
+	suite := sim.NewSuite(ctx)
 	if err := suite.CacheError(); err != nil {
 		fail("%v", err)
 	}
@@ -137,8 +124,8 @@ func main() {
 
 // runPreload warms the suite per the -preload spelling. "grid" computes
 // the paper's datacenter scheme grid under fdp (the cells behind Figs
-// 10–17); "all" renders every registry experiment; a comma list renders
-// those slugs. Rendering through the server's figure group means later
+// 10–17); anything else is an -exp value ("all" or a slug list), and
+// those experiments render through the server's figure group, so later
 // /v1/figures queries for the same slugs are pure memo hits.
 func runPreload(s *server, spec string) error {
 	switch spec {
@@ -148,22 +135,15 @@ func runPreload(s *server, spec string) error {
 		cells := experiments.CrossCells(s.suite.AppNames(),
 			append([]string{experiments.Baseline}, experiments.Fig10Schemes...), "fdp")
 		return s.suite.Require(cells...)
-	case "all":
-		return preloadSlugs(s, experiments.ExperimentSlugs())
-	default:
-		return preloadSlugs(s, strings.Split(spec, ","))
 	}
-}
-
-func preloadSlugs(s *server, slugs []string) error {
+	exps, err := cliutil.Experiments(spec)
+	if err != nil {
+		return err
+	}
 	var errs []error
-	for _, slug := range slugs {
-		slug = strings.TrimSpace(slug)
-		if _, ok := experiments.LookupExperiment(slug); !ok {
-			return fmt.Errorf("unknown experiment %q (see acic-bench -list)", slug)
-		}
-		if _, err := s.figures.Get(slug); err != nil {
-			errs = append(errs, fmt.Errorf("%s: %w", slug, err))
+	for _, e := range exps {
+		if _, err := s.figures.Get(e.Slug); err != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", e.Slug, err))
 		}
 	}
 	return errors.Join(errs...)

@@ -138,15 +138,19 @@ func (s *server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
+// statsBody is the /v1/stats body: the suite's Config echo (n, apps,
+// sample_sets) next to the engine counters.
+type statsBody struct {
+	experiments.Config
+	api.Stats
+}
+
 func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	computed, fromCache, workloads := s.suite.Stats()
 	running, idle, queued := s.suite.Occupancy()
 	faultsJSON, _ := json.Marshal(s.suite.FaultStats())
-	api.WriteJSON(w, http.StatusOK, api.Stats{
+	api.WriteJSON(w, http.StatusOK, statsBody{s.suite.Config, api.Stats{
 		Version:           api.Version,
-		N:                 s.suite.N,
-		Apps:              s.suite.Apps,
-		SampleSets:        s.suite.SampleSets,
 		Requests:          s.requests.Load(),
 		CellsComputed:     int(computed),
 		CellsFromCache:    int(fromCache),
@@ -155,7 +159,7 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Faults:            faultsJSON,
 		BreakersOpen:      s.breaker.OpenCount(),
 		UptimeSeconds:     time.Since(s.started).Seconds(),
-	})
+	}})
 }
 
 // etagFor derives a strong ETag from content-addressed key material:

@@ -381,7 +381,7 @@ func TestServeHealthzAndStats(t *testing.T) {
 	if h.Status != "ok" || h.Version != api.Version {
 		t.Errorf("healthz = %+v", h)
 	}
-	var st api.Stats
+	var st statsBody
 	if err := json.Unmarshal([]byte(body(t, get(t, url+"/v1/stats"))), &st); err != nil {
 		t.Fatal(err)
 	}

@@ -93,11 +93,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		name     = fs.String("workload", "media-streaming", "workload profile name (see acic-trace -list)")
 		schemes  = fs.String("schemes", "lru,acic,opt", "comma-separated scheme names")
-		n        = fs.Int("n", 1_000_000, "trace length in instructions")
 		pf       = fs.String("prefetcher", "fdp", "prefetcher: "+strings.Join(experiments.Prefetchers(), ", "))
 		sim      = cliutil.RegisterSim(fs)
 		showDist = fs.Bool("reuse", false, "also print the reuse-distance distribution")
 	)
+	fs.IntVar(&sim.N, "n", 1_000_000, "trace length in instructions")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -124,8 +124,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("unknown workload %q", *name)
 	}
 	rec := &recorder{cells: make(map[experiments.Cell]capture)}
-	suite := sim.NewSuite(ctx, *n)
-	suite.Apps = []string{prof.Name}
+	sim.Apps = []string{prof.Name}
+	suite := sim.NewSuite(ctx)
 	suite.Instrument = rec.instrument
 	if err := suite.CacheError(); err != nil {
 		return fail("%v", err)
@@ -151,7 +151,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fr[0]*100, fr[1]*100, fr[2]*100, fr[3]*100, fr[4]*100, fr[5]*100)
 	}
 
-	if sample, _ := experiments.SampleConfigFor(sim.SampleSets, sim.SampleOffset, prof.Name); sample.Enabled() {
+	if sample, _ := experiments.SampleConfigFor(sim.SampleSets, prof.Name); sample.Enabled() {
 		fmt.Fprintf(stdout, "set-sampled fast mode: %d of %d sets (stride %d, constituency %d); misses and stalls extrapolated, see DESIGN.md §10 for error bars\n",
 			sim.SampleSets, icache.DefaultSets, sample.Stride, sample.Offset)
 	}

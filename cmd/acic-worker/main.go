@@ -1,10 +1,10 @@
 // Command acic-worker is a stateless execution process for distributed
 // grid runs (DESIGN.md §14). Point it at an acic-coord URL and it
-// configures itself from GET /api/config — trace length, sampling,
-// prepare window, shared store — then steals same-app cell batches, runs
-// each on its local worker pool, publishes results to the shared store, and
-// reports per-cell outcomes with the transient/deterministic split the
-// coordinator's rescheduling keys on. It exits 0 when the coordinator
+// configures itself from GET /api/config — the coordinator suite's trace
+// length, apps and sampling, and the shared store — then steals same-app
+// cell batches, runs each on its local worker pool, publishes results to
+// the shared store, and reports per-cell outcomes with the
+// transient/deterministic split the coordinator's rescheduling keys on. It exits 0 when the coordinator
 // reports the run is done, and may be killed at any time: its leased
 // batches expire and requeue, and whatever it already published stays
 // warm in the store.

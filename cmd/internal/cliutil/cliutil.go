@@ -1,7 +1,10 @@
-// Package cliutil deduplicates the engine/storage flag plumbing shared by
-// the simulation CLIs (acic-bench, acic-sim, acic-serve, acic-coord,
-// acic-trace warm): the worker pool width, the sampling mode, and the two persistent stores — and builds the one
-// experiments.Suite those flags describe (SimFlags.NewSuite).
+// Package cliutil holds what the simulation CLIs (acic-bench, acic-sim,
+// acic-serve, acic-coord, acic-worker, acic-trace) share: the flags that
+// fill one experiments.Config (trace length, apps, worker pool width,
+// sampling mode, the two persistent stores) and build the Suite it
+// describes (SimFlags.NewSuite), fault injection, interrupt handling, and
+// the one experiment runner behind acic-bench and acic-coord
+// (Experiments, Render).
 package cliutil
 
 import (
@@ -10,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"acic/internal/experiments"
@@ -22,21 +26,26 @@ import (
 const ExitInterrupted = 130
 
 // InterruptContext returns a context cancelled on the first SIGINT or
-// SIGTERM. The CLIs thread it to experiments.Suite.Context / perf.Config.
-// Context, which drain at cell boundaries — in-flight cells finish, the
+// SIGTERM. The CLIs thread it to experiments.Suite.Context and
+// perf.Measure, which drain at cell boundaries — in-flight cells finish, the
 // stores stay consistent, partial output flushes. A second signal kills
 // the process via the restored default disposition.
 func InterruptContext() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// SimFlags are the shared engine/storage knobs after parsing.
+// SimFlags are the shared simulation flags after parsing: the run's
+// experiments.Config, which the flags fill in place, plus what is not a
+// Suite field.
 type SimFlags struct {
-	Workers      int
-	ArtifactDir  string
-	SampleSets   int
-	SampleOffset int
-	FaultSpec    string
+	experiments.Config
+	// FaultSpec is -fault-spec, installed process-wide by InstallFaults.
+	FaultSpec string
+	// Progress is -progress (RegisterRun): NewSuite then reports each
+	// completed cell on stderr.
+	Progress bool
+	// apps is -apps as typed; Validate splits it into Config.Apps.
+	apps string
 }
 
 // RegisterSim declares the shared simulation flags on fs (usually
@@ -46,9 +55,20 @@ func RegisterSim(fs *flag.FlagSet) *SimFlags {
 	f := &SimFlags{}
 	fs.IntVar(&f.Workers, "workers", 0, "simulation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
 	fs.IntVar(&f.SampleSets, "sample-sets", 0, "set-sampled fast mode: simulate only this many of the 64 L1i sets (SDM-style sampling, statistics extrapolated; power of two; 0 = full simulation, the byte-identical reference)")
-	fs.IntVar(&f.SampleOffset, "sample-offset", 0, "sampled set constituency to simulate, in [1,64/sample-sets) (with -sample-sets; 0 = derive per workload from the trace digest — constituency 0 is alignment-biased and never used)")
 	RegisterArtifactDir(fs, &f.ArtifactDir)
 	RegisterFaultSpec(fs, &f.FaultSpec)
+	return f
+}
+
+// RegisterRun declares the shared simulation flags plus the grid flags
+// every experiment-running CLI (acic-bench, acic-serve, acic-coord)
+// takes: -n, -apps and -progress. acic-sim registers its own -n, with
+// its own default, on the returned Config.
+func RegisterRun(fs *flag.FlagSet) *SimFlags {
+	f := RegisterSim(fs)
+	fs.IntVar(&f.N, "n", 0, "trace length in instructions (0 = ACIC_BENCH_N or 400000)")
+	fs.StringVar(&f.apps, "apps", "", "restrict datacenter apps (comma-separated)")
+	fs.BoolVar(&f.Progress, "progress", false, "report per-cell progress on stderr")
 	return f
 }
 
@@ -74,12 +94,13 @@ func InstallFaultSpec(spec string) error {
 	return faults.Install(spec)
 }
 
-// RegisterCacheDir declares -cache-dir on fs. It is separate from
-// RegisterSim because only tools whose cells are plain (uninstrumented)
-// results can reuse cached entries — acic-bench can, acic-sim cannot:
-// Suite.Instrument never sees a cell answered from the cache.
-func RegisterCacheDir(fs *flag.FlagSet) *string {
-	return fs.String("cache-dir", os.Getenv("ACIC_CACHE_DIR"), "persistent result cache directory (empty = disabled)")
+// RegisterCacheDir declares -cache-dir on fs, filling f.CacheDir. It is
+// separate from RegisterSim because only tools whose cells are plain
+// (uninstrumented) results can reuse cached entries — acic-bench can,
+// acic-sim cannot: Suite.Instrument never sees a cell answered from the
+// cache.
+func (f *SimFlags) RegisterCacheDir(fs *flag.FlagSet) {
+	fs.StringVar(&f.CacheDir, "cache-dir", os.Getenv("ACIC_CACHE_DIR"), "persistent result cache directory (empty = disabled)")
 }
 
 // RegisterArtifactDir declares -artifact-dir on fs (shared with the
@@ -89,12 +110,13 @@ func RegisterArtifactDir(fs *flag.FlagSet, dst *string) {
 		"persistent workload artifact store: prepared traces, annotated programs, successor arrays, and data-latency timelines are written once and reused by every later run (empty = disabled)")
 }
 
-// Validate checks the parsed flag values.
+// Validate checks the parsed flag values and splits -apps into
+// Config.Apps.
 func (f *SimFlags) Validate() error {
-	if f.SampleOffset < 0 {
-		return fmt.Errorf("-sample-offset must be >= 0, got %d", f.SampleOffset)
+	if f.apps != "" {
+		f.Apps = strings.Split(f.apps, ",")
 	}
-	if _, err := experiments.SampleConfigFor(f.SampleSets, f.SampleOffset, ""); err != nil {
+	if _, err := experiments.SampleConfigFor(f.SampleSets, ""); err != nil {
 		return err
 	}
 	if err := faults.Validate(f.FaultSpec); err != nil {
@@ -103,18 +125,16 @@ func (f *SimFlags) Validate() error {
 	return nil
 }
 
-// NewSuite builds the suite the parsed flags describe over n-instruction
-// workloads (0 = experiments.DefaultTraceLen): the worker pool, artifact
-// store and sampling mode, with
-// ctx as its cancellation context. Callers add what only they configure
-// (Apps, CacheDir, Progress, Instrument) before the first use. Call after
-// Validate.
-func (f *SimFlags) NewSuite(ctx context.Context, n int) *experiments.Suite {
-	s := experiments.NewSuite(n)
-	s.Context = ctx
-	s.Workers = f.Workers
-	s.ArtifactDir = f.ArtifactDir
-	s.SampleSets = f.SampleSets
-	s.SampleOffset = f.SampleOffset
+// NewSuite builds the suite the parsed flags describe, with ctx as its
+// cancellation context and, under -progress, a per-cell progress line on
+// stderr. Callers add what only they configure (Remote, Instrument)
+// before the first use. Call after Validate.
+func (f *SimFlags) NewSuite(ctx context.Context) *experiments.Suite {
+	s := &experiments.Suite{Config: f.Config, Context: ctx}
+	if f.Progress {
+		s.Progress = func(done, total int, label string) {
+			fmt.Fprintf(os.Stderr, "[%d/%d] %s\n", done, total, label)
+		}
+	}
 	return s
 }

@@ -3,9 +3,11 @@ package cliutil
 import (
 	"context"
 	"flag"
+	"reflect"
 	"strings"
 	"testing"
 
+	"acic/internal/experiments"
 	"acic/internal/faults"
 )
 
@@ -72,37 +74,45 @@ func TestInterruptContext(t *testing.T) {
 	}
 }
 
-// TestNewSuite: the one flags→Suite constructor carries every shared
-// engine knob.
+// TestNewSuite: the flags fill the one experiments.Config, and the
+// flags→Suite constructor carries it whole, with the context and the
+// -progress printer.
 func TestNewSuite(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
-	f := RegisterSim(fs)
-	if err := fs.Parse([]string{"-workers", "3",
-		"-artifact-dir", "store", "-sample-sets", "8", "-sample-offset", "2"}); err != nil {
+	f := RegisterRun(fs)
+	f.RegisterCacheDir(fs)
+	if err := fs.Parse([]string{"-workers", "3", "-n", "5000", "-apps", "sibench,tpcc",
+		"-artifact-dir", "store", "-cache-dir", "results", "-sample-sets", "8", "-progress"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	want := experiments.Config{N: 5000, Apps: []string{"sibench", "tpcc"}, SampleSets: 8,
+		Workers: 3, CacheDir: "results", ArtifactDir: "store"}
 	ctx := context.Background()
-	s := f.NewSuite(ctx, 5000)
-	if s.N != 5000 || s.Context != ctx || s.Workers != 3 || s.ArtifactDir != "store" ||
-		s.SampleSets != 8 || s.SampleOffset != 2 {
-		t.Errorf("NewSuite = %+v", s)
+	s := f.NewSuite(ctx)
+	if !reflect.DeepEqual(s.Config, want) || s.Context != ctx || s.Progress == nil {
+		t.Errorf("NewSuite = %+v, want Config %+v, the context and a progress printer", s, want)
+	}
+	if s := (&SimFlags{}).NewSuite(ctx); s.Progress != nil || s.Apps != nil {
+		t.Errorf("without -progress and -apps: Progress set %v, Apps %v", s.Progress != nil, s.Apps)
 	}
 }
 
 // TestValidateSampling: sampling errors surface from Validate, through
 // experiments.SampleConfigFor, before any suite is built.
 func TestValidateSampling(t *testing.T) {
-	for _, f := range []SimFlags{
-		{SampleSets: 3},
-		{SampleSets: 128},
-		{SampleSets: 8, SampleOffset: 8},
-		{SampleOffset: -1},
-	} {
+	for _, sets := range []int{3, 128, -1} {
+		f := &SimFlags{Config: experiments.Config{SampleSets: sets}}
 		if err := f.Validate(); err == nil {
-			t.Errorf("%+v: Validate accepted it", f)
+			t.Errorf("-sample-sets %d: Validate accepted it", sets)
+		}
+	}
+	for _, sets := range []int{0, 8, 64} {
+		f := &SimFlags{Config: experiments.Config{SampleSets: sets}}
+		if err := f.Validate(); err != nil {
+			t.Errorf("-sample-sets %d: %v", sets, err)
 		}
 	}
 }

@@ -4,19 +4,6 @@ import "encoding/json"
 
 // --- Coordinator/worker protocol (internal/distrib) ---
 
-// WorkerConfig is the run configuration a coordinator advertises at
-// GET /api/config: everything a stateless worker needs to build a Suite
-// whose results are byte-identical to the coordinator's own.
-type WorkerConfig struct {
-	N            int      `json:"n"`
-	Apps         []string `json:"apps,omitempty"`
-	SampleSets   int      `json:"sample_sets,omitempty"`
-	SampleOffset int      `json:"sample_offset,omitempty"`
-	// StoreURL is the shared blob store every worker must point its
-	// cache and artifact dirs at.
-	StoreURL string `json:"store_url,omitempty"`
-}
-
 // Batch is one leased unit of remote work: same-app cells, so the worker
 // prepares the workload once for all of them.
 type Batch struct {
@@ -98,14 +85,12 @@ type Occupancy struct {
 	Queued  int `json:"queued"`
 }
 
-// Stats answers GET /v1/stats: the serve daemon's configuration echo
-// plus engine counters. Faults is the experiments.FaultStats object
-// (kept raw here so this package stays import-free).
+// Stats is the engine-counter part of the GET /v1/stats body; the serve
+// daemon sends it next to its suite's experiments.Config (n, apps,
+// sample_sets), which this import-free package cannot name. Faults is the
+// experiments.FaultStats object, kept raw for the same reason.
 type Stats struct {
 	Version           string          `json:"version"`
-	N                 int             `json:"n"`
-	Apps              []string        `json:"apps,omitempty"`
-	SampleSets        int             `json:"sample_sets,omitempty"`
 	Requests          int64           `json:"requests"`
 	CellsComputed     int             `json:"cells_computed"`
 	CellsFromCache    int             `json:"cells_from_cache"`

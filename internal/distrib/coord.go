@@ -14,10 +14,11 @@ import (
 )
 
 // CoordinatorOptions configures NewCoordinator. The zero value of every
-// field but Config is usable.
+// field is usable.
 type CoordinatorOptions struct {
-	// Config is served to workers verbatim (GET /api/config).
-	Config Config
+	// StoreURL is the shared store advertised to workers in GET
+	// /api/config, next to the suite's Config.
+	StoreURL string
 	// Lease bounds how long a claimed batch may stay unreported before
 	// the sweeper presumes its worker dead and requeues it (default 30s —
 	// generously above one batch's latency at bench trace lengths).
@@ -58,7 +59,8 @@ type batch struct {
 // through the done callback with PR 8's transient/deterministic split
 // intact. All methods are safe for concurrent use.
 type Coordinator struct {
-	cfg         Config
+	suite       *experiments.Suite
+	storeURL    string
 	lease       time.Duration
 	maxRequeues int
 	noWorker    time.Duration
@@ -82,11 +84,13 @@ type Coordinator struct {
 
 var _ experiments.Remote = (*Coordinator)(nil)
 
-// NewCoordinator creates a coordinator and starts its lease sweeper.
-// Call Close when the run is over.
-func NewCoordinator(opts CoordinatorOptions) *Coordinator {
+// NewCoordinator creates the coordinator of s, makes it s's Remote
+// executor and starts its lease sweeper. GET /api/config serves s's
+// Config, so configure s first. Call Close when the run is over.
+func NewCoordinator(s *experiments.Suite, opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
-		cfg:         opts.Config,
+		suite:       s,
+		storeURL:    opts.StoreURL,
 		lease:       opts.Lease,
 		maxRequeues: opts.MaxRequeues,
 		noWorker:    opts.NoWorkerTimeout,
@@ -100,6 +104,7 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if c.maxRequeues <= 0 {
 		c.maxRequeues = 3
 	}
+	s.Remote = c
 	go c.sweep()
 	return c
 }
@@ -308,7 +313,7 @@ func (c *Coordinator) Stats() CoordinatorStats {
 
 // Handler returns the coordinator's HTTP API:
 //
-//	GET  /api/config   — the run Config for stateless worker setup
+//	GET  /api/config   — the suite's Config and StoreURL, for stateless worker setup
 //	POST /api/claim    — ClaimRequest -> ClaimResponse
 //	POST /api/complete — CompleteRequest -> 204
 //
@@ -332,7 +337,7 @@ func (c *Coordinator) Handler() http.Handler {
 		if !requireMethod(w, r, http.MethodGet) {
 			return
 		}
-		api.WriteJSON(w, http.StatusOK, c.cfg)
+		api.WriteJSON(w, http.StatusOK, Config{Config: c.suite.Config, StoreURL: c.storeURL})
 	})
 	mux.HandleFunc("/api/claim", func(w http.ResponseWriter, r *http.Request) {
 		if !requireMethod(w, r, http.MethodPost) {

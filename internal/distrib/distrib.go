@@ -8,11 +8,13 @@
 //
 // The wire types live in internal/api — the one versioned contract this
 // protocol shares with acic-serve and the store handler — and are
-// aliased here so coordinator and worker code reads naturally. The
+// aliased here so coordinator and worker code reads naturally; only
+// Config, which embeds experiments.Config, is defined here. The
 // protocol is three endpoints. GET /api/config tells a fresh worker
-// everything it needs to build its Suite — trace length, sampling,
-// prepare window, and the store URL — which is what makes workers stateless:
-// point acic-worker at a coordinator and it configures itself. POST
+// everything it needs to build its Suite — the coordinator suite's
+// Config (trace length, apps, sampling) and the store URL — which is
+// what makes workers stateless: point acic-worker at a coordinator and
+// it configures itself. POST
 // /api/claim is the steal: the worker sends its pool occupancy snapshot
 // (running/idle/queued) and how many batches it wants, the coordinator
 // grants up to that many. POST /api/complete reports per-cell outcomes
@@ -21,17 +23,26 @@
 // are final. Errors on every endpoint are api.Envelope.
 package distrib
 
-import "acic/internal/api"
+import (
+	"acic/internal/api"
+	"acic/internal/experiments"
+)
+
+// Config is the GET /api/config body: the Config of the coordinator's
+// own Suite, whose result-determining fields travel as n, apps and
+// sample_sets (the per-process ones are json:"-"), plus the shared store
+// every worker points its cache and artifact store at. The coordinator
+// builds it from the suite it serves, never from a second copy, so a
+// worker's Suite cannot drift from the coordinator's.
+type Config struct {
+	experiments.Config
+	StoreURL string `json:"store_url,omitempty"`
+}
 
 // Aliases into the shared wire contract. Cells travel as api.Cell on
 // the wire; the coordinator converts to and from experiments.Cell at
 // the protocol boundary (Claim/Complete), nowhere else.
 type (
-	// Config is everything a stateless worker needs to reconstruct the
-	// coordinator's Suite configuration (GET /api/config). The worker's
-	// own pool width is deliberately absent — that is per-process
-	// capacity, not plan configuration.
-	Config = api.WorkerConfig
 	// Batch is one steal unit: same-app cells a worker runs through one
 	// Require, preparing the workload once. IDs are fresh per lease — a requeued batch gets a new one,
 	// fencing off late completions from its previous owner.

@@ -2,9 +2,11 @@ package distrib
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -26,43 +28,38 @@ const (
 	testWidth = 2 // per-process pool width, workers and coordinator alike
 )
 
-func testSuiteConfig() Config {
-	return Config{
-		N:    testN,
-		Apps: strings.Split(testApps, ","),
-	}
+// testConfig is the run every distrib test renders: coordinator-side,
+// worker-side (over the wire) and in the single-process reference.
+func testConfig() experiments.Config {
+	return experiments.Config{N: testN, Apps: strings.Split(testApps, ","), Workers: testWidth}
 }
 
 // newTestGrid wires the full distributed fixture: a scratch store and a
 // coordinator served from one httptest listener (the same one-URL layout
-// acic-coord uses), and a coordinator-side Suite whose Remote is the
-// coordinator and whose stores are the local view of the shared root.
-func newTestGrid(t *testing.T, opts CoordinatorOptions) (*experiments.Suite, *Coordinator, string) {
+// acic-coord uses), and a coordinator-side Suite of cfg whose Remote is
+// the coordinator and whose stores are the local view of the shared root.
+func newTestGrid(t *testing.T, cfg experiments.Config, opts CoordinatorOptions) (*experiments.Suite, *Coordinator, string) {
 	t.Helper()
 	storeDir := t.TempDir()
 	storeHandler, err := engine.NewStoreHandler(storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord := NewCoordinator(opts)
-	t.Cleanup(coord.Close)
 	mux := http.NewServeMux()
-	mux.Handle("/api/", coord.Handler())
 	mux.Handle("/", storeHandler)
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	// The coordinator advertises the shared listener as the store.
-	coord.cfg.StoreURL = srv.URL
 
-	s := experiments.NewSuite(testN)
-	s.Apps = strings.Split(testApps, ",")
-	s.Workers = testWidth
-	s.CacheDir = storeDir
-	s.ArtifactDir = storeDir
-	s.Remote = coord
+	cfg.CacheDir, cfg.ArtifactDir = storeDir, storeDir
+	s := &experiments.Suite{Config: cfg}
+	// The coordinator advertises the shared listener as the store.
+	opts.StoreURL = srv.URL
+	coord := NewCoordinator(s, opts)
+	t.Cleanup(coord.Close)
 	if err := s.CacheError(); err != nil {
 		t.Fatal(err)
 	}
+	mux.Handle("/api/", coord.Handler())
 	return s, coord, srv.URL
 }
 
@@ -90,14 +87,11 @@ func renderAll(t *testing.T, s *experiments.Suite) string {
 	return sb.String()
 }
 
-// localReference renders the subset on a plain single-process suite with
-// the same configuration and no store at all.
-func localReference(t *testing.T) string {
+// localReference renders the subset on a plain single-process suite of
+// cfg with no store at all.
+func localReference(t *testing.T, cfg experiments.Config) string {
 	t.Helper()
-	s := experiments.NewSuite(testN)
-	s.Apps = strings.Split(testApps, ",")
-	s.Workers = testWidth
-	return renderAll(t, s)
+	return renderAll(t, &experiments.Suite{Config: cfg})
 }
 
 // TestDistributedByteIdentical is the tentpole invariant: the rendered
@@ -107,10 +101,10 @@ func TestDistributedByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-lane simulation grids")
 	}
-	want := localReference(t)
+	want := localReference(t, testConfig())
 	for _, workers := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s, coord, url := newTestGrid(t, CoordinatorOptions{Config: testSuiteConfig(), Lease: 30 * time.Second})
+			s, coord, url := newTestGrid(t, testConfig(), CoordinatorOptions{Lease: 30 * time.Second})
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			var wg sync.WaitGroup
@@ -137,6 +131,67 @@ func TestDistributedByteIdentical(t *testing.T) {
 	}
 }
 
+// TestWireConfigSampled pins that the one Config crosses GET /api/config
+// whole: a worker of a sampled, app-restricted coordinator suite builds
+// a suite with the coordinator's GridKey, completes cells remotely, and
+// the distributed render is byte-identical to a local sampled suite.
+func TestWireConfigSampled(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation grid")
+	}
+	cfg := experiments.Config{N: testN, Apps: []string{"web-search"}, SampleSets: 8, Workers: testWidth}
+	s, coord, url := newTestGrid(t, cfg, CoordinatorOptions{Lease: 30 * time.Second})
+
+	// The body carries the result-determining fields and the store, under
+	// their wire names; the coordinator's own pool width and store paths
+	// stay local.
+	resp, err := http.Get(url + "/api/config")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body map[string]any
+	err = json.NewDecoder(resp.Body).Decode(&body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]any{"n": float64(testN), "apps": []any{"web-search"}, "sample_sets": float64(8),
+		"store_url": url}; !reflect.DeepEqual(body, want) {
+		t.Errorf("GET /api/config = %v, want %v", body, want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	wire, err := newClient(url).config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := workerSuite(ctx, wire, testWidth).GridKey(), s.GridKey(); got != want {
+		t.Fatalf("worker GridKey %s, coordinator %s (wire config %+v)", got, want, wire)
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			err := RunWorker(ctx, WorkerOptions{Coord: url, Workers: testWidth, Name: fmt.Sprintf("w%d", i)})
+			if err != nil && ctx.Err() == nil {
+				t.Errorf("worker %d: %v", i, err)
+			}
+		}(i)
+	}
+	got := renderAll(t, s)
+	coord.Close()
+	wg.Wait()
+	if st := coord.Stats(); st.Completed == 0 {
+		t.Errorf("no cells completed remotely (stats %+v) — the grid ran locally", st)
+	}
+	if want := localReference(t, cfg); got != want {
+		t.Errorf("sampled distributed output differs from a local sampled suite\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 // TestWorkerDeathRequeues pins the lease ladder: a worker that claims a
 // batch and vanishes must not lose the work — the lease expires, the
 // batch requeues under a fresh ID, a healthy worker finishes it, and the
@@ -146,7 +201,7 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation grid")
 	}
-	s, coord, url := newTestGrid(t, CoordinatorOptions{Config: testSuiteConfig(), Lease: 300 * time.Millisecond})
+	s, coord, url := newTestGrid(t, testConfig(), CoordinatorOptions{Lease: 300 * time.Millisecond})
 
 	// Render in the background; the grid blocks until workers (or the
 	// ladder) produce every cell.
@@ -188,7 +243,7 @@ func TestWorkerDeathRequeues(t *testing.T) {
 	coord.Close()
 	wg.Wait()
 
-	if want := localReference(t); got != want {
+	if want := localReference(t, testConfig()); got != want {
 		t.Errorf("output after worker death differs from single-process\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	if st := coord.Stats(); st.Requeued < 1 {
@@ -204,13 +259,12 @@ func TestNoWorkerFallsBackLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation grid")
 	}
-	s, coord, _ := newTestGrid(t, CoordinatorOptions{
-		Config:          testSuiteConfig(),
+	s, coord, _ := newTestGrid(t, testConfig(), CoordinatorOptions{
 		Lease:           time.Second,
 		NoWorkerTimeout: 200 * time.Millisecond,
 	})
 	got := renderAll(t, s)
-	if want := localReference(t); got != want {
+	if want := localReference(t, testConfig()); got != want {
 		t.Errorf("local-fallback output differs from single-process\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	if st := coord.Stats(); st.LocalFell == 0 {
@@ -222,7 +276,7 @@ func TestNoWorkerFallsBackLocal(t *testing.T) {
 // coordinator can never be claimed, so each of its cells must fail back
 // to the suite at once, transiently, instead of waiting forever.
 func TestSubmitAfterCloseFailsLocal(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{Config: testSuiteConfig()})
+	coord := NewCoordinator(&experiments.Suite{Config: testConfig()}, CoordinatorOptions{})
 	coord.Close()
 	cells := experiments.CrossCells([]string{"media-streaming"}, []string{"lru", "acic"}, "fdp")
 	errs := make(chan error, len(cells))
@@ -251,7 +305,7 @@ func TestNetErrFaultedRunStaysIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation grid")
 	}
-	s, coord, url := newTestGrid(t, CoordinatorOptions{Config: testSuiteConfig(), Lease: 5 * time.Second})
+	s, coord, url := newTestGrid(t, testConfig(), CoordinatorOptions{Lease: 5 * time.Second})
 	if err := faults.Install("net-err:p=0.05;seed=11"); err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +332,7 @@ func TestNetErrFaultedRunStaysIdentical(t *testing.T) {
 	snap := faults.Snapshot()
 	faults.Install("")
 
-	if want := localReference(t); got != want {
+	if want := localReference(t, testConfig()); got != want {
 		t.Errorf("net-err-faulted output differs from single-process\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 	if snap.NetErrs == 0 {

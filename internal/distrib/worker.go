@@ -138,14 +138,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		return fmt.Errorf("distrib: worker %s: coordinator config has no store URL", name)
 	}
 
-	s := experiments.NewSuite(cfg.N)
-	s.Apps = cfg.Apps
-	s.Workers = opts.Workers
-	s.CacheDir = cfg.StoreURL
-	s.ArtifactDir = cfg.StoreURL
-	s.SampleSets = cfg.SampleSets
-	s.SampleOffset = cfg.SampleOffset
-	s.Context = ctx
+	s := workerSuite(ctx, cfg, opts.Workers)
 	if err := s.CacheError(); err != nil {
 		return fmt.Errorf("distrib: worker %s: shared store: %w", name, err)
 	}
@@ -205,6 +198,15 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		logf("worker %s: claimed %d batch(es)", name, len(resp.Batches))
 	}
 	return ctx.Err()
+}
+
+// workerSuite builds the suite a worker runs its batches on: the
+// coordinator suite's Config as received, with this process's pool width
+// and both stores at the shared StoreURL.
+func workerSuite(ctx context.Context, cfg Config, workers int) *experiments.Suite {
+	cfg.Workers = workers
+	cfg.CacheDir, cfg.ArtifactDir = cfg.StoreURL, cfg.StoreURL
+	return &experiments.Suite{Config: cfg.Config, Context: ctx}
 }
 
 // runBatch executes one batch on the worker's suite and classifies each

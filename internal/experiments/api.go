@@ -43,6 +43,7 @@ func (s *Suite) CellKey(c Cell) string {
 // cell and every figure, which is what lets acic-serve use it as the
 // ETag seed for /v1/figures/{name}.
 func (s *Suite) GridKey() string {
+	s.init() // resolves N
 	h := sha256.New()
 	apps := append(s.AppNames(), s.SPECNames()...)
 	for _, app := range apps {

@@ -70,28 +70,17 @@ type Options struct {
 // DefaultOptions mirrors the paper's setup: FDP platform, 10% warmup.
 func DefaultOptions() Options { return Options{WarmupFrac: 0.1, Prefetcher: "fdp"} }
 
-// SampleConfigForSets converts a sampled-set count over the default L1i
-// geometry into the simulator's sampling configuration: sampleSets of the
-// icache.DefaultSets sets are simulated, one per stride-sized
-// constituency, pinned to the fixed fallback constituency 1. 0 (or the
-// full set count) disables sampling; the count must otherwise be a power
-// of two below the set count. The default paths (Suite and the CLIs) go
-// through SampleConfigFor instead, which derives the constituency from
-// the workload digest.
-func SampleConfigForSets(sampleSets int) (cpu.SampleConfig, error) {
-	return SampleConfigFor(sampleSets, 1, "")
-}
-
 // SampleConfigFor converts a sampled-set count into one workload's
-// sampling configuration. offset selects the constituency: 0 derives it
-// from app's profile digest (sampleOffsetFor — a per-workload default
-// that never lands on constituency 0), any value in [1, stride) pins it
-// explicitly. Constituency 0 is not selectable: function entries and
-// region starts concentrate at block numbers that are multiples of small
-// powers of two, so the sets ≡ 0 (mod stride) constituency holds a
+// sampling configuration: sampleSets of the icache.DefaultSets sets are
+// simulated, one per stride-sized constituency, with the constituency
+// derived from app's profile digest (sampleOffsetFor). 0 (or the full set
+// count) disables sampling; the count must otherwise be a power of two
+// below the set count. Constituency 0 is never chosen: function entries
+// and region starts concentrate at block numbers that are multiples of
+// small powers of two, so the sets ≡ 0 (mod stride) constituency holds a
 // disproportionate share of hot, well-cached blocks and underestimates
 // miss rates by ~25% on the datacenter workloads (DESIGN.md §10).
-func SampleConfigFor(sampleSets, offset int, app string) (cpu.SampleConfig, error) {
+func SampleConfigFor(sampleSets int, app string) (cpu.SampleConfig, error) {
 	switch {
 	case sampleSets == 0 || sampleSets == icache.DefaultSets:
 		return cpu.SampleConfig{}, nil
@@ -101,17 +90,7 @@ func SampleConfigFor(sampleSets, offset int, app string) (cpu.SampleConfig, erro
 		return cpu.SampleConfig{}, fmt.Errorf("experiments: -sample-sets must be a power of two, got %d", sampleSets)
 	}
 	stride := icache.DefaultSets / sampleSets
-	if offset == 0 {
-		offset = sampleOffsetFor(stride, app)
-	}
-	if offset < 1 || offset >= stride {
-		return cpu.SampleConfig{}, fmt.Errorf("experiments: sample constituency must be in [1,%d) (0 is alignment-biased; DESIGN.md §10), got %d", stride, offset)
-	}
-	cfg := cpu.SampleConfig{Stride: stride, Offset: offset}
-	if err := cfg.Validate(); err != nil {
-		return cpu.SampleConfig{}, err
-	}
-	return cfg, nil
+	return cpu.SampleConfig{Stride: stride, Offset: sampleOffsetFor(stride, app)}, nil
 }
 
 // sampleOffsetFor derives a workload's default sample constituency from

@@ -46,7 +46,7 @@ var sampledBounds = map[string]struct{ cycles, mpki float64 }{
 // sets, with the workload's digest-derived constituency — the sampled
 // lane the Suite and the CLIs run.
 func runSampled(w *Workload, scheme string, sampleSets int, opts Options) (cpu.Result, error) {
-	sample, err := SampleConfigFor(sampleSets, 0, w.Profile.Name)
+	sample, err := SampleConfigFor(sampleSets, w.Profile.Name)
 	if err != nil {
 		return cpu.Result{}, err
 	}
@@ -169,9 +169,9 @@ func TestSampledFullPathUnchanged(t *testing.T) {
 	}
 }
 
-// TestSampleConfigForSets pins the sets→stride conversion and its
-// validation.
-func TestSampleConfigForSets(t *testing.T) {
+// TestSampleSetsToStride pins SampleConfigFor's sets→stride conversion
+// and its validation.
+func TestSampleSetsToStride(t *testing.T) {
 	for _, tc := range []struct {
 		sets   int
 		stride int
@@ -181,32 +181,35 @@ func TestSampleConfigForSets(t *testing.T) {
 		{32, 2, true}, {1, 64, true},
 		{3, 0, false}, {65, 0, false}, {-1, 0, false}, {48, 0, false},
 	} {
-		cfg, err := SampleConfigForSets(tc.sets)
+		cfg, err := SampleConfigFor(tc.sets, "media-streaming")
 		if (err == nil) != tc.ok {
-			t.Errorf("SampleConfigForSets(%d): err=%v, want ok=%v", tc.sets, err, tc.ok)
+			t.Errorf("SampleConfigFor(%d): err=%v, want ok=%v", tc.sets, err, tc.ok)
 			continue
 		}
 		if err == nil && cfg.Stride != tc.stride {
-			t.Errorf("SampleConfigForSets(%d).Stride = %d, want %d", tc.sets, cfg.Stride, tc.stride)
+			t.Errorf("SampleConfigFor(%d).Stride = %d, want %d", tc.sets, cfg.Stride, tc.stride)
 		}
 		if err == nil && cfg.Enabled() && cfg.Offset == 0 {
-			t.Errorf("SampleConfigForSets(%d) picked constituency 0 (alignment-biased)", tc.sets)
+			t.Errorf("SampleConfigFor(%d) picked constituency 0 (alignment-biased)", tc.sets)
+		}
+		if err == nil && cfg.Validate() != nil {
+			t.Errorf("SampleConfigFor(%d) = %+v, which the simulator refuses", tc.sets, cfg)
 		}
 	}
 }
 
 // TestSampleOffsetDerivation pins the digest-derived default constituency:
-// deterministic per workload, always in [1, stride), decorrelated across
-// workloads, and overridable by an explicit in-range pin.
+// deterministic per workload, always in [1, stride), and decorrelated
+// across workloads.
 func TestSampleOffsetDerivation(t *testing.T) {
 	apps := []string{"media-streaming", "web-search", "data-caching", "tpcc", "wikipedia", "sibench"}
 	offsets := make(map[int]bool)
 	for _, app := range apps {
-		a, err := SampleConfigFor(8, 0, app)
+		a, err := SampleConfigFor(8, app)
 		if err != nil {
 			t.Fatalf("%s: %v", app, err)
 		}
-		b, _ := SampleConfigFor(8, 0, app)
+		b, _ := SampleConfigFor(8, app)
 		if a != b {
 			t.Errorf("%s: derived offset not deterministic: %+v != %+v", app, a, b)
 		}
@@ -220,19 +223,8 @@ func TestSampleOffsetDerivation(t *testing.T) {
 	if len(offsets) < 2 {
 		t.Errorf("all %d workloads derived the same constituency %v", len(apps), offsets)
 	}
-
-	pinned, err := SampleConfigFor(8, 5, "media-streaming")
-	if err != nil || pinned.Offset != 5 {
-		t.Errorf("pinned offset: %+v, %v", pinned, err)
-	}
-	if _, err := SampleConfigFor(8, 8, "media-streaming"); err == nil {
-		t.Error("offset == stride must be rejected")
-	}
-	if _, err := SampleConfigFor(8, -1, "media-streaming"); err == nil {
-		t.Error("negative offset must be rejected")
-	}
 	// stride 2 has a single unbiased constituency; derivation lands on it.
-	if cfg, err := SampleConfigFor(32, 0, "media-streaming"); err != nil || cfg.Offset != 1 {
+	if cfg, err := SampleConfigFor(32, "media-streaming"); err != nil || cfg.Offset != 1 {
 		t.Errorf("stride-2 derivation = %+v, %v, want offset 1", cfg, err)
 	}
 }
@@ -259,17 +251,10 @@ func TestSampledCacheKeysDistinct(t *testing.T) {
 	if k := stride16.cacheKey(c); k == sk {
 		t.Fatalf("different sample strides share a cache key: %s", k)
 	}
-	// Same stride, pinned vs derived constituency: distinct keys, so one
-	// CacheDir never conflates results from different sampled sets.
-	pinned := NewSuite(100_000)
-	pinned.SampleSets = 8
-	pinned.SampleOffset = 7
-	if err := pinned.CacheError(); err != nil {
-		t.Fatal(err)
-	}
-	derived, _ := SampleConfigFor(8, 0, c.App)
-	if derived.Offset != 7 && pinned.cacheKey(c) == sk {
-		t.Fatalf("different constituencies share a cache key: %s", sk)
+	// Same stride, another constituency: distinct keys, so one CacheDir
+	// never conflates results from different sampled sets.
+	if a, b := sampleKey(cpu.SampleConfig{Stride: 8, Offset: 1}), sampleKey(cpu.SampleConfig{Stride: 8, Offset: 7}); a == b {
+		t.Fatalf("different constituencies share a sample key: %s", a)
 	}
 }
 

@@ -40,6 +40,47 @@ func CrossCells(apps, schemes []string, prefetcher string) []Cell {
 	return cells
 }
 
+// Config is the one description of a run: everything a Suite's results
+// depend on (N, Apps, SampleSets, which cross the wire to distributed
+// workers under these JSON names) plus the per-process engine and
+// storage settings, which stay local (json:"-"). The CLI flags fill it
+// directly (cmd/internal/cliutil), and a distrib coordinator advertises
+// the Config of the suite it serves, so the flag set, the wire config and
+// every Suite share this one type.
+type Config struct {
+	// N is the trace length in instructions per workload (0 =
+	// DefaultTraceLen, resolved when the engine starts).
+	N int `json:"n"`
+	// Apps restricts the datacenter app list (nil = all ten).
+	Apps []string `json:"apps,omitempty"`
+	// SampleSets, when > 0, switches every simulation the suite runs into
+	// the set-sampled fast mode: only SampleSets of the 64 i-cache sets
+	// are simulated (one per stride-sized constituency, SDM methodology,
+	// the constituency derived from each workload's digest) and results
+	// are extrapolated back to the whole cache. Exploratory sweeps run
+	// roughly 64/SampleSets× less subsystem work per access; DESIGN.md
+	// §10 documents the validated error bars. Sampled results are cached
+	// under distinct keys (keys.go sampleKey), so one CacheDir safely
+	// serves both lanes. 0 (or 64) keeps the byte-identical full
+	// reference path. Must be a power of two.
+	SampleSets int `json:"sample_sets,omitempty"`
+
+	// Workers bounds the worker pool (0 = ACIC_WORKERS or GOMAXPROCS).
+	Workers int `json:"-"`
+	// CacheDir enables the persistent result cache in that directory
+	// ("" = in-memory only). Entries are keyed by workload profile hash,
+	// trace length, scheme, prefetcher, and run options, so reruns of
+	// acic-bench / acic-sim recompute only what changed.
+	CacheDir string `json:"-"`
+	// ArtifactDir enables the persistent workload artifact store ("" =
+	// in-memory only): each app's prepared workload persists as one
+	// content-addressed entry keyed like the result cache, so warm
+	// reruns skip straight to simulation (see Pipeline). CacheDir and
+	// ArtifactDir may point at the same directory — result entries are
+	// .json, artifacts .actr.
+	ArtifactDir string `json:"-"`
+}
+
 // Suite plans and executes the simulations behind the paper's tables and
 // figures. Workload preparation and (app, scheme, prefetcher) runs are
 // memoized with per-key singleflight and executed on a bounded worker
@@ -51,41 +92,7 @@ func CrossCells(apps, schemes []string, prefetcher string) []Cell {
 // Configure the exported fields before the first figure call; they are
 // frozen once the engine spins up.
 type Suite struct {
-	// N is the trace length in instructions per workload.
-	N int
-	// Apps restricts the datacenter app list (nil = all ten).
-	Apps []string
-	// Workers bounds the worker pool (0 = ACIC_WORKERS or GOMAXPROCS).
-	Workers int
-	// CacheDir enables the persistent result cache in that directory
-	// ("" = in-memory only). Entries are keyed by workload profile hash,
-	// trace length, scheme, prefetcher, and run options, so reruns of
-	// acic-bench / acic-sim recompute only what changed.
-	CacheDir string
-	// ArtifactDir enables the persistent workload artifact store ("" =
-	// in-memory only): each prepare stage (trace, annotated program,
-	// successor array, data-latency timeline) persists as a
-	// content-addressed artifact keyed like the result cache, so warm
-	// reruns skip straight to simulation (see Pipeline). CacheDir and
-	// ArtifactDir may point at the same directory — result entries are
-	// .json, artifacts .actr.
-	ArtifactDir string
-	// SampleSets, when > 0, switches every simulation the suite runs into
-	// the set-sampled fast mode: only SampleSets of the 64 i-cache sets
-	// are simulated (one per stride-sized constituency, SDM methodology)
-	// and results are extrapolated back to the whole cache. Exploratory
-	// sweeps run roughly 64/SampleSets× less subsystem work per access;
-	// DESIGN.md §10 documents the validated error bars. Sampled results
-	// are cached under distinct keys (keys.go sampleKey), so one CacheDir
-	// safely serves both lanes. 0 (or 64) keeps the byte-identical full
-	// reference path. Must be a power of two.
-	SampleSets int
-	// SampleOffset pins the sampled constituency when SampleSets is
-	// active: 0 (the default) derives a per-workload offset from the
-	// trace digest — constituency 0 is alignment-biased, see DESIGN.md
-	// §10 — and any value in [1, stride) selects that constituency for
-	// every workload.
-	SampleOffset int
+	Config
 	// Progress, if non-nil, is called after each completed cell with the
 	// running done count, the number of cells planned so far, and a
 	// human-readable label. Called from worker goroutines.
@@ -146,20 +153,18 @@ func DefaultTraceLen() int {
 }
 
 // NewSuite creates a suite with the given trace length (0 = default).
-func NewSuite(n int) *Suite {
-	if n <= 0 {
-		n = DefaultTraceLen()
-	}
-	return &Suite{N: n}
-}
+func NewSuite(n int) *Suite { return &Suite{Config: Config{N: n}} }
 
 // init spins up the engine on first use.
 func (s *Suite) init() {
 	s.once.Do(func() {
-		// Offset-range and set-count validation is app-independent, so one
-		// probe call surfaces any configuration error up front; per-app
-		// configs (digest-derived offsets) are then built on demand.
-		_, sampleErr := SampleConfigFor(s.SampleSets, s.SampleOffset, "")
+		if s.N <= 0 {
+			s.N = DefaultTraceLen()
+		}
+		// Set-count validation is app-independent, so one probe call
+		// surfaces a configuration error up front; per-app configs
+		// (digest-derived offsets) are then built on demand.
+		_, sampleErr := SampleConfigFor(s.SampleSets, "")
 		s.pool = engine.NewPool(s.Workers)
 		var plErr error
 		s.pipeline, plErr = NewPipeline(PipelineConfig{N: s.N, Dir: s.ArtifactDir, Pool: s.pool, simOnly: true})
@@ -204,13 +209,13 @@ func (s *Suite) cacheKey(c Cell) string {
 }
 
 // sampleFor returns the app's sampling configuration — the suite's set
-// count with the workload's digest-derived constituency offset (or the
-// pinned SampleOffset). It is not memoized: the digest is a table read
-// (keys.go), so deriving it costs one small hash, and a query naming an
-// unknown app leaves no per-name state behind. Configuration errors were
-// surfaced by init; here they are logic errors.
+// count with the workload's digest-derived constituency offset. It is
+// not memoized: the digest is a table read (keys.go), so deriving it
+// costs one small hash, and a query naming an unknown app leaves no
+// per-name state behind. Configuration errors were surfaced by init;
+// here they are logic errors.
 func (s *Suite) sampleFor(app string) cpu.SampleConfig {
-	sc, err := SampleConfigFor(s.SampleSets, s.SampleOffset, app)
+	sc, err := SampleConfigFor(s.SampleSets, app)
 	if err != nil {
 		panic(err)
 	}

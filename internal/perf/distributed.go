@@ -80,13 +80,11 @@ func distPoolWidth() int {
 // × datacenter-apps grid under the FDP platform, cold. Every lane's fault
 // handling is folded into fs. On an error the lanes measured so far are
 // returned with it.
-func measureDistributedSweep(cfg Config, fs *experiments.FaultStats) (DistributedSweep, error) {
+func measureDistributedSweep(ctx context.Context, n int, fs *experiments.FaultStats) (DistributedSweep, error) {
 	schemes := DistributedSchemes()
 	width := distPoolWidth()
 
-	single := experiments.NewSuite(cfg.N)
-	single.Context = cfg.Context
-	single.Workers = width
+	single := &experiments.Suite{Config: experiments.Config{N: n, Workers: width}, Context: ctx}
 	defer addFaults(fs, single)
 	apps := single.AppNames()
 	cells := experiments.CrossCells(apps, schemes, "fdp")
@@ -114,10 +112,10 @@ func measureDistributedSweep(cfg Config, fs *experiments.FaultStats) (Distribute
 	sweep.SingleWallNs = singleWall.Nanoseconds()
 
 	for _, nw := range DistributedWorkerCounts() {
-		if cfg.Context.Err() != nil {
-			return sweep, cfg.Context.Err()
+		if ctx.Err() != nil {
+			return sweep, ctx.Err()
 		}
-		lane, err := runDistributedLane(cfg, fs, cells, ref, nw, width)
+		lane, err := runDistributedLane(ctx, n, fs, cells, ref, nw, width)
 		if err != nil {
 			return sweep, fmt.Errorf("lane workers=%d: %w", nw, err)
 		}
@@ -139,7 +137,7 @@ func addFaults(fs *experiments.FaultStats, s *experiments.Suite) {
 // runDistributedLane executes the grid through a real coordinator — HTTP
 // listener, shared store, work-stealing claims — with nw in-process
 // workers, the same wiring acic-coord uses minus the process boundary.
-func runDistributedLane(cfg Config, fs *experiments.FaultStats, cells []experiments.Cell, ref []cpu.Result, nw, width int) (DistributedLane, error) {
+func runDistributedLane(ctx context.Context, n int, fs *experiments.FaultStats, cells []experiments.Cell, ref []cpu.Result, nw, width int) (DistributedLane, error) {
 	dir, err := os.MkdirTemp("", "acic-dist-sweep-*")
 	if err != nil {
 		return DistributedLane{}, err
@@ -155,24 +153,29 @@ func runDistributedLane(cfg Config, fs *experiments.FaultStats, cells []experime
 	}
 	url := "http://" + ln.Addr().String()
 
-	coord := distrib.NewCoordinator(distrib.CoordinatorOptions{
-		Config: distrib.Config{N: cfg.N, StoreURL: url},
-		Lease:  time.Minute,
-	})
+	s := &experiments.Suite{
+		Config:  experiments.Config{N: n, Workers: width, CacheDir: dir, ArtifactDir: dir},
+		Context: ctx,
+	}
+	defer addFaults(fs, s)
+	coord := distrib.NewCoordinator(s, distrib.CoordinatorOptions{StoreURL: url, Lease: time.Minute})
 	defer coord.Close()
 	// An interrupt stops the workers claiming, so it also closes the
 	// coordinator: queued batches fail back to the suite, whose cancelled
 	// context settles them at once, and Require returns instead of
 	// waiting on work nobody will claim.
-	defer context.AfterFunc(cfg.Context, coord.Close)()
+	defer context.AfterFunc(ctx, coord.Close)()
 	mux := http.NewServeMux()
 	mux.Handle("/api/", coord.Handler())
 	mux.Handle("/", storeHandler)
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	defer srv.Close()
+	if err := s.CacheError(); err != nil {
+		return DistributedLane{}, err
+	}
 
-	wctx, cancel := context.WithCancel(cfg.Context)
+	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
 	for i := 0; i < nw; i++ {
@@ -186,15 +189,6 @@ func runDistributedLane(cfg Config, fs *experiments.FaultStats, cells []experime
 		}(i)
 	}
 
-	s := experiments.NewSuite(cfg.N)
-	s.Context = cfg.Context
-	s.Workers = width
-	s.CacheDir, s.ArtifactDir = dir, dir
-	s.Remote = coord
-	defer addFaults(fs, s)
-	if err := s.CacheError(); err != nil {
-		return DistributedLane{}, err
-	}
 	start := time.Now()
 	reqErr := s.Require(cells...)
 	wall := time.Since(start)

@@ -42,27 +42,18 @@ type Report struct {
 	// normally fault-free — the block exists so CI can assert that and so
 	// faulted diagnostics runs are self-describing.
 	Faults *experiments.FaultStats `json:"faults,omitempty"`
-	// Interrupted marks a report cut short by SIGINT/SIGTERM (Config.
-	// Context): the lanes present are valid, the ladder is partial.
+	// Interrupted marks a report cut short by SIGINT/SIGTERM (Measure's
+	// ctx): the lanes present are valid, the ladder is partial.
 	Interrupted bool `json:"interrupted,omitempty"`
 }
 
-// Config selects the measurement.
-type Config struct {
-	// Context, when non-nil, lets the caller cancel the run (SIGINT/SIGTERM
-	// in acic-bench). Cancellation yields a partial Report with Interrupted
-	// set, not an error; the caller decides the exit code.
-	Context context.Context
-	N       int // trace length (0 = experiments.DefaultTraceLen)
-}
-
-// Measure runs the distributed sweep and returns its report.
-func Measure(cfg Config) (*Report, error) {
-	if cfg.Context == nil {
-		cfg.Context = context.Background()
-	}
-	if cfg.N <= 0 {
-		cfg.N = experiments.DefaultTraceLen()
+// Measure runs the distributed sweep over n-instruction workloads (0 =
+// experiments.DefaultTraceLen) and returns its report. Cancelling ctx
+// (SIGINT/SIGTERM in acic-bench) yields a partial Report with Interrupted
+// set, not an error; the caller decides the exit code.
+func Measure(ctx context.Context, n int) (*Report, error) {
+	if n <= 0 {
+		n = experiments.DefaultTraceLen()
 	}
 	rep := &Report{
 		GoVersion:  runtime.Version(),
@@ -70,11 +61,11 @@ func Measure(cfg Config) (*Report, error) {
 		GOARCH:     runtime.GOARCH,
 		HostCPUs:   runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		N:          cfg.N,
+		N:          n,
 		Faults:     &experiments.FaultStats{},
 	}
-	sweep, err := measureDistributedSweep(cfg, rep.Faults)
-	if cfg.Context.Err() != nil {
+	sweep, err := measureDistributedSweep(ctx, n, rep.Faults)
+	if ctx.Err() != nil {
 		rep.Interrupted = true
 	} else if err != nil {
 		return nil, fmt.Errorf("perf: distributed sweep: %w", err)

@@ -93,7 +93,7 @@ func TestMeasureDistributedSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-lane simulation grids")
 	}
-	rep, err := Measure(Config{N: 20_000})
+	rep, err := Measure(context.Background(), 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,13 +156,13 @@ func TestReportFaultsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestMeasureInterrupted: a cancelled Config.Context yields a partial
+// TestMeasureInterrupted: a cancelled context yields a partial
 // report flagged interrupted — not an error — so the caller can flush it
 // before exiting 130.
 func TestMeasureInterrupted(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep, err := Measure(Config{Context: ctx, N: 20_000})
+	rep, err := Measure(ctx, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestDistributedLaneInterrupted(t *testing.T) {
 	cells := experiments.CrossCells([]string{"media-streaming"}, []string{"lru"}, "fdp")
 	done := make(chan error, 1)
 	go func() {
-		_, err := runDistributedLane(Config{Context: ctx, N: 20_000}, &experiments.FaultStats{},
+		_, err := runDistributedLane(ctx, 20_000, &experiments.FaultStats{},
 			cells, make([]cpu.Result, len(cells)), 1, 1)
 		done <- err
 	}()
@@ -211,7 +211,7 @@ func TestMeasureFaultsBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { faults.Install("") })
-	rep, err := Measure(Config{N: 20_000})
+	rep, err := Measure(context.Background(), 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}

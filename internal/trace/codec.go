@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -84,33 +83,41 @@ func WriteContainer(w io.Writer, name string, secs []Section) error {
 			return fmt.Errorf("trace: section %q payload %d bytes exceeds the reader's limit", s.Tag, len(s.Data))
 		}
 	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	if _, err := bw.Write(magic[:]); err != nil {
-		return err
-	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], codecVersion)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(name)))
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(secs)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(name); err != nil {
+	if err := writeHeader(w, name, len(secs)); err != nil {
 		return err
 	}
 	for _, s := range secs {
-		var sh [16]byte
-		copy(sh[0:4], s.Tag)
-		binary.LittleEndian.PutUint64(sh[4:12], uint64(len(s.Data)))
-		binary.LittleEndian.PutUint32(sh[12:16], crc32.ChecksumIEEE(s.Data))
-		if _, err := bw.Write(sh[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(s.Data); err != nil {
+		if err := writeSection(w, s.Tag, s.Data); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+// writeHeader writes the container header (magic, version, name length,
+// section count, name) in one Write.
+func writeHeader(w io.Writer, name string, nsec int) error {
+	hdr := make([]byte, 16, 16+len(name))
+	copy(hdr, magic[:])
+	binary.LittleEndian.PutUint32(hdr[4:8], codecVersion)
+	binary.LittleEndian.PutUint32(hdr[8:12], uint32(len(name)))
+	binary.LittleEndian.PutUint32(hdr[12:16], uint32(nsec))
+	_, err := w.Write(append(hdr, name...))
+	return err
+}
+
+// writeSection writes one section's 16-byte header and then its payload,
+// straight to w: no copy of the payload and no write buffer.
+func writeSection(w io.Writer, tag string, data []byte) error {
+	var sh [16]byte
+	copy(sh[0:4], tag)
+	binary.LittleEndian.PutUint64(sh[4:12], uint64(len(data)))
+	binary.LittleEndian.PutUint32(sh[12:16], crc32.ChecksumIEEE(data))
+	if _, err := w.Write(sh[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(data)
+	return err
 }
 
 // MaxSections is the most sections a container may hold; the reader

@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -234,7 +232,6 @@ func packedCount(data []byte) (count uint64, n int, err error) {
 // renames into place).
 type ContainerWriter struct {
 	ws   io.WriteSeeker
-	bw   *bufio.Writer
 	nsec uint32
 	err  error
 }
@@ -249,21 +246,10 @@ func NewContainerWriter(ws io.WriteSeeker, name string) (*ContainerWriter, error
 	if len(name) > 1<<16 {
 		return nil, fmt.Errorf("trace: container name %d bytes exceeds the reader's %d limit", len(name), 1<<16)
 	}
-	bw := bufio.NewWriterSize(ws, 1<<20)
-	if _, err := bw.Write(magic[:]); err != nil {
+	if err := writeHeader(ws, name, 0); err != nil { // count patched by Close
 		return nil, err
 	}
-	var hdr [12]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], codecVersion)
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(name)))
-	binary.LittleEndian.PutUint32(hdr[8:12], 0) // patched by Close
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	if _, err := bw.WriteString(name); err != nil {
-		return nil, err
-	}
-	return &ContainerWriter{ws: ws, bw: bw}, nil
+	return &ContainerWriter{ws: ws}, nil
 }
 
 // WriteSection appends one tagged section.
@@ -281,15 +267,7 @@ func (cw *ContainerWriter) WriteSection(tag string, data []byte) error {
 		cw.err = fmt.Errorf("trace: section count exceeds the reader's %d limit", MaxSections)
 		return cw.err
 	}
-	var sh [16]byte
-	copy(sh[0:4], tag)
-	binary.LittleEndian.PutUint64(sh[4:12], uint64(len(data)))
-	binary.LittleEndian.PutUint32(sh[12:16], crc32.ChecksumIEEE(data))
-	if _, err := cw.bw.Write(sh[:]); err != nil {
-		cw.err = err
-		return err
-	}
-	if _, err := cw.bw.Write(data); err != nil {
+	if err := writeSection(cw.ws, tag, data); err != nil {
 		cw.err = err
 		return err
 	}
@@ -297,15 +275,11 @@ func (cw *ContainerWriter) WriteSection(tag string, data []byte) error {
 	return nil
 }
 
-// Close flushes buffered sections and patches the section count into the
-// header, leaving the stream positioned at the end of the container.
+// Close patches the section count into the header, leaving the stream
+// positioned at the end of the container.
 func (cw *ContainerWriter) Close() error {
 	if cw.err != nil {
 		return cw.err
-	}
-	if err := cw.bw.Flush(); err != nil {
-		cw.err = err
-		return err
 	}
 	if _, err := cw.ws.Seek(nsecOffset, io.SeekStart); err != nil {
 		cw.err = err

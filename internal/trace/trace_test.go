@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -226,6 +230,53 @@ func TestContainerRoundTrip(t *testing.T) {
 	}
 	if _, ok := FindSection(got, SecNextAt); ok {
 		t.Error("FindSection found an absent tag")
+	}
+}
+
+// TestContainerWritersAllocateByPayload: writing a small container costs
+// bytes in proportion to what it writes, not a fixed write buffer, on
+// both writers.
+func TestContainerWritersAllocateByPayload(t *testing.T) {
+	secs := []Section{{Tag: SecDesc, Data: make([]byte, 64)}, {Tag: SecBlocks, Data: make([]byte, 64)}}
+	f, err := os.Create(filepath.Join(t.TempDir(), "c.actr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	const runs = 50
+	const bound = 4 << 10 // bytes per call
+	for _, tc := range []struct {
+		name  string
+		write func() error
+	}{
+		{"WriteContainer", func() error { return WriteContainer(io.Discard, "small", secs) }},
+		{"ContainerWriter", func() error {
+			if _, err := f.Seek(0, io.SeekStart); err != nil {
+				return err
+			}
+			cw, err := NewContainerWriter(f, "small")
+			if err != nil {
+				return err
+			}
+			for _, s := range secs {
+				if err := cw.WriteSection(s.Tag, s.Data); err != nil {
+					return err
+				}
+			}
+			return cw.Close()
+		}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			if err := tc.write(); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > bound {
+			t.Errorf("%s allocates %d bytes per small container, want <= %d", tc.name, per, bound)
+		}
 	}
 }
 
