@@ -29,8 +29,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -42,34 +44,52 @@ import (
 	"acic/internal/experiments/engine"
 )
 
-func main() {
-	var (
-		exp      = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		listen   = flag.String("listen", "127.0.0.1:0", "address serving the coordinator API and the shared store (port 0 = ephemeral, printed at startup)")
-		storeDir = flag.String("store-dir", "", "shared store directory served to workers (empty = scratch, removed at exit)")
-		storeURL = flag.String("store-url", "", "external shared store URL for coordinator and workers (empty = serve -store-dir on -listen)")
-		lease    = flag.Duration("lease", 30*time.Second, "batch lease: a claimed batch unreported past this is requeued to another worker")
-		requeues = flag.Int("max-requeues", 3, "per-batch requeue budget (lease expiries + transient failures) before its cells run locally")
-		noWorker = flag.Duration("no-worker-timeout", 0, "fall back to local execution when no worker has made contact for this long (0 = wait forever)")
-		localW   = flag.Int("local-workers", 0, "spawn this many in-process workers (a self-contained distributed run)")
-		sim      = cliutil.RegisterRun(flag.CommandLine)
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "acic-coord: "+format+"\n", args...)
-		os.Exit(1)
+// run is the whole command: it parses args, writes the rendered
+// experiments to stdout and diagnostics to stderr, and returns the process
+// exit code, so every exit path runs the deferred cleanup (the scratch
+// store's removal among it).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acic-coord", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		exp      = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		listen   = fs.String("listen", "127.0.0.1:0", "address serving the coordinator API and the shared store (port 0 = ephemeral, printed at startup)")
+		storeDir = fs.String("store-dir", "", "shared store directory served to workers (empty = scratch, removed at exit)")
+		storeURL = fs.String("store-url", "", "external shared store URL for coordinator and workers (empty = serve -store-dir on -listen)")
+		lease    = fs.Duration("lease", 30*time.Second, "batch lease: a claimed batch unreported past this is requeued to another worker")
+		requeues = fs.Int("max-requeues", 3, "per-batch requeue budget (lease expiries + transient failures) before its cells run locally")
+		noWorker = fs.Duration("no-worker-timeout", 0, "fall back to local execution when no worker has made contact for this long (0 = wait forever)")
+		localW   = fs.Int("local-workers", 0, "spawn this many in-process workers (a self-contained distributed run)")
+		sim      = cliutil.RegisterRun(fs)
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "acic-coord: "+format+"\n", args...)
+		return 1
+	}
+	// The coordinator's suite reads and writes the shared store, so a
+	// separate artifact directory would be overwritten, not used.
+	if sim.ArtifactDir != "" {
+		return fail("-artifact-dir (or ACIC_ARTIFACT_DIR) is not used here: give the shared store with -store-dir or -store-url")
 	}
 	if err := sim.Validate(); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if err := sim.InstallFaults(); err != nil {
-		fail("-fault-spec: %v", err)
+		return fail("-fault-spec: %v", err)
 	}
 	selected, err := cliutil.Experiments(*exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	ctx, stopSignals := cliutil.InterruptContext()
@@ -81,7 +101,7 @@ func main() {
 	if *storeURL == "" && dir == "" {
 		scratch, err := os.MkdirTemp("", "acic-coord-store-*")
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		defer os.RemoveAll(scratch)
 		dir = scratch
@@ -91,14 +111,14 @@ func main() {
 	if *storeURL == "" {
 		storeHandler, err := engine.NewStoreHandler(dir)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		mux.Handle("/", storeHandler)
 	}
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fail("-listen %s: %v", *listen, err)
+		return fail("-listen %s: %v", *listen, err)
 	}
 	selfURL := "http://" + ln.Addr().String()
 	advertised := *storeURL
@@ -132,14 +152,15 @@ func main() {
 	// CacheError spins up the engine (resolving -n 0) before any worker
 	// can fetch the config.
 	if err := suite.CacheError(); err != nil {
-		fail("%v", err)
+		ln.Close()
+		return fail("%v", err)
 	}
 	mux.Handle("/api/", coord.Handler())
 
 	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln)
 	defer srv.Close()
-	fmt.Fprintf(os.Stderr, "acic-coord: serving %s (store %s)\n", selfURL, advertised)
+	fmt.Fprintf(stderr, "acic-coord: serving %s (store %s)\n", selfURL, advertised)
 
 	var workers sync.WaitGroup
 	for i := 0; i < *localW; i++ {
@@ -149,16 +170,16 @@ func main() {
 			opts := distrib.WorkerOptions{Coord: selfURL, Workers: sim.Workers, Name: fmt.Sprintf("local-%d", i)}
 			if sim.Progress {
 				opts.Log = func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
+					fmt.Fprintf(stderr, format+"\n", args...)
 				}
 			}
 			if err := distrib.RunWorker(ctx, opts); err != nil && ctx.Err() == nil {
-				fmt.Fprintf(os.Stderr, "acic-coord: local worker %d: %v\n", i, err)
+				fmt.Fprintf(stderr, "acic-coord: local worker %d: %v\n", i, err)
 			}
 		}(i)
 	}
 
-	outcome := cliutil.Render(ctx, "acic-coord", suite, selected, os.Stdout, os.Stderr)
+	outcome := cliutil.Render(ctx, "acic-coord", suite, selected, stdout, stderr)
 
 	// Rendering is done: release the workers, then wait for the local
 	// ones so their completions (and logs) finish before we report.
@@ -174,16 +195,14 @@ func main() {
 
 	if sim.Progress {
 		computed, fromCache, workloads := suite.Stats()
-		fmt.Fprintf(os.Stderr, "computed %d cells locally, %d from shared store, %d workloads prepared\n",
+		fmt.Fprintf(stderr, "computed %d cells locally, %d from shared store, %d workloads prepared\n",
 			computed, fromCache, workloads)
 		st := coord.Stats()
-		fmt.Fprintf(os.Stderr, "distrib: %d batches (%d claimed, %d requeued), %d cells completed remotely, %d fell back local\n",
+		fmt.Fprintf(stderr, "distrib: %d batches (%d claimed, %d requeued), %d cells completed remotely, %d fell back local\n",
 			st.Batches, st.Claimed, st.Requeued, st.Completed, st.LocalFell)
 		if fs := suite.FaultStats(); sim.FaultSpec != "" || fs.Any() {
-			fmt.Fprintln(os.Stderr, fs)
+			fmt.Fprintln(stderr, fs)
 		}
 	}
-	if code := outcome.ExitCode("acic-coord", os.Stderr); code != 0 {
-		os.Exit(code)
-	}
+	return outcome.ExitCode("acic-coord", stderr)
 }

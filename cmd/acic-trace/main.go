@@ -32,6 +32,7 @@ import (
 
 	"acic/cmd/internal/cliutil"
 	"acic/internal/analysis"
+	"acic/internal/cache"
 	"acic/internal/experiments"
 	"acic/internal/experiments/engine"
 	"acic/internal/faults"
@@ -349,9 +350,8 @@ func characterize(tr *trace.Trace) {
 	}
 	fmt.Print(t.String())
 
-	refs := analysis.InstBlockRefs(tr)
-	dists := analysis.ReuseDistances(refs)
-	fr := analysis.Distribution(dists, analysis.Fig1aEdges)
+	blocks := tr.BlockAccesses()
+	fr := analysis.InstReuseProfile(blocks, tr.RunLengths(), analysis.Fig1aEdges, cache.SampleFilter{}).Dist
 	labels := []string{"0", "1-16", "16-512", "512-1024", "1024-10000", ">10000"}
 	rt := &stats.Table{Header: []string{"reuse distance", "fraction"}}
 	for i, f := range fr {
@@ -359,7 +359,7 @@ func characterize(tr *trace.Trace) {
 	}
 	fmt.Print(rt.String())
 
-	bs := analysis.Bursts(tr.BlockAccesses(), 16)
+	bs := analysis.Bursts(blocks, 16)
 	fmt.Printf("bursts: %d, mean length %.2f accesses, %.1f%% of accesses intra-burst\n",
 		bs.Bursts, bs.MeanLength, bs.FracInBurst*100)
 }

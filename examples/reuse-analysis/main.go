@@ -11,6 +11,7 @@ import (
 	"os"
 
 	"acic/internal/analysis"
+	"acic/internal/cache"
 	"acic/internal/stats"
 	"acic/internal/workload"
 )
@@ -26,20 +27,18 @@ func main() {
 	}
 	tr := workload.Generate(prof, 300_000)
 
-	refs := analysis.InstBlockRefs(tr)
-	dists := analysis.ReuseDistances(refs)
-	fr := analysis.Distribution(dists, analysis.Fig1aEdges)
+	blocks := tr.BlockAccesses()
+	reuse := analysis.InstReuseProfile(blocks, tr.RunLengths(), analysis.Fig1aEdges, cache.SampleFilter{})
 
 	labels := []string{"0", "1-16", "16-512", "512-1024", "1024-10000", ">10000"}
 	tbl := &stats.Table{Header: []string{"reuse distance", "fraction"}}
-	for i, f := range fr {
+	for i, f := range reuse.Dist {
 		tbl.AddRow(labels[i], stats.Percent(f))
 	}
 	fmt.Printf("%s reuse-distance distribution (Fig 1a granularity):\n%s\n", app, tbl.String())
 
-	chain := analysis.MarkovChain(refs, analysis.Fig1aEdges)
 	mt := &stats.Table{Header: append([]string{"from\\to"}, labels...)}
-	for i, row := range chain {
+	for i, row := range reuse.Chain {
 		cells := []any{labels[i]}
 		for _, p := range row {
 			cells = append(cells, fmt.Sprintf("%.3f", p))
@@ -48,7 +47,7 @@ func main() {
 	}
 	fmt.Printf("reuse-distance Markov chain (Fig 1b):\n%s\n", mt.String())
 
-	bs := analysis.Bursts(tr.BlockAccesses(), 16)
+	bs := analysis.Bursts(blocks, 16)
 	fmt.Printf("bursts at the i-Filter threshold (16): %d bursts, mean length %.2f block accesses, %.1f%% of accesses intra-burst\n",
 		bs.Bursts, bs.MeanLength, 100*bs.FracInBurst)
 }

@@ -7,21 +7,8 @@ package analysis
 
 import (
 	"acic/internal/cache"
-	"acic/internal/trace"
+	"acic/internal/flat"
 )
-
-// InstBlockRefs returns one block reference per dynamic instruction. This
-// is the granularity of Fig 1a/1b: consecutive instructions in the same
-// block are distance-0 re-references (the "spatial locality" bucket that
-// dominates with ~85% of accesses), while the cache simulators operate on
-// the collapsed sequence (trace.Trace.BlockAccesses).
-func InstBlockRefs(tr *trace.Trace) []uint64 {
-	out := make([]uint64, len(tr.Insts))
-	for i := range tr.Insts {
-		out[i] = tr.Insts[i].Block()
-	}
-	return out
-}
 
 // InfiniteDistance marks a first-ever access to a block (no previous use).
 const InfiniteDistance = int64(1) << 62
@@ -55,12 +42,13 @@ func ReuseDistances(blocks []uint64) []int64 {
 	return out
 }
 
-// fenwick is a 1-indexed binary indexed tree over positions.
-type fenwick struct{ tree []int }
+// fenwick is a 1-indexed binary indexed tree over positions. A node
+// counts marked positions, so int32 holds any sequence shorter than 2^31.
+type fenwick struct{ tree []int32 }
 
-func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int, n+1)} }
+func newFenwick(n int) *fenwick { return &fenwick{tree: make([]int32, n+1)} }
 
-func (f *fenwick) add(i, delta int) {
+func (f *fenwick) add(i int, delta int32) {
 	for ; i < len(f.tree); i += i & (-i) {
 		f.tree[i] += delta
 	}
@@ -69,7 +57,7 @@ func (f *fenwick) add(i, delta int) {
 func (f *fenwick) prefix(i int) int {
 	s := 0
 	for ; i > 0; i -= i & (-i) {
-		s += f.tree[i]
+		s += int(f.tree[i])
 	}
 	return s
 }
@@ -119,44 +107,112 @@ func Distribution(dists []int64, edges []int64) []float64 {
 	return out
 }
 
-// MarkovChain counts transitions between consecutive reuse-distance buckets
-// of the same block (Fig 1b). Row i gives the conditional distribution of
-// the next reuse-distance bucket, given the current access's bucket is i.
-func MarkovChain(blocks []uint64, edges []int64) [][]float64 {
-	return markovFromDists(blocks, ReuseDistances(blocks), edges)
+// InstReuse is the reuse profile at instruction granularity, the
+// granularity of Fig 1a/1b: every instruction is one reference to its
+// block, so consecutive instructions in the same block are distance-0
+// re-references (the "spatial locality" bucket that dominates with ~85%
+// of references).
+type InstReuse struct {
+	// Dist is the Fig 1a distribution: per-bucket fractions over all
+	// finite-distance references (first references are folded out).
+	Dist []float64
+	// Chain is the Fig 1b Markov chain: row i is the distribution of a
+	// block's next reference's bucket, given its current one is in i.
+	Chain [][]float64
 }
 
-// markovFromDists is MarkovChain over precomputed (possibly estimated)
-// distances aligned with blocks.
-func markovFromDists(blocks []uint64, dists []int64, edges []int64) [][]float64 {
-	n := len(edges) + 1
-	counts := make([][]uint64, n)
-	for i := range counts {
-		counts[i] = make([]uint64, n)
+// InstReuseProfile computes the instruction-granularity reuse profile from
+// the collapsed block-access sequence the simulators run on (blocks) and
+// each access's run length (runs[i] consecutive instructions in blocks[i],
+// at least 1), without expanding the per-instruction stream: the first
+// reference of a run has the collapsed sequence's stack distance (repeats
+// add no distinct block in between), and its runs[i]-1 repeats are
+// distance 0. Under an enabled filter only sampled blocks are referenced
+// and each distance is the sampled-unique count scaled by the stride
+// (unique blocks spread uniformly over constituencies, so sampled-unique
+// × stride is an unbiased estimate of the true count); a run split by
+// unsampled blocks then continues at distance 0. Counts, and so
+// fractions, equal those of bucketing every instruction's reference.
+func InstReuseProfile(blocks []uint64, runs []int32, edges []int64, f cache.SampleFilter) InstReuse {
+	nb := len(edges) + 1
+	zero := BucketIndex(0, edges)
+	counts := make([]uint64, nb)
+	trans := make([]uint64, nb*nb)
+	var total uint64
+
+	sampled := 0
+	for _, b := range blocks {
+		if f.Sampled(b) {
+			sampled++
+		}
 	}
-	prevBucket := make(map[uint64]int)
+	scale := int64(f.Stride())
+	bit := newFenwick(sampled + 1)
+	ids := flat.NewTable(1024) // block -> dense id + 1
+	var last []int32           // per id: latest sampled position
+	var prev []int32           // per id: bucket of the latest finite-distance reference, -1 before one
+	k := 0
 	for i, b := range blocks {
-		if dists[i] == InfiniteDistance {
+		if !f.Sampled(b) {
 			continue
 		}
-		cur := BucketIndex(dists[i], edges)
-		if prev, ok := prevBucket[b]; ok {
-			counts[prev][cur]++
+		cur := -1 // bucket of the run's first reference; -1 on a first access
+		id := ids.Get(b) - 1
+		if id < 0 {
+			id = int32(len(last))
+			ids.Put(b, id+1)
+			last = append(last, 0)
+			prev = append(prev, -1)
+		} else {
+			// Marked positions strictly between the previous access j
+			// and k are the latest accesses of the distinct blocks
+			// referenced in between.
+			j := int(last[id])
+			cur = BucketIndex(int64(bit.rangeSum(j+1, k-1))*scale, edges)
+			counts[cur]++
+			total++
+			if p := prev[id]; p >= 0 {
+				trans[int(p)*nb+cur]++
+			}
+			bit.add(j+1, -1)
 		}
-		prevBucket[b] = cur
+		bit.add(k+1, 1)
+		last[id] = int32(k)
+		k++
+		if repeats := uint64(runs[i] - 1); repeats > 0 {
+			counts[zero] += repeats
+			total += repeats
+			// A first access has no finite bucket to leave from: its
+			// first repeat only starts the block's chain.
+			if cur >= 0 {
+				trans[cur*nb+zero]++
+			}
+			trans[zero*nb+zero] += repeats - 1
+			cur = zero
+		}
+		if cur >= 0 {
+			prev[id] = int32(cur)
+		}
 	}
-	out := make([][]float64, n)
-	for i := range counts {
-		out[i] = make([]float64, n)
-		var row uint64
-		for _, c := range counts[i] {
-			row += c
+
+	out := InstReuse{Dist: make([]float64, nb), Chain: make([][]float64, nb)}
+	if total > 0 {
+		for i, c := range counts {
+			out.Dist[i] = float64(c) / float64(total)
 		}
-		if row == 0 {
+	}
+	for i := range out.Chain {
+		out.Chain[i] = make([]float64, nb)
+		row := trans[i*nb : (i+1)*nb]
+		var sum uint64
+		for _, c := range row {
+			sum += c
+		}
+		if sum == 0 {
 			continue
 		}
-		for j, c := range counts[i] {
-			out[i][j] = float64(c) / float64(row)
+		for j, c := range row {
+			out.Chain[i][j] = float64(c) / float64(sum)
 		}
 	}
 	return out
@@ -235,19 +291,43 @@ func NextUseArray(blocks []uint64) []int64 {
 
 // NextUseOracle answers "when is block b next accessed strictly after
 // time t" over a fixed block-access sequence; it powers OPT replacement
-// (Belady) and OPT bypass.
+// (Belady) and OPT bypass. It is a compressed-sparse-row index: every
+// distinct block is one row, and row r's access positions, ascending,
+// are pos[start[r]:start[r+1]].
 type NextUseOracle struct {
-	positions map[uint64][]int32
+	rows  *flat.Table // block -> row + 1
+	start []int32
+	pos   []int32
 }
 
-// NewNextUseOracle indexes the block-access sequence. Sequences longer than
-// 2^31 accesses are not supported (far beyond any simulated trace here).
+// NewNextUseOracle indexes the block-access sequence: one counting pass
+// sizes the rows and one fill pass writes every position in order.
+// Sequences longer than 2^31 accesses are not supported (far beyond any
+// simulated trace here).
 func NewNextUseOracle(blocks []uint64) *NextUseOracle {
-	pos := make(map[uint64][]int32, 1024)
-	for i, b := range blocks {
-		pos[b] = append(pos[b], int32(i))
+	rows := flat.NewTable(1024)
+	// start[r+1] counts row r's accesses until the prefix sum below.
+	start := make([]int32, 1, 1025)
+	for _, b := range blocks {
+		r := rows.Get(b)
+		if r == 0 {
+			start = append(start, 0)
+			r = int32(len(start) - 1)
+			rows.Put(b, r)
+		}
+		start[r]++
 	}
-	return &NextUseOracle{positions: pos}
+	for r := 1; r < len(start); r++ {
+		start[r] += start[r-1]
+	}
+	next := append([]int32(nil), start[:len(start)-1]...)
+	pos := make([]int32, len(blocks))
+	for i, b := range blocks {
+		r := rows.Get(b) - 1
+		pos[next[r]] = int32(i)
+		next[r]++
+	}
+	return &NextUseOracle{rows: rows, start: start, pos: pos}
 }
 
 // NextUse returns the access index of the first access to block strictly
@@ -255,7 +335,11 @@ func NewNextUseOracle(blocks []uint64) *NextUseOracle {
 // is hand-rolled: sort.Search costs a closure call per probe, and this
 // query sits on the prefetch-fill path of the oracle schemes.
 func (o *NextUseOracle) NextUse(block uint64, after int64) int64 {
-	ps := o.positions[block]
+	r := o.rows.Get(block)
+	if r == 0 {
+		return cache.NeverUsed
+	}
+	ps := o.pos[o.start[r-1]:o.start[r]]
 	lo, hi := 0, len(ps)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)

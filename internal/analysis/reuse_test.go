@@ -110,10 +110,12 @@ func TestBucketIndex(t *testing.T) {
 func TestMarkovChainRowsSumToOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	blocks := make([]uint64, 5000)
+	runs := make([]int32, len(blocks))
 	for i := range blocks {
 		blocks[i] = uint64(rng.Intn(40))
+		runs[i] = int32(1 + rng.Intn(4))
 	}
-	chain := MarkovChain(blocks, Fig1aEdges)
+	chain := InstReuseProfile(blocks, runs, Fig1aEdges, cache.SampleFilter{}).Chain
 	for i, row := range chain {
 		sum := 0.0
 		for _, p := range row {

@@ -6,7 +6,8 @@ import "acic/internal/cache"
 // quick-look lane runs them over the sampled set constituencies only and
 // scales the unique-block counts back up by the stride, the same
 // methodology the sampled simulator applies to miss counters
-// (DESIGN.md §10). The full-analysis functions remain the reference.
+// (DESIGN.md §10). The full-analysis functions remain the reference;
+// InstReuseProfile takes the filter itself.
 
 // SampleRefs filters a block-reference sequence down to the sampled
 // constituencies. With the zero filter it returns the input unchanged.
@@ -23,50 +24,21 @@ func SampleRefs(blocks []uint64, f cache.SampleFilter) []uint64 {
 	return out
 }
 
-// SampledReuseDistances estimates the LRU stack distances of the sampled
-// accesses: the unique blocks observed between consecutive uses within
-// the sampled constituencies, scaled by the stride (unique blocks are
-// spread uniformly over constituencies, so sampled-unique × stride is an
-// unbiased estimate of true uniques). Distance 0 — the dominant
-// same-block spatial bucket — is preserved exactly for runs with no
-// intervening sampled block. With the zero filter this is exactly
-// ReuseDistances.
-func SampledReuseDistances(blocks []uint64, f cache.SampleFilter) []int64 {
-	dists := ReuseDistances(SampleRefs(blocks, f))
-	if f.Enabled() {
-		scale := int64(f.Stride())
-		for i, d := range dists {
-			if d != InfiniteDistance {
-				dists[i] = d * scale
-			}
-		}
-	}
-	return dists
-}
-
 // SampledMissRatioCurve estimates the fully-associative LRU miss-ratio
 // curve from the sampled constituencies (cf. MissRatioCurve): an access
-// hits a capacity-C cache iff its estimated stack distance is below C.
+// hits a capacity-C cache iff its estimated stack distance — the unique
+// blocks observed between consecutive uses within the sampled
+// constituencies, scaled by the stride — is below C.
 func SampledMissRatioCurve(blocks []uint64, capacities []int, f cache.SampleFilter) []float64 {
 	if !f.Enabled() {
 		return MissRatioCurve(blocks, capacities)
 	}
-	return missRatioFromDists(SampledReuseDistances(blocks, f), capacities)
-}
-
-// SampledMarkovChain estimates the Fig 1b reuse-distance Markov chain
-// from the sampled constituencies, bucketing the scaled distances.
-func SampledMarkovChain(blocks []uint64, edges []int64, f cache.SampleFilter) [][]float64 {
-	if !f.Enabled() {
-		return MarkovChain(blocks, edges)
-	}
-	refs := SampleRefs(blocks, f)
-	dists := ReuseDistances(refs)
+	dists := ReuseDistances(SampleRefs(blocks, f))
 	scale := int64(f.Stride())
 	for i, d := range dists {
 		if d != InfiniteDistance {
 			dists[i] = d * scale
 		}
 	}
-	return markovFromDists(refs, dists, edges)
+	return missRatioFromDists(dists, capacities)
 }

@@ -123,23 +123,20 @@ func (b *ProgramBuilder) Finish() *Program {
 	return p
 }
 
-// BlockRefs expands the per-instruction block-reference sequence from the
-// descriptor stream and the collapsed Blocks array: instructions that open
-// a block access advance through Blocks, the rest repeat the current
-// block. For a batch-built Program this equals analysis.InstBlockRefs of
-// the source trace; it exists so the figure analyses that need
-// instruction-granularity references (Fig 1a/1b) work on streamed
-// Programs, which do not retain Inst records.
-func (p *Program) BlockRefs() []uint64 {
-	out := make([]uint64, len(p.Desc))
+// RunLengths returns, for each access of the collapsed Blocks sequence,
+// the number of consecutive instructions it covers, read from the
+// descriptors' block-opening bits. For a batch-built Program this equals
+// the source trace's RunLengths. With Blocks it is all the Fig 1a/1b
+// analyses need of the instruction-granularity references, so they run
+// on Programs that hold no Inst records.
+func (p *Program) RunLengths() []int32 {
+	out := make([]int32, len(p.Blocks))
 	bi := -1
-	var cur uint64
-	for i, d := range p.Desc {
+	for _, d := range p.Desc {
 		if d&descNewBlock != 0 {
 			bi++
-			cur = p.Blocks[bi]
 		}
-		out[i] = cur
+		out[bi]++
 	}
 	return out
 }

@@ -73,21 +73,18 @@ func TestProgramBuilderEmpty(t *testing.T) {
 	}
 }
 
-// TestBlockRefsMatchesInstBlockRefs checks the descriptor-expanded
-// per-instruction reference sequence against the trace-derived one the
-// figures used to compute directly.
-func TestBlockRefsMatchesInstBlockRefs(t *testing.T) {
+// TestRunLengthsMatchTrace checks the descriptor-derived run lengths
+// against the source trace's: with Blocks they are all the Fig 1a/1b
+// analyses read of the per-instruction reference stream.
+func TestRunLengthsMatchTrace(t *testing.T) {
 	prof, _ := workload.ByName("sibench")
 	tr := workload.Generate(prof, 20000)
 	p := NewProgram(tr, branch.NewFrontEnd().Annotate(tr))
-	got := p.BlockRefs()
-	if len(got) != len(tr.Insts) {
-		t.Fatalf("BlockRefs length %d", len(got))
+	if !equal(p.Blocks, tr.BlockAccesses()) {
+		t.Fatalf("Blocks differ from the trace's %d block accesses", len(tr.BlockAccesses()))
 	}
-	for i := range tr.Insts {
-		if got[i] != tr.Insts[i].Block() {
-			t.Fatalf("ref %d: %#x, want %#x", i, got[i], tr.Insts[i].Block())
-		}
+	if got, want := p.RunLengths(), tr.RunLengths(); !equal(got, want) {
+		t.Fatalf("RunLengths: %d runs, want %d (or a length differs)", len(got), len(want))
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -205,6 +206,34 @@ func TestFig1aShape(t *testing.T) {
 	// leading percentage in the first data column.
 	if !strings.Contains(out, "media-streaming  8") && !strings.Contains(out, "media-streaming  7") && !strings.Contains(out, "media-streaming  9") {
 		t.Errorf("Fig 1a spatial bucket not dominant:\n%s", out)
+	}
+}
+
+// TestFig1aAllocatesPerBlockAccess: Fig 1a reads the collapsed block
+// sequence and its run lengths, so its allocation grows with the block
+// accesses (about 15 B each here), not with the instructions. Expanding
+// the per-instruction stream alone costs 8 B per instruction, about 60 B
+// per block access.
+func TestFig1aAllocatesPerBlockAccess(t *testing.T) {
+	s := smallSuite(t)
+	s.Workers = 1
+	if err := s.PrepareAll(s.AppNames()...); err != nil {
+		t.Fatal(err)
+	}
+	accesses := 0
+	for _, app := range s.AppNames() {
+		accesses += len(s.wl(app).Blocks)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Fig1a(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Fig1a allocated %d B for %d block accesses (%.1f B each)", alloc, accesses, float64(alloc)/float64(accesses))
+	if alloc > uint64(20*accesses) {
+		t.Errorf("Fig1a allocated %d B, want at most 20 B for each of %d block accesses", alloc, accesses)
 	}
 }
 

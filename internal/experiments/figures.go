@@ -29,11 +29,7 @@ func (s *Suite) Fig1a() (*stats.Table, error) {
 	}
 	rows := make([][6]float64, len(apps))
 	err := s.each(len(apps), func(i int) error {
-		w := s.wl(apps[i])
-		refs := w.Prog.BlockRefs()
-		dists := analysis.SampledReuseDistances(refs, s.sampleFilter(apps[i]))
-		fr := analysis.Distribution(dists, analysis.Fig1aEdges)
-		copy(rows[i][:], fr)
+		copy(rows[i][:], s.instReuse(s.wl(apps[i]), apps[i]).Dist)
 		return nil
 	})
 	if err != nil {
@@ -48,6 +44,13 @@ func (s *Suite) Fig1a() (*stats.Table, error) {
 	return t, nil
 }
 
+// instReuse is app's instruction-granularity reuse profile, computed over
+// the collapsed block sequence and its run lengths (under the lane's set
+// sampling, if any).
+func (s *Suite) instReuse(w *Workload, app string) analysis.InstReuse {
+	return analysis.InstReuseProfile(w.Blocks, w.Prog.RunLengths(), analysis.Fig1aEdges, s.sampleFilter(app))
+}
+
 // Fig1b returns the Markov chain of reuse-distance buckets for the named
 // app (media-streaming in the paper).
 func (s *Suite) Fig1b(app string) (*stats.Table, error) {
@@ -55,8 +58,7 @@ func (s *Suite) Fig1b(app string) (*stats.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	refs := w.Prog.BlockRefs()
-	chain := analysis.SampledMarkovChain(refs, analysis.Fig1aEdges, s.sampleFilter(app))
+	chain := s.instReuse(w, app).Chain
 	labels := []string{"0", "1-16", "16-512", "512-1024", "1024-10000", ">10000"}
 	t := &stats.Table{Header: append([]string{"from\\to"}, labels...)}
 	for i, row := range chain {

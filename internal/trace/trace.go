@@ -118,6 +118,24 @@ func (t *Trace) BlockAccesses() []uint64 {
 	return out
 }
 
+// RunLengths returns, for each access of BlockAccesses, the number of
+// consecutive instructions it collapses (at least 1): the run lengths
+// that recover the per-instruction reference stream from the collapsed
+// one.
+func (t *Trace) RunLengths() []int32 {
+	out := make([]int32, 0, len(t.Insts)/4+1)
+	var last uint64 = ^uint64(0)
+	for i := range t.Insts {
+		b := t.Insts[i].Block()
+		if b != last {
+			out = append(out, 0)
+			last = b
+		}
+		out[len(out)-1]++
+	}
+	return out
+}
+
 // Footprint returns the number of distinct instruction blocks in the trace.
 func (t *Trace) Footprint() int {
 	seen := make(map[uint64]struct{})

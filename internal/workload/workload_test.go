@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"acic/internal/analysis"
+	"acic/internal/cache"
 	"acic/internal/trace"
 )
 
@@ -152,8 +153,7 @@ func TestInstructionMix(t *testing.T) {
 func TestBurstinessShape(t *testing.T) {
 	p, _ := ByName("media-streaming")
 	tr := Generate(p, 120000)
-	refs := analysis.InstBlockRefs(tr)
-	fr := analysis.Distribution(analysis.ReuseDistances(refs), analysis.Fig1aEdges)
+	fr := analysis.InstReuseProfile(tr.BlockAccesses(), tr.RunLengths(), analysis.Fig1aEdges, cache.SampleFilter{}).Dist
 	if fr[0] < 0.7 {
 		t.Errorf("spatial bucket = %.2f, want > 0.7 (paper: ~0.85)", fr[0])
 	}
