@@ -83,10 +83,10 @@ func TestServeCellsRequestAllocs(t *testing.T) {
 
 // TestServeCellsUnknownAppsBounded sends 1,000 distinct unregistered
 // names — apps, schemes and prefetchers in turn: each answers with a
-// per-cell error, and none leaves a settled entry, a result-memo entry or
-// a workload-memo entry behind, so the daemon's per-name state stays
-// within the registries however many names clients invent. (The
-// breaker's per-key map still grows; it is not bounded here.)
+// per-cell error, and none leaves a settled entry, a result-memo entry, a
+// workload-memo entry or a circuit-breaker entry behind, so the daemon's
+// per-name state stays within the registries however many names clients
+// invent.
 func TestServeCellsUnknownAppsBounded(t *testing.T) {
 	suite := newTestSuite(t)
 	srv := newServer(suite, engine.NewBreaker(0, 0), 0)
@@ -118,6 +118,9 @@ func TestServeCellsUnknownAppsBounded(t *testing.T) {
 	}
 	if c, w := suite.MemoSizes(); c != cells || w != workloads {
 		t.Errorf("memos hold %d cells and %d workloads after 1,000 unknown names, want %d and %d", c, w, cells, workloads)
+	}
+	if b := srv.breaker.Len(); b > 1 {
+		t.Errorf("breaker holds %d entries after 1,000 unknown names, want at most 1", b)
 	}
 }
 

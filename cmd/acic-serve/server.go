@@ -305,7 +305,12 @@ func (s *server) cellOutcome(c experiments.Cell, key string, blocked bool) (out 
 		return out, false
 	}
 	res, err := s.suite.Result(c.App, c.Scheme, c.Prefetcher)
-	s.breaker.Record(key, err)
+	// A cell naming no registered app, scheme or prefetcher fails the
+	// same way every time at no cost, so it leaves no breaker entry: one
+	// per invented name would grow the breaker without bound.
+	if !experiments.IsUnknownName(err) {
+		s.breaker.Record(key, err)
+	}
 	if err != nil {
 		code := api.CodeCellError
 		if engine.IsTransient(err) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -211,14 +212,22 @@ func TestServeCellsCoalesce(t *testing.T) {
 	}
 }
 
-// TestServeBreakerTripsOnDeterministicCell: a cell that fails
-// deterministically (unknown scheme) trips its key after the threshold;
-// further queries answer circuit_open without touching the engine, and
-// the cooldown admits a probe.
+// TestServeBreakerTripsOnDeterministicCell: a registered cell that fails
+// deterministically (its suite's context is cancelled, so the cell fails
+// with the context error) trips its key after the threshold; further
+// queries answer circuit_open without touching the engine, and the
+// cooldown admits a probe. A cell naming an unknown scheme fails as
+// deterministically but never trips, since it leaves no breaker entry
+// (TestServeCellsUnknownAppsBounded).
 func TestServeBreakerTripsOnDeterministicCell(t *testing.T) {
 	breaker := engine.NewBreaker(2, time.Hour)
-	_, url := newTestServer(t, breaker, 0)
-	q := url + "/v1/cells?app=" + testApp + "&scheme=no-such-scheme"
+	suite := newTestSuite(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	suite.Context = ctx
+	ts := httptest.NewServer(newServer(suite, breaker, 0).handler())
+	t.Cleanup(ts.Close)
+	q := ts.URL + "/v1/cells?app=" + testApp + "&scheme=lru"
 	codes := make([]string, 3)
 	for i := range codes {
 		resp := get(t, q)

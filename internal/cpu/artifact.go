@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"slices"
 
 	"acic/internal/branch"
 	"acic/internal/mem"
@@ -17,8 +18,9 @@ import (
 // skipped. tr.Insts is either the n decoded records or nil: a Program
 // without them has no MemBlk, so its data-side timeline must be adopted
 // (AdoptDataLatencies), not replayed. The parts are validated against n
-// (lengths, block count, event bits, and descriptors free of level bits,
-// which DescBytes masks out) so a mismatched or stale artifact fails here
+// (lengths, block count, event bits, annotations that agree with the
+// descriptors' redirect bits, and descriptors free of level bits, which
+// DescBytes masks out) so a mismatched or stale artifact fails here
 // and the caller regenerates instead of simulating garbage.
 func NewProgramFromParts(tr *trace.Trace, n int, ann []branch.Annotation, desc []uint8, blocks []uint64) (*Program, error) {
 	if tr.Insts != nil && len(tr.Insts) != n {
@@ -45,6 +47,9 @@ func NewProgramFromParts(tr *trace.Trace, n int, ann []branch.Annotation, desc [
 		if d&descLevel != 0 {
 			return nil, fmt.Errorf("cpu: descriptor %d carries data-level bits %#x", i, d&descLevel)
 		}
+		if ann[i].Redirect != descRedirect(d) {
+			return nil, fmt.Errorf("cpu: annotation %d redirect %d, descriptor says %d", i, ann[i].Redirect, descRedirect(d))
+		}
 		if p.MemBlk != nil && tr.Insts[i].Class.IsMem() {
 			p.MemBlk[i] = trace.Block(tr.Insts[i].MemAddr)
 		}
@@ -61,14 +66,31 @@ func NewProgramFromParts(tr *trace.Trace, n int, ann []branch.Annotation, desc [
 	return p, nil
 }
 
-// AnnotationBytes flattens the per-instruction branch annotations to one
-// redirect byte each (the trace codec's ANNO section payload).
-func (p *Program) AnnotationBytes() []byte {
-	out := make([]byte, len(p.Ann))
-	for i, a := range p.Ann {
-		out[i] = byte(a.Redirect)
+// AnnotationBytes appends the ANNO artifact section's payload to dst: one
+// branch.Redirect byte per instruction, read from the descriptors'
+// redirect bits, so a Program without Ann (a ProgramBuilder's) writes the
+// bytes its annotations would.
+func (p *Program) AnnotationBytes(dst []byte) []byte {
+	dst = slices.Grow(dst, len(p.Desc))
+	for _, d := range p.Desc {
+		dst = append(dst, byte(descRedirect(d)))
 	}
-	return out
+	return dst
+}
+
+// DataLatBytes appends the DLAT artifact section's payload to dst: the
+// trace.EncodeInt16s encoding of the data-side latency timeline, read from
+// the descriptors' level bits (levelLat of a load's or store's level, 0
+// elsewhere), so a Program without DataLat writes the bytes its timeline
+// would. The timeline must be installed (EnsureDataLatencies,
+// AdoptDataLatencies or ProgramBuilder).
+func (p *Program) DataLatBytes(dst []byte) []byte {
+	return trace.AppendInt16s(dst, len(p.Desc), func(i int) int16 {
+		if d := p.Desc[i]; d&(descLoad|descStore) != 0 {
+			return int16(p.levelLat[d>>descLevelShift])
+		}
+		return 0
+	})
 }
 
 // AnnotationsFromBytes rebuilds the annotation array from an ANNO payload.

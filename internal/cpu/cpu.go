@@ -17,6 +17,7 @@ package cpu
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"acic/internal/branch"
@@ -230,15 +231,20 @@ const (
 // latency table — never the 32-byte Inst records or the DataLat timeline,
 // which matters when the per-access budget is a few hundred nanoseconds.
 type Program struct {
-	Trace  *trace.Trace
+	Trace *trace.Trace
+	// Ann is the branch annotation per instruction, as NewProgram and a
+	// store load (NewProgramFromParts) take it. A ProgramBuilder leaves it
+	// nil: the descriptors carry each redirect, and AnnotationBytes reads
+	// it from them.
 	Ann    []branch.Annotation
 	Desc   []uint8  // descriptor byte per instruction
 	Blocks []uint64 // collapsed block-access sequence (== Trace.BlockAccesses())
 	// MemBlk is the data block per instruction (loads/stores; 0
-	// otherwise). Only EnsureDataLatencies reads it, so an owner may set
-	// it to nil once the latency timeline is installed (built,
-	// EnsureDataLatencies, or AdoptDataLatencies); EnsureDataLatencies is
-	// then a no-op.
+	// otherwise), set by NewProgram and by a store load that decodes the
+	// trace. Only EnsureDataLatencies reads it, so an owner may set it to
+	// nil once the latency timeline is installed (EnsureDataLatencies or
+	// AdoptDataLatencies); EnsureDataLatencies is then a no-op. A
+	// ProgramBuilder never builds it.
 	MemBlk []uint64
 
 	// DataLat is the data-side latency timeline: the load-to-use latency,
@@ -250,8 +256,9 @@ type Program struct {
 	// EnsureDataLatencies. Populated lazily by NewSimulator when the caller
 	// has not done it explicitly. The simulator reads the same latencies
 	// through the descriptors' level bits and levelLat, so an owner may set
-	// DataLat to nil once the timeline is installed; it is kept for the
-	// DLAT artifact section and for callers that compare timelines.
+	// DataLat to nil once the timeline is installed, and a ProgramBuilder
+	// never builds it; DataLatBytes derives the DLAT artifact section from
+	// the level bits. It is kept for callers that compare timelines.
 	DataLat []int16
 
 	dataLatOnce sync.Once
@@ -345,15 +352,38 @@ func withLevel(d uint8, l mem.Level) uint8 {
 	return d&^descLevel | uint8(l)<<descLevelShift
 }
 
-// DescBytes returns the descriptors as the DESC artifact section carries
-// them: a copy with the data-level bits masked out. The levels travel in
-// the DLAT section, so the section is the same whatever the hierarchy.
-func (p *Program) DescBytes() []byte {
-	out := make([]byte, len(p.Desc))
-	for i, d := range p.Desc {
-		out[i] = d &^ descLevel
+// redirectDesc returns the descriptor bit standing for redirect r (0 for
+// none); descRedirect is its inverse.
+func redirectDesc(r branch.Redirect) uint8 {
+	switch r {
+	case branch.RedirectMispredict:
+		return descMispredict
+	case branch.RedirectMisfetch:
+		return descMisfetch
 	}
-	return out
+	return 0
+}
+
+// descRedirect returns the branch redirect descriptor d carries.
+func descRedirect(d uint8) branch.Redirect {
+	switch {
+	case d&descMispredict != 0:
+		return branch.RedirectMispredict
+	case d&descMisfetch != 0:
+		return branch.RedirectMisfetch
+	}
+	return branch.RedirectNone
+}
+
+// DescBytes appends the descriptors to dst as the DESC artifact section
+// carries them: with the data-level bits masked out. The levels travel in
+// the DLAT section, so the section is the same whatever the hierarchy.
+func (p *Program) DescBytes(dst []byte) []byte {
+	dst = slices.Grow(dst, len(p.Desc))
+	for _, d := range p.Desc {
+		dst = append(dst, d&^descLevel)
+	}
+	return dst
 }
 
 // nextRunEvent returns the smallest index >= i whose descriptor carries a
@@ -409,12 +439,7 @@ func NewProgram(tr *trace.Trace, ann []branch.Annotation) *Program {
 		if in.Class.IsBranch() && (in.Class != trace.ClassCondBranch || in.Taken) {
 			d |= descGroupEnd
 		}
-		switch ann[i].Redirect {
-		case branch.RedirectMispredict:
-			d |= descMispredict
-		case branch.RedirectMisfetch:
-			d |= descMisfetch
-		}
+		d |= redirectDesc(ann[i].Redirect)
 		p.Desc[i] = d
 		if d&descRunEvent != 0 {
 			p.runEvents[i>>6] |= 1 << uint(i&63)

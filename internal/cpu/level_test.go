@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"slices"
 	"testing"
 
@@ -33,8 +34,9 @@ func replayLatency(h *mem.Hierarchy, block uint64) int16 {
 // int16 latency timeline they stand in for, on all three install paths:
 // the cold ProgramBuilder, EnsureDataLatencies and AdoptDataLatencies. On
 // every memory instruction levelLat[d>>descLevelShift] must equal a direct
-// hierarchy replay's latency, and every other descriptor must carry no
-// level bits. It runs under the default hierarchy and under one whose L2
+// hierarchy replay's latency, every other descriptor must carry no level
+// bits, and the DLAT payload derived from the bits must encode the
+// replayed timeline. It runs under the default hierarchy and under one whose L2
 // and L3 share a latency, where the adopted levels may name L2 for an L3
 // hit and must still read the same latency. A simulation over each path
 // matches the others.
@@ -61,7 +63,7 @@ func TestDataLevelsMatchTimeline(t *testing.T) {
 			b.Append(window)
 		}
 		built := b.Finish()
-		adopted, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ann, ensured.DescBytes(), ensured.Blocks)
+		adopted, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ann, ensured.DescBytes(nil), ensured.Blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,8 +87,13 @@ func TestDataLevelsMatchTimeline(t *testing.T) {
 			p    *Program
 		}{{"builder", built}, {"ensure", ensured}, {"adopt", adopted}} {
 			p := path.p
-			if !slices.Equal(p.DataLat, timeline) {
+			// The builder keeps no DataLat; every path's DLAT payload, read
+			// off the level bits, must encode the replayed timeline.
+			if p != built && !slices.Equal(p.DataLat, timeline) {
 				t.Errorf("L3=%d %s: DataLat differs from the replayed timeline", cfg.Lat.L3, path.name)
+			}
+			if !bytes.Equal(p.DataLatBytes(nil), trace.EncodeInt16s(timeline)) {
+				t.Errorf("L3=%d %s: DLAT payload differs from the replayed timeline's", cfg.Lat.L3, path.name)
 			}
 			loads := 0
 			for i, d := range p.Desc {
@@ -133,7 +140,7 @@ func TestAdoptRefusesForeignLatencies(t *testing.T) {
 		t.Fatal("trace lacks memory or non-memory instructions")
 	}
 	parts := func() *Program {
-		p, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.Ann, ref.DescBytes(), ref.Blocks)
+		p, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.Ann, ref.DescBytes(nil), ref.Blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +166,7 @@ func TestAdoptRefusesForeignLatencies(t *testing.T) {
 		}
 	}
 
-	withLevels := ref.DescBytes()
+	withLevels := ref.DescBytes(nil)
 	withLevels[memIdx] |= descLevel
 	if _, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.Ann, withLevels, ref.Blocks); err == nil {
 		t.Error("descriptors carrying level bits were accepted")

@@ -11,16 +11,18 @@ import (
 // annotation, descriptor derivation, and the data-latency replay — into
 // one per-window pass. The builder owns a branch.FrontEnd and a
 // persistent data hierarchy; both are plain sequential state machines, so
-// feeding the trace window by window produces field-identical results to
+// feeding the trace window by window yields the descriptors and blocks of
 // NewProgram(tr, fe.Annotate(tr)) followed by EnsureDataLatencies(cfg)
 // (TestProgramBuilderMatchesBatch pins this at several window sizes).
 //
 // The payoff is what the builder does NOT keep: the instruction window is
-// dead once appended, so a streamed prepare holds O(window) Inst records
-// instead of O(trace) — the finished Program carries only the per-
-// instruction byte/array state the simulator and the artifact writer read
-// (Desc, Ann, MemBlk, DataLat, Blocks, runEvents; the Trace field has no
-// Insts).
+// dead once appended, and each instruction's branch redirect and data
+// level go into its descriptor byte, so a streamed prepare holds O(window)
+// Inst records and, per instruction, only what a Suite keeps: Desc,
+// Blocks and the run-ahead bitmap. The finished Program has no Ann,
+// MemBlk or DataLat (and its Trace no Insts); AnnotationBytes and
+// DataLatBytes derive the ANNO and DLAT artifact sections from the
+// descriptors.
 type ProgramBuilder struct {
 	p         *Program
 	fe        *branch.FrontEnd
@@ -30,17 +32,14 @@ type ProgramBuilder struct {
 
 // NewProgramBuilder starts an incremental build. name becomes the finished
 // Program's trace name; cfg is the data-hierarchy configuration the
-// latency timeline is replayed under (the same one EnsureDataLatencies
-// would take); capHint pre-sizes the per-instruction arrays when the final
+// data levels are replayed under (the same one EnsureDataLatencies would
+// take); capHint pre-sizes the descriptors and blocks when the final
 // length is known (0 is fine).
 func NewProgramBuilder(name string, cfg mem.Config, capHint int) *ProgramBuilder {
 	p := &Program{
-		Trace:   &trace.Trace{Name: name},
-		Ann:     make([]branch.Annotation, 0, capHint),
-		Desc:    make([]uint8, 0, capHint),
-		Blocks:  make([]uint64, 0, capHint/4+1),
-		MemBlk:  make([]uint64, 0, capHint),
-		DataLat: make([]int16, 0, capHint),
+		Trace:  &trace.Trace{Name: name},
+		Desc:   make([]uint8, 0, capHint),
+		Blocks: make([]uint64, 0, capHint/4+1),
 	}
 	p.dataLatOnce.Do(func() { p.setDataConfig(cfg) })
 	return &ProgramBuilder{p: p, fe: branch.NewFrontEnd(), hier: mem.New(cfg)}
@@ -65,8 +64,6 @@ func (b *ProgramBuilder) Append(insts []trace.Inst) []uint64 {
 			p.Blocks = append(p.Blocks, blk)
 		}
 		b.prevBlock = blk
-		var memBlk uint64
-		var lat int16
 		switch in.Class {
 		case trace.ClassLoad, trace.ClassStore:
 			if in.Class == trace.ClassLoad {
@@ -74,23 +71,13 @@ func (b *ProgramBuilder) Append(insts []trace.Inst) []uint64 {
 			} else {
 				d |= descStore
 			}
-			memBlk = trace.Block(in.MemAddr)
-			l := b.hier.DataLevel(memBlk)
-			d = withLevel(d, l)
-			lat = int16(p.levelLat[l])
+			d = withLevel(d, b.hier.DataLevel(trace.Block(in.MemAddr)))
 		}
 		if in.Class.IsBranch() && (in.Class != trace.ClassCondBranch || in.Taken) {
 			d |= descGroupEnd
 		}
-		switch ann[k].Redirect {
-		case branch.RedirectMispredict:
-			d |= descMispredict
-		case branch.RedirectMisfetch:
-			d |= descMisfetch
-		}
+		d |= redirectDesc(ann[k].Redirect)
 		p.Desc = append(p.Desc, d)
-		p.MemBlk = append(p.MemBlk, memBlk)
-		p.DataLat = append(p.DataLat, lat)
 		if d&descRunEvent != 0 {
 			for i>>6 >= len(p.runEvents) {
 				p.runEvents = append(p.runEvents, 0)
@@ -98,17 +85,16 @@ func (b *ProgramBuilder) Append(insts []trace.Inst) []uint64 {
 			p.runEvents[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	p.Ann = append(p.Ann, ann...)
 	return p.Blocks[firstBlock:]
 }
 
 // Len returns the number of instructions appended so far.
 func (b *ProgramBuilder) Len() int { return len(b.p.Desc) }
 
-// Finish returns the completed Program. The data-latency timeline and the
-// descriptors' data levels are already installed under the builder's
-// config (a later EnsureDataLatencies with the same config is a no-op; a
-// different config panics, as always). The builder must not be appended
+// Finish returns the completed Program. The descriptors' data levels are
+// already installed under the builder's config (a later
+// EnsureDataLatencies with the same config is a no-op; a different config
+// panics, as always). The builder must not be appended
 // to afterwards.
 func (b *ProgramBuilder) Finish() *Program {
 	p := b.p

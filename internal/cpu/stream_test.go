@@ -5,13 +5,16 @@ import (
 
 	"acic/internal/branch"
 	"acic/internal/mem"
+	"acic/internal/trace"
 	"acic/internal/workload"
 )
 
 // TestProgramBuilderMatchesBatch pins the streaming prepare contract at
-// the cpu layer: appending the trace window by window yields a Program
-// field-identical to the batch NewProgram + EnsureDataLatencies path, at
-// window sizes including 1 and beyond the trace length.
+// the cpu layer: appending the trace window by window yields the
+// descriptors, blocks and run-ahead bitmap of the batch NewProgram +
+// EnsureDataLatencies path, keeps no annotations, data blocks or latency
+// timeline, and derives ANNO and DLAT payloads equal to the batch arrays'
+// encodings, at window sizes including 1 and beyond the trace length.
 func TestProgramBuilderMatchesBatch(t *testing.T) {
 	prof, _ := workload.ByName("media-streaming")
 	const n = 30000
@@ -20,6 +23,10 @@ func TestProgramBuilderMatchesBatch(t *testing.T) {
 
 	want := NewProgram(tr, branch.NewFrontEnd().Annotate(tr))
 	want.EnsureDataLatencies(memCfg)
+	annBytes := make([]byte, n)
+	for i, a := range want.Ann {
+		annBytes[i] = byte(a.Redirect)
+	}
 
 	for _, window := range []int{1, 13, 4096, n, n + 999} {
 		b := NewProgramBuilder(prof.Name, memCfg, n)
@@ -45,22 +52,26 @@ func TestProgramBuilderMatchesBatch(t *testing.T) {
 		if !equal(got.Blocks, want.Blocks) {
 			t.Fatalf("window=%d: Blocks differs", window)
 		}
-		if !equal(got.MemBlk, want.MemBlk) {
-			t.Fatalf("window=%d: MemBlk differs", window)
+		if got.Ann != nil || got.MemBlk != nil || got.DataLat != nil {
+			t.Fatalf("window=%d: builder kept %d annotations, %d data blocks and %d latencies, want none",
+				window, len(got.Ann), len(got.MemBlk), len(got.DataLat))
 		}
-		if !equal(got.DataLat, want.DataLat) {
-			t.Fatalf("window=%d: DataLat differs", window)
+		// What those arrays held reaches the store through the descriptors:
+		// the derived ANNO and DLAT payloads encode the batch arrays.
+		if !equal(got.AnnotationBytes(nil), annBytes) {
+			t.Fatalf("window=%d: ANNO payload differs from the batch annotations", window)
 		}
-		if !equal(got.Ann, want.Ann) {
-			t.Fatalf("window=%d: Ann differs", window)
+		if !equal(got.DataLatBytes(nil), trace.EncodeInt16s(want.DataLat)) {
+			t.Fatalf("window=%d: DLAT payload differs from the batch timeline", window)
 		}
 		if !equal(got.runEvents, want.runEvents) {
 			t.Fatalf("window=%d: runEvents differs (%d vs %d words)", window, len(got.runEvents), len(want.runEvents))
 		}
-		// Same-config Ensure must be a no-op, not a recompute or panic.
+		// Same-config Ensure must be a no-op: a replay would read the
+		// missing MemBlk.
 		got.EnsureDataLatencies(memCfg)
-		if !equal(got.DataLat, want.DataLat) {
-			t.Fatalf("window=%d: EnsureDataLatencies disturbed the adopted timeline", window)
+		if got.DataLat != nil || !equal(got.Desc, want.Desc) {
+			t.Fatalf("window=%d: EnsureDataLatencies replayed the built timeline", window)
 		}
 	}
 }

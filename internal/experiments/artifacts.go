@@ -61,10 +61,6 @@ type Pipeline struct {
 	// pass's streamed entry (BeginStream), so it carries no encoder.
 	store *engine.DiskCache[string, *Workload]
 
-	// simOnly drops what the simulator does not read from every workload
-	// handed out (see simOnly's PipelineConfig field).
-	simOnly bool
-
 	cold atomic.Int64 // apps prepared by the windowed pass
 	warm atomic.Int64 // apps the store served (loaded, or found by Warm)
 }
@@ -80,15 +76,16 @@ type PipelineConfig struct {
 	// pool. Demand-driven preparation (Workload) runs inline on the
 	// calling goroutine either way.
 	Pool *engine.Pool
-	// simOnly makes every workload carry only simulator state: no
-	// Trace.Insts, Prog.MemBlk, Prog.DataLat or annotations, and a warm
-	// load never decodes the whole trace. A Suite sets it: none of its
-	// cells or renderers reads those arrays, and a warm load would
-	// otherwise build each app's Inst records (32 B/inst) and MemBlk
-	// (8 B/inst) only to drop them, and keep DataLat (2 B/inst) and the
-	// annotations (1 B/inst) resident for the whole run. NewPipeline
-	// callers that digest or compare those arrays (store tooling, the
-	// pipeline tests, perfbench) leave it off.
+	// simOnly makes every workload a store load returns carry only
+	// simulator state, as a cold prepare's always does: no Trace.Insts,
+	// Prog.MemBlk, Prog.DataLat or annotations, and the load never decodes
+	// the whole trace. A Suite sets it: none of its cells or renderers
+	// reads those arrays, and a warm load would otherwise build each app's
+	// Inst records (32 B/inst) and MemBlk (8 B/inst) only to drop them,
+	// and keep DataLat (2 B/inst) and the annotations (1 B/inst) resident
+	// for the whole run. NewPipeline callers that digest or compare those
+	// arrays (store tooling, the pipeline tests, perfbench) leave it off
+	// and read them from a store load.
 	simOnly bool
 }
 
@@ -103,7 +100,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Pool == nil {
 		cfg.Pool = engine.NewPool(0)
 	}
-	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), pool: cfg.Pool, simOnly: cfg.simOnly}
+	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), pool: cfg.Pool}
 	pl.workloads = engine.NewGroup(cfg.Pool, pl.prepare)
 	pl.workloads.Name = "workload"
 	// Transient failures (injected faults, MarkTransient-wrapped errors)
@@ -118,7 +115,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		// ".actr" extension, so `acic-trace inspect` can describe any file
 		// in the store.
 		pl.store, err = engine.NewCodecDiskCache(cfg.Dir, ".actr", pl.storeKey, nil,
-			func(data []byte) (*Workload, error) { return decodeWorkload(data, pl.memCfg, pl.simOnly) })
+			func(data []byte) (*Workload, error) { return decodeWorkload(data, pl.memCfg, cfg.simOnly) })
 	}
 	return pl, err
 }
@@ -126,13 +123,15 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 // unknownName is the error an app or cell fails with when it names an
 // app, scheme or prefetcher that no registry holds. The failure is
 // deterministic and cheap to reach again, so the memos forget it
-// (isUnknownName) instead of keeping one entry for every name a client
+// (IsUnknownName) instead of keeping one entry for every name a client
 // invents.
 type unknownName struct{ kind, name string }
 
 func (e unknownName) Error() string { return fmt.Sprintf("experiments: unknown %s %q", e.kind, e.name) }
 
-func isUnknownName(err error) bool { return errors.As(err, new(unknownName)) }
+// IsUnknownName reports whether err is such a failure: a cell or app that
+// names an app, scheme or prefetcher no registry holds.
+func IsUnknownName(err error) bool { return errors.As(err, new(unknownName)) }
 
 // storeKey is app's content-addressing key in the artifact store.
 func (pl *Pipeline) storeKey(app string) string {
@@ -154,9 +153,12 @@ var workloadSections = []string{trace.SecAnnot, trace.SecDesc, trace.SecBlocks, 
 //
 // simOnly decodes the windows one at a time into one reused buffer
 // (trace.CountInsts) and keeps no Inst records, so the Program has no
-// MemBlk; otherwise the trace is decoded whole and MemBlk recomputed from
-// it. Both accept and refuse the same inputs and build the same
-// descriptors, blocks and successor array.
+// MemBlk, and it drops the annotations and the latency timeline once they
+// are checked and installed: the descriptors carry each redirect and data
+// level, so EnsureDataLatencies never reads MemBlk or DataLat again.
+// Otherwise the trace is decoded whole and MemBlk recomputed from it, and
+// every array is kept. Both accept and refuse the same inputs and build
+// the same descriptors, blocks and successor array.
 func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, error) {
 	// Sections alias data; only the descriptors are kept as they are, so
 	// only they are copied.
@@ -208,6 +210,9 @@ func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, er
 	if err := prog.AdoptDataLatencies(lat, memCfg); err != nil {
 		return nil, err
 	}
+	if simOnly {
+		prog.Ann, prog.DataLat = nil, nil
+	}
 	return newWorkload(workload.Profile{}, prog, nextAt), nil
 }
 
@@ -226,13 +231,10 @@ func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Work
 	}
 }
 
-// prepare is the workload group's compute: load app from the store, or
-// prepare it cold through the windowed pass. A simOnly pipeline then
-// drops all the simulator does not read: the Inst records, the data-block
-// array, the latency timeline and the annotations. The timeline is
-// installed by then (the descriptors carry each load's data level), so
-// EnsureDataLatencies never reads MemBlk or DataLat again, and the
-// descriptors carry the redirect bits the annotations hold.
+// prepare is the workload group's compute: load app from the store (a
+// simOnly pipeline's load keeps only simulator state, see
+// decodeWorkload), or prepare it cold through the windowed pass, which
+// always does.
 func (pl *Pipeline) prepare(app string) (*Workload, error) {
 	prof, ok := workload.ByName(app)
 	if !ok {
@@ -252,12 +254,6 @@ func (pl *Pipeline) prepare(app string) (*Workload, error) {
 		}
 		pl.cold.Add(1)
 	}
-	if pl.simOnly {
-		w.Prog.Trace = &trace.Trace{Name: w.Prog.Trace.Name}
-		w.Trace = w.Prog.Trace
-		w.Prog.MemBlk, w.Prog.DataLat = nil, nil
-		w.Prog.Ann, w.Ann = nil, nil
-	}
 	return w, nil
 }
 
@@ -270,12 +266,14 @@ func (pl *Pipeline) stored(app string) bool {
 
 // Workload returns the fully prepared workload for an app, loading or
 // preparing it on demand. Outside a Suite, a workload loaded from the
-// store carries its Inst records and data-block array, and one prepared
-// cold carries the data-block array but no Inst records.
+// store carries its Inst records, annotations, data-block array and
+// latency timeline. One prepared cold carries none of the four, in or
+// outside a Suite: its descriptors hold the redirects and data levels,
+// from which the store's ANNO and DLAT sections were derived.
 func (pl *Pipeline) Workload(app string) (*Workload, error) {
 	w, err := pl.workloads.Get(app)
 	if err != nil {
-		pl.workloads.ForgetIf(app, isUnknownName)
+		pl.workloads.ForgetIf(app, IsUnknownName)
 	}
 	return w, err
 }
@@ -303,7 +301,7 @@ func (pl *Pipeline) Require(apps ...string) error {
 	err := pl.workloads.Require(apps...)
 	if err != nil {
 		for _, app := range apps {
-			pl.workloads.ForgetIf(app, isUnknownName)
+			pl.workloads.ForgetIf(app, IsUnknownName)
 		}
 	}
 	return err

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"acic/internal/faults"
 	"acic/internal/stats"
+	"acic/internal/trace"
 	"acic/internal/workload"
 )
 
@@ -88,7 +90,7 @@ func TestPipelineWarmStoreRoundTrip(t *testing.T) {
 	if got := warm.Regenerated(); got != 0 {
 		t.Errorf("warm store regenerated %d artifacts, want 0", got)
 	}
-	assertPreparedEqual(t, w1, w2)
+	assertPreparedEqual(t, w2, w1) // the load restores every array
 
 	opts := DefaultOptions()
 	for _, scheme := range []string{"lru", "acic", "opt"} {
@@ -495,4 +497,114 @@ func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertWorkloadsEqual(t, want, got)
+}
+
+// TestWorkloadArtifactGolden pins the bytes of every store entry: each
+// workload.All() profile is warmed cold at n=20,000 into a fresh store,
+// once at the default window and once at 4,096 instructions a window (one
+// INSZ section, then five), and each entry's SHA-256 must equal the one
+// recorded before the cold prepare stopped keeping the annotations, data
+// blocks and latency timeline. A wrong byte in any section the cold pass
+// derives (ANNO and DLAT from the descriptors, DESC, BLKS, NXTA) or in a
+// window fails it.
+func TestWorkloadArtifactGolden(t *testing.T) {
+	const n = 20_000
+	want := map[int]map[string]string{
+		0: {
+			"media-streaming": "5003f4b80f2cdcc6dff37cc4d3bd96b3bb587768458eab2ce5fc698d7973ec65",
+			"data-caching":    "45762993ff9bf96e2b3ac67ad99340c5874ea82b15b0032aefe41cb80036aefe",
+			"data-serving":    "8609a3a69f27dcf2b5d1559c4c9c864e4b21f6161b92dfbcebb281610f6676cb",
+			"web-serving":     "c1d2fe7ac5aec2171b9c6ada86352a733f43fca32ed3ad1f075afc0e9ae0388e",
+			"web-search":      "6e228bc0940a0db74516c705c83121904ee2ec7ea489c5764a7f4cb7ad793909",
+			"tpcc":            "fe7e492a872468e7b64cf97b18dce14fdc3633d0b5e0b045ac262101a81867b9",
+			"wikipedia":       "6b2e9755701ed376a2bfe650dde58efc949a3308cebdb99f86df4c8bb405e30f",
+			"sibench":         "5eaecccbbe81eb33fe160919c076155efacae9aaa783d44c19126fc92720ac67",
+			"finagle-http":    "bd52953df714cc5c70779a3ac2a35a17e28791be023dd4e87e7a67e096e0fe91",
+			"neo4j":           "1bc8b998c8b42cccf31ca52368bc1aaadd4415a877764e0ceb25fa50e469127c",
+			"perlbench":       "9156ca435e2e8e82a474ad835ba6f44fa10403a6bc5541c914b2f0e6e9119b22",
+			"omnetpp":         "e1f67af4e35abfd42c4f0c5662f99fb4f8757b99d47e6283281d8d9a8f2dc534",
+			"xalancbmk":       "9a0b971ffb5ff983eb23b5ff404cdc7da493a2e09668fe0f00d7ca2fda7fd77e",
+			"x264":            "f286965a2913e6e52dce830a64fd0329fb06fb3e639b6d86478d211f562b1bbe",
+			"gcc":             "2bebd1727acd14f75f324cbce35cb65493d056d4b8a8d1ba2f2dfb72ff96230a",
+		},
+		4096: {
+			"media-streaming": "ae1540ad2c92b3e89957bbb9217e447670203b1cfa34e82137f3cff73496c93f",
+			"data-caching":    "22c24d9e867305e3fed32dd009358b1237307374861f161e569f0af250cac595",
+			"data-serving":    "c73e3839c89f618d343ea3515b6ef7a0f2daa053c21022e286727b166ed21612",
+			"web-serving":     "fa0350db7c3fee297ad725f9517fce800436e132b201d159fe98e8b1f29a8eb8",
+			"web-search":      "e605fbd135dace9bf26e4496165cbaf3a47c4a82cd776ef4bdd78ef6dc71c86e",
+			"tpcc":            "9875f557e863a6f3537bb42991fbd7d5c6fca3afae4a8b1451d63d1b2d7abcc7",
+			"wikipedia":       "de6eb196a8426915a7815bd09d7a080b4762aa2dc964aa3728f7745dc20eacc7",
+			"sibench":         "e6ebc942d7d73cbff7865695ec4eda1308f754a5a761ac7fcabaa35779a09232",
+			"finagle-http":    "d5d1b146d4ee15b96860f8580a5af74e73b74aa42e462b5221bd96ea1dfc2e5e",
+			"neo4j":           "722ef738a6f4f1cab03c05b1adf8e2b9ff366573a039cb3973f5da7a1852eb9b",
+			"perlbench":       "641eceb3a5545bdf165141371baecf70c73a8e33f70d20a61506c8a5f6f9a13d",
+			"omnetpp":         "b6bc7f04214571d290df8cc52dc68bb40d987fefab4e5873da120728afe6cb55",
+			"xalancbmk":       "c2c6824cbe144fd6997f7d63771ff059af78a4fb7155ef7d43f7965797bb5580",
+			"x264":            "3baf484cf2383575b3481670bdffa075c81a7efb90cb7463e65fa4c1e8cc35ea",
+			"gcc":             "eb46e23e32114335f65ac2b85aec97badd23fa61a47b19a9ad67ce32537db1bd",
+		},
+	}
+	for _, window := range []int{0, 4096} {
+		dir := t.TempDir()
+		pl := newTestPipeline(t, n, dir)
+		if window > 0 {
+			pl.window = window
+		}
+		var apps []string
+		for _, p := range workload.All() {
+			apps = append(apps, p.Name)
+		}
+		if err := pl.Warm(apps...); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*.actr"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]string{}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name, _, err := trace.ParseContainer(data)
+			if err != nil {
+				t.Fatalf("%s: %v", f, err)
+			}
+			got[name] = fmt.Sprintf("%x", sha256.Sum256(data))
+		}
+		if len(got) != len(apps) {
+			t.Errorf("window=%d: store holds %d entries, want %d", window, len(got), len(apps))
+		}
+		for _, app := range apps {
+			if got[app] != want[window][app] {
+				t.Errorf("window=%d: %s entry SHA-256 %s, want %s", window, app, got[app], want[window][app])
+			}
+		}
+	}
+}
+
+// TestPipelineWarmAllocationBound bounds what a cold Pipeline.Warm of one
+// app allocates per instruction at n=400,000 into a fresh store. The
+// windowed pass allocates its Inst windows, each window's encoded INSZ
+// section, the descriptors, blocks and successors it keeps, the oracle,
+// and the derived sections (ANNO, DESC and DLAT in one reused buffer); it
+// measures about 25 B/inst. Building the annotations (1 B/inst), data
+// blocks (8) and latency timeline (2) as well, and a separate payload for
+// each section, as the pass once did, measures about 38 and fails.
+func TestPipelineWarmAllocationBound(t *testing.T) {
+	const app, n, bound = "media-streaming", 400_000, 33.0
+	pl := newTestPipeline(t, n, t.TempDir())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := pl.Warm(app); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perInst := float64(after.TotalAlloc-before.TotalAlloc) / n
+	t.Logf("cold Warm of %s allocated %.1f B/inst", app, perInst)
+	if perInst > bound {
+		t.Errorf("cold Warm of %s allocated %.1f B/inst, want at most %.0f", app, perInst, bound)
+	}
 }

@@ -127,6 +127,14 @@ func (b *Breaker) Open(key string) bool {
 	return ok && st.open
 }
 
+// Len reports how many keys the breaker holds state for: every key whose
+// last recorded outcome was a deterministic failure.
+func (b *Breaker) Len() int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return len(b.entries)
+}
+
 // OpenCount reports how many keys are currently tripped.
 func (b *Breaker) OpenCount() int {
 	b.mu.Lock()

@@ -47,12 +47,19 @@ func TestBreakerTripsAtThreshold(t *testing.T) {
 }
 
 // TestBreakerSuccessResets: a success anywhere in the streak forgets
-// the history entirely.
+// the history entirely, entry included.
 func TestBreakerSuccessResets(t *testing.T) {
 	b, _ := newTestBreaker(3, time.Minute)
 	b.Record("k", errDet)
 	b.Record("k", errDet)
+	b.Record("other", errDet)
+	if n := b.Len(); n != 2 {
+		t.Errorf("Len = %d after failures on two keys, want 2", n)
+	}
 	b.Record("k", nil)
+	if n := b.Len(); n != 1 {
+		t.Errorf("Len = %d after a success on one of two failing keys, want 1", n)
+	}
 	b.Record("k", errDet)
 	b.Record("k", errDet)
 	if b.Open("k") {

@@ -32,8 +32,9 @@ type Workload struct {
 	// from Prepare or from a store load through Pipeline.Workload; a cold
 	// prepare and every Suite workload leave just the name.
 	Trace *trace.Trace
-	// Ann is Prog.Ann: nil on every Suite workload, whose descriptors
-	// carry the redirect bits.
+	// Ann is Prog.Ann, present on the same workloads as Trace's Inst
+	// records: nil on a cold-prepared one and on every Suite workload,
+	// whose descriptors carry the redirect bits.
 	Ann    []branch.Annotation
 	Blocks []uint64
 	Oracle *analysis.NextUseOracle

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"acic/internal/analysis"
@@ -16,9 +17,13 @@ import (
 // (analysis.NextUseBuilder), and — when a store is configured — the
 // workload artifact, written one INSZ section per window through a
 // ContainerWriter so the full instruction image never exists in memory.
-// Peak residency is O(window) Inst records plus the per-instruction
-// byte/array state the simulator needs anyway; the returned workload
-// carries no Inst records (a later load from the store does).
+// Peak residency is O(window) Inst records plus what the simulator keeps
+// anyway: per instruction, the descriptor byte (which carries its branch
+// redirect and data level) and a run-ahead bit, and per block access its
+// block and successor. The returned workload has a Suite workload's shape
+// whatever the pipeline: no Inst records, annotations, data blocks or
+// latency timeline (a later load from the store restores all four outside
+// a Suite). The ANNO and DLAT sections are derived from the descriptors.
 //
 // The generator, the front end, and the data hierarchy are all sequential
 // state machines, so per-window feeding equals the whole-trace pass of
@@ -72,11 +77,17 @@ func (pl *Pipeline) stream(app string, prof workload.Profile) (*Workload, error)
 	}
 	// The derived sections follow the last window, in workloadSections
 	// order, so later runs load instead of regenerating.
-	persist(trace.SecAnnot, prog.AnnotationBytes)
-	persist(trace.SecDesc, prog.DescBytes)
+	// ANNO, DESC and DLAT are all read off the descriptors, one after
+	// another into one buffer sized for DLAT's two bytes an instruction.
+	var buf []byte
+	if cw != nil {
+		buf = make([]byte, 0, 2*prog.Len()+binary.MaxVarintLen64)
+	}
+	persist(trace.SecAnnot, func() []byte { return prog.AnnotationBytes(buf[:0]) })
+	persist(trace.SecDesc, func() []byte { return prog.DescBytes(buf[:0]) })
 	persist(trace.SecBlocks, func() []byte { return trace.EncodeUint64sDelta(prog.Blocks) })
 	persist(trace.SecNextAt, func() []byte { return trace.EncodeInt64sDelta(nextAt) })
-	persist(trace.SecDataLat, func() []byte { return trace.EncodeInt16s(prog.DataLat) })
+	persist(trace.SecDataLat, func() []byte { return prog.DataLatBytes(buf[:0]) })
 	if cw != nil && cw.Close() == nil {
 		entry.Commit()
 	}

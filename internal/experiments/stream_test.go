@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"acic/internal/trace"
 	"acic/internal/workload"
 )
 
@@ -20,20 +21,27 @@ func newStreamedPipeline(t *testing.T, n, window int, dir string) *Pipeline {
 	return pl
 }
 
-// assertPreparedEqual is assertWorkloadsEqual minus the Trace.Insts check:
-// cold-prepared workloads deliberately carry no instruction records, so
-// the comparison covers every array the simulator actually reads.
+// assertPreparedEqual checks a cold-prepared workload (got) against one
+// that carries every array (want: Prepare's or a store load's). A cold
+// workload deliberately keeps no Inst records, annotations, data blocks or
+// latency timeline, so the descriptors, blocks and successors are compared
+// directly, and want's annotations and timeline against the ANNO and DLAT
+// payloads got derives from its descriptors. The data blocks are compared
+// through a store reload (assertWorkloadsEqual).
 func assertPreparedEqual(t *testing.T, want, got *Workload) {
 	t.Helper()
 	if want.Profile != got.Profile {
 		t.Fatalf("profile mismatch: %v vs %v", got.Profile.Name, want.Profile.Name)
 	}
-	if !equalSlices(t, "Ann", want.Ann, got.Ann) ||
-		!equalSlices(t, "Desc", want.Prog.Desc, got.Prog.Desc) ||
+	wantAnn := make([]byte, len(want.Ann))
+	for i, a := range want.Ann {
+		wantAnn[i] = byte(a.Redirect)
+	}
+	if !equalSlices(t, "Desc", want.Prog.Desc, got.Prog.Desc) ||
 		!equalSlices(t, "Blocks", want.Prog.Blocks, got.Prog.Blocks) ||
-		!equalSlices(t, "MemBlk", want.Prog.MemBlk, got.Prog.MemBlk) ||
-		!equalSlices(t, "DataLat", want.Prog.DataLat, got.Prog.DataLat) ||
-		!equalSlices(t, "NextAt", want.NextAt, got.NextAt) {
+		!equalSlices(t, "NextAt", want.NextAt, got.NextAt) ||
+		!equalSlices(t, "ANNO payload", wantAnn, got.Prog.AnnotationBytes(nil)) ||
+		!equalSlices(t, "DLAT payload", trace.EncodeInt16s(want.Prog.DataLat), got.Prog.DataLatBytes(nil)) {
 		t.FailNow()
 	}
 }

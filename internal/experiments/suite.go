@@ -308,10 +308,11 @@ func (s *Suite) PrepareAll(apps ...string) error {
 
 // Workload returns the prepared workload for an app, generating on demand.
 // It carries what simulation reads — the Program's descriptor and block
-// arrays (the descriptors hold each load's data level), the successor
-// array and the oracle — but no Inst records (Trace holds only the name),
-// no Prog.MemBlk, no Prog.DataLat and no annotations; the Workload of a
-// pipeline from NewPipeline returns those.
+// arrays (the descriptors hold each instruction's branch redirect and each
+// load's data level), the successor array and the oracle — but no Inst
+// records (Trace holds only the name), no Prog.MemBlk, no Prog.DataLat
+// and no annotations, whether it was prepared cold or loaded. Outside a
+// Suite only a store load returns those (Pipeline.Workload).
 func (s *Suite) Workload(app string) (*Workload, error) {
 	s.init()
 	return s.pipeline.Workload(app)
@@ -341,7 +342,7 @@ func (s *Suite) Require(cells ...Cell) error {
 	err := s.results.Require(cells...)
 	if err != nil {
 		for _, c := range cells {
-			s.results.ForgetIf(c, isUnknownName)
+			s.results.ForgetIf(c, IsUnknownName)
 		}
 	}
 	return err
@@ -357,7 +358,7 @@ func (s *Suite) Result(app, scheme, prefetcher string) (cpu.Result, error) {
 	c := Cell{App: app, Scheme: scheme, Prefetcher: prefetcher}
 	res, err := s.results.Get(c)
 	if err != nil {
-		s.results.ForgetIf(c, isUnknownName)
+		s.results.ForgetIf(c, IsUnknownName)
 	}
 	return res, err
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Binary container format, version 2:
@@ -291,12 +292,19 @@ func DecodeInt64sDelta(data []byte) ([]int64, error) {
 // elements (latency timelines are dense and bounded, so fixed width beats
 // varints).
 func EncodeInt16s(vals []int16) []byte {
-	out := make([]byte, 0, 2*len(vals)+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(vals)))
-	for _, v := range vals {
-		out = binary.LittleEndian.AppendUint16(out, uint16(v))
+	return AppendInt16s(nil, len(vals), func(i int) int16 { return vals[i] })
+}
+
+// AppendInt16s appends the EncodeInt16s payload of n values, the i-th
+// being at(i), to dst, so a caller that derives the values need not build
+// the array.
+func AppendInt16s(dst []byte, n int, at func(i int) int16) []byte {
+	dst = slices.Grow(dst, 2*n+binary.MaxVarintLen64)
+	dst = binary.AppendUvarint(dst, uint64(n))
+	for i := range n {
+		dst = binary.LittleEndian.AppendUint16(dst, uint16(at(i)))
 	}
-	return out
+	return dst
 }
 
 // DecodeInt16s decodes an EncodeInt16s payload.

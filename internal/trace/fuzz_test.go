@@ -42,7 +42,7 @@ func realArtifacts(f *testing.F) seedArtifacts {
 	var s seedArtifacts
 	s.blocks = trace.EncodeUint64sDelta(prog.Blocks)
 	s.nextAt = trace.EncodeInt64sDelta(analysis.NextUseArray(prog.Blocks))
-	s.dataLat = trace.EncodeInt16s(prog.DataLat)
+	s.dataLat = prog.DataLatBytes(nil)
 	s.packed = append(s.packed, trace.EncodeInstsPacked(tr.Insts))
 	var windows []trace.Section
 	for insts := range slices.Chunk(tr.Insts, fuzzWindow) {
@@ -51,8 +51,8 @@ func realArtifacts(f *testing.F) seedArtifacts {
 		windows = append(windows, trace.Section{Tag: trace.SecInstsZ, Data: payload})
 	}
 	derived := []trace.Section{
-		{Tag: trace.SecAnnot, Data: prog.AnnotationBytes()},
-		{Tag: trace.SecDesc, Data: prog.DescBytes()},
+		{Tag: trace.SecAnnot, Data: prog.AnnotationBytes(nil)},
+		{Tag: trace.SecDesc, Data: prog.DescBytes(nil)},
 		{Tag: trace.SecBlocks, Data: s.blocks},
 		{Tag: trace.SecNextAt, Data: s.nextAt},
 		{Tag: trace.SecDataLat, Data: s.dataLat},
