@@ -75,16 +75,16 @@ import (
 // (stats.SampledError). The run exits non-zero when the worst |cycles|
 // or |speedup| error exceeds errPct (DESIGN.md §10 documents the bounds
 // this mode regenerates). The result cache is deliberately not used:
-// both lanes must compute, or the wall-clock comparison is a lie.
-func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float64) {
-	cleanup := func() {}
-	fail := func(format string, args ...any) {
+// both lanes must compute, or the wall-clock comparison is a lie. It
+// returns the process exit code (cliutil.ExitInterrupted once ctx is
+// cancelled), so the scratch store's deferred removal runs on every path.
+func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float64) int {
+	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "acic-bench: -sample-validate: "+format+"\n", args...)
-		cleanup()
 		if ctx.Err() != nil {
-			os.Exit(cliutil.ExitInterrupted)
+			return cliutil.ExitInterrupted
 		}
-		os.Exit(1)
+		return 1
 	}
 	sampleSets := sim.SampleSets
 	if sampleSets == 0 {
@@ -100,46 +100,44 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float6
 	if artifactDir == "" {
 		scratch, err := os.MkdirTemp("", "acic-sample-validate-*")
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
-		cleanup = func() { os.RemoveAll(scratch) }
-		defer cleanup()
+		defer os.RemoveAll(scratch)
 		artifactDir = scratch
 	}
 
-	newSuite := func(sampleSets int) *experiments.Suite {
+	var lanes [2]*experiments.Suite
+	for i, sets := range []int{0, sampleSets} {
 		lane := *sim
 		lane.ArtifactDir = artifactDir
 		lane.CacheDir = ""
-		lane.SampleSets = sampleSets
-		s := lane.NewSuite(ctx)
-		if err := s.CacheError(); err != nil {
-			fail("%v", err)
+		lane.SampleSets = sets
+		lanes[i] = lane.NewSuite(ctx)
+		if err := lanes[i].CacheError(); err != nil {
+			return fail("%v", err)
 		}
-		return s
 	}
-	full := newSuite(0)
-	sampled := newSuite(sampleSets)
+	full, sampled := lanes[0], lanes[1]
 
 	schemes := append([]string{experiments.Baseline}, experiments.Fig10Schemes...)
 	cells := experiments.CrossCells(full.AppNames(), schemes, "fdp")
 	if err := full.PrepareAll(full.AppNames()...); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if err := sampled.PrepareAll(sampled.AppNames()...); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
 	// Both lanes run over warm workloads, so the wall-clocks compare
 	// simulation against simulation.
 	startFull := time.Now()
 	if err := full.Require(cells...); err != nil {
-		fail("full grid: %v", err)
+		return fail("full grid: %v", err)
 	}
 	fullWall := time.Since(startFull)
 	startSampled := time.Now()
 	if err := sampled.Require(cells...); err != nil {
-		fail("sampled grid: %v", err)
+		return fail("sampled grid: %v", err)
 	}
 	sampledWall := time.Since(startSampled)
 
@@ -149,20 +147,20 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float6
 	for _, app := range full.AppNames() {
 		fb, err := full.Result(app, experiments.Baseline, "fdp")
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		sb, err := sampled.Result(app, experiments.Baseline, "fdp")
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		for _, scheme := range schemes {
 			fr, err := full.Result(app, scheme, "fdp")
 			if err != nil {
-				fail("%v", err)
+				return fail("%v", err)
 			}
 			sr, err := sampled.Result(app, scheme, "fdp")
 			if err != nil {
-				fail("%v", err)
+				return fail("%v", err)
 			}
 			label := app + "/" + scheme
 			cyclesErr.Add(label, float64(fr.Cycles), float64(sr.Cycles))
@@ -187,16 +185,18 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float6
 		if worstLabel, worst := cyclesErr.Worst(); worst > errPct {
 			fmt.Fprintf(os.Stderr, "acic-bench: sampled cycles error %.2f%% (%s) exceeds -sample-err-pct %.1f\n",
 				worst, worstLabel, errPct)
-			cleanup()
-			os.Exit(1)
+			return 1
 		}
 		if worstLabel, worst := speedupErr.Worst(); worst > errPct {
 			fmt.Fprintf(os.Stderr, "acic-bench: sampled speedup error %.2f%% (%s) exceeds -sample-err-pct %.1f\n",
 				worst, worstLabel, errPct)
-			cleanup()
-			os.Exit(1)
+			return 1
 		}
 	}
+	if ctx.Err() != nil {
+		return cliutil.ExitInterrupted
+	}
+	return 0
 }
 
 func main() {
@@ -262,9 +262,9 @@ func main() {
 	}
 
 	if *sampleValidate {
-		runSampleValidate(ctx, sim, *sampleErrPct)
-		if ctx.Err() != nil {
-			os.Exit(cliutil.ExitInterrupted)
+		if code := runSampleValidate(ctx, sim, *sampleErrPct); code != 0 {
+			stopCPUProfile()
+			os.Exit(code)
 		}
 		return
 	}

@@ -23,8 +23,10 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,26 +43,34 @@ import (
 	"acic/internal/workload"
 )
 
-func main() {
-	if len(os.Args) > 1 {
-		switch os.Args[1] {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes reports to stdout and
+// diagnostics to stderr, and returns the process exit code, so every exit
+// path runs the deferred cleanup (the input trace's Close among it).
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) > 0 {
+		switch args[0] {
 		case "warm":
-			runWarm(os.Args[2:])
-			return
+			return runWarm(args[1:], stdout, stderr)
 		case "inspect":
-			runInspect(os.Args[2:])
-			return
+			return runInspect(args[1:], stdout, stderr)
 		}
 	}
+	fs := flag.NewFlagSet("acic-trace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name    = flag.String("workload", "", "profile to generate")
-		n       = flag.Int("n", 500_000, "instructions to generate")
-		out     = flag.String("o", "", "write binary trace to this path")
-		in      = flag.String("i", "", "read binary trace from this path")
-		list    = flag.Bool("list", false, "list profiles and exit")
-		doStats = flag.Bool("stats", false, "print trace characterization")
+		name    = fs.String("workload", "", "profile to generate")
+		n       = fs.Int("n", 500_000, "instructions to generate")
+		out     = fs.String("o", "", "write binary trace to this path")
+		in      = fs.String("i", "", "read binary trace from this path")
+		list    = fs.Bool("list", false, "list profiles and exit")
+		doStats = fs.Bool("stats", false, "print trace characterization")
 	)
-	flag.Parse()
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
+	fail := failer(stderr)
 
 	if *list {
 		t := &stats.Table{Header: []string{"profile", "suite", "paper MPKI"}}
@@ -70,8 +80,8 @@ func main() {
 		for _, p := range workload.SPEC() {
 			t.AddRow(p.Name, "spec2017int", fmt.Sprintf("%.1f", p.PaperMPKI))
 		}
-		fmt.Print(t.String())
-		return
+		fmt.Fprint(stdout, t.String())
+		return 0
 	}
 
 	var tr *trace.Trace
@@ -79,58 +89,69 @@ func main() {
 	case *in != "":
 		f, err := os.Open(*in)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		defer f.Close()
-		tr, err = trace.Read(f)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if tr, err = trace.Read(f); err != nil {
+			return fail("%v", err)
 		}
 	case *name != "":
 		p, ok := workload.ByName(*name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown workload %q (use -list)\n", *name)
-			os.Exit(1)
+			return fail("unknown workload %q (use -list)", *name)
 		}
 		tr = workload.Generate(p, *n)
 	default:
-		fmt.Fprintln(os.Stderr, "need -workload or -i (or -list)")
-		os.Exit(1)
+		return fail("need -workload or -i (or -list)")
 	}
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		if err := trace.Write(f, tr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			f.Close()
+			return fail("%v", err)
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
-		fmt.Printf("wrote %s: %d instructions\n", *out, tr.Len())
+		fmt.Fprintf(stdout, "wrote %s: %d instructions\n", *out, tr.Len())
 	}
 
 	if *doStats || *out == "" {
-		characterize(tr)
+		characterize(stdout, tr)
 	}
+	return 0
 }
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "acic-trace: "+format+"\n", args...)
-	os.Exit(1)
+// parse parses args into fs. It reports false, with the exit code, when
+// the command must stop: 0 after -h, 2 on a bad flag (fs has printed why).
+func parse(fs *flag.FlagSet, args []string) (int, bool) {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0, false
+		}
+		return 2, false
+	}
+	return 0, true
+}
+
+// failer returns the command's error exit: it prints the message on
+// stderr and returns exit code 1.
+func failer(stderr io.Writer) func(format string, args ...any) int {
+	return func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "acic-trace: "+format+"\n", args...)
+		return 1
+	}
 }
 
 // runWarm materializes the requested workloads' artifacts into the
 // store, so later simulation runs start warm.
-func runWarm(args []string) {
-	fs := flag.NewFlagSet("acic-trace warm", flag.ExitOnError)
+func runWarm(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acic-trace warm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var artifactDir string
 	cliutil.RegisterArtifactDir(fs, &artifactDir)
 	n := fs.Int("n", 0, "trace length in instructions (0 = ACIC_BENCH_N or 400000; must match the simulation runs to be reused)")
@@ -138,15 +159,18 @@ func runWarm(args []string) {
 	workers := fs.Int("workers", 0, "preparation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
 	var faultSpec string
 	cliutil.RegisterFaultSpec(fs, &faultSpec)
-	fs.Parse(args)
+	if code, ok := parse(fs, args); !ok {
+		return code
+	}
+	fail := failer(stderr)
 	if err := faults.Validate(faultSpec); err != nil {
-		fail("-fault-spec: %v", err)
+		return fail("-fault-spec: %v", err)
 	}
 	if err := faults.Install(faultSpec); err != nil {
-		fail("-fault-spec: %v", err)
+		return fail("-fault-spec: %v", err)
 	}
 	if artifactDir == "" {
-		fail("warm needs -artifact-dir (or ACIC_ARTIFACT_DIR)")
+		return fail("warm needs -artifact-dir (or ACIC_ARTIFACT_DIR)")
 	}
 
 	var apps []string
@@ -167,11 +191,11 @@ func runWarm(args []string) {
 	if err != nil {
 		// Warming exists only to fill the store; a store that cannot be
 		// opened is fatal here, unlike in the simulation tools.
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	start := time.Now()
 	if err := pl.Warm(apps...); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	elapsed := time.Since(start)
 
@@ -179,25 +203,27 @@ func runWarm(args []string) {
 	for _, st := range pl.Stats() {
 		t.AddRow(st.Stage, st.Computed, st.FromStore)
 	}
-	fmt.Print(t.String())
-	fmt.Printf("warmed %d workloads in %.1fs (store: %s)\n", len(apps), elapsed.Seconds(), artifactDir)
+	fmt.Fprint(stdout, t.String())
+	fmt.Fprintf(stdout, "warmed %d workloads in %.1fs (store: %s)\n", len(apps), elapsed.Seconds(), artifactDir)
 
 	if snap := faults.Snapshot(); faultSpec != "" || snap.IOErrs+snap.Corruptions+snap.Panics > 0 {
-		fmt.Printf("faults: injected %d io / %d corrupt / %d panic; recovered %d retries, %d quarantined\n",
+		fmt.Fprintf(stdout, "faults: injected %d io / %d corrupt / %d panic; recovered %d retries, %d quarantined\n",
 			snap.IOErrs, snap.Corruptions, snap.Panics, pl.Retries(), pl.Quarantined())
 	}
+	return 0
 }
 
 // runInspect describes trace/artifact container files.
-func runInspect(args []string) {
+func runInspect(args []string, stdout, stderr io.Writer) int {
+	fail := failer(stderr)
 	if len(args) == 0 {
-		fail("inspect needs file or directory arguments")
+		return fail("inspect needs file or directory arguments")
 	}
 	var files []string
 	for _, arg := range args {
 		info, err := os.Stat(arg)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		if !info.IsDir() {
 			files = append(files, arg)
@@ -205,33 +231,34 @@ func runInspect(args []string) {
 		}
 		matches, err := filepath.Glob(filepath.Join(arg, "*.actr"))
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		files = append(files, matches...)
-		describeQuarantine(arg)
+		describeQuarantine(stdout, arg)
 	}
 	if len(files) == 0 {
-		fail("no .actr files to inspect")
+		return fail("no .actr files to inspect")
 	}
 	// A store with one corrupt entry is exactly what inspect exists to
 	// diagnose: report per-file errors and keep going, failing at the end.
 	bad := 0
 	for _, f := range files {
-		if err := describeFile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "acic-trace: %s: %v\n", f, err)
+		if err := describeFile(stdout, f); err != nil {
+			fmt.Fprintf(stderr, "acic-trace: %s: %v\n", f, err)
 			bad++
 		}
 	}
 	if bad > 0 {
-		fail("%d of %d files unreadable", bad, len(files))
+		return fail("%d of %d files unreadable", bad, len(files))
 	}
+	return 0
 }
 
 // describeQuarantine summarizes a store directory's quarantine/ subdir:
 // entries the engine moved aside as undecodable (and regenerated), each
 // with the reason its .reason companion recorded. Silent when the store
 // has never quarantined anything.
-func describeQuarantine(dir string) {
+func describeQuarantine(w io.Writer, dir string) {
 	qdir := filepath.Join(dir, engine.QuarantineDirName)
 	entries, err := os.ReadDir(qdir)
 	if err != nil || len(entries) == 0 {
@@ -252,16 +279,16 @@ func describeQuarantine(dir string) {
 				reason, _, _ = strings.Cut(after, "\n")
 			}
 		}
-		fmt.Printf("%s: quarantined  %s\n", filepath.Join(qdir, e.Name()), reason)
+		fmt.Fprintf(w, "%s: quarantined  %s\n", filepath.Join(qdir, e.Name()), reason)
 	}
 	if n > 0 {
-		fmt.Printf("%s: %d quarantined entries (undecodable; regenerated on demand — delete the directory once diagnosed)\n", qdir, n)
+		fmt.Fprintf(w, "%s: %d quarantined entries (undecodable; regenerated on demand — delete the directory once diagnosed)\n", qdir, n)
 	}
 }
 
 // describeFile prints one container's layout: name, sections, sizes, and
 // element counts where the payload encoding carries one.
-func describeFile(path string) error {
+func describeFile(w io.Writer, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -270,10 +297,10 @@ func describeFile(path string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: v2 container %q, %d sections, %d bytes\n", path, name, len(secs), len(data))
+	fmt.Fprintf(w, "%s: v2 container %q, %d sections, %d bytes\n", path, name, len(secs), len(data))
 	var instCount, instBytes uint64
 	for _, s := range secs {
-		fmt.Printf("  %s  %8d bytes%s\n", s.Tag, len(s.Data), sectionDetail(s))
+		fmt.Fprintf(w, "  %s  %8d bytes%s\n", s.Tag, len(s.Data), sectionDetail(s))
 		if s.Tag == trace.SecInstsZ {
 			if count, n := binary.Uvarint(s.Data); n > 0 {
 				instCount += count
@@ -285,7 +312,7 @@ func describeFile(path string) error {
 	// window); summarize the whole stream's density in one line.
 	if instCount > 0 {
 		raw := instCount * instRecordBytes
-		fmt.Printf("  instructions: %d in %d encoded bytes = %.2f bytes/inst (raw %d bytes, %.1fx packed)\n",
+		fmt.Fprintf(w, "  instructions: %d in %d encoded bytes = %.2f bytes/inst (raw %d bytes, %.1fx packed)\n",
 			instCount, instBytes, float64(instBytes)/float64(instCount), raw, float64(raw)/float64(instBytes))
 	}
 	return nil
@@ -334,9 +361,9 @@ func sectionDetail(s trace.Section) string {
 	return fmt.Sprintf("  %d entries, raw %d bytes, %.2fx packed", count, raw, float64(raw)/float64(len(s.Data)))
 }
 
-func characterize(tr *trace.Trace) {
-	fmt.Printf("trace %q: %d instructions\n", tr.Name, tr.Len())
-	fmt.Printf("code footprint: %d blocks (%.1f KB)\n", tr.Footprint(), float64(tr.Footprint())*64/1024)
+func characterize(w io.Writer, tr *trace.Trace) {
+	fmt.Fprintf(w, "trace %q: %d instructions\n", tr.Name, tr.Len())
+	fmt.Fprintf(w, "code footprint: %d blocks (%.1f KB)\n", tr.Footprint(), float64(tr.Footprint())*64/1024)
 
 	classes := map[string]int{}
 	for i := range tr.Insts {
@@ -348,7 +375,7 @@ func characterize(tr *trace.Trace) {
 			t.AddRow(c, classes[c], stats.Percent(float64(classes[c])/float64(tr.Len())))
 		}
 	}
-	fmt.Print(t.String())
+	fmt.Fprint(w, t.String())
 
 	blocks := tr.BlockAccesses()
 	fr := analysis.InstReuseProfile(blocks, tr.RunLengths(), analysis.Fig1aEdges, cache.SampleFilter{}).Dist
@@ -357,9 +384,9 @@ func characterize(tr *trace.Trace) {
 	for i, f := range fr {
 		rt.AddRow(labels[i], stats.Percent(f))
 	}
-	fmt.Print(rt.String())
+	fmt.Fprint(w, rt.String())
 
 	bs := analysis.Bursts(blocks, 16)
-	fmt.Printf("bursts: %d, mean length %.2f accesses, %.1f%% of accesses intra-burst\n",
+	fmt.Fprintf(w, "bursts: %d, mean length %.2f accesses, %.1f%% of accesses intra-burst\n",
 		bs.Bursts, bs.MeanLength, bs.FracInBurst*100)
 }

@@ -14,32 +14,46 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"acic/cmd/internal/cliutil"
 	"acic/internal/distrib"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is the whole command: it parses args, writes diagnostics to stderr
+// and returns the process exit code, so every exit path runs the deferred
+// cleanup (the signal handler's release among it).
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acic-worker", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		coord     = flag.String("coord", "", "coordinator base URL (required), e.g. http://127.0.0.1:9321")
-		workers   = flag.Int("workers", 0, "simulation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
-		name      = flag.String("name", "", "worker identity in claims and coordinator logs (empty = host-pid)")
-		verbose   = flag.Bool("v", false, "log claims and batch completions on stderr")
+		coord     = fs.String("coord", "", "coordinator base URL (required), e.g. http://127.0.0.1:9321")
+		workers   = fs.Int("workers", 0, "simulation worker pool size (0 = ACIC_WORKERS or GOMAXPROCS)")
+		name      = fs.String("name", "", "worker identity in claims and coordinator logs (empty = host-pid)")
+		verbose   = fs.Bool("v", false, "log claims and batch completions on stderr")
 		faultSpec string
 	)
-	cliutil.RegisterFaultSpec(flag.CommandLine, &faultSpec)
-	flag.Parse()
+	cliutil.RegisterFaultSpec(fs, &faultSpec)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *coord == "" {
-		fmt.Fprintln(os.Stderr, "acic-worker: -coord URL is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "acic-worker: -coord URL is required")
+		return 2
 	}
 	if err := cliutil.InstallFaultSpec(faultSpec); err != nil {
-		fmt.Fprintf(os.Stderr, "acic-worker: -fault-spec: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "acic-worker: -fault-spec: %v\n", err)
+		return 1
 	}
 	ctx, stopSignals := cliutil.InterruptContext()
 	defer stopSignals()
@@ -47,15 +61,16 @@ func main() {
 	opts := distrib.WorkerOptions{Coord: *coord, Workers: *workers, Name: *name}
 	if *verbose {
 		opts.Log = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
+			fmt.Fprintf(stderr, format+"\n", args...)
 		}
 	}
 	if err := distrib.RunWorker(ctx, opts); err != nil {
 		if ctx.Err() != nil {
-			fmt.Fprintln(os.Stderr, "acic-worker: interrupted")
-			os.Exit(cliutil.ExitInterrupted)
+			fmt.Fprintln(stderr, "acic-worker: interrupted")
+			return cliutil.ExitInterrupted
 		}
-		fmt.Fprintf(os.Stderr, "acic-worker: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "acic-worker: %v\n", err)
+		return 1
 	}
+	return 0
 }

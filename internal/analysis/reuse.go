@@ -6,6 +6,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"acic/internal/cache"
 	"acic/internal/flat"
 )
@@ -269,12 +271,9 @@ func Bursts(blocks []uint64, threshold int64) BurstStats {
 // NextUseArray precomputes the successor array of a block-access sequence:
 // out[i] is the index of the next access to blocks[i] strictly after i, or
 // cache.NeverUsed when the block is never accessed again. One backward O(n)
-// pass replaces the per-query map lookup + binary search of NextUseOracle
-// for the dominant query shape — "when is the block I am touching right now
-// used next" — which the cache layer then carries as per-line metadata, so
-// OPT replacement and OPT bypass run without any oracle lookups on the hot
-// path. NextUseOracle remains the reference implementation (and serves the
-// arbitrary (block, after) queries of the offline figure analyses).
+// pass. It is the reference the cold prepare's NextUseBuilder is pinned
+// against and what the store's NXTA section carries; the simulators read
+// the same values through NextUseOracle.Cursor.
 func NextUseArray(blocks []uint64) []int64 {
 	out := make([]int64, len(blocks))
 	last := make(map[uint64]int64, 1024)
@@ -331,29 +330,85 @@ func NewNextUseOracle(blocks []uint64) *NextUseOracle {
 }
 
 // NextUse returns the access index of the first access to block strictly
-// after index `after`, or cache.NeverUsed if none exists. The binary search
-// is hand-rolled: sort.Search costs a closure call per probe, and this
-// query sits on the prefetch-fill path of the oracle schemes.
+// after index `after`, or cache.NeverUsed if none exists.
 func (o *NextUseOracle) NextUse(block uint64, after int64) int64 {
 	r := o.rows.Get(block)
 	if r == 0 {
 		return cache.NeverUsed
 	}
-	ps := o.pos[o.start[r-1]:o.start[r]]
-	lo, hi := 0, len(ps)
+	return o.at(o.after(r, after), r)
+}
+
+// after returns the index into pos of row r's first position strictly
+// after `after` (o.start[r] when there is none; r is the row + 1, as
+// rows stores it). The binary search is hand-rolled: sort.Search costs a
+// closure call per probe, and this query sits on the prefetch-fill path
+// of the oracle schemes.
+func (o *NextUseOracle) after(r int32, after int64) int32 {
+	lo, hi := o.start[r-1], o.start[r]
 	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int64(ps[mid]) > after {
+		mid := int32(uint32(lo+hi) >> 1)
+		if int64(o.pos[mid]) > after {
 			hi = mid
 		} else {
 			lo = mid + 1
 		}
 	}
-	if lo == len(ps) {
+	return lo
+}
+
+// at returns the access index at pos[k], or cache.NeverUsed when k is
+// past row r's end.
+func (o *NextUseOracle) at(k, r int32) int64 {
+	if k == o.start[r] {
 		return cache.NeverUsed
 	}
-	return int64(ps[lo])
+	return int64(o.pos[k])
 }
 
 // Func adapts the oracle to the cache.AccessContext.NextUse signature.
 func (o *NextUseOracle) Func() func(uint64, int64) int64 { return o.NextUse }
+
+// NextUseCursor answers the simulators' dominant oracle query, "when is
+// the block demanded at access i used next", for one run. It keeps one
+// int32 per row: the index into the oracle's positions of the block's
+// next expected demand. A run demands each block's accesses in sequence
+// order (a set-sampled run skips whole blocks, never single accesses of
+// a block it simulates), so a query almost always finds its access under
+// the row's cursor and answers with the next position in the row, in
+// O(1) past the row lookup. Any other query (repeated, out of order, or
+// an access index that is not the block's) answers by NextUse's binary
+// search and moves the row's cursor to the position it found, so every
+// answer equals NextUse(block, i) whatever the query order.
+//
+// A cursor is state of one run: it is not safe for concurrent use, and
+// each simulation takes its own (Cursor). The oracle itself is shared
+// read-only.
+type NextUseCursor struct {
+	o    *NextUseOracle
+	next []int32 // per row: index into o.pos of the next expected demand
+}
+
+// Cursor returns a fresh cursor over the oracle, every row at its first
+// access.
+func (o *NextUseOracle) Cursor() *NextUseCursor {
+	return &NextUseCursor{o: o, next: slices.Clone(o.start[:len(o.start)-1])}
+}
+
+// Next returns the access index of the first access to block strictly
+// after index i, or cache.NeverUsed if none exists: NextUse(block, i).
+func (c *NextUseCursor) Next(block uint64, i int64) int64 {
+	o := c.o
+	r := o.rows.Get(block)
+	if r == 0 {
+		return cache.NeverUsed
+	}
+	k := c.next[r-1]
+	if k < o.start[r] && int64(o.pos[k]) == i {
+		k++
+	} else {
+		k = o.after(r, i)
+	}
+	c.next[r-1] = k
+	return o.at(k, r)
+}

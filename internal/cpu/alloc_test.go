@@ -17,8 +17,8 @@ import (
 // simulation hot path: once warm, one simulated cycle — demand fetches,
 // prefetch fills, policy updates, admission decisions, data-side hierarchy
 // accesses — must not touch the heap, for every scheme family with
-// per-block state (flat tables, carried next-use metadata, reusable access
-// contexts). A regression here silently reintroduces GC pressure into
+// per-block state (flat tables, carried next-use metadata and the
+// successor cursor it is read from, reusable access contexts). A regression here silently reintroduces GC pressure into
 // every experiment sweep.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	prof, ok := workload.ByName("media-streaming")
@@ -29,8 +29,10 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 	tr := workload.Generate(prof, n)
 	ann := branch.NewFrontEnd().Annotate(tr)
 	blocks := tr.BlockAccesses()
-	oracle := analysis.NewNextUseOracle(blocks).Func()
-	nextAt := analysis.NextUseArray(blocks)
+	// opt and opt-bypass read each demand's next use through their own
+	// successor cursor over the oracle, and fall back to its closure.
+	index := analysis.NewNextUseOracle(blocks)
+	oracle := index.Func()
 
 	base := func() icache.Config { return icache.Config{Sets: 64, Ways: 8} }
 	subsystems := map[string]func() icache.Subsystem{
@@ -43,7 +45,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			c := base()
 			c.Policy = policy.NewOPT()
 			c.NextUse = oracle
-			c.NextAt = nextAt
+			c.Successors = index
 			return icache.MustNew(c)
 		},
 		"opt-bypass": func() icache.Subsystem {
@@ -52,7 +54,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			c.FilterSlots = 16
 			c.Bypass = bypass.OPTBypass{}
 			c.NextUse = oracle
-			c.NextAt = nextAt
+			c.Successors = index
 			return icache.MustNew(c)
 		},
 		"harmony": func() icache.Subsystem {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -10,19 +11,23 @@ import (
 )
 
 // NewProgramFromParts reassembles a Program of n instructions from
-// persisted artifacts: the trace plus the annotation, descriptor, and
+// persisted artifacts: the trace plus the ANNO payload (one
+// branch.Redirect byte per instruction), the descriptor and the
 // collapsed-block arrays that NewProgram derives (trace codec v2 sections
 // ANNO/DESC/BLKS). Only the cheap purely-local state — the per-instruction
 // data-block array and the run-ahead event bitmap — is recomputed; the
-// expensive branch-predictor replay behind ann and the descriptor pass are
-// skipped. tr.Insts is either the n decoded records or nil: a Program
-// without them has no MemBlk, so its data-side timeline must be adopted
-// (AdoptDataLatencies), not replayed. The parts are validated against n
-// (lengths, block count, event bits, annotations that agree with the
-// descriptors' redirect bits, and descriptors free of level bits, which
-// DescBytes masks out) so a mismatched or stale artifact fails here
-// and the caller regenerates instead of simulating garbage.
-func NewProgramFromParts(tr *trace.Trace, n int, ann []branch.Annotation, desc []uint8, blocks []uint64) (*Program, error) {
+// expensive branch-predictor replay behind the annotations and the
+// descriptor pass are skipped. tr.Insts is either the n decoded records
+// or nil: a Program without them has no MemBlk, so its data-side timeline
+// must be adopted (AdoptDataLatencies), not replayed. The parts are
+// validated against n (lengths, block count, event bits, annotation bytes
+// that agree with the descriptors' redirect bits, and descriptors free of
+// level bits, which DescBytes masks out) so a mismatched or stale
+// artifact fails here and the caller regenerates instead of simulating
+// garbage. The annotations are checked in place, not kept: the
+// descriptors carry the redirects, and a caller that wants the Ann array
+// builds it with AnnotationsFromBytes.
+func NewProgramFromParts(tr *trace.Trace, n int, ann []byte, desc []uint8, blocks []uint64) (*Program, error) {
 	if tr.Insts != nil && len(tr.Insts) != n {
 		return nil, fmt.Errorf("cpu: trace length %d != instruction count %d", len(tr.Insts), n)
 	}
@@ -34,7 +39,6 @@ func NewProgramFromParts(tr *trace.Trace, n int, ann []branch.Annotation, desc [
 	}
 	p := &Program{
 		Trace:     tr,
-		Ann:       ann,
 		Desc:      desc,
 		Blocks:    blocks,
 		runEvents: make([]uint64, (n+63)/64+1),
@@ -47,8 +51,8 @@ func NewProgramFromParts(tr *trace.Trace, n int, ann []branch.Annotation, desc [
 		if d&descLevel != 0 {
 			return nil, fmt.Errorf("cpu: descriptor %d carries data-level bits %#x", i, d&descLevel)
 		}
-		if ann[i].Redirect != descRedirect(d) {
-			return nil, fmt.Errorf("cpu: annotation %d redirect %d, descriptor says %d", i, ann[i].Redirect, descRedirect(d))
+		if r := descRedirect(d); ann[i] != byte(r) {
+			return nil, fmt.Errorf("cpu: annotation %d redirect %d, descriptor says %d", i, ann[i], r)
 		}
 		if p.MemBlk != nil && tr.Insts[i].Class.IsMem() {
 			p.MemBlk[i] = trace.Block(tr.Insts[i].MemAddr)
@@ -107,20 +111,28 @@ func AnnotationsFromBytes(data []byte) ([]branch.Annotation, error) {
 }
 
 // AdoptDataLatencies installs a precomputed data-side latency timeline
-// (from the workload artifact store) instead of replaying the data
-// hierarchy, writing each memory instruction's data level into its
-// descriptor. Adopting after the timeline was already computed (or
-// adopted) under the same config is a no-op; a different config panics
-// exactly like EnsureDataLatencies. A timeline that cfg could not have
-// produced — the wrong length, a memory instruction whose latency is no
-// level's, or a nonzero latency on any other instruction — is rejected
-// before installation so a stale artifact cannot poison the Program. When
-// two levels share a latency, the first in lookup order is recorded; the
-// latency the simulator reads is the same either way.
-func (p *Program) AdoptDataLatencies(lat []int16, cfg mem.Config) error {
-	if len(lat) != len(p.Desc) {
-		return fmt.Errorf("cpu: data-latency timeline length %d != program length %d", len(lat), len(p.Desc))
+// (the DLAT payload of the workload artifact store, trace.EncodeInt16s)
+// instead of replaying the data hierarchy, writing each memory
+// instruction's data level into its descriptor. The payload is read in
+// place and the timeline is not kept: the descriptors' level bits are
+// what the simulator reads, and a caller that wants DataLat decodes it
+// (trace.DecodeInt16s). Adopting after the timeline was already computed
+// (or adopted) under the same config is a no-op; a different config
+// panics exactly like EnsureDataLatencies. A payload cfg could not have
+// produced — bad framing, the wrong length, a memory instruction whose
+// latency is no level's, or a nonzero latency on any other instruction —
+// is rejected before installation so a stale artifact cannot poison the
+// Program. When two levels share a latency, the first in lookup order is
+// recorded; the latency the simulator reads is the same either way.
+func (p *Program) AdoptDataLatencies(data []byte, cfg mem.Config) error {
+	elems, err := trace.Int16sElems(data)
+	if err != nil {
+		return err
 	}
+	if len(elems) != 2*len(p.Desc) {
+		return fmt.Errorf("cpu: data-latency timeline length %d != program length %d", len(elems)/2, len(p.Desc))
+	}
+	lat := func(i int) int16 { return int16(binary.LittleEndian.Uint16(elems[2*i:])) }
 	table := levelTable(cfg)
 	levelOf := func(v int16) (mem.Level, bool) {
 		for l, t := range table {
@@ -132,22 +144,21 @@ func (p *Program) AdoptDataLatencies(lat []int16, cfg mem.Config) error {
 	}
 	for i, d := range p.Desc {
 		if d&(descLoad|descStore) == 0 {
-			if lat[i] != 0 {
-				return fmt.Errorf("cpu: data latency %d on non-memory instruction %d", lat[i], i)
+			if v := lat(i); v != 0 {
+				return fmt.Errorf("cpu: data latency %d on non-memory instruction %d", v, i)
 			}
-		} else if _, ok := levelOf(lat[i]); !ok {
-			return fmt.Errorf("cpu: data latency %d at instruction %d is no level's latency %v", lat[i], i, table)
+		} else if _, ok := levelOf(lat(i)); !ok {
+			return fmt.Errorf("cpu: data latency %d at instruction %d is no level's latency %v", lat(i), i, table)
 		}
 	}
 	p.dataLatOnce.Do(func() {
 		p.setDataConfig(cfg)
 		for i, d := range p.Desc {
 			if d&(descLoad|descStore) != 0 {
-				l, _ := levelOf(lat[i])
+				l, _ := levelOf(lat(i))
 				p.Desc[i] = withLevel(d, l)
 			}
 		}
-		p.DataLat = lat
 	})
 	p.checkDataConfig(cfg)
 	return nil

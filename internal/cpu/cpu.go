@@ -232,10 +232,10 @@ const (
 // which matters when the per-access budget is a few hundred nanoseconds.
 type Program struct {
 	Trace *trace.Trace
-	// Ann is the branch annotation per instruction, as NewProgram and a
-	// store load (NewProgramFromParts) take it. A ProgramBuilder leaves it
-	// nil: the descriptors carry each redirect, and AnnotationBytes reads
-	// it from them.
+	// Ann is the branch annotation per instruction, as NewProgram takes
+	// it. A ProgramBuilder and NewProgramFromParts leave it nil (a store
+	// load outside a Suite sets it from the ANNO payload): the descriptors
+	// carry each redirect, and AnnotationBytes reads it from them.
 	Ann    []branch.Annotation
 	Desc   []uint8  // descriptor byte per instruction
 	Blocks []uint64 // collapsed block-access sequence (== Trace.BlockAccesses())
@@ -257,8 +257,9 @@ type Program struct {
 	// has not done it explicitly. The simulator reads the same latencies
 	// through the descriptors' level bits and levelLat, so an owner may set
 	// DataLat to nil once the timeline is installed, and a ProgramBuilder
-	// never builds it; DataLatBytes derives the DLAT artifact section from
-	// the level bits. It is kept for callers that compare timelines.
+	// and AdoptDataLatencies never build it; DataLatBytes derives the DLAT
+	// artifact section from the level bits. It is kept for callers that
+	// compare timelines.
 	DataLat []int16
 
 	dataLatOnce sync.Once

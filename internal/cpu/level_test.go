@@ -63,11 +63,11 @@ func TestDataLevelsMatchTimeline(t *testing.T) {
 			b.Append(window)
 		}
 		built := b.Finish()
-		adopted, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ann, ensured.DescBytes(nil), ensured.Blocks)
+		adopted, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ensured.AnnotationBytes(nil), ensured.DescBytes(nil), ensured.Blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := adopted.AdoptDataLatencies(slices.Clone(timeline), cfg); err != nil {
+		if err := adopted.AdoptDataLatencies(trace.EncodeInt16s(timeline), cfg); err != nil {
 			t.Fatal(err)
 		}
 
@@ -87,10 +87,10 @@ func TestDataLevelsMatchTimeline(t *testing.T) {
 			p    *Program
 		}{{"builder", built}, {"ensure", ensured}, {"adopt", adopted}} {
 			p := path.p
-			// The builder keeps no DataLat; every path's DLAT payload, read
-			// off the level bits, must encode the replayed timeline.
-			if p != built && !slices.Equal(p.DataLat, timeline) {
-				t.Errorf("L3=%d %s: DataLat differs from the replayed timeline", cfg.Lat.L3, path.name)
+			// Only the replay keeps DataLat; every path's DLAT payload,
+			// read off the level bits, must encode the replayed timeline.
+			if p == ensured && !slices.Equal(p.DataLat, timeline) || p != ensured && p.DataLat != nil {
+				t.Errorf("L3=%d %s: DataLat of %d entries, want the replayed timeline on the ensure path only", cfg.Lat.L3, path.name, len(p.DataLat))
 			}
 			if !bytes.Equal(p.DataLatBytes(nil), trace.EncodeInt16s(timeline)) {
 				t.Errorf("L3=%d %s: DLAT payload differs from the replayed timeline's", cfg.Lat.L3, path.name)
@@ -124,8 +124,8 @@ func TestDataLevelsMatchTimeline(t *testing.T) {
 
 // TestAdoptRefusesForeignLatencies: a timeline the hierarchy could not
 // have produced is refused before anything is installed — a memory
-// instruction whose latency is no level's, and a nonzero latency on a
-// non-memory instruction — and descriptors that already carry level bits
+// instruction whose latency is no level's, a nonzero latency on a
+// non-memory instruction, and a payload cut short — and descriptors that already carry level bits
 // are refused when the Program is assembled. A refused adoption leaves
 // the Program free to adopt the right timeline.
 func TestAdoptRefusesForeignLatencies(t *testing.T) {
@@ -140,7 +140,7 @@ func TestAdoptRefusesForeignLatencies(t *testing.T) {
 		t.Fatal("trace lacks memory or non-memory instructions")
 	}
 	parts := func() *Program {
-		p, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.Ann, ref.DescBytes(nil), ref.Blocks)
+		p, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.AnnotationBytes(nil), ref.DescBytes(nil), ref.Blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,24 +151,29 @@ func TestAdoptRefusesForeignLatencies(t *testing.T) {
 		name string
 		idx  int
 		lat  int16
-	}{{"latency of no level", memIdx, 7}, {"zero on a memory instruction", memIdx, 0}, {"latency on a non-memory instruction", otherIdx, 5}} {
+	}{{"latency of no level", memIdx, 7}, {"zero on a memory instruction", memIdx, 0}, {"latency on a non-memory instruction", otherIdx, 5}, {"truncated payload", memIdx, ref.DataLat[memIdx]}} {
 		p := parts()
 		lat := slices.Clone(ref.DataLat)
 		lat[bad.idx] = bad.lat
-		if err := p.AdoptDataLatencies(lat, cfg); err == nil {
+		payload := trace.EncodeInt16s(lat)
+		if bad.name == "truncated payload" {
+			payload = trace.EncodeInt16s(ref.DataLat)
+			payload = payload[:len(payload)-1]
+		}
+		if err := p.AdoptDataLatencies(payload, cfg); err == nil {
 			t.Errorf("%s: adopted", bad.name)
 		}
 		if p.DataLat != nil || p.Desc[memIdx]&descLevel != 0 {
 			t.Errorf("%s: a refused timeline was installed", bad.name)
 		}
-		if err := p.AdoptDataLatencies(slices.Clone(ref.DataLat), cfg); err != nil || !slices.Equal(p.Desc, ref.Desc) {
+		if err := p.AdoptDataLatencies(trace.EncodeInt16s(ref.DataLat), cfg); err != nil || !slices.Equal(p.Desc, ref.Desc) {
 			t.Errorf("%s: the right timeline after a refusal: %v (descriptors equal %v)", bad.name, err, slices.Equal(p.Desc, ref.Desc))
 		}
 	}
 
 	withLevels := ref.DescBytes(nil)
 	withLevels[memIdx] |= descLevel
-	if _, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.Ann, withLevels, ref.Blocks); err == nil {
+	if _, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.AnnotationBytes(nil), withLevels, ref.Blocks); err == nil {
 		t.Error("descriptors carrying level bits were accepted")
 	}
 }

@@ -49,10 +49,11 @@ const prepareWindow = 1 << 16
 // through the group's singleflight; concurrent processes share through the
 // store's atomic temp-file-and-rename writes.
 type Pipeline struct {
-	n      int
-	window int // instructions per cold-prepare window (prepareWindow)
-	memCfg mem.Config
-	pool   *engine.Pool
+	n       int
+	window  int // instructions per cold-prepare window (prepareWindow)
+	memCfg  mem.Config
+	pool    *engine.Pool
+	simOnly bool // PipelineConfig.simOnly
 
 	workloads *engine.Group[string, *Workload]
 
@@ -76,16 +77,19 @@ type PipelineConfig struct {
 	// pool. Demand-driven preparation (Workload) runs inline on the
 	// calling goroutine either way.
 	Pool *engine.Pool
-	// simOnly makes every workload a store load returns carry only
-	// simulator state, as a cold prepare's always does: no Trace.Insts,
-	// Prog.MemBlk, Prog.DataLat or annotations, and the load never decodes
-	// the whole trace. A Suite sets it: none of its cells or renderers
-	// reads those arrays, and a warm load would otherwise build each app's
-	// Inst records (32 B/inst) and MemBlk (8 B/inst) only to drop them,
-	// and keep DataLat (2 B/inst) and the annotations (1 B/inst) resident
-	// for the whole run. NewPipeline callers that digest or compare those
-	// arrays (store tooling, the pipeline tests, perfbench) leave it off
-	// and read them from a store load.
+	// simOnly makes every workload carry only simulator state: no
+	// Trace.Insts, Prog.MemBlk, Prog.DataLat, annotations or NextAt. A
+	// store load never decodes the whole trace nor builds those arrays
+	// (it checks their payloads in place), and a cold prepare drops its
+	// successor array once the NXTA section is written. A Suite sets it:
+	// none of its cells or renderers reads those arrays (the oracle
+	// schemes read next uses from Workload.Oracle), and a warm load would
+	// otherwise build each app's Inst records (32 B/inst) and MemBlk (8
+	// B/inst) only to drop them, and keep NextAt (8 B/access), DataLat (2
+	// B/inst) and the annotations (1 B/inst) resident for the whole run.
+	// NewPipeline callers that digest or compare those arrays (store
+	// tooling, the pipeline tests, perfbench) leave it off and read them
+	// from a store load or a cold prepare.
 	simOnly bool
 }
 
@@ -100,7 +104,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Pool == nil {
 		cfg.Pool = engine.NewPool(0)
 	}
-	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), pool: cfg.Pool}
+	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), pool: cfg.Pool, simOnly: cfg.simOnly}
 	pl.workloads = engine.NewGroup(cfg.Pool, pl.prepare)
 	pl.workloads.Name = "workload"
 	// Transient failures (injected faults, MarkTransient-wrapped errors)
@@ -146,19 +150,20 @@ var workloadSections = []string{trace.SecAnnot, trace.SecDesc, trace.SecBlocks, 
 // artifact. Every check a load makes runs here, so any failure quarantines
 // the one entry: the section CRCs, the decode of every INSZ window, the
 // annotation and descriptor lengths and block count against the
-// instruction count (cpu.NewProgramFromParts), the successor array against
-// the blocks, and the latency timeline against the program and the
-// hierarchy's levels (AdoptDataLatencies). The run-ahead bitmap is a cheap
-// local recompute.
+// instruction count and the annotations against the descriptors
+// (cpu.NewProgramFromParts), the successor array's encoding and length
+// against the blocks, and the latency timeline against the program and
+// the hierarchy's levels (AdoptDataLatencies). The run-ahead bitmap is a
+// cheap local recompute.
 //
 // simOnly decodes the windows one at a time into one reused buffer
 // (trace.CountInsts) and keeps no Inst records, so the Program has no
-// MemBlk, and it drops the annotations and the latency timeline once they
-// are checked and installed: the descriptors carry each redirect and data
-// level, so EnsureDataLatencies never reads MemBlk or DataLat again.
-// Otherwise the trace is decoded whole and MemBlk recomputed from it, and
-// every array is kept. Both accept and refuse the same inputs and build
-// the same descriptors, blocks and successor array.
+// MemBlk, and it checks the ANNO, NXTA and DLAT payloads in place without
+// building their arrays: the descriptors carry each redirect and data
+// level, and the simulators read next uses from the oracle. Otherwise the
+// trace is decoded whole, MemBlk recomputed from it, and the annotations,
+// successor array and latency timeline decoded and kept. Both accept and
+// refuse the same inputs and build the same descriptors and blocks.
 func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, error) {
 	// Sections alias data; only the descriptors are kept as they are, so
 	// only they are copied.
@@ -184,41 +189,47 @@ func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, er
 			return nil, fmt.Errorf("experiments: workload artifact missing %s section", tag)
 		}
 	}
-	ann, err := cpu.AnnotationsFromBytes(payload[0])
-	if err != nil {
-		return nil, err
-	}
 	blocks, err := trace.DecodeUint64sDelta(payload[2])
 	if err != nil {
 		return nil, err
 	}
-	nextAt, err := trace.DecodeInt64sDelta(payload[3])
+	prog, err := cpu.NewProgramFromParts(&trace.Trace{Name: name, Insts: insts}, n, payload[0], bytes.Clone(payload[1]), blocks)
 	if err != nil {
 		return nil, err
 	}
-	lat, err := trace.DecodeInt16s(payload[4])
-	if err != nil {
-		return nil, err
-	}
-	prog, err := cpu.NewProgramFromParts(&trace.Trace{Name: name, Insts: insts}, n, ann, bytes.Clone(payload[1]), blocks)
-	if err != nil {
-		return nil, err
-	}
-	if len(nextAt) != len(prog.Blocks) {
-		return nil, fmt.Errorf("experiments: successor array length %d != %d block accesses", len(nextAt), len(prog.Blocks))
-	}
-	if err := prog.AdoptDataLatencies(lat, memCfg); err != nil {
-		return nil, err
-	}
+	var nextAt []int64
+	var successors int
 	if simOnly {
-		prog.Ann, prog.DataLat = nil, nil
+		successors, err = trace.CountInt64sDelta(payload[3])
+	} else {
+		nextAt, err = trace.DecodeInt64sDelta(payload[3])
+		successors = len(nextAt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if successors != len(prog.Blocks) {
+		return nil, fmt.Errorf("experiments: successor array length %d != %d block accesses", successors, len(prog.Blocks))
+	}
+	if err := prog.AdoptDataLatencies(payload[4], memCfg); err != nil {
+		return nil, err
+	}
+	if !simOnly {
+		// The checks above passed, so neither decode can fail.
+		if prog.Ann, err = cpu.AnnotationsFromBytes(payload[0]); err != nil {
+			return nil, err
+		}
+		if prog.DataLat, err = trace.DecodeInt16s(payload[4]); err != nil {
+			return nil, err
+		}
 	}
 	return newWorkload(workload.Profile{}, prog, nextAt), nil
 }
 
 // newWorkload builds the Workload view over a finished Program and its
-// successor array, adding the in-memory next-use oracle (an index over
-// the block sequence, always rebuilt — it is not an artifact).
+// successor array (nil on a Suite's workloads), adding the in-memory
+// next-use oracle (an index over the block sequence, always rebuilt — it
+// is not an artifact).
 func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Workload {
 	return &Workload{
 		Profile: prof,
@@ -266,10 +277,11 @@ func (pl *Pipeline) stored(app string) bool {
 
 // Workload returns the fully prepared workload for an app, loading or
 // preparing it on demand. Outside a Suite, a workload loaded from the
-// store carries its Inst records, annotations, data-block array and
-// latency timeline. One prepared cold carries none of the four, in or
-// outside a Suite: its descriptors hold the redirects and data levels,
-// from which the store's ANNO and DLAT sections were derived.
+// store carries its Inst records, annotations, data-block array, latency
+// timeline and successor array. One prepared cold carries none of the
+// first four, in or outside a Suite: its descriptors hold the redirects
+// and data levels, from which the store's ANNO and DLAT sections were
+// derived. In a Suite no workload carries a successor array either.
 func (pl *Pipeline) Workload(app string) (*Workload, error) {
 	w, err := pl.workloads.Get(app)
 	if err != nil {

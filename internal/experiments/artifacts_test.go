@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"acic/internal/cpu"
 	"acic/internal/faults"
 	"acic/internal/stats"
 	"acic/internal/trace"
@@ -423,20 +424,27 @@ func TestExpAllColdVsWarmStoreByteIdentical(t *testing.T) {
 
 // TestSuiteWorkloadsCarryOnlySimulatorState pins what a Suite keeps
 // resident: a workload it prepares cold and one it loads from the store
-// both carry no Inst records, no data-block array, no latency timeline
-// and no annotations, keep their name and length, and simulate exactly
-// like Prepare's. The warm load decodes the trace a window at a time, so
-// all it allocates stays within a small multiple of the arrays it keeps;
-// decoding the trace whole (32 B/inst) would break the bound. A plain
-// Pipeline over the same store still returns every array, equal to
-// Prepare's.
+// both carry no Inst records, no data-block array, no latency timeline,
+// no annotations and no successor array, keep their name and length, and
+// simulate exactly like Prepare's (opt included, which reads its next
+// uses from the oracle). The warm load decodes the trace a window at a
+// time and checks the ANNO, NXTA and DLAT payloads in place, so all it
+// allocates stays within a small multiple of the arrays it keeps;
+// decoding the trace whole (32 B/inst), or those three payloads (4.2
+// B/inst here), would break the bound. A plain Pipeline over the same
+// store still returns every array, equal to Prepare's.
 func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 	const app, n = "sibench", 20_000
 	prof, _ := workload.ByName(app)
 	want := Prepare(prof, n)
-	wantRes, err := Run(want, "acic", DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
+	schemes := []string{"acic", "opt"}
+	wantRes := make(map[string]cpu.Result)
+	for _, scheme := range schemes {
+		res, err := Run(want, scheme, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRes[scheme] = res
 	}
 	dir := t.TempDir()
 
@@ -463,9 +471,9 @@ func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 			t.Errorf("%s: suite workload keeps %d insts (program %d) and %d data blocks, want none",
 				phase.name, len(w.Trace.Insts), len(w.Prog.Trace.Insts), len(w.Prog.MemBlk))
 		}
-		if w.Ann != nil || w.Prog.Ann != nil || w.Prog.DataLat != nil {
-			t.Errorf("%s: suite workload keeps %d annotations (program %d) and %d latencies, want none",
-				phase.name, len(w.Ann), len(w.Prog.Ann), len(w.Prog.DataLat))
+		if w.Ann != nil || w.Prog.Ann != nil || w.Prog.DataLat != nil || w.NextAt != nil {
+			t.Errorf("%s: suite workload keeps %d annotations (program %d), %d latencies and %d successors, want none",
+				phase.name, len(w.Ann), len(w.Prog.Ann), len(w.Prog.DataLat), len(w.NextAt))
 		}
 		if w.Trace != w.Prog.Trace || w.Trace.Name != app || w.Prog.Len() != want.Prog.Len() {
 			t.Errorf("%s: trace %q (shared %v), length %d, want %q, %d",
@@ -474,21 +482,23 @@ func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 		assertStageCounts(t, s.pipeline, phase.computed, phase.fromStore)
 		if phase.name == "warm" {
 			// The load reads the entry (about 7 B/inst here), decodes the
-			// arrays and builds the oracle's compressed rows: about 5.7x
-			// the descriptors, blocks and successors it keeps (3.1
-			// B/inst). The oracle's old per-block position lists, grown
-			// by append, read 6.7x; the whole trace's Inst records would
-			// add 32 B/inst, and MemBlk alone 8 B/inst. All break 6x.
-			retained := uint64(len(w.Prog.Desc) + 8*len(w.Blocks) + 8*len(w.NextAt))
+			// blocks and builds the oracle's compressed rows: about 6.6x
+			// the descriptors and blocks it keeps (2.1 B/inst). Decoding
+			// the successor array, annotations and latency timeline only
+			// to check them read 8.6x; the whole trace's Inst records
+			// would add 32 B/inst. Both break 7x.
+			retained := uint64(len(w.Prog.Desc) + 8*len(w.Blocks))
 			alloc := after.TotalAlloc - before.TotalAlloc
-			t.Logf("warm PrepareAll allocated %d B for %d B of descriptors, blocks and successors", alloc, retained)
-			if alloc > 6*retained {
-				t.Errorf("warm PrepareAll allocated %d B, want at most 6x the %d B of descriptors, blocks and successors it keeps",
+			t.Logf("warm PrepareAll allocated %d B for %d B of descriptors and blocks", alloc, retained)
+			if alloc > 7*retained {
+				t.Errorf("warm PrepareAll allocated %d B, want at most 7x the %d B of descriptors and blocks it keeps",
 					alloc, retained)
 			}
 		}
-		if res, err := Run(w, "acic", DefaultOptions()); err != nil || res != wantRes {
-			t.Errorf("%s: acic run %+v (%v), want %+v", phase.name, res, err, wantRes)
+		for _, scheme := range schemes {
+			if res, err := Run(w, scheme, DefaultOptions()); err != nil || res != wantRes[scheme] {
+				t.Errorf("%s: %s run %+v (%v), want %+v", phase.name, scheme, res, err, wantRes[scheme])
+			}
 		}
 	}
 

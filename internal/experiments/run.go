@@ -21,10 +21,9 @@ import (
 
 // Workload bundles everything scheme runs share for one application: the
 // preprocessed program (trace, branch annotations, fetch descriptors, and
-// the collapsed block-access sequence — all scheme-independent), the
-// next-use oracle built over the block sequence, and the successor array
-// (NextAt[i] = next access to the block demanded at access i) that lets
-// the oracle schemes answer their dominant query with one slice read.
+// the collapsed block-access sequence — all scheme-independent) and the
+// next-use oracle built over the block sequence, which the oracle schemes
+// read through a per-run successor cursor (icache.Config.Successors).
 type Workload struct {
 	Profile workload.Profile
 	Prog    *cpu.Program
@@ -38,6 +37,11 @@ type Workload struct {
 	Ann    []branch.Annotation
 	Blocks []uint64
 	Oracle *analysis.NextUseOracle
+	// NextAt is the successor array the store's NXTA section carries
+	// (NextAt[i] = next access to the block demanded at access i). No
+	// simulation reads it; it is kept on Prepare's workloads and on a
+	// plain Pipeline's, for the callers that digest or compare it, and is
+	// nil on every Suite workload.
 	NextAt []int64
 }
 

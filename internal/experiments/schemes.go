@@ -141,7 +141,7 @@ func NewSampledScheme(name string, w *Workload, sample cpu.SampleConfig) (icache
 		c := base()
 		c.Policy = policy.NewOPT()
 		c.NextUse = oracle
-		c.NextAt = w.NextAt
+		c.Successors = w.Oracle
 		return icache.New(c)
 	case "opt-bypass":
 		c := base()
@@ -149,7 +149,7 @@ func NewSampledScheme(name string, w *Workload, sample cpu.SampleConfig) (icache
 		c.FilterSlots = 16
 		c.Bypass = bypass.OPTBypass{}
 		c.NextUse = oracle
-		c.NextAt = w.NextAt
+		c.Successors = w.Oracle
 		c.Name = "opt-bypass"
 		return icache.New(c)
 	case "ifilter":

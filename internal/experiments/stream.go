@@ -20,10 +20,11 @@ import (
 // Peak residency is O(window) Inst records plus what the simulator keeps
 // anyway: per instruction, the descriptor byte (which carries its branch
 // redirect and data level) and a run-ahead bit, and per block access its
-// block and successor. The returned workload has a Suite workload's shape
-// whatever the pipeline: no Inst records, annotations, data blocks or
-// latency timeline (a later load from the store restores all four outside
-// a Suite). The ANNO and DLAT sections are derived from the descriptors.
+// block and successor. The returned workload has no Inst records,
+// annotations, data blocks or latency timeline whatever the pipeline (a
+// later load from the store restores all four outside a Suite), and in a
+// Suite no successor array: it is built for the NXTA section only. The ANNO and DLAT
+// sections are derived from the descriptors.
 //
 // The generator, the front end, and the data hierarchy are all sequential
 // state machines, so per-window feeding equals the whole-trace pass of
@@ -32,7 +33,7 @@ import (
 // and TestPipelineStreamedMatchesBatch).
 func (pl *Pipeline) stream(app string, prof workload.Profile) (*Workload, error) {
 	builder := cpu.NewProgramBuilder(prof.Name, pl.memCfg, pl.n)
-	nextUse := analysis.NewNextUseBuilder(pl.n / 8)
+	nextUse := analysis.NewNextUseBuilder(cpu.BlockAccessesHint(pl.n))
 	// The artifact takes one section per window plus the derived sections,
 	// so the window grows with n past that many windows to keep the
 	// artifact within the reader's section limit.
@@ -90,6 +91,9 @@ func (pl *Pipeline) stream(app string, prof workload.Profile) (*Workload, error)
 	persist(trace.SecDataLat, func() []byte { return prog.DataLatBytes(buf[:0]) })
 	if cw != nil && cw.Close() == nil {
 		entry.Commit()
+	}
+	if pl.simOnly {
+		nextAt = nil // no Suite simulation reads it (Workload.NextAt)
 	}
 	return newWorkload(prof, prog, nextAt), nil
 }

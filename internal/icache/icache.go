@@ -10,6 +10,7 @@ package icache
 import (
 	"fmt"
 
+	"acic/internal/analysis"
 	"acic/internal/bypass"
 	"acic/internal/cache"
 	"acic/internal/core"
@@ -80,15 +81,16 @@ type Config struct {
 	VictimBlocks int
 	// NextUse attaches the oracle used by OPT replacement and OPT bypass.
 	NextUse func(block uint64, after int64) int64
-	// NextAt, when set, is the successor array of the workload's block-
-	// access sequence: NextAt[i] is the next-use time of the block demanded
-	// at access index i. With it attached, the oracle schemes answer "when
-	// is the block I am touching used next" with one slice read, and carry
-	// the value on cache lines and i-Filter slots so victim selection and
+	// Successors, when set, is the workload's next-use index, read for
+	// every demand access through the complex's own in-order cursor
+	// (analysis.NextUseOracle.Cursor): the oracle schemes answer "when is
+	// the block I am touching used next" without a search, and carry the
+	// value on cache lines and i-Filter slots so victim selection and
 	// bypass decisions never query NextUse. The caller must drive Fetch
-	// with accessIdx values that index this sequence (the CPU front end
-	// does). Optional: without it, consumers fall back to NextUse.
-	NextAt []int64
+	// with accessIdx values that index the sequence the index was built
+	// over (the CPU front end does). Optional: without it, consumers fall
+	// back to NextUse.
+	Successors *analysis.NextUseOracle
 	// Sample restricts the complex to the sampled set constituencies
 	// (SDM-style set sampling; zero value = full simulation). Accesses to
 	// non-sampled constituencies bypass every structure with one mask
@@ -126,8 +128,7 @@ type Complex struct {
 	acic   *core.ACIC
 	byp    bypass.Policy
 	vc     *victim.VC
-	oracle func(uint64, int64) int64
-	nextAt []int64
+	succ   *analysis.NextUseCursor
 	sample cache.SampleFilter
 	stats  Stats
 
@@ -156,8 +157,10 @@ func New(cfg Config) (*Complex, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Complex{l1: l1, byp: cfg.Bypass, oracle: cfg.NextUse, nextAt: cfg.NextAt,
-		sample: cfg.Sample, prefFilled: flat.NewTable(64)}
+	c := &Complex{l1: l1, byp: cfg.Bypass, sample: cfg.Sample, prefFilled: flat.NewTable(64)}
+	if cfg.Successors != nil {
+		c.succ = cfg.Successors.Cursor()
+	}
 	c.actx.NextUse = cfg.NextUse
 	// The shared fully-associative structures shrink to the sampled traffic
 	// fraction (no-ops when sampling is off) so their residency windows —
@@ -231,13 +234,14 @@ func (c *Complex) ctx(block uint64, accessIdx, selfNext int64, prefetch bool) *c
 	return &c.actx
 }
 
-// demandNext returns the successor-array next-use time of the block
-// demanded at accessIdx, or 0 when no array is attached.
-func (c *Complex) demandNext(accessIdx int64) int64 {
-	if c.nextAt == nil || accessIdx < 0 || accessIdx >= int64(len(c.nextAt)) {
+// demandNext returns the next-use time of block, demanded at accessIdx,
+// from the complex's successor cursor, or 0 ("unknown") when none is
+// attached.
+func (c *Complex) demandNext(block uint64, accessIdx int64) int64 {
+	if c.succ == nil {
 		return 0
 	}
-	return c.nextAt[accessIdx]
+	return c.succ.Next(block, accessIdx)
 }
 
 // SampleFilter returns the constituency filter the complex runs under
@@ -269,7 +273,7 @@ func (c *Complex) Fetch(block uint64, accessIdx, cycle int64) bool {
 	if c.byp != nil {
 		c.byp.OnFetch(block)
 	}
-	selfNext := c.demandNext(accessIdx)
+	selfNext := c.demandNext(block, accessIdx)
 	// Concurrent search of i-Filter and i-cache (Fig 2).
 	if c.filter != nil && c.filter.Access(block, selfNext) {
 		c.stats.Hits++
@@ -293,7 +297,7 @@ func (c *Complex) Fetch(block uint64, accessIdx, cycle int64) bool {
 		return true
 	}
 	c.stats.Misses++
-	c.fill(block, accessIdx, cycle, false)
+	c.fill(block, accessIdx, cycle, selfNext, false)
 	return false
 }
 
@@ -308,23 +312,19 @@ func (c *Complex) PrefetchFill(block uint64, accessIdx, cycle int64) {
 	if c.acic != nil {
 		c.prefFilled.Put(block, 1)
 	}
-	c.fill(block, accessIdx, cycle, true)
+	c.fill(block, accessIdx, cycle, 0, true)
 }
 
 // fill routes a missed or prefetched block through the configured fill
 // path: into the i-Filter when present (with admission control on the
 // filter's victim), else directly into the i-cache subject to bypass.
-func (c *Complex) fill(block uint64, accessIdx, cycle int64, prefetch bool) {
-	// The incoming block's next use: one successor-array read for a demand
-	// miss. A prefetched block is not the block demanded at accessIdx, so
-	// its value stays 0 ("unknown"); consumers that ever examine it (OPT
-	// victim scans, bypass decisions) resolve it lazily with the oracle —
-	// most prefetched blocks are demanded first, which fills the value for
-	// free.
-	var next int64
-	if !prefetch {
-		next = c.demandNext(accessIdx)
-	}
+// next is the incoming block's next use: a demand miss passes the value
+// Fetch read from the successor cursor. A prefetched block is not the
+// block demanded at accessIdx, so its value is 0 ("unknown"); consumers
+// that ever examine it (OPT victim scans, bypass decisions) resolve it
+// lazily with the oracle — most prefetched blocks are demanded first,
+// which fills the value for free.
+func (c *Complex) fill(block uint64, accessIdx, cycle, next int64, prefetch bool) {
 	sets := c.l1.Config().Sets
 	if c.filter != nil {
 		victimBlock, victimNext, evicted := c.filter.Insert(block, next)

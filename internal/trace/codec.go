@@ -288,6 +288,24 @@ func DecodeInt64sDelta(data []byte) ([]int64, error) {
 	return out, nil
 }
 
+// CountInt64sDelta checks an EncodeInt64sDelta payload as DecodeInt64sDelta
+// does, refusing exactly the payloads it refuses, and returns its element
+// count without building the array.
+func CountInt64sDelta(data []byte) (int, error) {
+	count, k := binary.Uvarint(data)
+	if k <= 0 || count > uint64(len(data)-k) { // >= 1 payload byte per element
+		return 0, fmt.Errorf("%w: int64 array count", ErrBadFormat)
+	}
+	data = data[k:]
+	for i := range int(count) {
+		if _, k = binary.Uvarint(data); k <= 0 {
+			return 0, fmt.Errorf("%w: int64 array element %d: bad varint", ErrBadFormat, i)
+		}
+		data = data[k:]
+	}
+	return int(count), nil
+}
+
 // EncodeInt16s encodes an int16 array as count + 2-byte little-endian
 // elements (latency timelines are dense and bounded, so fixed width beats
 // varints).
@@ -309,20 +327,30 @@ func AppendInt16s(dst []byte, n int, at func(i int) int16) []byte {
 
 // DecodeInt16s decodes an EncodeInt16s payload.
 func DecodeInt16s(data []byte) ([]int16, error) {
-	br := bytes.NewReader(data)
-	count, err := binary.ReadUvarint(br)
-	if err != nil || count > uint64(br.Len()) { // the length check below needs 2 bytes per element
+	elems, err := Int16sElems(data)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int16, len(elems)/2)
+	for i := range out {
+		out[i] = int16(binary.LittleEndian.Uint16(elems[2*i:]))
+	}
+	return out, nil
+}
+
+// Int16sElems checks an EncodeInt16s payload's framing as DecodeInt16s
+// does, refusing exactly the payloads it refuses, and returns its
+// elements in place: element i is the little-endian uint16 at 2*i.
+func Int16sElems(data []byte) ([]byte, error) {
+	count, k := binary.Uvarint(data)
+	if k <= 0 || count > uint64(len(data)-k) { // the length check below needs 2 bytes per element
 		return nil, fmt.Errorf("%w: int16 array count", ErrBadFormat)
 	}
-	rest := data[len(data)-br.Len():]
+	rest := data[k:]
 	if uint64(len(rest)) != 2*count {
 		return nil, fmt.Errorf("%w: int16 array payload %d bytes, want %d", ErrBadFormat, len(rest), 2*count)
 	}
-	out := make([]int16, count)
-	for i := range out {
-		out[i] = int16(binary.LittleEndian.Uint16(rest[2*i:]))
-	}
-	return out, nil
+	return rest, nil
 }
 
 // Write encodes t as a v2 container holding one packed instruction

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -166,17 +167,37 @@ func FuzzDecodeUint64sDelta(f *testing.F) {
 	})
 }
 
+// FuzzDecodeInt64sDelta also holds CountInt64sDelta, the check a Suite's
+// store load makes instead of decoding, to the decoder's verdict and
+// element count.
 func FuzzDecodeInt64sDelta(f *testing.F) {
 	addSeeds(f, realArtifacts(f).nextAt)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRoundTrip(t, data, trace.DecodeInt64sDelta, trace.EncodeInt64sDelta)
+		vals, err := trace.DecodeInt64sDelta(data)
+		n, countErr := trace.CountInt64sDelta(data)
+		if (err == nil) != (countErr == nil) || n != len(vals) {
+			t.Fatalf("decode: %d values (%v); count: %d (%v)", len(vals), err, n, countErr)
+		}
 	})
 }
 
+// FuzzDecodeInt16s also holds Int16sElems, which a store load reads the
+// latencies through in place, to the decoder's verdict and values.
 func FuzzDecodeInt16s(f *testing.F) {
 	addSeeds(f, realArtifacts(f).dataLat)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRoundTrip(t, data, trace.DecodeInt16s, trace.EncodeInt16s)
+		vals, err := trace.DecodeInt16s(data)
+		elems, elemsErr := trace.Int16sElems(data)
+		if (err == nil) != (elemsErr == nil) || len(elems) != 2*len(vals) {
+			t.Fatalf("decode: %d values (%v); in place: %d bytes (%v)", len(vals), err, len(elems), elemsErr)
+		}
+		for i, v := range vals {
+			if got := int16(binary.LittleEndian.Uint16(elems[2*i:])); got != v {
+				t.Fatalf("element %d reads %d in place, decodes to %d", i, got, v)
+			}
+		}
 	})
 }
 
