@@ -53,11 +53,14 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"sync"
 	"time"
 
 	"acic/cmd/internal/cliutil"
@@ -78,9 +81,9 @@ import (
 // both lanes must compute, or the wall-clock comparison is a lie. It
 // returns the process exit code (cliutil.ExitInterrupted once ctx is
 // cancelled), so the scratch store's deferred removal runs on every path.
-func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float64) int {
+func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float64, stdout, stderr io.Writer) int {
 	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "acic-bench: -sample-validate: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "acic-bench: -sample-validate: "+format+"\n", args...)
 		if ctx.Err() != nil {
 			return cliutil.ExitInterrupted
 		}
@@ -169,26 +172,26 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float6
 		}
 	}
 
-	fmt.Printf("=== sample-validate: %d of %d L1i sets, %d cells (%s × fdp), n=%d\n",
+	fmt.Fprintf(stdout, "=== sample-validate: %d of %d L1i sets, %d cells (%s × fdp), n=%d\n",
 		sampleSets, icache.DefaultSets, len(cells), "baseline+fig10 schemes", full.N)
 	// The gated metrics get the per-cell error-bar tables; MPKI — looser
 	// by design (DESIGN.md §10) — is summarized only.
-	fmt.Print(cyclesErr.Table().String())
-	fmt.Print(speedupErr.Table().String())
-	fmt.Println(cyclesErr.Summary())
-	fmt.Println(mpkiErr.Summary())
-	fmt.Println(speedupErr.Summary())
-	fmt.Printf("wall-clock: full grid %.2fs, sampled grid %.2fs -> %.1fx\n",
+	fmt.Fprint(stdout, cyclesErr.Table().String())
+	fmt.Fprint(stdout, speedupErr.Table().String())
+	fmt.Fprintln(stdout, cyclesErr.Summary())
+	fmt.Fprintln(stdout, mpkiErr.Summary())
+	fmt.Fprintln(stdout, speedupErr.Summary())
+	fmt.Fprintf(stdout, "wall-clock: full grid %.2fs, sampled grid %.2fs -> %.1fx\n",
 		fullWall.Seconds(), sampledWall.Seconds(), fullWall.Seconds()/sampledWall.Seconds())
 
 	if errPct >= 0 {
 		if worstLabel, worst := cyclesErr.Worst(); worst > errPct {
-			fmt.Fprintf(os.Stderr, "acic-bench: sampled cycles error %.2f%% (%s) exceeds -sample-err-pct %.1f\n",
+			fmt.Fprintf(stderr, "acic-bench: sampled cycles error %.2f%% (%s) exceeds -sample-err-pct %.1f\n",
 				worst, worstLabel, errPct)
 			return 1
 		}
 		if worstLabel, worst := speedupErr.Worst(); worst > errPct {
-			fmt.Fprintf(os.Stderr, "acic-bench: sampled speedup error %.2f%% (%s) exceeds -sample-err-pct %.1f\n",
+			fmt.Fprintf(stderr, "acic-bench: sampled speedup error %.2f%% (%s) exceeds -sample-err-pct %.1f\n",
 				worst, worstLabel, errPct)
 			return 1
 		}
@@ -199,30 +202,45 @@ func runSampleValidate(ctx context.Context, sim *cliutil.SimFlags, errPct float6
 	return 0
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the figures and
+// reports to stdout and diagnostics to stderr, and returns the process
+// exit code, so every exit path runs the deferred cleanup: the CPU
+// profile stops and flushes, and the signal handler is released.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acic-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		exp  = flag.String("exp", "all", "comma-separated experiment ids, or 'all'")
-		sim  = cliutil.RegisterRun(flag.CommandLine)
-		list = flag.Bool("list", false, "list experiments and exit")
+		exp  = fs.String("exp", "all", "comma-separated experiment ids, or 'all'")
+		sim  = cliutil.RegisterRun(fs)
+		list = fs.Bool("list", false, "list experiments and exit")
 
-		benchJSON = flag.String("bench-json", "", "distributed-sweep mode: run the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store (per-cell results verified identical), write the report to this JSON file and exit")
+		benchJSON = fs.String("bench-json", "", "distributed-sweep mode: run the full app x scheme grid single-process vs coordinator + 1/2/4 workers over a cold shared store (per-cell results verified identical), write the report to this JSON file and exit")
 
-		sampleValidate = flag.Bool("sample-validate", false, "validate the set-sampled fast mode: run the headline grid full and sampled, print the per-cell error-bar table and wall-clock speedup, and exit non-zero past -sample-err-pct")
-		sampleErrPct   = flag.Float64("sample-err-pct", 10, "-sample-validate failure threshold: worst per-cell |cycles error| and |speedup error| must stay within this percentage (negative = never fail)")
+		sampleValidate = fs.Bool("sample-validate", false, "validate the set-sampled fast mode: run the headline grid full and sampled, print the per-cell error-bar table and wall-clock speedup, and exit non-zero past -sample-err-pct")
+		sampleErrPct   = fs.Float64("sample-err-pct", 10, "-sample-validate failure threshold: worst per-cell |cycles error| and |speedup error| must stay within this percentage (negative = never fail)")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile at exit to this file")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile at exit to this file")
 	)
-	sim.RegisterCacheDir(flag.CommandLine)
-	flag.Parse()
+	sim.RegisterCacheDir(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "acic-bench: "+format+"\n", a...)
+		return 1
+	}
 
 	if err := sim.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
 	if err := sim.InstallFaults(); err != nil {
-		fmt.Fprintf(os.Stderr, "acic-bench: -fault-spec: %v\n", err)
-		os.Exit(1)
+		return fail("-fault-spec: %v", err)
 	}
 	// SIGINT/SIGTERM cancel at cell boundaries: running cells finish, the
 	// stores stay consistent, partial output flushes, and the process
@@ -230,110 +248,105 @@ func main() {
 	ctx, stopSignals := cliutil.InterruptContext()
 	defer stopSignals()
 
+	// The successful paths stop the CPU profile before they write the
+	// heap profile; the deferred call stops it on every other path.
 	stopCPUProfile := func() {}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			return fail("-cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: -cpuprofile: %v\n", err)
-			os.Exit(1)
+			f.Close()
+			return fail("-cpuprofile: %v", err)
 		}
-		stopCPUProfile = func() { pprof.StopCPUProfile(); f.Close() }
+		stopCPUProfile = sync.OnceFunc(func() { pprof.StopCPUProfile(); f.Close() })
 	}
 	defer stopCPUProfile()
-	writeMemProfile := func() {
+	writeMemProfile := func() int {
 		if *memProfile == "" {
-			return
+			return 0
 		}
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: -memprofile: %v\n", err)
-			os.Exit(1)
+			return fail("-memprofile: %v", err)
 		}
 		defer f.Close()
 		runtime.GC()
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: -memprofile: %v\n", err)
-			os.Exit(1)
+			return fail("-memprofile: %v", err)
 		}
+		return 0
 	}
 
 	if *sampleValidate {
-		if code := runSampleValidate(ctx, sim, *sampleErrPct); code != 0 {
-			stopCPUProfile()
-			os.Exit(code)
-		}
-		return
+		return runSampleValidate(ctx, sim, *sampleErrPct, stdout, stderr)
 	}
 
 	if *benchJSON != "" {
 		rep, err := perf.Measure(ctx, sim.N)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
 		if err := rep.WriteJSON(*benchJSON); err != nil {
-			fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
-			os.Exit(1)
+			return fail("%v", err)
 		}
-		fmt.Printf("=== distributed sweep: single-process vs coordinator + workers, cold shared store per lane, n=%d\n", rep.N)
-		fmt.Println(rep.Host())
+		fmt.Fprintf(stdout, "=== distributed sweep: single-process vs coordinator + workers, cold shared store per lane, n=%d\n", rep.N)
+		fmt.Fprintln(stdout, rep.Host())
 		if st := rep.DistributedSweepTable(); st != nil {
-			fmt.Print(st)
+			fmt.Fprint(stdout, st)
 		}
-		fmt.Println(rep.Faults)
-		fmt.Printf("wrote %s\n", *benchJSON)
+		fmt.Fprintln(stdout, rep.Faults)
+		fmt.Fprintf(stdout, "wrote %s\n", *benchJSON)
 		stopCPUProfile()
-		writeMemProfile()
-		if rep.Interrupted {
-			fmt.Fprintf(os.Stderr, "acic-bench: interrupted — %s holds a partial report\n", *benchJSON)
-			os.Exit(cliutil.ExitInterrupted)
+		if code := writeMemProfile(); code != 0 {
+			return code
 		}
-		return
+		if rep.Interrupted {
+			fmt.Fprintf(stderr, "acic-bench: interrupted — %s holds a partial report\n", *benchJSON)
+			return cliutil.ExitInterrupted
+		}
+		return 0
 	}
 
 	exps := experiments.Registry()
 	if *list {
 		for _, e := range exps {
-			fmt.Printf("%-8s %s\n", e.Slug, e.Desc)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.Slug, e.Desc)
 		}
-		return
+		return 0
 	}
 
 	selected, err := cliutil.Experiments(*exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
 	suite := sim.NewSuite(ctx)
 	// CacheError spins up the engine, freezing the suite's configuration.
 	if err := suite.CacheError(); err != nil {
-		fmt.Fprintf(os.Stderr, "acic-bench: %v\n", err)
-		os.Exit(1)
+		return fail("%v", err)
 	}
-	outcome := cliutil.Render(ctx, "acic-bench", suite, selected, os.Stdout, os.Stderr)
+	outcome := cliutil.Render(ctx, "acic-bench", suite, selected, stdout, stderr)
 	if sim.Progress {
 		computed, fromCache, workloads := suite.Stats()
-		fmt.Fprintf(os.Stderr, "computed %d cells, %d from cache, %d workloads prepared\n",
+		fmt.Fprintf(stderr, "computed %d cells, %d from cache, %d workloads prepared\n",
 			computed, fromCache, workloads)
 		for _, st := range suite.PrepareStats() {
-			fmt.Fprintf(os.Stderr, "prepare %-8s %d regenerated, %d from artifact store\n",
+			fmt.Fprintf(stderr, "prepare %-8s %d regenerated, %d from artifact store\n",
 				st.Stage, st.Computed, st.FromStore)
 		}
 		if fs := suite.FaultStats(); sim.FaultSpec != "" || fs.Any() {
-			fmt.Fprintln(os.Stderr, fs)
+			fmt.Fprintln(stderr, fs)
 		}
 		if outcome.Interrupted {
-			fmt.Fprintln(os.Stderr, "interrupted: true")
+			fmt.Fprintln(stderr, "interrupted: true")
 		}
 	}
 	stopCPUProfile()
-	writeMemProfile()
-	if code := outcome.ExitCode("acic-bench", os.Stderr); code != 0 {
-		os.Exit(code)
+	if code := writeMemProfile(); code != 0 {
+		return code
 	}
+	return outcome.ExitCode("acic-bench", stderr)
 }

@@ -2,7 +2,11 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"compress/gzip"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +16,63 @@ import (
 
 	"acic/cmd/internal/cliutil"
 )
+
+// TestRunExitCodes drives the command through run, as main does: every
+// outcome is an exit code returned to main, never an os.Exit from inside,
+// so a failing run still stops and flushes its CPU profile. An unknown
+// experiment and an unusable result cache fail with exit 1 and leave a
+// profile that decompresses to a non-empty protobuf (os.Exit from inside
+// left it at 0 bytes); -list and -h succeed, a bad flag exits 2.
+func TestRunExitCodes(t *testing.T) {
+	t.Setenv("ACIC_ARTIFACT_DIR", "")
+	t.Setenv("ACIC_CACHE_DIR", "")
+	dir := t.TempDir()
+	notADir := filepath.Join(dir, "file")
+	if err := os.WriteFile(notADir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i, tc := range []struct {
+		args    []string
+		code    int
+		stdout  string // substring of stdout
+		stderr  string // substring of stderr
+		profile bool   // pass -cpuprofile and check it after exit
+	}{
+		{[]string{"-list"}, 0, "fig10", "", false},
+		{[]string{"-h"}, 0, "", "-cpuprofile", false},
+		{[]string{"-no-such-flag"}, 2, "", "flag provided but not defined", false},
+		{[]string{"-exp", "nosuch"}, 1, "", "nosuch", true},
+		{[]string{"-exp", "table3", "-n", "2000", "-cache-dir", filepath.Join(notADir, "cache")}, 1, "", "acic-bench:", true},
+	} {
+		args := tc.args
+		prof := filepath.Join(dir, fmt.Sprintf("cpu%d.prof", i))
+		if tc.profile {
+			args = append([]string{"-cpuprofile", prof}, args...)
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != tc.code ||
+			!strings.Contains(stdout.String(), tc.stdout) || !strings.Contains(stderr.String(), tc.stderr) {
+			t.Errorf("run(%q) = %d, want %d\n--- stdout\n%s--- stderr\n%s", args, code, tc.code, stdout.String(), stderr.String())
+		}
+		if !tc.profile {
+			continue
+		}
+		f, err := os.Open(prof)
+		if err != nil {
+			t.Errorf("run(%q): %v", args, err)
+			continue
+		}
+		zr, err := gzip.NewReader(f)
+		var n int64
+		if err == nil {
+			n, err = io.Copy(io.Discard, zr)
+		}
+		f.Close()
+		if err != nil || n == 0 {
+			t.Errorf("run(%q): CPU profile unreadable after exit (%d bytes decompressed, %v)", args, n, err)
+		}
+	}
+}
 
 // TestSampleValidateRemovesScratchStore: -sample-validate without an
 // artifact directory prepares into a scratch store under TMPDIR, and

@@ -208,7 +208,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // acicNote summarizes a run's captured ACIC admission decisions against
-// the next-use oracle ("" for schemes without an ACIC complex).
+// a next-use oracle it builds over the workload's block sequence for this
+// note ("" for schemes without an ACIC complex).
 func acicNote(w *experiments.Workload, scheme string, sub icache.Subsystem, captured *[]core.Decision) string {
 	cx, ok := sub.(*icache.Complex)
 	if !ok || cx.ACIC() == nil || captured == nil {
@@ -216,10 +217,11 @@ func acicNote(w *experiments.Workload, scheme string, sub icache.Subsystem, capt
 	}
 	a := cx.ACIC()
 	decisions := *captured
+	oracle := analysis.NewNextUseOracle(w.Blocks)
 	correct, shouldAdmit := 0, 0
 	for _, d := range decisions {
-		vNext := w.Oracle.NextUse(d.Victim, d.AccessIdx)
-		cNext := w.Oracle.NextUse(d.Contender, d.AccessIdx)
+		vNext := oracle.NextUse(d.Victim, d.AccessIdx)
+		cNext := oracle.NextUse(d.Contender, d.AccessIdx)
 		ideal := vNext < cNext
 		if ideal {
 			shouldAdmit++
@@ -233,7 +235,7 @@ func acicNote(w *experiments.Workload, scheme string, sub icache.Subsystem, capt
 	wins := map[uint64][2]int{}
 	for _, d := range decisions {
 		c := wins[d.Victim]
-		if w.Oracle.NextUse(d.Victim, d.AccessIdx) < w.Oracle.NextUse(d.Contender, d.AccessIdx) {
+		if oracle.NextUse(d.Victim, d.AccessIdx) < oracle.NextUse(d.Contender, d.AccessIdx) {
 			c[0]++
 		} else {
 			c[1]++

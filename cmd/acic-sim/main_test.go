@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"acic/internal/analysis"
 	"acic/internal/core"
 	"acic/internal/experiments"
 	"acic/internal/faults"
@@ -90,7 +89,7 @@ func TestUsageErrors(t *testing.T) {
 // number of decisions, so one decision the oracle agrees with scores
 // 100% rather than being biased low.
 func TestACICNoteDenominators(t *testing.T) {
-	w := &experiments.Workload{Oracle: analysis.NewNextUseOracle([]uint64{1, 2, 1})}
+	w := &experiments.Workload{Blocks: []uint64{1, 2, 1}}
 	sub, err := experiments.NewScheme("acic", w)
 	if err != nil {
 		t.Fatal(err)

@@ -415,7 +415,7 @@ func NewProgram(tr *trace.Trace, ann []branch.Annotation) *Program {
 		Trace:     tr,
 		Ann:       ann,
 		Desc:      make([]uint8, len(tr.Insts)),
-		Blocks:    make([]uint64, 0, len(tr.Insts)/4+1),
+		Blocks:    make([]uint64, 0, BlockAccessesHint(len(tr.Insts))),
 		MemBlk:    make([]uint64, len(tr.Insts)),
 		runEvents: make([]uint64, (len(tr.Insts)+63)/64+1),
 	}

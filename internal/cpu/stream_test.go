@@ -111,21 +111,27 @@ func equal[T comparable](a, b []T) bool {
 	return true
 }
 
-// TestProgramBuilderBlocksCapacity bounds the block array a cold prepare
-// keeps for the whole of a Suite's run: over every workload profile, a
-// builder sized by the trace length finishes with at most 20% more
-// capacity than blocks (sizing by n/4 holds about twice).
+// TestProgramBuilderBlocksCapacity bounds the block array a workload
+// keeps for the whole of its run: over every workload profile, a builder
+// sized by the trace length (a cold prepare) and the batch NewProgram
+// (Prepare) each finish with at most 20% more capacity than blocks
+// (sizing by n/4 holds about twice).
 func TestProgramBuilderBlocksCapacity(t *testing.T) {
 	const n = 400_000
+	check := func(path, app string, p *Program) {
+		t.Helper()
+		if c, l := cap(p.Blocks), len(p.Blocks); c > l+l/5 {
+			t.Errorf("%s %s: %d blocks in a capacity of %d, want at most %d", path, app, l, c, l+l/5)
+		}
+	}
 	for _, prof := range workload.All() {
 		b := NewProgramBuilder(prof.Name, mem.DefaultConfig(), n)
 		stream := workload.GenerateStream(prof, n, 1<<16)
 		for chunk := stream.Next(); chunk != nil; chunk = stream.Next() {
 			b.Append(chunk)
 		}
-		p := b.Finish()
-		if c, l := cap(p.Blocks), len(p.Blocks); c > l+l/5 {
-			t.Errorf("%s: %d blocks in a capacity of %d, want at most %d", prof.Name, l, c, l+l/5)
-		}
+		check("builder", prof.Name, b.Finish())
+		tr := workload.Generate(prof, n)
+		check("batch", prof.Name, NewProgram(tr, branch.NewFrontEnd().Annotate(tr)))
 	}
 }

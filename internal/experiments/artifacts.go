@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"acic/internal/analysis"
 	"acic/internal/cpu"
 	"acic/internal/experiments/engine"
 	"acic/internal/mem"
@@ -83,10 +82,10 @@ type PipelineConfig struct {
 	// (it checks their payloads in place), and a cold prepare drops its
 	// successor array once the NXTA section is written. A Suite sets it:
 	// none of its cells or renderers reads those arrays (the oracle
-	// schemes read next uses from Workload.Oracle), and a warm load would
-	// otherwise build each app's Inst records (32 B/inst) and MemBlk (8
-	// B/inst) only to drop them, and keep NextAt (8 B/access), DataLat (2
-	// B/inst) and the annotations (1 B/inst) resident for the whole run.
+	// schemes index next uses per run), and a warm load would otherwise
+	// build each app's Inst records (32 B/inst) and MemBlk (8 B/inst)
+	// only to drop them, and keep NextAt (8 B/access), DataLat (2 B/inst)
+	// and the annotations (1 B/inst) resident for the whole run.
 	// NewPipeline callers that digest or compare those arrays (store
 	// tooling, the pipeline tests, perfbench) leave it off and read them
 	// from a store load or a cold prepare.
@@ -227,9 +226,10 @@ func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, er
 }
 
 // newWorkload builds the Workload view over a finished Program and its
-// successor array (nil on a Suite's workloads), adding the in-memory
-// next-use oracle (an index over the block sequence, always rebuilt — it
-// is not an artifact).
+// successor array (nil on a Suite's workloads). It builds no next-use
+// oracle: the runs that read next uses (the oracle schemes, the Fig
+// 3b/12a sweeps) index the block sequence themselves and drop the index
+// with the run.
 func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Workload {
 	return &Workload{
 		Profile: prof,
@@ -237,7 +237,6 @@ func newWorkload(prof workload.Profile, prog *cpu.Program, nextAt []int64) *Work
 		Trace:   prog.Trace,
 		Ann:     prog.Ann,
 		Blocks:  prog.Blocks,
-		Oracle:  analysis.NewNextUseOracle(prog.Blocks),
 		NextAt:  nextAt,
 	}
 }

@@ -107,11 +107,12 @@ func (s *Suite) Fig3b(app string) (*stats.Histogram, float64, error) {
 	}
 	cc := core.DefaultConfig()
 	cc.Variant = core.VariantAlwaysAdmit
-	sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, NextUse: w.Oracle.Func(), Sample: s.sampleFilter(app)})
+	oracle := analysis.NewNextUseOracle(w.Blocks)
+	sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, NextUse: oracle.Func(), Sample: s.sampleFilter(app)})
 	h := stats.NewHistogram(Fig3bEdges...)
 	var wrong, total uint64
 	sub.ACIC().OnDecision = func(d core.Decision) {
-		dIn := clampDist(w.Oracle.NextUse(d.Victim, d.AccessIdx) - d.AccessIdx)
+		dIn := clampDist(oracle.NextUse(d.Victim, d.AccessIdx) - d.AccessIdx)
 		// The outgoing block OPT would pick: the set line with the furthest
 		// next use at decision time.
 		set := sub.L1().SetIndex(d.Victim)
@@ -120,7 +121,7 @@ func (s *Suite) Fig3b(app string) (*stats.Histogram, float64, error) {
 			if !ln.Valid {
 				continue
 			}
-			if v := clampDist(w.Oracle.NextUse(ln.Block, d.AccessIdx) - d.AccessIdx); v > dOut {
+			if v := clampDist(oracle.NextUse(ln.Block, d.AccessIdx) - d.AccessIdx); v > dOut {
 				dOut = v
 			}
 		}
@@ -260,11 +261,12 @@ func (s *Suite) Fig12a() (*stats.Table, error) {
 	err := s.each(len(apps), func(i int) error {
 		partials[i] = tally{make([]int64, len(Fig12aRanges)), make([]int64, len(Fig12aRanges))}
 		w := s.wl(apps[i])
+		oracle := analysis.NewNextUseOracle(w.Blocks)
 		cc := core.DefaultConfig()
 		sub := icache.MustNew(icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Policy: policy.NewLRU(), ACIC: &cc, Sample: s.sampleFilter(apps[i])})
 		sub.ACIC().OnDecision = func(d core.Decision) {
-			dIn := w.Oracle.NextUse(d.Victim, d.AccessIdx) - d.AccessIdx
-			dOut := w.Oracle.NextUse(d.Contender, d.AccessIdx) - d.AccessIdx
+			dIn := oracle.NextUse(d.Victim, d.AccessIdx) - d.AccessIdx
+			dOut := oracle.NextUse(d.Contender, d.AccessIdx) - d.AccessIdx
 			ideal := dIn < dOut
 			near := dIn
 			if dOut < near {

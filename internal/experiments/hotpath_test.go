@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"acic/internal/analysis"
 	"acic/internal/bypass"
 	"acic/internal/cpu"
 	"acic/internal/icache"
@@ -26,8 +27,9 @@ func TestSuccessorArrayEquivalence(t *testing.T) {
 			t.Fatalf("unknown workload %q", app)
 		}
 		w := Prepare(prof, 200_000)
+		oracle := analysis.NewNextUseOracle(w.Blocks)
 		build := func(scheme string, withCursor bool, sample cpu.SampleConfig) icache.Subsystem {
-			c := icache.Config{Sets: 64, Ways: 8, NextUse: w.Oracle.Func(), Sample: sample.Filter()}
+			c := icache.Config{Sets: 64, Ways: 8, NextUse: oracle.Func(), Sample: sample.Filter()}
 			switch scheme {
 			case "opt":
 				c.Policy = policy.NewOPT()
@@ -37,7 +39,7 @@ func TestSuccessorArrayEquivalence(t *testing.T) {
 				c.Bypass = bypass.OPTBypass{}
 			}
 			if withCursor {
-				c.Successors = w.Oracle
+				c.Successors = oracle
 			}
 			return icache.MustNew(c)
 		}

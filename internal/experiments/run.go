@@ -36,7 +36,6 @@ type Workload struct {
 	// whose descriptors carry the redirect bits.
 	Ann    []branch.Annotation
 	Blocks []uint64
-	Oracle *analysis.NextUseOracle
 	// NextAt is the successor array the store's NXTA section carries
 	// (NextAt[i] = next access to the block demanded at access i). No
 	// simulation reads it; it is kept on Prepare's workloads and on a

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"acic/internal/analysis"
 	"acic/internal/bypass"
 	"acic/internal/cache"
 	"acic/internal/core"
@@ -34,8 +35,10 @@ func SchemeNames() []string {
 	return names
 }
 
-// NewScheme builds the named i-cache subsystem for a workload. The oracle
-// is attached only for oracle schemes (opt, opt-bypass).
+// NewScheme builds the named i-cache subsystem for a workload. Only the
+// oracle schemes (opt, opt-bypass) index the workload's next uses: each
+// builds its own analysis.NextUseOracle over the block sequence, which
+// lives as long as the subsystem does.
 func NewScheme(name string, w *Workload) (icache.Subsystem, error) {
 	return NewSampledScheme(name, w, cpu.SampleConfig{})
 }
@@ -49,7 +52,6 @@ func NewSampledScheme(name string, w *Workload, sample cpu.SampleConfig) (icache
 		return nil, err
 	}
 	filter := sample.Filter()
-	oracle := w.Oracle.Func()
 	base := func() icache.Config {
 		return icache.Config{Sets: icache.DefaultSets, Ways: icache.DefaultWays, Sample: filter}
 	}
@@ -140,16 +142,16 @@ func NewSampledScheme(name string, w *Workload, sample cpu.SampleConfig) (icache
 	case "opt":
 		c := base()
 		c.Policy = policy.NewOPT()
-		c.NextUse = oracle
-		c.Successors = w.Oracle
+		c.Successors = analysis.NewNextUseOracle(w.Blocks)
+		c.NextUse = c.Successors.Func()
 		return icache.New(c)
 	case "opt-bypass":
 		c := base()
 		c.Policy = policy.NewLRU()
 		c.FilterSlots = 16
 		c.Bypass = bypass.OPTBypass{}
-		c.NextUse = oracle
-		c.Successors = w.Oracle
+		c.Successors = analysis.NewNextUseOracle(w.Blocks)
+		c.NextUse = c.Successors.Func()
 		c.Name = "opt-bypass"
 		return icache.New(c)
 	case "ifilter":

@@ -81,7 +81,9 @@ type Config struct {
 	VictimBlocks int
 	// NextUse attaches the oracle used by OPT replacement and OPT bypass.
 	NextUse func(block uint64, after int64) int64
-	// Successors, when set, is the workload's next-use index, read for
+	// Successors, when set, is a next-use index over the workload's block
+	// sequence, built for this run (experiments.NewSampledScheme builds
+	// one per oracle subsystem; no workload keeps one) and read for
 	// every demand access through the complex's own in-order cursor
 	// (analysis.NextUseOracle.Cursor): the oracle schemes answer "when is
 	// the block I am touching used next" without a search, and carry the
