@@ -41,6 +41,7 @@ import (
 
 	"acic/cmd/internal/cliutil"
 	"acic/internal/distrib"
+	"acic/internal/experiments"
 	"acic/internal/experiments/engine"
 )
 
@@ -109,7 +110,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	mux := http.NewServeMux()
 	if *storeURL == "" {
-		storeHandler, err := engine.NewStoreHandler(dir)
+		storeHandler, err := engine.NewStoreHandler(experiments.StoreDir(dir))
 		if err != nil {
 			return fail("%v", err)
 		}

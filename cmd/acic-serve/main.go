@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -48,28 +49,41 @@ import (
 	"acic/internal/experiments/engine"
 )
 
-func main() {
-	var (
-		listen   = flag.String("listen", "127.0.0.1:8091", "address to serve the /v1/ API on (port 0 = ephemeral, printed at startup)")
-		preload  = flag.String("preload", "", "warm at startup: 'grid' (the paper's scheme grid under fdp), 'all' (every registry experiment), or a comma-separated slug list; serving starts immediately, the preload fills the memo in the background")
-		storeURL = flag.String("store-url", "", "shared store server URL for results and artifacts (fronts a distributed grid's store; overrides -cache-dir/-artifact-dir)")
-		budget   = flag.Int64("fault-budget", 0, "per-request fault budget: refuse a request (503 fault_budget_exhausted) whose service consumed more than this many fault recoveries (0 = unlimited)")
-		brkN     = flag.Int("breaker-threshold", engine.DefaultBreakerThreshold, "circuit breaker: consecutive deterministic cell failures before the cell's key trips open")
-		brkCool  = flag.Duration("breaker-cooldown", engine.DefaultBreakerCooldown, "circuit breaker: how long a tripped key refuses before admitting a half-open probe")
-		sim      = cliutil.RegisterRun(flag.CommandLine)
-	)
-	sim.RegisterCacheDir(flag.CommandLine)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "acic-serve: "+format+"\n", args...)
-		os.Exit(1)
+// run is the whole daemon: it parses args, serves until interrupted and
+// writes diagnostics to stderr, and returns the process exit code, so
+// every exit path runs the deferred cleanup (the signal handler's release
+// among it).
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("acic-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		listen   = fs.String("listen", "127.0.0.1:8091", "address to serve the /v1/ API on (port 0 = ephemeral, printed at startup)")
+		preload  = fs.String("preload", "", "warm at startup: 'grid' (the paper's scheme grid under fdp), 'all' (every registry experiment), or a comma-separated slug list; serving starts immediately, the preload fills the memo in the background")
+		storeURL = fs.String("store-url", "", "shared store server URL for results and artifacts (fronts a distributed grid's store; overrides -cache-dir/-artifact-dir)")
+		budget   = fs.Int64("fault-budget", 0, "per-request fault budget: refuse a request (503 fault_budget_exhausted) whose service consumed more than this many fault recoveries (0 = unlimited)")
+		brkN     = fs.Int("breaker-threshold", engine.DefaultBreakerThreshold, "circuit breaker: consecutive deterministic cell failures before the cell's key trips open")
+		brkCool  = fs.Duration("breaker-cooldown", engine.DefaultBreakerCooldown, "circuit breaker: how long a tripped key refuses before admitting a half-open probe")
+		sim      = cliutil.RegisterRun(fs)
+	)
+	sim.RegisterCacheDir(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "acic-serve: "+format+"\n", args...)
+		return 1
 	}
 	if err := sim.Validate(); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 	if err := sim.InstallFaults(); err != nil {
-		fail("-fault-spec: %v", err)
+		return fail("-fault-spec: %v", err)
 	}
 	ctx, stopSignals := cliutil.InterruptContext()
 	defer stopSignals()
@@ -79,30 +93,30 @@ func main() {
 	}
 	suite := sim.NewSuite(ctx)
 	if err := suite.CacheError(); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
 	srv := newServer(suite, engine.NewBreaker(*brkN, *brkCool), *budget)
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fail("-listen %s: %v", *listen, err)
+		return fail("-listen %s: %v", *listen, err)
 	}
 	httpSrv := &http.Server{Handler: srv.handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "acic-serve: serving http://%s%s (n=%d)\n", ln.Addr(), api.Prefix, suite.N)
+	fmt.Fprintf(stderr, "acic-serve: serving http://%s%s (n=%d)\n", ln.Addr(), api.Prefix, suite.N)
 
 	// Preload in the background: serving is already up, and any query
 	// arriving mid-preload simply coalesces with it through the suite's
 	// per-cell singleflight.
 	go func() {
 		if err := runPreload(srv, *preload); err != nil && ctx.Err() == nil {
-			fmt.Fprintf(os.Stderr, "acic-serve: preload: %v\n", err)
+			fmt.Fprintf(stderr, "acic-serve: preload: %v\n", err)
 			return
 		}
 		if *preload != "" && ctx.Err() == nil {
-			fmt.Fprintln(os.Stderr, "acic-serve: preload done")
+			fmt.Fprintln(stderr, "acic-serve: preload done")
 		}
 	}()
 
@@ -114,12 +128,13 @@ func main() {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		httpSrv.Shutdown(shutCtx)
-		fmt.Fprintln(os.Stderr, "acic-serve: interrupted, drained")
+		fmt.Fprintln(stderr, "acic-serve: interrupted, drained")
 	case err := <-serveErr:
 		if !errors.Is(err, http.ErrServerClosed) {
-			fail("serve: %v", err)
+			return fail("serve: %v", err)
 		}
 	}
+	return 0
 }
 
 // runPreload warms the suite per the -preload spelling. "grid" computes

@@ -12,13 +12,14 @@
 // Subcommands:
 //
 //	acic-trace warm -artifact-dir DIR [-n N] [-workloads a,b] [-workers W]
-//	    materialize the workload artifact (trace, annotated program,
-//	    successor array, data-latency timeline in one container) of each
-//	    named workload (default: all datacenter + SPEC profiles), so later
-//	    acic-bench / acic-sim runs skip the prepare phase entirely
+//	    materialize the workload artifact (trace windows, descriptors and
+//	    block sequence in one container) of each named workload (default:
+//	    all datacenter + SPEC profiles), so later acic-bench / acic-sim
+//	    runs skip the prepare phase entirely
 //	acic-trace inspect PATH...
 //	    describe trace/artifact container files (a directory inspects
-//	    every .actr file in it): codec version, name, sections, sizes
+//	    every .actr file in it, a store root those of its current schema
+//	    subdirectory): codec version, name, sections, sizes
 package main
 
 import (
@@ -229,6 +230,11 @@ func runInspect(args []string, stdout, stderr io.Writer) int {
 			files = append(files, arg)
 			continue
 		}
+		// A store root keeps its entries in the schema subdirectory.
+		sub := filepath.Join(arg, experiments.SchemaDir())
+		if info, err := os.Stat(sub); err == nil && info.IsDir() {
+			arg = sub
+		}
 		matches, err := filepath.Glob(filepath.Join(arg, "*.actr"))
 		if err != nil {
 			return fail("%v", err)
@@ -328,11 +334,9 @@ func sectionRawWidth(tag string) uint64 {
 	switch tag {
 	case trace.SecInstsZ:
 		return instRecordBytes
-	case trace.SecBlocks, trace.SecNextAt:
+	case trace.SecBlocks:
 		return 8
-	case trace.SecDataLat:
-		return 2
-	case trace.SecAnnot, trace.SecDesc:
+	case trace.SecDesc:
 		return 1
 	}
 	return 0
@@ -343,13 +347,13 @@ func sectionRawWidth(tag string) uint64 {
 func sectionDetail(s trace.Section) string {
 	var count uint64
 	switch s.Tag {
-	case trace.SecInstsZ, trace.SecBlocks, trace.SecNextAt, trace.SecDataLat:
+	case trace.SecInstsZ, trace.SecBlocks:
 		c, n := binary.Uvarint(s.Data)
 		if n <= 0 {
 			return ""
 		}
 		count = c
-	case trace.SecAnnot, trace.SecDesc:
+	case trace.SecDesc:
 		count = uint64(len(s.Data))
 	default:
 		return ""

@@ -22,7 +22,7 @@ func TestRunExitCodes(t *testing.T) {
 	}{
 		{[]string{"-list"}, 0, "media-streaming", ""},
 		{[]string{"warm", "-artifact-dir", store, "-n", "2000", "-workloads", "sibench"}, 0, "warmed 1 workloads", ""},
-		{[]string{"inspect", store}, 0, "NXTA", ""},
+		{[]string{"inspect", store}, 0, "BLKS", ""},
 		{[]string{"warm", "-n", "2000"}, 1, "", "warm needs -artifact-dir"},
 		{[]string{"inspect"}, 1, "", "inspect needs file or directory arguments"},
 		{[]string{"-workload", "no-such-app"}, 1, "", `unknown workload "no-such-app"`},

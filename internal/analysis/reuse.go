@@ -271,9 +271,8 @@ func Bursts(blocks []uint64, threshold int64) BurstStats {
 // NextUseArray precomputes the successor array of a block-access sequence:
 // out[i] is the index of the next access to blocks[i] strictly after i, or
 // cache.NeverUsed when the block is never accessed again. One backward O(n)
-// pass. It is the reference the cold prepare's NextUseBuilder is pinned
-// against and what the store's NXTA section carries; the simulators read
-// the same values through NextUseOracle.Cursor.
+// pass. A store load outside a Suite builds a workload's NextAt with it;
+// the simulators read the same values through NextUseOracle.Cursor.
 func NextUseArray(blocks []uint64) []int64 {
 	out := make([]int64, len(blocks))
 	last := make(map[uint64]int64, 1024)

@@ -17,7 +17,6 @@ package cpu
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 
 	"acic/internal/branch"
@@ -205,10 +204,10 @@ type inflight struct {
 //
 // Bits 6-7 hold a memory instruction's data level (mem.Level: L1D, L2,
 // L3 or DRAM), installed with the data-side timeline (EnsureDataLatencies,
-// AdoptDataLatencies, ProgramBuilder); its latency is
-// levelLat[d>>descLevelShift]. They are 0 until then and on every other
-// instruction, and the DESC artifact section carries them masked out
-// (DescBytes).
+// ProgramBuilder); its latency is levelLat[d>>descLevelShift]. They are 0
+// until then and on every other instruction. The DESC artifact section
+// carries the bytes as they are, levels included, and
+// NewProgramFromParts installs them under its mem.Config.
 const (
 	descNewBlock uint8 = 1 << iota // first instruction of a block access
 	descLoad
@@ -233,17 +232,17 @@ const (
 type Program struct {
 	Trace *trace.Trace
 	// Ann is the branch annotation per instruction, as NewProgram takes
-	// it. A ProgramBuilder and NewProgramFromParts leave it nil (a store
-	// load outside a Suite sets it from the ANNO payload): the descriptors
-	// carry each redirect, and AnnotationBytes reads it from them.
+	// it. A ProgramBuilder leaves it nil, and NewProgramFromParts reads it
+	// off the descriptors' redirect bits only when given the Inst records:
+	// the simulation reads the redirects from the descriptors.
 	Ann    []branch.Annotation
 	Desc   []uint8  // descriptor byte per instruction
 	Blocks []uint64 // collapsed block-access sequence (== Trace.BlockAccesses())
 	// MemBlk is the data block per instruction (loads/stores; 0
 	// otherwise), set by NewProgram and by a store load that decodes the
 	// trace. Only EnsureDataLatencies reads it, so an owner may set it to
-	// nil once the latency timeline is installed (EnsureDataLatencies or
-	// AdoptDataLatencies); EnsureDataLatencies is then a no-op. A
+	// nil once the latency timeline is installed (EnsureDataLatencies,
+	// NewProgramFromParts); EnsureDataLatencies is then a no-op. A
 	// ProgramBuilder never builds it.
 	MemBlk []uint64
 
@@ -257,9 +256,9 @@ type Program struct {
 	// has not done it explicitly. The simulator reads the same latencies
 	// through the descriptors' level bits and levelLat, so an owner may set
 	// DataLat to nil once the timeline is installed, and a ProgramBuilder
-	// and AdoptDataLatencies never build it; DataLatBytes derives the DLAT
-	// artifact section from the level bits. It is kept for callers that
-	// compare timelines.
+	// never builds it; NewProgramFromParts reads it off the level bits only
+	// when given the Inst records. It is kept for callers that compare
+	// timelines.
 	DataLat []int16
 
 	dataLatOnce sync.Once
@@ -324,20 +323,14 @@ func (p *Program) EnsureDataLatencies(cfg mem.Config) {
 }
 
 // setDataConfig binds the Program to the hierarchy configuration its
-// data-side timeline is installed under. Callers hold dataLatOnce.
+// data-side timeline is installed under, and sets levelLat to cfg's
+// latency per data level in DataLat's unit, int16, so the table and the
+// timeline read alike. Callers hold dataLatOnce.
 func (p *Program) setDataConfig(cfg mem.Config) {
 	p.dataLatCfg = cfg
-	p.levelLat = levelTable(cfg)
-}
-
-// levelTable returns cfg's latency per data level in the timeline's unit,
-// the DLAT section's int16, so the table and DataLat read alike.
-func levelTable(cfg mem.Config) [4]int64 {
-	var t [4]int64
 	for l, lat := range cfg.Lat.Data() {
-		t[l] = int64(int16(lat))
+		p.levelLat[l] = int64(int16(lat))
 	}
-	return t
 }
 
 // checkDataConfig panics when cfg is not the configuration the Program's
@@ -374,17 +367,6 @@ func descRedirect(d uint8) branch.Redirect {
 		return branch.RedirectMisfetch
 	}
 	return branch.RedirectNone
-}
-
-// DescBytes appends the descriptors to dst as the DESC artifact section
-// carries them: with the data-level bits masked out. The levels travel in
-// the DLAT section, so the section is the same whatever the hierarchy.
-func (p *Program) DescBytes(dst []byte) []byte {
-	dst = slices.Grow(dst, len(p.Desc))
-	for _, d := range p.Desc {
-		dst = append(dst, d&^descLevel)
-	}
-	return dst
 }
 
 // nextRunEvent returns the smallest index >= i whose descriptor carries a

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"bytes"
 	"slices"
 	"testing"
 
@@ -32,13 +31,14 @@ func replayLatency(h *mem.Hierarchy, block uint64) int16 {
 
 // TestDataLevelsMatchTimeline pins the descriptors' data-level bits to the
 // int16 latency timeline they stand in for, on all three install paths:
-// the cold ProgramBuilder, EnsureDataLatencies and AdoptDataLatencies. On
-// every memory instruction levelLat[d>>descLevelShift] must equal a direct
-// hierarchy replay's latency, every other descriptor must carry no level
-// bits, and the DLAT payload derived from the bits must encode the
-// replayed timeline. It runs under the default hierarchy and under one whose L2
-// and L3 share a latency, where the adopted levels may name L2 for an L3
-// hit and must still read the same latency. A simulation over each path
+// the cold ProgramBuilder, EnsureDataLatencies and NewProgramFromParts
+// over the descriptors EnsureDataLatencies left (a store load). On every
+// memory instruction levelLat[d>>descLevelShift] must equal a direct
+// hierarchy replay's latency, and every other descriptor must carry no
+// level bits. It runs under the default hierarchy and under one whose L2
+// and L3 share a latency, where the levels still travel as they are. A
+// Program from parts given the Inst records reads back the replayed
+// timeline; one without them keeps none. A simulation over each path
 // matches the others.
 func TestDataLevelsMatchTimeline(t *testing.T) {
 	prof, _ := workload.ByName("wikipedia")
@@ -63,37 +63,27 @@ func TestDataLevelsMatchTimeline(t *testing.T) {
 			b.Append(window)
 		}
 		built := b.Finish()
-		adopted, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ensured.AnnotationBytes(nil), ensured.DescBytes(nil), ensured.Blocks)
+		parts, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), slices.Clone(ensured.Desc), ensured.Blocks, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := adopted.AdoptDataLatencies(trace.EncodeInt16s(timeline), cfg); err != nil {
+		full, err := NewProgramFromParts(tr, len(tr.Insts), slices.Clone(ensured.Desc), ensured.Blocks, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-
-		relabeled := 0
-		for i, d := range adopted.Desc {
-			if d != ensured.Desc[i] {
-				relabeled++
-			}
-		}
-		if (cfg.Lat.L3 == cfg.Lat.L2) != (relabeled > 0) {
-			t.Errorf("L3=%d: adoption relabeled %d levels; want some exactly when two levels share a latency", cfg.Lat.L3, relabeled)
+		if !slices.Equal(full.DataLat, timeline) || !slices.Equal(full.Ann, ann) {
+			t.Errorf("L3=%d: a Program from parts with its Inst records reads back %d latencies and %d annotations unequal to the replay's",
+				cfg.Lat.L3, len(full.DataLat), len(full.Ann))
 		}
 
 		var results []Result
 		for _, path := range []struct {
 			name string
 			p    *Program
-		}{{"builder", built}, {"ensure", ensured}, {"adopt", adopted}} {
+		}{{"builder", built}, {"ensure", ensured}, {"parts", parts}} {
 			p := path.p
-			// Only the replay keeps DataLat; every path's DLAT payload,
-			// read off the level bits, must encode the replayed timeline.
 			if p == ensured && !slices.Equal(p.DataLat, timeline) || p != ensured && p.DataLat != nil {
 				t.Errorf("L3=%d %s: DataLat of %d entries, want the replayed timeline on the ensure path only", cfg.Lat.L3, path.name, len(p.DataLat))
-			}
-			if !bytes.Equal(p.DataLatBytes(nil), trace.EncodeInt16s(timeline)) {
-				t.Errorf("L3=%d %s: DLAT payload differs from the replayed timeline's", cfg.Lat.L3, path.name)
 			}
 			loads := 0
 			for i, d := range p.Desc {
@@ -117,17 +107,18 @@ func TestDataLevelsMatchTimeline(t *testing.T) {
 			results = append(results, NewSimulator(DefaultConfig(), p, newSub(t), mem.New(cfg)).Run(0))
 		}
 		if results[0] != results[1] || results[1] != results[2] {
-			t.Errorf("L3=%d: builder, ensure and adopt simulate to %+v, %+v, %+v", cfg.Lat.L3, results[0], results[1], results[2])
+			t.Errorf("L3=%d: builder, ensure and parts simulate to %+v, %+v, %+v", cfg.Lat.L3, results[0], results[1], results[2])
 		}
 	}
 }
 
-// TestAdoptRefusesForeignLatencies: a timeline the hierarchy could not
-// have produced is refused before anything is installed — a memory
-// instruction whose latency is no level's, a nonzero latency on a
-// non-memory instruction, and a payload cut short — and descriptors that already carry level bits
-// are refused when the Program is assembled. A refused adoption leaves
-// the Program free to adopt the right timeline.
+// TestAdoptRefusesForeignLatencies: a store load adopts its data-side
+// timeline from the descriptors' level bits, so NewProgramFromParts
+// refuses descriptors the hierarchy could not have produced: a level on
+// an instruction that is neither a load nor a store. Every level on a
+// memory instruction is accepted and reads its latency from the given
+// configuration, and a descriptor stream of the wrong length or block
+// count is refused.
 func TestAdoptRefusesForeignLatencies(t *testing.T) {
 	prof, _ := workload.ByName("media-streaming")
 	tr := workload.Generate(prof, 5_000)
@@ -139,41 +130,32 @@ func TestAdoptRefusesForeignLatencies(t *testing.T) {
 	if memIdx < 0 || otherIdx < 0 {
 		t.Fatal("trace lacks memory or non-memory instructions")
 	}
-	parts := func() *Program {
-		p, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.AnnotationBytes(nil), ref.DescBytes(nil), ref.Blocks)
+	parts := func(desc []uint8, blocks []uint64) (*Program, error) {
+		return NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), desc, blocks, cfg)
+	}
+
+	for l := range mem.Level(4) {
+		desc := slices.Clone(ref.Desc)
+		desc[memIdx] = withLevel(desc[memIdx], l)
+		p, err := parts(desc, ref.Blocks)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("level %d on a memory instruction: %v", l, err)
 		}
-		return p
-	}
-
-	for _, bad := range []struct {
-		name string
-		idx  int
-		lat  int16
-	}{{"latency of no level", memIdx, 7}, {"zero on a memory instruction", memIdx, 0}, {"latency on a non-memory instruction", otherIdx, 5}, {"truncated payload", memIdx, ref.DataLat[memIdx]}} {
-		p := parts()
-		lat := slices.Clone(ref.DataLat)
-		lat[bad.idx] = bad.lat
-		payload := trace.EncodeInt16s(lat)
-		if bad.name == "truncated payload" {
-			payload = trace.EncodeInt16s(ref.DataLat)
-			payload = payload[:len(payload)-1]
-		}
-		if err := p.AdoptDataLatencies(payload, cfg); err == nil {
-			t.Errorf("%s: adopted", bad.name)
-		}
-		if p.DataLat != nil || p.Desc[memIdx]&descLevel != 0 {
-			t.Errorf("%s: a refused timeline was installed", bad.name)
-		}
-		if err := p.AdoptDataLatencies(trace.EncodeInt16s(ref.DataLat), cfg); err != nil || !slices.Equal(p.Desc, ref.Desc) {
-			t.Errorf("%s: the right timeline after a refusal: %v (descriptors equal %v)", bad.name, err, slices.Equal(p.Desc, ref.Desc))
+		if got, want := p.levelLat[p.Desc[memIdx]>>descLevelShift], int64(cfg.Lat.Data()[l]); got != want {
+			t.Errorf("level %d reads latency %d, want %d", l, got, want)
 		}
 	}
-
-	withLevels := ref.DescBytes(nil)
-	withLevels[memIdx] |= descLevel
-	if _, err := NewProgramFromParts(&trace.Trace{Name: tr.Name}, len(tr.Insts), ref.AnnotationBytes(nil), withLevels, ref.Blocks); err == nil {
-		t.Error("descriptors carrying level bits were accepted")
+	for l := mem.Level(1); l < 4; l++ {
+		desc := slices.Clone(ref.Desc)
+		desc[otherIdx] = withLevel(desc[otherIdx], l)
+		if _, err := parts(desc, ref.Blocks); err == nil {
+			t.Errorf("level %d on non-memory instruction %d was accepted", l, otherIdx)
+		}
+	}
+	if _, err := parts(ref.Desc[:len(ref.Desc)-1], ref.Blocks); err == nil {
+		t.Error("a descriptor stream one short was accepted")
+	}
+	if _, err := parts(ref.Desc, ref.Blocks[1:]); err == nil {
+		t.Error("a block sequence one short was accepted")
 	}
 }

@@ -20,9 +20,8 @@ import (
 // level go into its descriptor byte, so a streamed prepare holds O(window)
 // Inst records and, per instruction, only what a Suite keeps: Desc,
 // Blocks and the run-ahead bitmap. The finished Program has no Ann,
-// MemBlk or DataLat (and its Trace no Insts); AnnotationBytes and
-// DataLatBytes derive the ANNO and DLAT artifact sections from the
-// descriptors.
+// MemBlk or DataLat (and its Trace no Insts): its descriptors and blocks
+// are the whole workload artifact after the trace.
 type ProgramBuilder struct {
 	p         *Program
 	fe        *branch.FrontEnd
@@ -53,15 +52,11 @@ func NewProgramBuilder(name string, cfg mem.Config, capHint int) *ProgramBuilder
 	return &ProgramBuilder{p: p, fe: branch.NewFrontEnd(), hier: mem.New(cfg)}
 }
 
-// Append annotates and assembles one instruction window. It returns the
-// block accesses the window opened (the tail of the collapsed Blocks
-// sequence), which is what the successor-array builder consumes; the
-// returned slice aliases the Program and must not be mutated. The insts
-// slice itself is not retained — callers may reuse its backing array.
-func (b *ProgramBuilder) Append(insts []trace.Inst) []uint64 {
+// Append annotates and assembles one instruction window. The insts slice
+// is not retained — callers may reuse its backing array.
+func (b *ProgramBuilder) Append(insts []trace.Inst) {
 	p := b.p
 	ann := b.fe.AnnotateInsts(insts)
-	firstBlock := len(p.Blocks)
 	for k := range insts {
 		in := &insts[k]
 		i := len(p.Desc)
@@ -93,7 +88,6 @@ func (b *ProgramBuilder) Append(insts []trace.Inst) []uint64 {
 			p.runEvents[i>>6] |= 1 << uint(i&63)
 		}
 	}
-	return p.Blocks[firstBlock:]
 }
 
 // Len returns the number of instructions appended so far.

@@ -5,16 +5,18 @@ import (
 
 	"acic/internal/branch"
 	"acic/internal/mem"
-	"acic/internal/trace"
 	"acic/internal/workload"
 )
 
 // TestProgramBuilderMatchesBatch pins the streaming prepare contract at
 // the cpu layer: appending the trace window by window yields the
 // descriptors, blocks and run-ahead bitmap of the batch NewProgram +
-// EnsureDataLatencies path, keeps no annotations, data blocks or latency
-// timeline, and derives ANNO and DLAT payloads equal to the batch arrays'
-// encodings, at window sizes including 1 and beyond the trace length.
+// EnsureDataLatencies path and keeps no annotations, data blocks or
+// latency timeline, at window sizes including 1 and beyond the trace
+// length. What those arrays held survives in the descriptors: a Program
+// reassembled from the built descriptors and blocks and the Inst records
+// (NewProgramFromParts, as a store load outside a Suite does) carries the
+// batch annotations, data blocks and timeline.
 func TestProgramBuilderMatchesBatch(t *testing.T) {
 	prof, _ := workload.ByName("media-streaming")
 	const n = 30000
@@ -23,17 +25,11 @@ func TestProgramBuilderMatchesBatch(t *testing.T) {
 
 	want := NewProgram(tr, branch.NewFrontEnd().Annotate(tr))
 	want.EnsureDataLatencies(memCfg)
-	annBytes := make([]byte, n)
-	for i, a := range want.Ann {
-		annBytes[i] = byte(a.Redirect)
-	}
 
 	for _, window := range []int{1, 13, 4096, n, n + 999} {
 		b := NewProgramBuilder(prof.Name, memCfg, n)
-		var blocksSeen int
 		for lo := 0; lo < n; lo += window {
-			added := b.Append(tr.Insts[lo:min(lo+window, n)])
-			blocksSeen += len(added)
+			b.Append(tr.Insts[lo:min(lo+window, n)])
 		}
 		if b.Len() != n {
 			t.Fatalf("window=%d: builder length %d", window, b.Len())
@@ -42,9 +38,6 @@ func TestProgramBuilderMatchesBatch(t *testing.T) {
 
 		if got.Trace.Name != tr.Name || len(got.Trace.Insts) != 0 {
 			t.Fatalf("window=%d: streamed Program should carry name only, got %d insts", window, len(got.Trace.Insts))
-		}
-		if blocksSeen != len(want.Blocks) {
-			t.Fatalf("window=%d: Append yielded %d blocks, want %d", window, blocksSeen, len(want.Blocks))
 		}
 		if !equal(got.Desc, want.Desc) {
 			t.Fatalf("window=%d: Desc differs", window)
@@ -56,16 +49,15 @@ func TestProgramBuilderMatchesBatch(t *testing.T) {
 			t.Fatalf("window=%d: builder kept %d annotations, %d data blocks and %d latencies, want none",
 				window, len(got.Ann), len(got.MemBlk), len(got.DataLat))
 		}
-		// What those arrays held reaches the store through the descriptors:
-		// the derived ANNO and DLAT payloads encode the batch arrays.
-		if !equal(got.AnnotationBytes(nil), annBytes) {
-			t.Fatalf("window=%d: ANNO payload differs from the batch annotations", window)
-		}
-		if !equal(got.DataLatBytes(nil), trace.EncodeInt16s(want.DataLat)) {
-			t.Fatalf("window=%d: DLAT payload differs from the batch timeline", window)
-		}
 		if !equal(got.runEvents, want.runEvents) {
 			t.Fatalf("window=%d: runEvents differs (%d vs %d words)", window, len(got.runEvents), len(want.runEvents))
+		}
+		full, err := NewProgramFromParts(tr, n, got.Desc, got.Blocks, memCfg)
+		if err != nil {
+			t.Fatalf("window=%d: %v", window, err)
+		}
+		if !equal(full.Ann, want.Ann) || !equal(full.MemBlk, want.MemBlk) || !equal(full.DataLat, want.DataLat) {
+			t.Fatalf("window=%d: the built parts do not restore the batch annotations, data blocks and timeline", window)
 		}
 		// Same-config Ensure must be a no-op: a replay would read the
 		// missing MemBlk.

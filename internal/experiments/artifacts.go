@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync/atomic"
 
+	"acic/internal/analysis"
 	"acic/internal/cpu"
 	"acic/internal/experiments/engine"
 	"acic/internal/mem"
@@ -31,11 +32,14 @@ const prepareWindow = 1 << 16
 //
 // are memoized per app with singleflight and, when a store directory is
 // configured, persisted as one workload artifact: a trace-codec v2
-// container holding the trace's INSZ windows followed by the ANNO, DESC,
-// BLKS, NXTA and DLAT sections. The artifact key shares the result cache's
-// derivation (keys.go: schema version, simulator-config digest, profile
-// digest, trace length), so a config edit invalidates prepared artifacts
-// and cached results together.
+// container holding the trace's INSZ windows followed by the DESC and BLKS
+// sections. The descriptors carry each data level, and the successor
+// array is a function of the blocks, so a cold prepare builds no
+// successor array and a load outside a Suite derives it. The artifact
+// lives under the store's schema subdirectory (StoreDir), and its key
+// shares the result cache's derivation (keys.go: schema version,
+// simulator-config digest, profile digest, trace length), so a config
+// edit invalidates prepared artifacts and cached results together.
 //
 // A workload is loaded from the store when its artifact decodes and
 // passes every consistency check; otherwise it is prepared cold by the
@@ -48,11 +52,10 @@ const prepareWindow = 1 << 16
 // through the group's singleflight; concurrent processes share through the
 // store's atomic temp-file-and-rename writes.
 type Pipeline struct {
-	n       int
-	window  int // instructions per cold-prepare window (prepareWindow)
-	memCfg  mem.Config
-	pool    *engine.Pool
-	simOnly bool // PipelineConfig.simOnly
+	n      int
+	window int // instructions per cold-prepare window (prepareWindow)
+	memCfg mem.Config
+	pool   *engine.Pool
 
 	workloads *engine.Group[string, *Workload]
 
@@ -69,26 +72,26 @@ type Pipeline struct {
 type PipelineConfig struct {
 	// N is the trace length in instructions (0 = DefaultTraceLen).
 	N int
-	// Dir enables the on-disk artifact store in that directory ("" =
-	// in-memory memoization only).
+	// Dir enables the on-disk artifact store in that directory's schema
+	// subdirectory (StoreDir; "" = in-memory memoization only).
 	Dir string
 	// Pool executes batch work (Warm, Require); nil creates a default
 	// pool. Demand-driven preparation (Workload) runs inline on the
 	// calling goroutine either way.
 	Pool *engine.Pool
-	// simOnly makes every workload carry only simulator state: no
-	// Trace.Insts, Prog.MemBlk, Prog.DataLat, annotations or NextAt. A
-	// store load never decodes the whole trace nor builds those arrays
-	// (it checks their payloads in place), and a cold prepare drops its
-	// successor array once the NXTA section is written. A Suite sets it:
-	// none of its cells or renderers reads those arrays (the oracle
-	// schemes index next uses per run), and a warm load would otherwise
-	// build each app's Inst records (32 B/inst) and MemBlk (8 B/inst)
-	// only to drop them, and keep NextAt (8 B/access), DataLat (2 B/inst)
-	// and the annotations (1 B/inst) resident for the whole run.
-	// NewPipeline callers that digest or compare those arrays (store
-	// tooling, the pipeline tests, perfbench) leave it off and read them
-	// from a store load or a cold prepare.
+	// simOnly makes a store load carry only simulator state: it copies
+	// the descriptors and decodes the blocks, and never decodes the whole
+	// trace nor derives Trace.Insts, Prog.MemBlk, Prog.DataLat, the
+	// annotations or NextAt. A Suite sets it: none of its cells or
+	// renderers reads those arrays (the descriptors carry each redirect
+	// and data level, and the oracle schemes index next uses per run),
+	// and a warm load would otherwise build each app's Inst records
+	// (32 B/inst) and MemBlk (8 B/inst) only to drop them, and keep
+	// NextAt (8 B/access), DataLat (2 B/inst) and the annotations
+	// (1 B/inst) resident for the whole run. NewPipeline callers that
+	// digest or compare those arrays (store tooling, the pipeline tests,
+	// perfbench) leave it off and read them from a store load. A cold
+	// prepare carries none of them in either case.
 	simOnly bool
 }
 
@@ -103,7 +106,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if cfg.Pool == nil {
 		cfg.Pool = engine.NewPool(0)
 	}
-	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), pool: cfg.Pool, simOnly: cfg.simOnly}
+	pl := &Pipeline{n: cfg.N, window: prepareWindow, memCfg: mem.DefaultConfig(), pool: cfg.Pool}
 	pl.workloads = engine.NewGroup(cfg.Pool, pl.prepare)
 	pl.workloads.Name = "workload"
 	// Transient failures (injected faults, MarkTransient-wrapped errors)
@@ -117,7 +120,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		// Every artifact uses the trace codec's container format with the
 		// ".actr" extension, so `acic-trace inspect` can describe any file
 		// in the store.
-		pl.store, err = engine.NewCodecDiskCache(cfg.Dir, ".actr", pl.storeKey, nil,
+		pl.store, err = engine.NewCodecDiskCache(StoreDir(cfg.Dir), ".actr", pl.storeKey, nil,
 			func(data []byte) (*Workload, error) { return decodeWorkload(data, pl.memCfg, cfg.simOnly) })
 	}
 	return pl, err
@@ -141,31 +144,25 @@ func (pl *Pipeline) storeKey(app string) string {
 	return storeKeyPrefix(profileDigest(app), pl.n) + "|stage:workload"
 }
 
-// workloadSections are the derived sections a workload artifact carries
-// after its INSZ windows, in write order.
-var workloadSections = []string{trace.SecAnnot, trace.SecDesc, trace.SecBlocks, trace.SecNextAt, trace.SecDataLat}
+// workloadSections are the sections a workload artifact carries after its
+// INSZ windows, in write order.
+var workloadSections = []string{trace.SecDesc, trace.SecBlocks}
 
 // decodeWorkload rebuilds a workload, all but its Profile, from its
 // artifact. Every check a load makes runs here, so any failure quarantines
-// the one entry: the section CRCs, the decode of every INSZ window, the
-// annotation and descriptor lengths and block count against the
-// instruction count and the annotations against the descriptors
-// (cpu.NewProgramFromParts), the successor array's encoding and length
-// against the blocks, and the latency timeline against the program and
-// the hierarchy's levels (AdoptDataLatencies). The run-ahead bitmap is a
-// cheap local recompute.
+// the one entry: the section CRCs, the decode of every INSZ window, and
+// the descriptors and blocks against the instruction count and each other
+// (cpu.NewProgramFromParts: lengths, block count, data levels only on
+// loads and stores). The run-ahead bitmap is a cheap local recompute.
 //
 // simOnly decodes the windows one at a time into one reused buffer
-// (trace.CountInsts) and keeps no Inst records, so the Program has no
-// MemBlk, and it checks the ANNO, NXTA and DLAT payloads in place without
-// building their arrays: the descriptors carry each redirect and data
-// level, and the simulators read next uses from the oracle. Otherwise the
-// trace is decoded whole, MemBlk recomputed from it, and the annotations,
-// successor array and latency timeline decoded and kept. Both accept and
-// refuse the same inputs and build the same descriptors and blocks.
+// (trace.CountInsts) and keeps no Inst records, so the workload carries
+// only the descriptors, which hold each redirect and data level, and the
+// blocks. Otherwise the trace is decoded whole, and the annotations, data
+// blocks, latency timeline (NewProgramFromParts) and successor array
+// (analysis.NextUseArray) are derived and kept. Both accept and refuse the
+// same inputs and build the same descriptors and blocks.
 func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, error) {
-	// Sections alias data; only the descriptors are kept as they are, so
-	// only they are copied.
 	name, secs, err := trace.ParseContainer(data)
 	if err != nil {
 		return nil, err
@@ -181,46 +178,26 @@ func decodeWorkload(data []byte, memCfg mem.Config, simOnly bool) (*Workload, er
 	if err != nil {
 		return nil, err
 	}
-	var payload [5][]byte
+	var payload [2][]byte
 	for i, tag := range workloadSections {
 		var ok bool
 		if payload[i], ok = trace.FindSection(secs, tag); !ok {
 			return nil, fmt.Errorf("experiments: workload artifact missing %s section", tag)
 		}
 	}
-	blocks, err := trace.DecodeUint64sDelta(payload[2])
+	blocks, err := trace.DecodeUint64sDelta(payload[1])
 	if err != nil {
 		return nil, err
 	}
-	prog, err := cpu.NewProgramFromParts(&trace.Trace{Name: name, Insts: insts}, n, payload[0], bytes.Clone(payload[1]), blocks)
+	// Sections alias data. The descriptors are kept as they are, so they
+	// are copied: aliasing them would keep the whole entry alive.
+	prog, err := cpu.NewProgramFromParts(&trace.Trace{Name: name, Insts: insts}, n, bytes.Clone(payload[0]), blocks, memCfg)
 	if err != nil {
 		return nil, err
 	}
 	var nextAt []int64
-	var successors int
-	if simOnly {
-		successors, err = trace.CountInt64sDelta(payload[3])
-	} else {
-		nextAt, err = trace.DecodeInt64sDelta(payload[3])
-		successors = len(nextAt)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if successors != len(prog.Blocks) {
-		return nil, fmt.Errorf("experiments: successor array length %d != %d block accesses", successors, len(prog.Blocks))
-	}
-	if err := prog.AdoptDataLatencies(payload[4], memCfg); err != nil {
-		return nil, err
-	}
 	if !simOnly {
-		// The checks above passed, so neither decode can fail.
-		if prog.Ann, err = cpu.AnnotationsFromBytes(payload[0]); err != nil {
-			return nil, err
-		}
-		if prog.DataLat, err = trace.DecodeInt16s(payload[4]); err != nil {
-			return nil, err
-		}
+		nextAt = analysis.NextUseArray(prog.Blocks)
 	}
 	return newWorkload(workload.Profile{}, prog, nextAt), nil
 }
@@ -258,10 +235,7 @@ func (pl *Pipeline) prepare(app string) (*Workload, error) {
 		w.Profile = prof
 		pl.warm.Add(1)
 	} else {
-		var err error
-		if w, err = pl.stream(app, prof); err != nil {
-			return nil, err
-		}
+		w = pl.stream(app, prof)
 		pl.cold.Add(1)
 	}
 	return w, nil
@@ -277,10 +251,10 @@ func (pl *Pipeline) stored(app string) bool {
 // Workload returns the fully prepared workload for an app, loading or
 // preparing it on demand. Outside a Suite, a workload loaded from the
 // store carries its Inst records, annotations, data-block array, latency
-// timeline and successor array. One prepared cold carries none of the
-// first four, in or outside a Suite: its descriptors hold the redirects
-// and data levels, from which the store's ANNO and DLAT sections were
-// derived. In a Suite no workload carries a successor array either.
+// timeline and successor array, all derived on load. One prepared cold
+// carries none of them, in or outside a Suite, and neither does any
+// Suite workload: the descriptors hold the redirects and data levels,
+// and the blocks are what the next-use oracle indexes.
 func (pl *Pipeline) Workload(app string) (*Workload, error) {
 	w, err := pl.workloads.Get(app)
 	if err != nil {

@@ -7,11 +7,13 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"acic/internal/cpu"
 	"acic/internal/faults"
+	"acic/internal/mem"
 	"acic/internal/stats"
 	"acic/internal/trace"
 	"acic/internal/workload"
@@ -135,10 +137,11 @@ func TestPipelineMatchesPrepare(t *testing.T) {
 	assertWorkloadsEqual(t, want, got2)
 }
 
-// corruptStore mangles every artifact in dir with the given transform.
+// corruptStore mangles every artifact in store root dir with the given
+// transform.
 func corruptStore(t *testing.T, dir string, mangle func([]byte) []byte) int {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*.actr"))
+	files, err := filepath.Glob(filepath.Join(dir, SchemaDir(), "*.actr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,12 +431,13 @@ func TestExpAllColdVsWarmStoreByteIdentical(t *testing.T) {
 // no annotations and no successor array, keep their name and length, and
 // simulate exactly like Prepare's (opt included, which builds its own
 // next-use oracle for the run). The warm load decodes the trace a window
-// at a time, checks the ANNO, NXTA and DLAT payloads in place and builds
-// no oracle, so all it allocates stays within a small multiple of the
-// arrays it keeps; decoding the trace whole (32 B/inst), those three
-// payloads (4.2 B/inst here), or building an oracle (2.2 B/inst here)
-// would break the bound. A plain Pipeline over the same
-// store still returns every array, equal to Prepare's.
+// at a time, copies the descriptors, decodes the blocks and builds no
+// oracle, so all it allocates stays within a small multiple of the
+// arrays it keeps; decoding the trace whole (32 B/inst) or building an
+// oracle (2.2 B/inst here) would break the bound. The copied descriptors
+// must not alias the entry buffer, which would keep every loaded entry
+// alive. A plain Pipeline over the same store still returns every array,
+// equal to Prepare's.
 func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 	const app, n = "sibench", 20_000
 	prof, _ := workload.ByName(app)
@@ -482,19 +486,21 @@ func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 		}
 		assertStageCounts(t, s.pipeline, phase.computed, phase.fromStore)
 		if phase.name == "warm" {
-			// The load reads the entry (about 7 B/inst here) and decodes
-			// the blocks: about 5.5x the descriptors and blocks it keeps
-			// (2.1 B/inst). Building the oracle's compressed rows as well
-			// read 6.6x, decoding the successor array, annotations and
-			// latency timeline only to check them 8.6x, and the whole
-			// trace's Inst records would add 32 B/inst. All break 6x.
+			// The load reads the entry (about 3.5 B/inst here), copies the
+			// descriptors and decodes the blocks: about 4.0x the
+			// descriptors and blocks it keeps (2.1 B/inst). An entry that
+			// also carried the ANNO, NXTA and DLAT payloads read 5.5x,
+			// building the oracle's compressed rows as well adds about
+			// 1.1x, and the whole trace's Inst records would add
+			// 32 B/inst. All break 4.5x.
 			retained := uint64(len(w.Prog.Desc) + 8*len(w.Blocks))
 			alloc := after.TotalAlloc - before.TotalAlloc
 			t.Logf("warm PrepareAll allocated %d B for %d B of descriptors and blocks", alloc, retained)
-			if alloc > 6*retained {
-				t.Errorf("warm PrepareAll allocated %d B, want at most 6x the %d B of descriptors and blocks it keeps",
+			if 2*alloc > 9*retained {
+				t.Errorf("warm PrepareAll allocated %d B, want at most 4.5x the %d B of descriptors and blocks it keeps",
 					alloc, retained)
 			}
+			assertDescNotAliased(t, dir, w.Prog.Desc)
 		}
 		for _, scheme := range schemes {
 			if res, err := Run(w, scheme, DefaultOptions()); err != nil || res != wantRes[scheme] {
@@ -510,50 +516,72 @@ func TestSuiteWorkloadsCarryOnlySimulatorState(t *testing.T) {
 	assertWorkloadsEqual(t, want, got)
 }
 
+// assertDescNotAliased decodes the one entry in store root dir as a Suite
+// does and checks the descriptors it returns (equal to desc) are a copy:
+// clearing the entry buffer after the decode must leave them unchanged.
+func assertDescNotAliased(t *testing.T, dir string, desc []uint8) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, SchemaDir(), "*.actr"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("store holds %d artifacts (%v), want 1", len(files), err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := decodeWorkload(data, mem.DefaultConfig(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(data)
+	if !slices.Equal(w.Prog.Desc, desc) {
+		t.Error("the simulator-only load's descriptors alias the entry buffer")
+	}
+}
+
 // TestWorkloadArtifactGolden pins the bytes of every store entry: each
 // workload.All() profile is warmed cold at n=20,000 into a fresh store,
 // once at the default window and once at 4,096 instructions a window (one
 // INSZ section, then five), and each entry's SHA-256 must equal the one
-// recorded before the cold prepare stopped keeping the annotations, data
-// blocks and latency timeline. A wrong byte in any section the cold pass
-// derives (ANNO and DLAT from the descriptors, DESC, BLKS, NXTA) or in a
-// window fails it.
+// recorded when the schema-5 entry (the windows, DESC with its data-level
+// bits, and BLKS) was introduced. A wrong byte in a window, a descriptor
+// or the block sequence fails it.
 func TestWorkloadArtifactGolden(t *testing.T) {
 	const n = 20_000
 	want := map[int]map[string]string{
 		0: {
-			"media-streaming": "5003f4b80f2cdcc6dff37cc4d3bd96b3bb587768458eab2ce5fc698d7973ec65",
-			"data-caching":    "45762993ff9bf96e2b3ac67ad99340c5874ea82b15b0032aefe41cb80036aefe",
-			"data-serving":    "8609a3a69f27dcf2b5d1559c4c9c864e4b21f6161b92dfbcebb281610f6676cb",
-			"web-serving":     "c1d2fe7ac5aec2171b9c6ada86352a733f43fca32ed3ad1f075afc0e9ae0388e",
-			"web-search":      "6e228bc0940a0db74516c705c83121904ee2ec7ea489c5764a7f4cb7ad793909",
-			"tpcc":            "fe7e492a872468e7b64cf97b18dce14fdc3633d0b5e0b045ac262101a81867b9",
-			"wikipedia":       "6b2e9755701ed376a2bfe650dde58efc949a3308cebdb99f86df4c8bb405e30f",
-			"sibench":         "5eaecccbbe81eb33fe160919c076155efacae9aaa783d44c19126fc92720ac67",
-			"finagle-http":    "bd52953df714cc5c70779a3ac2a35a17e28791be023dd4e87e7a67e096e0fe91",
-			"neo4j":           "1bc8b998c8b42cccf31ca52368bc1aaadd4415a877764e0ceb25fa50e469127c",
-			"perlbench":       "9156ca435e2e8e82a474ad835ba6f44fa10403a6bc5541c914b2f0e6e9119b22",
-			"omnetpp":         "e1f67af4e35abfd42c4f0c5662f99fb4f8757b99d47e6283281d8d9a8f2dc534",
-			"xalancbmk":       "9a0b971ffb5ff983eb23b5ff404cdc7da493a2e09668fe0f00d7ca2fda7fd77e",
-			"x264":            "f286965a2913e6e52dce830a64fd0329fb06fb3e639b6d86478d211f562b1bbe",
-			"gcc":             "2bebd1727acd14f75f324cbce35cb65493d056d4b8a8d1ba2f2dfb72ff96230a",
+			"media-streaming": "242db824272331f9acedde86e42e073799d89e522821e5a5b23c9dd56e652b82",
+			"data-caching":    "75ae240268d8a07f644df393fc44d10dbdcc6018e5ce1c886641f7bcbed0e868",
+			"data-serving":    "51c0ccc144c2729e04f21de44ba2b6ae274181d8fa84ca559610986578cf6230",
+			"web-serving":     "9768c90e662cdd9e0d90604ba8c8a385fe7e0f7311def94906d413336c5e4d89",
+			"web-search":      "1f8c1064f9ff6a8bdcec9f7b39f9bb670b7b38bee83ea0705554130fdaeb40d9",
+			"tpcc":            "b4bb8a0c873a01c7c7a81ed026d02028b87c2a12472b50355fba04d227266e77",
+			"wikipedia":       "4c30a35f673b553702447fe4c9c3a0c7270b82808e7017a2a3b3da79fc1dcc3e",
+			"sibench":         "e1bcd77677dc4ad752775a9d7308e15b0d2a3e41ad2068402a1aeb7c9928fd4e",
+			"finagle-http":    "5d053cc90f2342c70ac2f723b2895f4d7116bea796eac00dc5bad7e0967f6f35",
+			"neo4j":           "f4f09793e3e51b299fa389d72535a92308dfc0fbfb6c02c92e71f51c1636c58f",
+			"perlbench":       "7bedd39499b6403025026db7f88049f047051c3f116b0a4b219b2f89f2a95b07",
+			"omnetpp":         "08d111edd5f3285fae67cf4276df614b147befa2babd1483c19d5a8d0e9243c5",
+			"xalancbmk":       "7acf6f7efc72c09a332d2919df02ea6ba4afa0dc8a1214e6056426175d3c3554",
+			"x264":            "6e82619633937895fc4dbd64d82206cfc1a6976ef65f6be12d7d0be4e2083b72",
+			"gcc":             "17e3667e68e3d1bdc1beb2066cf661f75034d81e04acc5ebeebc7f9618a00dbd",
 		},
 		4096: {
-			"media-streaming": "ae1540ad2c92b3e89957bbb9217e447670203b1cfa34e82137f3cff73496c93f",
-			"data-caching":    "22c24d9e867305e3fed32dd009358b1237307374861f161e569f0af250cac595",
-			"data-serving":    "c73e3839c89f618d343ea3515b6ef7a0f2daa053c21022e286727b166ed21612",
-			"web-serving":     "fa0350db7c3fee297ad725f9517fce800436e132b201d159fe98e8b1f29a8eb8",
-			"web-search":      "e605fbd135dace9bf26e4496165cbaf3a47c4a82cd776ef4bdd78ef6dc71c86e",
-			"tpcc":            "9875f557e863a6f3537bb42991fbd7d5c6fca3afae4a8b1451d63d1b2d7abcc7",
-			"wikipedia":       "de6eb196a8426915a7815bd09d7a080b4762aa2dc964aa3728f7745dc20eacc7",
-			"sibench":         "e6ebc942d7d73cbff7865695ec4eda1308f754a5a761ac7fcabaa35779a09232",
-			"finagle-http":    "d5d1b146d4ee15b96860f8580a5af74e73b74aa42e462b5221bd96ea1dfc2e5e",
-			"neo4j":           "722ef738a6f4f1cab03c05b1adf8e2b9ff366573a039cb3973f5da7a1852eb9b",
-			"perlbench":       "641eceb3a5545bdf165141371baecf70c73a8e33f70d20a61506c8a5f6f9a13d",
-			"omnetpp":         "b6bc7f04214571d290df8cc52dc68bb40d987fefab4e5873da120728afe6cb55",
-			"xalancbmk":       "c2c6824cbe144fd6997f7d63771ff059af78a4fb7155ef7d43f7965797bb5580",
-			"x264":            "3baf484cf2383575b3481670bdffa075c81a7efb90cb7463e65fa4c1e8cc35ea",
-			"gcc":             "eb46e23e32114335f65ac2b85aec97badd23fa61a47b19a9ad67ce32537db1bd",
+			"media-streaming": "51856a3f1fa7f27d5b04ff78940aed63adf67c21397ca6c68e9f36972b4d9e8c",
+			"data-caching":    "4708c03b142e7ab4c69cb0bfd1db11e85a893289d7cce980fa0816b00e42541c",
+			"data-serving":    "d368dde65023647a2e2ed5e7e6f8b5ab0a1da922ad494a67748526d6bd5db3ed",
+			"web-serving":     "52fb0d5abd580181d292bc5edce18ce32701d47b36411e7cba2188f9d24c7030",
+			"web-search":      "e8ec197f836227f084e97e522c715a188f185ce3b64e47600304ec770eaf5697",
+			"tpcc":            "0ffb433001593cd7c73792cf57671cb0981ce811dc0e74cfefffd3b6a909e3d3",
+			"wikipedia":       "afd8461826e2b456111af71b930c7a88a6972aa270786a516eb1ba1b2265ee5f",
+			"sibench":         "a1cfed3219005862d46b0414d312626836ada42d12c17dee1a35293ec2d7b970",
+			"finagle-http":    "d8214d1eecdd394f1ed89c33ced95b5c2c81d8ead627cde1a548ca19d02f45ea",
+			"neo4j":           "e14776f3ddaf7039faca69472bd2fbb4c4691679e2688373071acfaeb7c51207",
+			"perlbench":       "4f5f88aec1b43b334925daea9134124366b3d2390301c16420aeb2b16e6f113d",
+			"omnetpp":         "4a7f380cc94d549abfb0adf83f7f8fe340dfa64101dbc51676c7a9f05dcde812",
+			"xalancbmk":       "b3432e927090af5a6eac459f6fd0059068661ab681e0c3a822d0868f1c6ef206",
+			"x264":            "97a80be491a7cf019adda8a5362a10267e642cb9d269d4ec658fc7a491a9c7ad",
+			"gcc":             "99ce1a2b194a0a6b6d6f10e907d55f8f0d8eb91c7271deb6ea3267a957045404",
 		},
 	}
 	for _, window := range []int{0, 4096} {
@@ -569,7 +597,7 @@ func TestWorkloadArtifactGolden(t *testing.T) {
 		if err := pl.Warm(apps...); err != nil {
 			t.Fatal(err)
 		}
-		files, err := filepath.Glob(filepath.Join(dir, "*.actr"))
+		files, err := filepath.Glob(filepath.Join(dir, SchemaDir(), "*.actr"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -599,13 +627,13 @@ func TestWorkloadArtifactGolden(t *testing.T) {
 // TestPipelineWarmAllocationBound bounds what a cold Pipeline.Warm of one
 // app allocates per instruction at n=400,000 into a fresh store. The
 // windowed pass allocates its Inst windows, each window's encoded INSZ
-// section, the descriptors, blocks and successors it keeps, the oracle,
-// and the derived sections (ANNO, DESC and DLAT in one reused buffer); it
-// measures about 25 B/inst. Building the annotations (1 B/inst), data
-// blocks (8) and latency timeline (2) as well, and a separate payload for
-// each section, as the pass once did, measures about 38 and fails.
+// section, the descriptors and blocks it keeps, and the BLKS payload; it
+// measures about 18.5 B/inst. Building the successor array and the ANNO,
+// NXTA and DLAT payloads as well measured about 25, and the annotations
+// (1 B/inst), data blocks (8) and latency timeline (2) on top about 38:
+// both fail.
 func TestPipelineWarmAllocationBound(t *testing.T) {
-	const app, n, bound = "media-streaming", 400_000, 33.0
+	const app, n, bound = "media-streaming", 400_000, 22.0
 	pl := newTestPipeline(t, n, t.TempDir())
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -617,5 +645,84 @@ func TestPipelineWarmAllocationBound(t *testing.T) {
 	t.Logf("cold Warm of %s allocated %.1f B/inst", app, perInst)
 	if perInst > bound {
 		t.Errorf("cold Warm of %s allocated %.1f B/inst, want at most %.0f", app, perInst, bound)
+	}
+}
+
+// TestStoreRetiresFlatV4Layout: a store in the flat layout up to schema
+// 4 — entries at its root, beside a stray v4/ subdirectory — is never
+// read. The entries are byte copies of valid entries under the names this
+// schema keys them by, so a reader that looked at the root or into v4/
+// would load them; instead every app regenerates cold and every cell
+// recomputes, and opening the store leaves no such entry behind. A file
+// or directory the store does not name is kept.
+func TestStoreRetiresFlatV4Layout(t *testing.T) {
+	const n = 2000
+	apps := []string{"media-streaming", "sibench"}
+	newSuite := func(dir string) *Suite {
+		s := NewSuite(n)
+		s.Apps, s.Workers = apps, 1
+		s.CacheDir, s.ArtifactDir = dir, dir
+		for _, app := range apps {
+			if _, err := s.Result(app, "lru", "fdp"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	src := t.TempDir()
+	newSuite(src)
+	entries, err := os.ReadDir(filepath.Join(src, SchemaDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	copied := 0
+	for _, ent := range entries {
+		if ent.IsDir() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(src, SchemaDir(), ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sub := range []string{".", "v4"} {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, sub, ent.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		copied++
+	}
+	if copied != 2*len(apps) {
+		t.Fatalf("source store holds %d entries, want an artifact and a result per app", copied)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(dir, "other"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	s := newSuite(dir)
+	if computed, fromCache, _ := s.Stats(); computed != int64(len(apps)) || fromCache != 0 {
+		t.Errorf("cells: %d computed, %d from the old layout, want %d and 0", computed, fromCache, len(apps))
+	}
+	for _, st := range s.PrepareStats() {
+		if st.Computed != int64(len(apps)) || st.FromStore != 0 {
+			t.Errorf("stage %s: %d computed, %d from the old layout, want %d and 0", st.Stage, st.Computed, st.FromStore, len(apps))
+		}
+	}
+	root, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, ent := range root {
+		names = append(names, ent.Name())
+	}
+	if want := []string{"notes.json", "other", SchemaDir()}; !slices.Equal(names, want) {
+		t.Errorf("store root holds %q after the open, want %q", names, want)
 	}
 }

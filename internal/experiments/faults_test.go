@@ -14,11 +14,12 @@ import (
 	"acic/internal/workload"
 )
 
-// findArtifactWithSection returns the path of the store artifact carrying
-// a section with the given tag, plus that section's spans within it.
+// findArtifactWithSection returns the path of the artifact in store root
+// dir carrying a section with the given tag, plus that section's spans
+// within it.
 func findArtifactWithSection(t *testing.T, dir, tag string) (string, []trace.SectionSpan) {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "*.actr"))
+	files, err := filepath.Glob(filepath.Join(dir, SchemaDir(), "*.actr"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +65,12 @@ func flipPayloadBit(t *testing.T, path string, sp trace.SectionSpan) {
 	}
 }
 
-// assertQuarantined checks the store's quarantine/ holds exactly want
-// entries, each with a reason file, and that no reason or temp file leaks
-// into the store root.
+// assertQuarantined checks the quarantine/ of store root dir holds
+// exactly want entries, each with a reason file, and that no reason or
+// temp file leaks into the store.
 func assertQuarantined(t *testing.T, dir string, want int) {
 	t.Helper()
+	dir = filepath.Join(dir, SchemaDir())
 	qdir := filepath.Join(dir, engine.QuarantineDirName)
 	entries, err := os.ReadDir(qdir)
 	if err != nil {
@@ -111,10 +113,7 @@ func TestSectionBitFlipQuarantineAndRegenerate(t *testing.T) {
 	prof, _ := workload.ByName(app)
 	want := Prepare(prof, n)
 
-	for _, tag := range []string{
-		trace.SecInstsZ, trace.SecAnnot, trace.SecDesc,
-		trace.SecBlocks, trace.SecNextAt, trace.SecDataLat,
-	} {
+	for _, tag := range []string{trace.SecInstsZ, trace.SecDesc, trace.SecBlocks} {
 		t.Run(tag, func(t *testing.T) {
 			dir := t.TempDir()
 			if _, err := newTestPipeline(t, n, dir).Workload(app); err != nil {
@@ -296,12 +295,15 @@ func TestFaultInjectedExpAllByteIdentical(t *testing.T) {
 	assertNoStrayStoreFiles(t, dir)
 }
 
-// assertNoStrayStoreFiles checks the store root holds only artifact and
-// result entries — no temps, no reason files (quarantine/ and tmp/ are
-// where those belong).
+// assertNoStrayStoreFiles checks store root dir holds only the schema
+// subdirectory, and that it holds only artifact and result entries — no
+// temps, no reason files (quarantine/ and tmp/ are where those belong).
 func assertNoStrayStoreFiles(t *testing.T, dir string) {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	if root, err := os.ReadDir(dir); err != nil || len(root) != 1 || root[0].Name() != SchemaDir() {
+		t.Fatalf("store root holds %v (%v), want only %s/", root, err, SchemaDir())
+	}
+	entries, err := os.ReadDir(filepath.Join(dir, SchemaDir()))
 	if err != nil {
 		t.Fatal(err)
 	}

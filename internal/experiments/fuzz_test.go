@@ -1,26 +1,29 @@
 package experiments
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
 	"testing"
 
 	"acic/internal/mem"
+	"acic/internal/trace"
 )
 
 // FuzzDecodeWorkloadArtifact runs the store's workload decoder over
 // arbitrary bytes, which may come from a remote /blob/ store. It is seeded
-// with a real cold-written entry of several windows. Every input goes
-// through both the full decode and the simulator-only one a Suite uses.
-// No input may panic, both must accept and refuse the same inputs, and an
-// accepted input must yield workloads whose arrays agree in length (one
-// entry per instruction for the trace, annotations, descriptors, data
-// blocks and latency timeline, one successor per block access) and whose
-// descriptors (data-level bits included) and blocks are equal. The
-// simulator-only workload, which checks the ANNO, NXTA and DLAT payloads
-// in place, keeps no Inst records, data-block array, annotations, latency
-// timeline or successor array.
+// with a real cold-written entry of several windows, read from the
+// store's schema subdirectory, and with that entry carrying a data level
+// on a non-memory instruction, which both decodes must refuse. Every
+// input goes through both the full decode and the simulator-only one a
+// Suite uses. No input may panic, both must accept and refuse the same
+// inputs, and an accepted input must yield workloads whose arrays agree in
+// length (one entry per instruction for the trace, annotations,
+// descriptors, data blocks and latency timeline, one successor per block
+// access) and whose descriptors (data-level bits included) and blocks are
+// equal. The simulator-only workload keeps no Inst records, data-block
+// array, annotations, latency timeline or successor array.
 func FuzzDecodeWorkloadArtifact(f *testing.F) {
 	dir := f.TempDir()
 	pl, err := NewPipeline(PipelineConfig{N: 2000, Dir: dir})
@@ -31,7 +34,7 @@ func FuzzDecodeWorkloadArtifact(f *testing.F) {
 	if _, err := pl.Workload("media-streaming"); err != nil {
 		f.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "*.actr"))
+	files, err := filepath.Glob(filepath.Join(dir, SchemaDir(), "*.actr"))
 	if err != nil || len(files) != 1 {
 		f.Fatalf("store holds %d artifacts (%v), want 1", len(files), err)
 	}
@@ -40,6 +43,7 @@ func FuzzDecodeWorkloadArtifact(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
+	f.Add(levelOnNonMemory(f, seed))
 
 	memCfg := mem.DefaultConfig()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -67,4 +71,37 @@ func FuzzDecodeWorkloadArtifact(f *testing.F) {
 			t.Fatal("simulator-only decode differs from the full decode in descriptors or blocks")
 		}
 	})
+}
+
+// levelOnNonMemory returns entry with data-level bits set on the
+// descriptor of its first instruction that is neither a load nor a store,
+// re-encoded so every section CRC holds: only the level check can refuse
+// it.
+func levelOnNonMemory(f *testing.F, entry []byte) []byte {
+	name, secs, err := trace.ParseContainer(entry)
+	if err != nil {
+		f.Fatal(err)
+	}
+	insts, err := trace.InstsFromSections(secs)
+	if err != nil {
+		f.Fatal(err)
+	}
+	i := slices.IndexFunc(insts, func(in trace.Inst) bool { return !in.Class.IsMem() })
+	for k, s := range secs {
+		if s.Tag == trace.SecDesc && i >= 0 {
+			desc := slices.Clone(s.Data)
+			desc[i] |= 0xc0 // the data-level bits, 6-7
+			secs[k].Data = desc
+		}
+	}
+	var b bytes.Buffer
+	if err := trace.WriteContainer(&b, name, secs); err != nil {
+		f.Fatal(err)
+	}
+	for _, simOnly := range []bool{false, true} {
+		if _, err := decodeWorkload(b.Bytes(), mem.DefaultConfig(), simOnly); err == nil {
+			f.Fatalf("a level on non-memory instruction %d decoded (simOnly %v)", i, simOnly)
+		}
+	}
+	return b.Bytes()
 }

@@ -4,10 +4,15 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 
 	"acic/internal/core"
 	"acic/internal/cpu"
+	"acic/internal/experiments/engine"
 	"acic/internal/mem"
 	"acic/internal/prefetch"
 	"acic/internal/workload"
@@ -44,7 +49,58 @@ import (
 // the ANNO, DESC, BLKS, NXTA and DLAT sections) instead of four, and the
 // trace codec no longer reads v1 streams or INST sections, so v3 stores
 // are retired wholesale (DESIGN.md §9).
-const cacheSchemaVersion = 4
+//
+// v5: a workload entry holds only the INSZ windows, DESC (data-level bits
+// included) and BLKS; the ANNO, NXTA and DLAT sections, which a load can
+// derive from those two, are gone. Each schema's entries live under their
+// own store subdirectory (StoreDir), which also retires the flat v4 layout.
+const cacheSchemaVersion = 5
+
+// StoreDir maps a local store directory to the subdirectory holding this
+// schema's entries, dir/v5, and removes what other schemas left in dir:
+// every other v<k>/ subdirectory, and the root-level entries of the flat
+// layout used up to v4 (content-addressed .actr and .json files). A
+// schema bump thus retires an old store the first time a new build opens
+// it, where entries keyed by an old schema would otherwise sit in it
+// forever. Removal is best-effort, like the stale tmp/ sweep of an
+// opened store. "" and store URLs come back unchanged: a store server
+// maps its own root (NewStoreHandler callers pass it through StoreDir).
+func StoreDir(dir string) string {
+	if dir == "" || engine.IsStoreURL(dir) {
+		return dir
+	}
+	current := SchemaDir()
+	entries, _ := os.ReadDir(dir)
+	for _, ent := range entries {
+		name := ent.Name()
+		if ent.IsDir() && name != current && isSchemaDir(name) || !ent.IsDir() && isStoreEntry(name) {
+			os.RemoveAll(filepath.Join(dir, name))
+		}
+	}
+	return filepath.Join(dir, current)
+}
+
+// SchemaDir is the name of the store subdirectory holding this schema's
+// entries: "v" and cacheSchemaVersion.
+func SchemaDir() string { return "v" + strconv.Itoa(cacheSchemaVersion) }
+
+// isSchemaDir reports whether name is a schema's store subdirectory,
+// "v" and a version number.
+func isSchemaDir(name string) bool {
+	_, err := strconv.ParseUint(strings.TrimPrefix(name, "v"), 10, 32)
+	return strings.HasPrefix(name, "v") && err == nil
+}
+
+// isStoreEntry reports whether name is a store entry of the flat layout:
+// a hex content hash with the .actr or .json extension.
+func isStoreEntry(name string) bool {
+	base := strings.TrimSuffix(strings.TrimSuffix(name, ".actr"), ".json")
+	if base == name || base == "" {
+		return false
+	}
+	_, err := hex.DecodeString(base)
+	return err == nil
+}
 
 // simConfigHash digests the default simulator configuration (core, memory
 // hierarchy, prefetchers, ACIC) and the shape of cpu.Result (%#v of the

@@ -13,7 +13,7 @@ import (
 // from them. A deliberate key change bumps cacheSchemaVersion and
 // rewrites these literals in the same change.
 func TestGoldenKeys(t *testing.T) {
-	const prefix = "v4|cfg:bc01c124a4baffd9c55e317250a8e0f3|profile:"
+	const prefix = "v5|cfg:bc01c124a4baffd9c55e317250a8e0f3|profile:"
 	const media = "6a7fe138ca3b9a9ec49cae7909291b1213aec2f4d88a1c9570ddef506d20dacb"
 	s := NewSuite(400_000)
 	pl, err := NewPipeline(PipelineConfig{N: 400_000})
@@ -27,7 +27,7 @@ func TestGoldenKeys(t *testing.T) {
 		{"CellKey of an unregistered app",
 			s.CellKey(Cell{App: "no-such-app", Scheme: "acic", Prefetcher: "fdp"}),
 			prefix + "unknown:no-such-app|n:400000|scheme:acic|pf:fdp|warmup:0.1|sample:full"},
-		{"GridKey", s.GridKey(), "d0eb67c36826f4f79e0b08a3245af47d"},
+		{"GridKey", s.GridKey(), "a8288910f025901d1683069f748bf46a"},
 		{"Pipeline.storeKey media-streaming", pl.storeKey("media-streaming"),
 			prefix + media + "|n:400000|stage:workload"},
 		// The sampled lane's default constituency derives from the digest.

@@ -36,11 +36,10 @@ type Workload struct {
 	// whose descriptors carry the redirect bits.
 	Ann    []branch.Annotation
 	Blocks []uint64
-	// NextAt is the successor array the store's NXTA section carries
-	// (NextAt[i] = next access to the block demanded at access i). No
-	// simulation reads it; it is kept on Prepare's workloads and on a
-	// plain Pipeline's, for the callers that digest or compare it, and is
-	// nil on every Suite workload.
+	// NextAt is the successor array (NextAt[i] = next access to the
+	// block demanded at access i). No simulation reads it; it is present
+	// on the same workloads as Trace's Inst records, for the callers that
+	// digest or compare it.
 	NextAt []int64
 }
 

@@ -6,7 +6,8 @@ import (
 	"path/filepath"
 	"testing"
 
-	"acic/internal/trace"
+	"acic/internal/cpu"
+	"acic/internal/mem"
 	"acic/internal/workload"
 )
 
@@ -23,25 +24,29 @@ func newStreamedPipeline(t *testing.T, n, window int, dir string) *Pipeline {
 
 // assertPreparedEqual checks a cold-prepared workload (got) against one
 // that carries every array (want: Prepare's or a store load's). A cold
-// workload deliberately keeps no Inst records, annotations, data blocks or
-// latency timeline, so the descriptors, blocks and successors are compared
-// directly, and want's annotations and timeline against the ANNO and DLAT
-// payloads got derives from its descriptors. The data blocks are compared
-// through a store reload (assertWorkloadsEqual).
+// workload deliberately keeps no Inst records, annotations, data blocks,
+// latency timeline or successor array, so the descriptors and blocks are
+// compared directly, and want's annotations and timeline against those a
+// store load derives from got's descriptors and want's Inst records. The
+// data blocks and successor array are compared through a store reload
+// (assertWorkloadsEqual).
 func assertPreparedEqual(t *testing.T, want, got *Workload) {
 	t.Helper()
 	if want.Profile != got.Profile {
 		t.Fatalf("profile mismatch: %v vs %v", got.Profile.Name, want.Profile.Name)
 	}
-	wantAnn := make([]byte, len(want.Ann))
-	for i, a := range want.Ann {
-		wantAnn[i] = byte(a.Redirect)
+	if got.Trace.Insts != nil || got.Ann != nil || got.Prog.MemBlk != nil || got.Prog.DataLat != nil || got.NextAt != nil {
+		t.Fatalf("cold workload keeps %d insts, %d annotations, %d data blocks, %d latencies and %d successors, want none",
+			len(got.Trace.Insts), len(got.Ann), len(got.Prog.MemBlk), len(got.Prog.DataLat), len(got.NextAt))
+	}
+	derived, err := cpu.NewProgramFromParts(want.Trace, want.Prog.Len(), got.Prog.Desc, got.Blocks, mem.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
 	if !equalSlices(t, "Desc", want.Prog.Desc, got.Prog.Desc) ||
 		!equalSlices(t, "Blocks", want.Prog.Blocks, got.Prog.Blocks) ||
-		!equalSlices(t, "NextAt", want.NextAt, got.NextAt) ||
-		!equalSlices(t, "ANNO payload", wantAnn, got.Prog.AnnotationBytes(nil)) ||
-		!equalSlices(t, "DLAT payload", trace.EncodeInt16s(want.Prog.DataLat), got.Prog.DataLatBytes(nil)) {
+		!equalSlices(t, "annotations from the descriptors", want.Ann, derived.Ann) ||
+		!equalSlices(t, "timeline from the descriptors", want.Prog.DataLat, derived.DataLat) {
 		t.FailNow()
 	}
 }
@@ -69,7 +74,7 @@ func equalSlices[T comparable](t *testing.T, label string, a, b []T) bool {
 // reference's. Window 1 asks for more windows than the artifact holds
 // sections, and n = 20,480 = 1,024 × 20 is where a window grown to fill
 // all trace.MaxSections sections would leave no room for the derived
-// ones, so its warm reload pins the window's growth to n/(MaxSections-5).
+// ones, so its warm reload pins the window's growth to n/(MaxSections-2).
 func TestPipelineStreamedMatchesBatch(t *testing.T) {
 	const app, n = "media-streaming", 20_480
 	prof, _ := workload.ByName(app)

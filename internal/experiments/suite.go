@@ -67,17 +67,18 @@ type Config struct {
 
 	// Workers bounds the worker pool (0 = ACIC_WORKERS or GOMAXPROCS).
 	Workers int `json:"-"`
-	// CacheDir enables the persistent result cache in that directory
-	// ("" = in-memory only). Entries are keyed by workload profile hash,
-	// trace length, scheme, prefetcher, and run options, so reruns of
-	// acic-bench / acic-sim recompute only what changed.
+	// CacheDir enables the persistent result cache in that directory's
+	// schema subdirectory (StoreDir; "" = in-memory only). Entries are
+	// keyed by workload profile hash, trace length, scheme, prefetcher,
+	// and run options, so reruns of acic-bench / acic-sim recompute only
+	// what changed.
 	CacheDir string `json:"-"`
-	// ArtifactDir enables the persistent workload artifact store ("" =
-	// in-memory only): each app's prepared workload persists as one
-	// content-addressed entry keyed like the result cache, so warm
-	// reruns skip straight to simulation (see Pipeline). CacheDir and
-	// ArtifactDir may point at the same directory — result entries are
-	// .json, artifacts .actr.
+	// ArtifactDir enables the persistent workload artifact store, also in
+	// the schema subdirectory ("" = in-memory only): each app's prepared
+	// workload persists as one content-addressed entry keyed like the
+	// result cache, so warm reruns skip straight to simulation (see
+	// Pipeline). CacheDir and ArtifactDir may point at the same directory
+	// — result entries are .json, artifacts .actr.
 	ArtifactDir string `json:"-"`
 }
 
@@ -172,7 +173,7 @@ func (s *Suite) init() {
 		s.results.Name = "cell"
 		s.results.Retry = engine.DefaultRetry()
 		if s.CacheDir != "" {
-			cache, err := engine.NewDiskCache[Cell, cpu.Result](s.CacheDir, s.cacheKey)
+			cache, err := engine.NewDiskCache[Cell, cpu.Result](StoreDir(s.CacheDir), s.cacheKey)
 			if err != nil {
 				s.cacheErr = err
 			} else {
@@ -309,10 +310,10 @@ func (s *Suite) PrepareAll(apps ...string) error {
 // Workload returns the prepared workload for an app, generating on demand.
 // It carries what simulation reads — the Program's descriptor and block
 // arrays (the descriptors hold each instruction's branch redirect and each
-// load's data level), the successor array and the oracle — but no Inst
-// records (Trace holds only the name), no Prog.MemBlk, no Prog.DataLat
-// and no annotations, whether it was prepared cold or loaded. Outside a
-// Suite only a store load returns those (Pipeline.Workload).
+// load's data level) — but no Inst records (Trace holds only the name), no
+// Prog.MemBlk, no Prog.DataLat, no annotations and no successor array,
+// whether it was prepared cold or loaded. Outside a Suite only a store
+// load returns those (Pipeline.Workload).
 func (s *Suite) Workload(app string) (*Workload, error) {
 	s.init()
 	return s.pipeline.Workload(app)

@@ -143,7 +143,7 @@ func runDistributedLane(ctx context.Context, n int, fs *experiments.FaultStats, 
 		return DistributedLane{}, err
 	}
 	defer os.RemoveAll(dir)
-	storeHandler, err := engine.NewStoreHandler(dir)
+	storeHandler, err := engine.NewStoreHandler(experiments.StoreDir(dir))
 	if err != nil {
 		return DistributedLane{}, err
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 )
 
 // Binary container format, version 2:
@@ -24,17 +23,15 @@ import (
 //	  payload
 //
 // The container is a set of tagged sections so the prepared workload
-// artifact — the instruction windows plus branch annotations, cpu.Program
-// descriptor arrays, the data-latency timeline, and the next-use successor
-// array — persists through the same codec as a bare trace (DESIGN.md §9).
-// Unknown tags are preserved by ReadContainer, so older readers skip
-// sections newer writers add.
+// artifact — the instruction windows, then the cpu.Program descriptor
+// bytes and its collapsed block-access sequence — persists through the
+// same codec as a bare trace (DESIGN.md §9). Unknown tags are preserved by
+// ReadContainer, so older readers skip sections newer writers add.
 //
-// Instruction sections use the packed SecInstsZ encoding (stream.go). The
-// remaining payload encodings (delta varints for sorted-ish uint64 arrays,
-// zigzag varints for int64 arrays, fixed 2-byte little-endian for int16
-// arrays) are exposed as helpers so the layers that own the typed arrays
-// (cpu, analysis, experiments) encode them without duplicating varint
+// Instruction sections use the packed SecInstsZ encoding (stream.go).
+// Descriptors are raw bytes, and the block sequence uses the delta-varint
+// helpers below (EncodeUint64sDelta), so the layers that own the typed
+// arrays (cpu, experiments) encode them without duplicating varint
 // plumbing.
 
 var magic = [4]byte{'A', 'C', 'T', 'R'}
@@ -45,11 +42,8 @@ const codecVersion = 2
 // The trace package owns only the names; the typed contents belong to the
 // layers that produce them.
 const (
-	SecAnnot   = "ANNO" // branch.Annotation redirect byte per instruction
-	SecDesc    = "DESC" // cpu.Program descriptor byte per instruction
-	SecBlocks  = "BLKS" // collapsed block-access sequence (delta varints)
-	SecNextAt  = "NXTA" // next-use successor array (zigzag varints)
-	SecDataLat = "DLAT" // data-side latency timeline (int16 LE)
+	SecDesc   = "DESC" // cpu.Program descriptor byte per instruction
+	SecBlocks = "BLKS" // collapsed block-access sequence (delta varints)
 )
 
 // ErrBadFormat reports a malformed, truncated, or corrupt stream.
@@ -256,101 +250,6 @@ func DecodeUint64sDelta(data []byte) ([]uint64, error) {
 		out[i] = prev
 	}
 	return out, nil
-}
-
-// EncodeInt64sDelta encodes an int64 array as count + zigzag varint deltas
-// against the element index (successor arrays hold future indices, so the
-// distance-to-index is small and the sentinel stays cheap).
-func EncodeInt64sDelta(vals []int64) []byte {
-	out := make([]byte, 0, 2*len(vals)+binary.MaxVarintLen64)
-	out = binary.AppendUvarint(out, uint64(len(vals)))
-	for i, v := range vals {
-		out = binary.AppendUvarint(out, zigzag(v-int64(i)))
-	}
-	return out
-}
-
-// DecodeInt64sDelta decodes an EncodeInt64sDelta payload.
-func DecodeInt64sDelta(data []byte) ([]int64, error) {
-	br := bytes.NewReader(data)
-	count, err := binary.ReadUvarint(br)
-	if err != nil || count > uint64(br.Len()) { // >= 1 payload byte per element
-		return nil, fmt.Errorf("%w: int64 array count", ErrBadFormat)
-	}
-	out := make([]int64, count)
-	for i := range out {
-		d, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("%w: int64 array element %d: %v", ErrBadFormat, i, err)
-		}
-		out[i] = unzigzag(d) + int64(i)
-	}
-	return out, nil
-}
-
-// CountInt64sDelta checks an EncodeInt64sDelta payload as DecodeInt64sDelta
-// does, refusing exactly the payloads it refuses, and returns its element
-// count without building the array.
-func CountInt64sDelta(data []byte) (int, error) {
-	count, k := binary.Uvarint(data)
-	if k <= 0 || count > uint64(len(data)-k) { // >= 1 payload byte per element
-		return 0, fmt.Errorf("%w: int64 array count", ErrBadFormat)
-	}
-	data = data[k:]
-	for i := range int(count) {
-		if _, k = binary.Uvarint(data); k <= 0 {
-			return 0, fmt.Errorf("%w: int64 array element %d: bad varint", ErrBadFormat, i)
-		}
-		data = data[k:]
-	}
-	return int(count), nil
-}
-
-// EncodeInt16s encodes an int16 array as count + 2-byte little-endian
-// elements (latency timelines are dense and bounded, so fixed width beats
-// varints).
-func EncodeInt16s(vals []int16) []byte {
-	return AppendInt16s(nil, len(vals), func(i int) int16 { return vals[i] })
-}
-
-// AppendInt16s appends the EncodeInt16s payload of n values, the i-th
-// being at(i), to dst, so a caller that derives the values need not build
-// the array.
-func AppendInt16s(dst []byte, n int, at func(i int) int16) []byte {
-	dst = slices.Grow(dst, 2*n+binary.MaxVarintLen64)
-	dst = binary.AppendUvarint(dst, uint64(n))
-	for i := range n {
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(at(i)))
-	}
-	return dst
-}
-
-// DecodeInt16s decodes an EncodeInt16s payload.
-func DecodeInt16s(data []byte) ([]int16, error) {
-	elems, err := Int16sElems(data)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int16, len(elems)/2)
-	for i := range out {
-		out[i] = int16(binary.LittleEndian.Uint16(elems[2*i:]))
-	}
-	return out, nil
-}
-
-// Int16sElems checks an EncodeInt16s payload's framing as DecodeInt16s
-// does, refusing exactly the payloads it refuses, and returns its
-// elements in place: element i is the little-endian uint16 at 2*i.
-func Int16sElems(data []byte) ([]byte, error) {
-	count, k := binary.Uvarint(data)
-	if k <= 0 || count > uint64(len(data)-k) { // the length check below needs 2 bytes per element
-		return nil, fmt.Errorf("%w: int16 array count", ErrBadFormat)
-	}
-	rest := data[k:]
-	if uint64(len(rest)) != 2*count {
-		return nil, fmt.Errorf("%w: int16 array payload %d bytes, want %d", ErrBadFormat, len(rest), 2*count)
-	}
-	return rest, nil
 }
 
 // Write encodes t as a v2 container holding one packed instruction

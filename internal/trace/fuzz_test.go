@@ -2,11 +2,9 @@ package trace_test
 
 import (
 	"bytes"
-	"encoding/binary"
 	"slices"
 	"testing"
 
-	"acic/internal/analysis"
 	"acic/internal/branch"
 	"acic/internal/cpu"
 	"acic/internal/mem"
@@ -29,8 +27,6 @@ type seedArtifacts struct {
 	containers [][]byte // trace (whole and windowed), workload artifact, derived sections only, retired v1 and INST shapes
 	packed     [][]byte // INSZ payloads: the whole trace and each window
 	blocks     []byte   // BLKS payload
-	nextAt     []byte   // NXTA payload
-	dataLat    []byte   // DLAT payload
 }
 
 func realArtifacts(f *testing.F) seedArtifacts {
@@ -42,8 +38,6 @@ func realArtifacts(f *testing.F) seedArtifacts {
 
 	var s seedArtifacts
 	s.blocks = trace.EncodeUint64sDelta(prog.Blocks)
-	s.nextAt = trace.EncodeInt64sDelta(analysis.NextUseArray(prog.Blocks))
-	s.dataLat = prog.DataLatBytes(nil)
 	s.packed = append(s.packed, trace.EncodeInstsPacked(tr.Insts))
 	var windows []trace.Section
 	for insts := range slices.Chunk(tr.Insts, fuzzWindow) {
@@ -52,11 +46,8 @@ func realArtifacts(f *testing.F) seedArtifacts {
 		windows = append(windows, trace.Section{Tag: trace.SecInstsZ, Data: payload})
 	}
 	derived := []trace.Section{
-		{Tag: trace.SecAnnot, Data: prog.AnnotationBytes(nil)},
-		{Tag: trace.SecDesc, Data: prog.DescBytes(nil)},
+		{Tag: trace.SecDesc, Data: prog.Desc},
 		{Tag: trace.SecBlocks, Data: s.blocks},
-		{Tag: trace.SecNextAt, Data: s.nextAt},
-		{Tag: trace.SecDataLat, Data: s.dataLat},
 	}
 
 	container := func(name string, secs ...trace.Section) []byte {
@@ -164,40 +155,6 @@ func FuzzDecodeUint64sDelta(f *testing.F) {
 	addSeeds(f, realArtifacts(f).blocks)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fuzzRoundTrip(t, data, trace.DecodeUint64sDelta, trace.EncodeUint64sDelta)
-	})
-}
-
-// FuzzDecodeInt64sDelta also holds CountInt64sDelta, the check a Suite's
-// store load makes instead of decoding, to the decoder's verdict and
-// element count.
-func FuzzDecodeInt64sDelta(f *testing.F) {
-	addSeeds(f, realArtifacts(f).nextAt)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRoundTrip(t, data, trace.DecodeInt64sDelta, trace.EncodeInt64sDelta)
-		vals, err := trace.DecodeInt64sDelta(data)
-		n, countErr := trace.CountInt64sDelta(data)
-		if (err == nil) != (countErr == nil) || n != len(vals) {
-			t.Fatalf("decode: %d values (%v); count: %d (%v)", len(vals), err, n, countErr)
-		}
-	})
-}
-
-// FuzzDecodeInt16s also holds Int16sElems, which a store load reads the
-// latencies through in place, to the decoder's verdict and values.
-func FuzzDecodeInt16s(f *testing.F) {
-	addSeeds(f, realArtifacts(f).dataLat)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzRoundTrip(t, data, trace.DecodeInt16s, trace.EncodeInt16s)
-		vals, err := trace.DecodeInt16s(data)
-		elems, elemsErr := trace.Int16sElems(data)
-		if (err == nil) != (elemsErr == nil) || len(elems) != 2*len(vals) {
-			t.Fatalf("decode: %d values (%v); in place: %d bytes (%v)", len(vals), err, len(elems), elemsErr)
-		}
-		for i, v := range vals {
-			if got := int16(binary.LittleEndian.Uint16(elems[2*i:])); got != v {
-				t.Fatalf("element %d reads %d in place, decodes to %d", i, got, v)
-			}
-		}
 	})
 }
 

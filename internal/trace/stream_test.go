@@ -191,7 +191,7 @@ func TestContainerWriterStreamsSections(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := cw.WriteSection(SecDataLat, EncodeInt16s([]int16{1, 2, 3})); err != nil {
+	if err := cw.WriteSection(SecBlocks, EncodeUint64sDelta([]uint64{1, 2, 3})); err != nil {
 		t.Fatal(err)
 	}
 	if err := cw.Close(); err != nil {
@@ -223,10 +223,10 @@ func TestContainerWriterStreamsSections(t *testing.T) {
 	if name != tr.Name || len(secs) != wantSecs {
 		t.Fatalf("container: name %q, %d sections (want %d)", name, len(secs), wantSecs)
 	}
-	if lat, ok := FindSection(secs, SecDataLat); !ok {
-		t.Error("DLAT section lost")
-	} else if got, err := DecodeInt16s(lat); err != nil || !equalSlices(got, []int16{1, 2, 3}) {
-		t.Errorf("DLAT payload mangled: %v, %v", got, err)
+	if blocks, ok := FindSection(secs, SecBlocks); !ok {
+		t.Error("BLKS section lost")
+	} else if got, err := DecodeUint64sDelta(blocks); err != nil || !equalSlices(got, []uint64{1, 2, 3}) {
+		t.Errorf("BLKS payload mangled: %v, %v", got, err)
 	}
 }
 

@@ -206,7 +206,7 @@ func TestCodecRejectsUnsupportedVersion(t *testing.T) {
 func TestContainerRoundTrip(t *testing.T) {
 	secs := []Section{
 		{Tag: SecDesc, Data: []byte{1, 2, 3, 4, 5}},
-		{Tag: SecDataLat, Data: EncodeInt16s([]int16{0, 4, -1, 300})},
+		{Tag: SecBlocks, Data: EncodeUint64sDelta([]uint64{0, 4, 1, 300})},
 		{Tag: "XTRA", Data: nil}, // unknown tags round-trip too
 	}
 	var buf bytes.Buffer
@@ -225,10 +225,10 @@ func TestContainerRoundTrip(t *testing.T) {
 			t.Errorf("section %d mismatch: %+v vs %+v", i, got[i], secs[i])
 		}
 	}
-	if _, ok := FindSection(got, SecDataLat); !ok {
-		t.Error("FindSection missed DLAT")
+	if _, ok := FindSection(got, SecBlocks); !ok {
+		t.Error("FindSection missed BLKS")
 	}
-	if _, ok := FindSection(got, SecNextAt); ok {
+	if _, ok := FindSection(got, SecInstsZ); ok {
 		t.Error("FindSection found an absent tag")
 	}
 }
@@ -308,34 +308,20 @@ func TestTypedPayloadRoundTrips(t *testing.T) {
 	if got, err := DecodeUint64sDelta(EncodeUint64sDelta(u64)); err != nil || !equalSlices(got, u64) {
 		t.Errorf("uint64 round trip: %v, %v", got, err)
 	}
-	i64 := []int64{-1, 5, 2, 1 << 50, -1, 0}
-	if got, err := DecodeInt64sDelta(EncodeInt64sDelta(i64)); err != nil || !equalSlices(got, i64) {
-		t.Errorf("int64 round trip: %v, %v", got, err)
-	}
-	i16 := []int16{0, -32768, 32767, 4, 200}
-	if got, err := DecodeInt16s(EncodeInt16s(i16)); err != nil || !equalSlices(got, i16) {
-		t.Errorf("int16 round trip: %v, %v", got, err)
-	}
 	// Empty arrays round-trip as empty, not nil panics.
-	if got, err := DecodeInt16s(EncodeInt16s(nil)); err != nil || len(got) != 0 {
-		t.Errorf("empty int16 round trip: %v, %v", got, err)
+	if got, err := DecodeUint64sDelta(EncodeUint64sDelta(nil)); err != nil || len(got) != 0 {
+		t.Errorf("empty uint64 round trip: %v, %v", got, err)
 	}
 	// Truncated typed payloads fail cleanly.
-	full := EncodeInt16s(i16)
-	if _, err := DecodeInt16s(full[:len(full)-1]); err == nil {
-		t.Error("truncated int16 payload should fail")
+	full := EncodeUint64sDelta(u64)
+	if _, err := DecodeUint64sDelta(full[:len(full)-1]); err == nil {
+		t.Error("truncated uint64 payload should fail")
 	}
 	// A count far beyond the payload must be rejected before allocation,
 	// not trusted into a multi-GB make().
 	huge := binary.AppendUvarint(nil, 1<<32)
 	if _, err := DecodeUint64sDelta(huge); !errors.Is(err, ErrBadFormat) {
 		t.Errorf("huge uint64 count: got %v, want ErrBadFormat", err)
-	}
-	if _, err := DecodeInt64sDelta(huge); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("huge int64 count: got %v, want ErrBadFormat", err)
-	}
-	if _, err := DecodeInt16s(huge); !errors.Is(err, ErrBadFormat) {
-		t.Errorf("huge int16 count: got %v, want ErrBadFormat", err)
 	}
 }
 
